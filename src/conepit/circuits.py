@@ -49,8 +49,9 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
+from .extraction import interpolation_row
 from .fastmod import kernel_for
-from .fields import DensePoly, Field, Scalar
+from .fields import Field, Scalar
 from .polys import ExpVec, MultiPoly
 
 DENSE_EXPAND_GUARD = 10_000_000
@@ -117,6 +118,9 @@ class Circuit:
         if len(point) != self.arity:
             raise ArityMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         F = self.field
+        if F.p is not None:
+            # canonical residues, as the vector path's kernel entry makes them
+            point = [x % F.p for x in point]
         vals: dict[int, Scalar] = {}
         for g in self.gates:
             if g.kind == "input":
@@ -390,26 +394,6 @@ class CircuitOracle(Oracle):
 # ----------------------------------------------------------------------
 
 
-def _lagrange_coefficient_rows(nodes: list[Scalar], field: Field) -> list[list[Scalar]]:
-    """Row t holds, for each node j, the coefficient of x^t in the Lagrange
-    basis polynomial through node j.  Multiplying values by these rows
-    converts point values to polynomial coefficients."""
-    m = len(nodes)
-    rows = [[field.zero()] * m for _ in range(m)]
-    for j in range(m):
-        basis = DensePoly.const(field, 1)
-        denom = field.one()
-        for l, node in enumerate(nodes):
-            if l == j:
-                continue
-            basis = basis.mul(DensePoly.make(field, [field.neg(node), field.one()]))
-            denom = field.mul(denom, field.sub(nodes[j], node))
-        inv = field.inv(denom)
-        for t in range(m):
-            rows[t][j] = field.mul(inv, basis.coefficient(t))
-    return rows
-
-
 def dense_expand(oracle: Oracle) -> MultiPoly:
     """The unique polynomial of individual degree <= d agreeing with the
     oracle on the grid {0..d}^n, by per-variable interpolation.  Exact.
@@ -424,8 +408,8 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
         raise TooLarge(f"dense expansion grid {width}^{n} exceeds {DENSE_EXPAND_GUARD}")
     F.require_size_over(d, "dense_expand interpolation grid")
 
-    nodes = [F.of(i) for i in range(width)]
-    coeff_rows = _lagrange_coefficient_rows(nodes, F)
+    # Row t maps the values at the nodes 0..d to the coefficient of x^t.
+    coeff_rows = [interpolation_row(F, width, t) for t in range(width)]
     values = oracle.eval_grid(width)
 
     if isinstance(values, np.ndarray):

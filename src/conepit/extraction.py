@@ -11,20 +11,29 @@ stage scales the whole point by a fresh parameter tau, evaluates at the
 all-ones point for d + 1 values of tau, and interpolates the coefficient of
 tau^|e|.
 
-Stages are fused lazily: no intermediate circuit is materialized, the
-filtered oracle expands the node products on demand.  The base oracle is
-queried exactly cone_size(e) * (d + 1) times per extraction.
+Stages are fused lazily: no intermediate circuit is materialized.  An
+extraction is two steps, :meth:`FilteredOracle.queries` (the base points
+and the weight of each in the combination) and :meth:`FilteredOracle.combine`
+(the weighted sum of the values there), so a caller that extracts many
+coefficients can evaluate the union of their points once.  The base oracle
+is queried exactly cone_size(e) * (d + 1) times per extraction.
+
+Interpolation nodes are always 0 .. m-1, so the weight rows are cached per
+(field, m, target) by :func:`interpolation_row`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .circuits import Oracle
 from .errors import ArityMismatch, DuplicateNodes
 from .fields import Field, Scalar
 from .polys import ExpVec, cone_size
+
+if TYPE_CHECKING:
+    from .circuits import Oracle
 
 
 def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[Scalar]:
@@ -51,6 +60,18 @@ def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[
     return [rows[j][m] for j in range(m)]
 
 
+@functools.lru_cache(maxsize=256)
+def interpolation_nodes(field: Field, m: int) -> tuple[Scalar, ...]:
+    """The interpolation nodes 0 .. m-1 as field elements, cached."""
+    return tuple(field.of(j) for j in range(m))
+
+
+@functools.lru_cache(maxsize=4096)
+def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
+    """:func:`vandermonde_row` on the nodes 0 .. m-1, cached."""
+    return tuple(vandermonde_row(interpolation_nodes(field, m), target, field))
+
+
 class FilteredOracle:
     """The per-variable filtered view of a base oracle for one target
     exponent: stage i holds the nodes and combination weights that isolate
@@ -64,25 +85,25 @@ class FilteredOracle:
         self.base = base
         self.e = tuple(e)
         self.field = F
-        self.stage_nodes: list[list[Scalar]] = []
-        self.stage_weights: list[list[Scalar]] = []
+        self.stage_nodes: list[Sequence[Scalar]] = []
+        self.stage_weights: list[Sequence[Scalar]] = []
+        self._queries: tuple[list[tuple[Scalar, ...]], list[Scalar]] | None = None
         if sum(self.e) > base.degree:
             # The coefficient is zero by the degree bound; no stages needed.
-            self.t_nodes: list[Scalar] = []
+            self.t_nodes: Sequence[Scalar] = ()
             self.t_weights = None
             return
         # Zero-exponent coordinates use the single node 1 with weight 1:
         # the stage is the identity and contributes factor 1 to the cost.
+        self.t_nodes = interpolation_nodes(F, base.degree + 1)
         for ei in self.e:
             if ei == 0:
                 self.stage_nodes.append([F.one()])
                 self.stage_weights.append([F.one()])
             else:
-                nodes = [F.of(j) for j in range(ei + 1)]
-                self.stage_nodes.append(nodes)
-                self.stage_weights.append(vandermonde_row(nodes, ei, F))
-        self.t_nodes = [F.of(j) for j in range(base.degree + 1)]
-        self.t_weights = vandermonde_row(self.t_nodes, sum(self.e), F)
+                self.stage_nodes.append(self.t_nodes[: ei + 1])
+                self.stage_weights.append(interpolation_row(F, ei + 1, ei))
+        self.t_weights = interpolation_row(F, base.degree + 1, sum(self.e))
 
     def filtered_eval(self, point: Sequence[Scalar]) -> Scalar:
         """Value at ``point`` of the fully filtered polynomial, whose terms
@@ -98,35 +119,39 @@ class FilteredOracle:
             acc = F.add(acc, F.mul(w, self.base.eval_point(scaled)))
         return acc
 
+    def queries(self) -> tuple[list[tuple[Scalar, ...]], list[Scalar]]:
+        """The base points of this extraction, tau-major, and the weight of
+        each point's value in the coefficient: cone_size(e) * (d + 1) of
+        each, or none when |e| exceeds the degree bound."""
+        if self._queries is None:
+            F = self.field
+            points: list[tuple[Scalar, ...]] = []
+            weights: list[Scalar] = []
+            if self.t_weights is not None:
+                # itertools.product order over the stages: x1's node slowest
+                combo_weights = [F.one()]
+                for ws in self.stage_weights:
+                    combo_weights = [F.mul(w, x) for w in combo_weights for x in ws]
+                for tau, tw in zip(self.t_nodes, self.t_weights):
+                    points.extend(itertools.product(*([F.mul(a, tau) for a in ns] for ns in self.stage_nodes)))
+                    weights.extend([F.mul(tw, w) for w in combo_weights])
+            self._queries = (points, weights)
+        return self._queries
+
+    def combine(self, values: Sequence[Scalar]) -> Scalar:
+        """The coefficient of x^e from the base values at the points of
+        :meth:`queries`, in the same order."""
+        F = self.field
+        acc = F.zero()
+        for w, v in zip(self.queries()[1], values):
+            if v != 0:
+                acc = F.add(acc, F.mul(w, v))
+        return acc
+
     def coefficient(self) -> Scalar:
         """The coefficient of x^e in the base oracle's polynomial."""
-        F = self.field
-        if self.t_weights is None:
-            # |e| exceeds the degree bound, so the coefficient is zero.
-            return F.zero()
-        combos = list(itertools.product(*(range(len(ns)) for ns in self.stage_nodes)))
-        combo_weights = []
-        combo_scales = []
-        for combo in combos:
-            w = F.one()
-            for i, j in enumerate(combo):
-                w = F.mul(w, self.stage_weights[i][j])
-            combo_weights.append(w)
-            combo_scales.append([self.stage_nodes[i][j] for i, j in enumerate(combo)])
-        points = []
-        for tau in self.t_nodes:
-            for scales in combo_scales:
-                points.append([F.mul(a, tau) for a in scales])
-        values = self.base.eval_many(points)
-        acc = F.zero()
-        pos = 0
-        for tw in self.t_weights:
-            for cw in combo_weights:
-                v = values[pos]
-                pos += 1
-                if v != 0:
-                    acc = F.add(acc, F.mul(F.mul(tw, cw), v))
-        return acc
+        points, _ = self.queries()
+        return self.combine(self.base.eval_many(points))
 
 
 def extract_coefficient(oracle: Oracle, e: ExpVec) -> Scalar:

@@ -8,8 +8,9 @@ circuits and diagonal circuits on many points at once.  Two regimes:
 * p < 2^31: products of canonical residues fit in uint64 directly.
 
 Anything else (other primes, the rationals) has no kernel and callers fall
-back to scalar Python arithmetic.  Results are bit-identical to the scalar
-path.
+back to scalar Python arithmetic.  Integers enter through ``array``, which
+reduces them mod p, so results are bit-identical to the scalar path on any
+integer input.
 """
 
 from __future__ import annotations
@@ -23,8 +24,22 @@ from .fields import MERSENNE61, Field
 _U = np.uint64
 
 
+def _residues(values: Sequence[int], p: int) -> np.ndarray:
+    """The integers reduced mod p as a uint64 array.  Canonical residues
+    convert directly; anything else (at least p, or negative, or too wide
+    for uint64) is reduced first."""
+    try:
+        out = np.asarray(values, dtype=np.uint64)
+    except OverflowError:
+        return np.asarray([v % p for v in values], dtype=np.uint64)
+    if out.size and out.max() >= p:
+        return out % _U(p)
+    return out
+
+
 class Mersenne61Kernel:
-    """mod (2^61 - 1) vector arithmetic; operands must be canonical residues."""
+    """mod (2^61 - 1) vector arithmetic; operands must be canonical residues,
+    which :meth:`array` produces from any integers."""
 
     p = MERSENNE61
     _MASK = _U(MERSENNE61)
@@ -36,7 +51,7 @@ class Mersenne61Kernel:
     _LOW29 = _U((1 << 29) - 1)
 
     def array(self, values: Sequence[int]) -> np.ndarray:
-        return np.asarray(values, dtype=np.uint64)
+        return _residues(values, self.p)
 
     def full(self, n: int, value: int) -> np.ndarray:
         return np.full(n, value, dtype=np.uint64)
@@ -80,7 +95,7 @@ class SmallPrimeKernel:
         self._p = _U(p)
 
     def array(self, values: Sequence[int]) -> np.ndarray:
-        return np.asarray(values, dtype=np.uint64)
+        return _residues(values, self.p)
 
     def full(self, n: int, value: int) -> np.ndarray:
         return np.full(n, value, dtype=np.uint64)

@@ -37,6 +37,7 @@ from .errors import (
     RaggedInput,
     TooLarge,
     ValidationError,
+    VerificationFailed,
 )
 from .fields import DensePoly, Field, Scalar
 from .linalg import integer_nullspace_canonical, nullspace_canonical
@@ -191,7 +192,7 @@ def _deficit_monomial(deficit: int, caps: Sequence[int]) -> ExpVec:
         out.append(x)
         remaining -= x
     if remaining != 0:
-        raise AssertionError("degree deficit exceeds the admissible caps")
+        raise VerificationFailed("degree deficit exceeds the admissible caps")
     return tuple(out)
 
 
@@ -222,7 +223,7 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     delta0 = d * n * delta + 1
     support = _smallest_vectors(n, delta, delta0)
     if len(support) < delta0:
-        raise AssertionError("support enumeration fell short of the guaranteed size")
+        raise VerificationFailed("support enumeration fell short of the guaranteed size")
 
     # Shared-prefix memo over the support (each entry costs one univariate mul).
     memo: dict[ExpVec, DensePoly] = {(0,) * n: DensePoly.const(F, 1)}
@@ -246,7 +247,7 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     else:
         vec = nullspace_canonical(rows, F, len(support))
     if vec is None:
-        raise AssertionError("annihilator system has a guaranteed kernel; none found")
+        raise VerificationFailed("annihilator system has a guaranteed kernel; none found")
 
     coeffs = {e: F.of(c) for e, c in zip(support, vec) if c != 0}
     if F.is_rational:
@@ -307,7 +308,7 @@ def greedy_design(base_size: int, subset_size: int, intersection_bound: int) -> 
         admitted.append(cand)
         blocked.update(itertools.combinations(cand, d + 1))
     if l * d > 10 * n * n and len(admitted) < 2 ** (d / 10):
-        raise AssertionError(f"greedy design produced {len(admitted)} < 2^({d}/10) subsets")
+        raise VerificationFailed(f"greedy design produced {len(admitted)} < 2^({d}/10) subsets")
     return DesignFamily(l, n, d, tuple(admitted))
 
 

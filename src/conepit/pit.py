@@ -6,17 +6,22 @@ Three testers over the same oracle interface:
   coefficient of every monomial of cone size at most k (in ascending
   deg-lex order, stopping at the first nonzero).  Complete whenever the
   oracle's polynomial has partial-derivative-space dimension at most k;
-  a Nonzero answer is always sound.
+  a Nonzero answer is always sound.  The extractions of one test share an
+  evaluation plan: one total-degree layer at a time, the points of every
+  monomial in the layer are gathered and those not evaluated earlier in
+  the test go to the oracle in one batch.
 * :func:`brute_force_pit` -- ground truth by dense grid expansion.
 * :func:`sz_pit` -- seeded random evaluations, one-sided error.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
-from .extraction import extract_coefficient
+from .errors import VerificationFailed
+from .extraction import FilteredOracle
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
 
@@ -57,18 +62,33 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     correct, because a nonzero polynomial's leading monomial has cone size
     at most that dimension.  Nonzero verdicts carry the deg-lex-least
     low-cone witness and are sound unconditionally.
+
+    The monomials are walked one total-degree layer at a time.  The points
+    of every extraction in a layer that this test has not evaluated yet go
+    to ``oracle.eval_many`` in one batch, into a table; each extraction then
+    combines values read from the table, and the walk stops at the first
+    nonzero coefficient.  ``oracle.calls`` therefore grows by the distinct
+    points of the layers walked, while the verdict's ``oracle_calls`` is the
+    number of points the tested extractions requested,
+    cone_size(e) * (d + 1) each.
     """
     monomials = enumerate_low_cone(oracle.arity, k, dcap=oracle.degree)
-    start_calls = oracle.calls
+    values: dict[tuple[Scalar, ...], Scalar] = {}
+    table = Oracle(oracle.arity, oracle.degree, oracle.field, values.__getitem__)
     tested = 0
-    for e in monomials:
-        tested += 1
-        c = extract_coefficient(oracle, e)
-        if c != 0:
-            _check_budget(tested, oracle.arity, k)
-            return PitVerdict(NONZERO, e, c, tested, oracle.calls - start_calls)
+    for _, layer in itertools.groupby(monomials, key=sum):
+        extractions = [FilteredOracle(table, e) for e in layer]
+        fresh = dict.fromkeys(pt for x in extractions for pt in x.queries()[0] if pt not in values)
+        if fresh:
+            values.update(zip(fresh, oracle.eval_many(list(fresh))))
+        for x in extractions:
+            tested += 1
+            c = x.coefficient()
+            if c != 0:
+                _check_budget(tested, oracle.arity, k)
+                return PitVerdict(NONZERO, x.e, c, tested, table.calls)
     _check_budget(tested, oracle.arity, k)
-    return PitVerdict(ZERO, None, None, tested, oracle.calls - start_calls)
+    return PitVerdict(ZERO, None, None, tested, table.calls)
 
 
 def _check_budget(tested: int, n: int, k: int) -> None:
@@ -76,7 +96,7 @@ def _check_budget(tested: int, n: int, k: int) -> None:
     # broken enumerator, not a bad input.
     bound = low_cone_count_bound(n, k) * (1 + 1e-9)
     if tested > bound:
-        raise AssertionError(f"tested {tested} monomials, exceeding the cone-count bound {bound}")
+        raise VerificationFailed(f"tested {tested} monomials, exceeding the cone-count bound {bound}")
 
 
 def brute_force_pit(oracle: Oracle) -> PitVerdict:

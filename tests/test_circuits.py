@@ -13,7 +13,7 @@ from conepit.circuits import (
 )
 from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
 from conepit.fields import Field
-from conepit.generators import random_circuit, random_multipoly
+from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.polys import MultiPoly
 
 Q = Field.rationals()
@@ -146,6 +146,28 @@ def test_evaluate_many_matches_scalar_path():
         pts = [[field.random(rng) for _ in range(3)] for _ in range(32)]
         batched = C.evaluate_many(pts)
         assert batched == [C.evaluate(pt) for pt in pts]
+
+
+@pytest.mark.parametrize("field", (FP, Field.prime((1 << 31) - 1), Field.prime(7), Q), ids=lambda F: F.spec)
+def test_evaluate_many_matches_scalar_path_off_canonical(field):
+    # Integers that are not canonical residues: at least p, wider than
+    # uint64, and negative.  Both paths must reduce them the same way.
+    rng = random.Random(6)
+    wide = [(1 << 63) + 1, 1 << 40, (1 << 64) + 3, 1 << 100, -1, -(1 << 70), -7, 7]
+    for n in (1, 3):
+        pts = [[rng.choice(wide) + rng.randrange(3) for _ in range(n)] for _ in range(24)]
+        b = CircuitBuilder(field, n)
+        square = b.build(b.pow(b.input(0), 2))
+        bare = CircuitBuilder(field, n)
+        shapes = [square, bare.build(bare.input(n - 1))]
+        shapes += [random_circuit(rng, field, n, 8, 4) for _ in range(4)]
+        shapes += [random_diagonal(rng, field, n, 3, 3) for _ in range(4)]
+        for C in shapes:
+            assert C.evaluate_many(pts) == [C.evaluate(pt) for pt in pts]
+    b = CircuitBuilder(field, 1)
+    square = b.build(b.pow(b.input(0), 2))
+    got = square.evaluate_many([[(1 << 63) + 1], [1 << 40], [-3]])
+    assert got == [field.of(((1 << 63) + 1) ** 2), field.of(1 << 80), field.of(9)]
 
 
 def test_serialize_parse_round_trip():

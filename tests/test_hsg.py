@@ -6,7 +6,18 @@ from math import comb
 import pytest
 
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
-from conepit.errors import ArityMismatch, ArityTooSmall, BadParameters, CharTooSmall, DesignTooSmall, RaggedInput, TooLarge, ValidationError
+from conepit import hsg
+from conepit.errors import (
+    ArityMismatch,
+    ArityTooSmall,
+    BadParameters,
+    CharTooSmall,
+    DesignTooSmall,
+    RaggedInput,
+    TooLarge,
+    ValidationError,
+    VerificationFailed,
+)
 from conepit.fields import DensePoly, Field
 from conepit.generators import random_circuit, random_hsg, random_multipoly
 from conepit.hsg import (
@@ -268,3 +279,10 @@ def test_local_kronecker_preserves_multilinear_nonzeroness():
 
         K = local_kronecker(Circuit.from_multipoly(p), 2)
         assert brute_force_pit(Oracle.from_circuit(K)).outcome == "NONZERO"
+
+
+def test_broken_invariant_is_verification_failure(monkeypatch):
+    t = HsgTuple.make(Q, [DensePoly.make(Q, [0, 1]), DensePoly.make(Q, [0, 0, 1])])
+    monkeypatch.setattr(hsg, "_smallest_vectors", lambda n, cap, count: [])
+    with pytest.raises(VerificationFailed, match="support enumeration"):
+        build_annihilator(t)

@@ -1,10 +1,15 @@
 import random
 
+import pytest
+
+from conepit import pit
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
+from conepit.errors import VerificationFailed
+from conepit.extraction import FilteredOracle, extract_coefficient
 from conepit.fields import Field
-from conepit.generators import random_diagonal
-from conepit.pit import NONZERO, ZERO, brute_force_pit, low_cone_pit, splitmix64, sz_pit
-from conepit.polys import deglex_key, low_cone_count_bound
+from conepit.generators import random_circuit, random_diagonal
+from conepit.pit import NONZERO, ZERO, PitVerdict, brute_force_pit, low_cone_pit, splitmix64, sz_pit
+from conepit.polys import deglex_key, enumerate_low_cone, low_cone_count_bound
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -134,3 +139,88 @@ def test_verdict_rendering():
     text = v.render()
     assert text.startswith("NONZERO witness=1 coeff=1 tested=1 calls=")
     assert low_cone_pit(zero_circuit_oracle(FP), 4).render() == "ZERO"
+
+
+# ----------------------------------------------------------------------
+# The shared evaluation plan against one extraction per monomial
+# ----------------------------------------------------------------------
+
+PLAN_FIELDS = (FP, Field.prime((1 << 31) - 1), Field.prime(7), Field.prime((1 << 89) - 1), Q)
+
+
+def reference_low_cone_pit(oracle, k):
+    """low_cone_pit as one independent extract_coefficient per monomial."""
+    start = oracle.calls
+    tested = 0
+    for e in enumerate_low_cone(oracle.arity, k, dcap=oracle.degree):
+        tested += 1
+        c = extract_coefficient(oracle, e)
+        if c != 0:
+            return PitVerdict(NONZERO, e, c, tested, oracle.calls - start)
+    return PitVerdict(ZERO, None, None, tested, oracle.calls - start)
+
+
+def plan_instances(field, rng):
+    """Gate and diagonal circuits over ``field``, zero and nonzero, as
+    (oracle factory, low-cone bound k).  Degrees stay below 6 so F_7
+    qualifies."""
+    out = []
+    for _ in range(4):
+        n = rng.randint(1, 4)
+        C = random_circuit(rng, field, n, rng.randint(2, 8), 4)
+        out.append((lambda C=C: Oracle.from_circuit(C), rng.choice((4, 8, 16))))
+        D = random_diagonal(rng, field, n, rng.randint(1, 4), 3, force_zero=rng.random() < 0.5)
+        out.append((D.as_oracle, sum(t.d + 1 for t in D.terms)))
+        Z = random_diagonal(rng, field, n, rng.randint(2, 4), 3, force_zero=True).to_circuit()
+        out.append((lambda Z=Z: Oracle.from_circuit(Z), 8))
+    return out
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=lambda F: F.spec)
+def test_plan_matches_per_monomial_extraction(field):
+    rng = random.Random(53 if field.p is None else field.p % 1000)
+    outcomes = set()
+    for make_oracle, k in plan_instances(field, rng):
+        got = low_cone_pit(make_oracle(), k)
+        want = reference_low_cone_pit(make_oracle(), k)
+        assert got == want
+        assert type(got.coefficient) is type(want.coefficient)
+        assert got.render() == want.render()
+        outcomes.add(got.outcome)
+    assert outcomes == {ZERO, NONZERO}
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=lambda F: F.spec)
+def test_plan_evaluates_each_distinct_point_once(field):
+    rng = random.Random(59 if field.p is None else field.p % 997)
+    for make_oracle, k in plan_instances(field, rng):
+        oracle = make_oracle()
+        verdict = low_cone_pit(oracle, k)
+        # every layer up to the witness's total degree is prefetched whole
+        last = sum(verdict.witness) if verdict.outcome == NONZERO else oracle.degree
+        walked = [e for e in enumerate_low_cone(oracle.arity, k, dcap=oracle.degree) if sum(e) <= last]
+        requested = [pt for e in walked for pt in FilteredOracle(oracle, e).queries()[0]]
+        assert oracle.calls == len(set(requested))
+        if verdict.outcome == ZERO:
+            assert oracle.calls <= verdict.oracle_calls == len(requested)
+        else:
+            assert verdict.oracle_calls <= len(requested)
+
+
+def test_plan_prefetches_the_witness_layer_whole():
+    # x5 in arity 5: the witness opens layer 1 in deg-lex order, and the
+    # other four monomials of the layer are prefetched too, so distinct
+    # evaluations exceed the request count.
+    b = CircuitBuilder(FP, 5)
+    oracle = Oracle.from_circuit(b.build(b.input(4)), degree=2)
+    verdict = low_cone_pit(oracle, 2)
+    assert (verdict.witness, verdict.coefficient, verdict.monomials_tested) == ((0, 0, 0, 0, 1), 1, 2)
+    assert verdict.oracle_calls == 3 + 6
+    assert oracle.calls == 3 + 5 * 2 > verdict.oracle_calls
+
+
+def test_budget_overrun_is_verification_failure(monkeypatch):
+    real = pit.enumerate_low_cone
+    monkeypatch.setattr(pit, "enumerate_low_cone", lambda n, k, dcap=None: [e for e in real(n, k, dcap) for _ in range(4)])
+    with pytest.raises(VerificationFailed, match="cone-count bound"):
+        low_cone_pit(zero_circuit_oracle(FP), 1)
