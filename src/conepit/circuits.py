@@ -42,6 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .documents import load_document
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -142,14 +143,12 @@ class Circuit:
         return vals[self.output]
 
     def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        kern = kernel_for(self.field)
-        if kern is None or not points:
-            return [self.evaluate(pt) for pt in points]
-        cols = [kern.array([pt[i] for pt in points]) for i in range(self.arity)]
-        out = self._evaluate_columns(kern, cols, len(points))
-        return [int(x) for x in out]
+        return evaluate_points(self, points)
 
     def _evaluate_columns(self, kern, cols: list[np.ndarray], n_points: int) -> np.ndarray:
+        """The column engine: each gate's values on all points as one kernel
+        array, dropped after the gate's last use."""
+        last_use = {c: g.id for g in self.gates for c in g.children}
         vals: dict[int, np.ndarray] = {}
         for g in self.gates:
             if g.kind == "input":
@@ -157,10 +156,10 @@ class Circuit:
             elif g.kind == "const":
                 v = kern.full(n_points, g.value)
             elif g.kind == "add":
-                ws = g.weights or (1,) * len(g.children)
-                v = kern.full(n_points, 0)
-                for w, c in zip(ws, g.children):
-                    v = kern.add(v, kern.mul(np.uint64(w), vals[c]))
+                v = None
+                for w, c in zip(g.weights or itertools.repeat(1), g.children):
+                    term = vals[c] if w == 1 else kern.mul(kern.scalar(w), vals[c])
+                    v = term if v is None else kern.add(v, term)
             elif g.kind == "mul":
                 v = vals[g.children[0]]
                 for c in g.children[1:]:
@@ -168,7 +167,14 @@ class Circuit:
             else:
                 v = kern.pow(vals[g.children[0]], g.exp)
             vals[g.id] = v
+            for c in g.children:
+                if last_use[c] == g.id and c != self.output:
+                    vals.pop(c, None)
         return vals[self.output]
+
+    def to_circuit(self) -> "Circuit":
+        """The gate circuit itself: every circuit kind offers this gate view."""
+        return self
 
     # -- structure -----------------------------------------------------
 
@@ -364,7 +370,11 @@ class Oracle:
 
 
 class CircuitOracle(Oracle):
-    def __init__(self, circuit: Circuit, degree: int | None = None):
+    """Oracle of a gate circuit, or of another circuit kind through its gate
+    view ``to_circuit()``.  Batches go through the circuit's own
+    ``evaluate_many`` and grids through the column engine."""
+
+    def __init__(self, circuit, degree: int | None = None):
         d = circuit.syntactic_degree() if degree is None else degree
         super().__init__(circuit.arity, d, circuit.field, circuit.evaluate)
         self.circuit = circuit
@@ -373,20 +383,22 @@ class CircuitOracle(Oracle):
         self.calls += len(points)
         return self.circuit.evaluate_many(points)
 
-    def eval_grid(self, nodes_per_var: int) -> Sequence[Scalar]:
+    def eval_grid(self, nodes_per_var: int) -> np.ndarray:
         kern = kernel_for(self.field)
         n = self.arity
         count = nodes_per_var ** n
-        if kern is None:
-            return super().eval_grid(nodes_per_var)
         self.calls += count
         idx = np.arange(count, dtype=np.uint64)
         m = np.uint64(nodes_per_var)
-        cols = []
-        for i in range(n):
-            stride = np.uint64(nodes_per_var ** (n - 1 - i))
-            cols.append((idx // stride) % m)
-        return self.circuit._evaluate_columns(kern, cols, count)
+        cols = [kern.array(idx // np.uint64(nodes_per_var ** (n - 1 - i)) % m) for i in range(n)]
+        return self.circuit.to_circuit()._evaluate_columns(kern, cols, count)
+
+
+def evaluate_points(circuit: Circuit, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    """The circuit's values at the points, by one pass of the column engine."""
+    kern = kernel_for(circuit.field)
+    cols = [kern.array([pt[i] for pt in points]) for i in range(circuit.arity)]
+    return circuit._evaluate_columns(kern, cols, len(points)).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -408,64 +420,26 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
         raise TooLarge(f"dense expansion grid {width}^{n} exceeds {DENSE_EXPAND_GUARD}")
     F.require_size_over(d, "dense_expand interpolation grid")
 
+    kern = kernel_for(F)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t.
-    coeff_rows = [interpolation_row(F, width, t) for t in range(width)]
-    values = oracle.eval_grid(width)
-
-    if isinstance(values, np.ndarray):
-        kern = kernel_for(F)
-        arr = values
-        rows_u = [[int(x) for x in row] for row in coeff_rows]
-        for axis in range(n):
-            stride = width ** (n - 1 - axis)
-            shaped = arr.reshape(-1, width, stride)
-            out = np.zeros_like(shaped)
-            for t in range(width):
-                acc = out[:, t, :]
-                for j in range(width):
-                    w = rows_u[t][j]
-                    if w == 0:
-                        continue
-                    acc = kern.add(acc, kern.mul(np.uint64(w), shaped[:, j, :]))
-                out[:, t, :] = acc
-            arr = out.reshape(-1)
-        flat = arr
-        nz = np.nonzero(flat)[0]
-        terms: dict[ExpVec, Scalar] = {}
-        for pos in nz:
-            pos = int(pos)
-            e = []
-            for i in range(n):
-                stride = width ** (n - 1 - i)
-                e.append((pos // stride) % width)
-            terms[tuple(e)] = int(flat[pos])
-        return MultiPoly(F, n, terms)
-
-    vals = list(values)
+    coeff_rows = [[kern.scalar(w) for w in interpolation_row(F, width, t)] for t in range(width)]
+    arr = kern.array(oracle.eval_grid(width))
     for axis in range(n):
         stride = width ** (n - 1 - axis)
-        out = [F.zero()] * count
-        block = width * stride
-        for base in range(0, count, block):
-            for off in range(stride):
-                line = [vals[base + off + j * stride] for j in range(width)]
-                for t in range(width):
-                    acc = F.zero()
-                    for j in range(width):
-                        w = coeff_rows[t][j]
-                        if w != 0 and line[j] != 0:
-                            acc = F.add(acc, F.mul(w, line[j]))
-                    out[base + off + t * stride] = acc
-        vals = out
-    terms = {}
-    for pos, c in enumerate(vals):
-        if c == 0:
-            continue
-        e = []
-        for i in range(n):
-            stride = width ** (n - 1 - i)
-            e.append((pos // stride) % width)
-        terms[tuple(e)] = c
+        shaped = arr.reshape(-1, width, stride)
+        out = np.zeros_like(shaped)
+        for t, row in enumerate(coeff_rows):
+            acc = out[:, t, :]
+            for j, w in enumerate(row):
+                if w != 0:
+                    acc = kern.add(acc, kern.mul(w, shaped[:, j, :]))
+            out[:, t, :] = acc
+        arr = out.reshape(-1)
+    nz = np.flatnonzero(arr)
+    terms: dict[ExpVec, Scalar] = {
+        tuple(pos // width ** (n - 1 - i) % width for i in range(n)): c
+        for pos, c in zip(nz.tolist(), arr[nz].tolist())
+    }
     return MultiPoly(F, n, terms)
 
 
@@ -497,23 +471,16 @@ def serialize(circuit: Circuit) -> str:
 
 
 def parse(text: str) -> Circuit:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return circuit_from_document(doc)
+    return load_document(text, circuit_from_document)
 
 
 def circuit_from_document(doc) -> Circuit:
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a JSON object")
-    try:
-        field = Field.from_spec(doc["field"])
-        arity = int(doc["arity"])
-        raw_gates = doc["gates"]
-        output = int(doc["output"])
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from exc
+    field = Field.from_spec(doc["field"])
+    arity = int(doc["arity"])
+    raw_gates = doc["gates"]
+    output = int(doc["output"])
     gates = []
     for row in raw_gates:
         try:

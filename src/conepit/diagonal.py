@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
-from .circuits import CircuitBuilder, Circuit, Oracle
-from .errors import ParseError, RankZero, ValidationError
-from .fastmod import kernel_for
+from .circuits import Circuit, CircuitBuilder, CircuitOracle, evaluate_points
+from .documents import load_document
+from .errors import RankZero, ValidationError
 from .fields import Field, Scalar
 from .linalg import RowReducer
 from .pit import NONZERO, ZERO, PitVerdict, low_cone_pit
@@ -65,72 +64,27 @@ class DiagonalCircuit:
         return max((t.d for t in self.terms), default=0)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        F = self.field
-        acc = F.zero()
-        for t in self.terms:
-            v = t.const
-            for a, x in zip(t.coeffs, point):
-                if a != 0 and x != 0:
-                    v = F.add(v, F.mul(a, x))
-            acc = F.add(acc, F.mul(t.c, F.pow(v, t.d)))
-        return acc
+        return self.to_circuit().evaluate(point)
 
     def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        kern = kernel_for(self.field)
-        if kern is None or not points:
-            return [self.evaluate(pt) for pt in points]
-        cols = [kern.array([pt[i] for pt in points]) for i in range(self.arity)]
-        return [int(x) for x in self._evaluate_columns(kern, cols, len(points))]
+        return evaluate_points(self.to_circuit(), points)
 
-    def _evaluate_columns(self, kern, cols, n_points: int) -> np.ndarray:
-        acc = kern.full(n_points, 0)
-        for t in self.terms:
-            v = kern.full(n_points, t.const)
-            for a, col in zip(t.coeffs, cols):
-                if a != 0:
-                    v = kern.add(v, kern.mul(np.uint64(a), col))
-            acc = kern.add(acc, kern.mul(np.uint64(t.c), kern.pow(v, t.d)))
-        return acc
-
-    def as_oracle(self) -> "DiagonalOracle":
-        return DiagonalOracle(self)
+    def as_oracle(self) -> CircuitOracle:
+        return CircuitOracle(self, self.degree())
 
     def to_circuit(self) -> Circuit:
-        """Equivalent gate-level circuit (weighted add -> pow -> weighted add)."""
+        """Equivalent gate-level circuit (weighted add -> pow -> weighted add),
+        built once per circuit."""
+        return self._gates
+
+    @cached_property
+    def _gates(self) -> Circuit:
         b = CircuitBuilder(self.field, self.arity)
-        one = b.const(1)
         tops = []
         for t in self.terms:
-            parts = [(t.const, one)] + [(a, b.input(i)) for i, a in enumerate(t.coeffs) if a != 0]
-            form = b.add(parts)
-            tops.append((t.c, b.pow(form, t.d)))
-        out = b.add(tops) if tops else b.const(0)
-        return b.build(out)
-
-
-class DiagonalOracle(Oracle):
-    def __init__(self, circuit: DiagonalCircuit):
-        super().__init__(circuit.arity, circuit.degree(), circuit.field, circuit.evaluate)
-        self.circuit = circuit
-
-    def eval_many(self, points):
-        self.calls += len(points)
-        return self.circuit.evaluate_many(points)
-
-    def eval_grid(self, nodes_per_var: int):
-        kern = kernel_for(self.field)
-        n = self.arity
-        if kern is None:
-            return super().eval_grid(nodes_per_var)
-        count = nodes_per_var ** n
-        self.calls += count
-        idx = np.arange(count, dtype=np.uint64)
-        m = np.uint64(nodes_per_var)
-        cols = []
-        for i in range(n):
-            stride = np.uint64(nodes_per_var ** (n - 1 - i))
-            cols.append((idx // stride) % m)
-        return self.circuit._evaluate_columns(kern, cols, count)
+            parts = [(1, b.const(t.const))] + [(a, b.input(i)) for i, a in enumerate(t.coeffs) if a != 0]
+            tops.append((t.c, b.pow(b.add(parts), t.d)))
+        return b.build(b.add(tops) if tops else b.const(0))
 
 
 # ----------------------------------------------------------------------
@@ -198,18 +152,15 @@ def diag_pit(circuit: DiagonalCircuit) -> PitVerdict:
     exponent vector of the reduced, r-variate polynomial.
     """
     circuit.field.require_size_over(circuit.degree(), "diagonal identity test")
-    red = RowReducer(circuit.field)
-    for t in circuit.terms:
-        red.insert(list(t.coeffs))
-    if red.rank == 0:
+    try:
+        psi = build_psi(circuit)
+    except RankZero:
         # Constant polynomial: evaluate once at the origin.
         v = circuit.evaluate([circuit.field.zero()] * circuit.arity)
         if v == 0:
             return PitVerdict(ZERO, None, None, 1, 1)
         return PitVerdict(NONZERO, (), v, 1, 1)
-    psi = PsiMap(circuit.arity, tuple(sorted(red.pivots)))
-    reduced = psi.apply(circuit)
-    return low_cone_pit(reduced.as_oracle(), pd_dim_bound(circuit))
+    return low_cone_pit(psi.apply(circuit).as_oracle(), pd_dim_bound(circuit))
 
 
 # ----------------------------------------------------------------------
@@ -287,14 +238,10 @@ def diagonal_to_json(circuit: DiagonalCircuit) -> str:
 
 
 def diagonal_from_json(text: str) -> DiagonalCircuit:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    try:
+    def build(doc) -> DiagonalCircuit:
         field = Field.from_spec(doc["field"])
         arity = int(doc["arity"])
         terms = [(row["c"], row["const"], row["coeffs"], int(row["d"])) for row in doc["terms"]]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from exc
-    return DiagonalCircuit.make(field, arity, terms)
+        return DiagonalCircuit.make(field, arity, terms)
+
+    return load_document(text, build)

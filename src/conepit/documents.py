@@ -15,17 +15,28 @@ values stay exact.  Formats:
 from __future__ import annotations
 
 import json
+from typing import Any, Callable, TypeVar
 
 from .errors import ParseError
 from .fields import Field
 from .polys import ExpVec, MultiPoly, VectorPoly
 
+T = TypeVar("T")
 
-def _load(text: str):
+
+def load_document(text: str, build: Callable[[Any], T]) -> T:
+    """Parse JSON text and build an object from the document.  Malformed
+    input of any shape (bad JSON, a missing key, a value of the wrong type
+    or form) raises :class:`ParseError`; the package's own errors pass
+    through unchanged."""
     try:
-        return json.loads(text)
+        return build(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed document: {exc}") from exc
 
 
 def multipoly_to_obj(p: MultiPoly) -> dict:
@@ -51,11 +62,9 @@ def _poly_from_parts(field: Field, arity: int, rows) -> MultiPoly:
 
 
 def multipoly_from_json(text: str) -> MultiPoly:
-    doc = _load(text)
-    try:
-        return _poly_from_parts(Field.from_spec(doc["field"]), int(doc["arity"]), doc["terms"])
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from exc
+    return load_document(
+        text, lambda doc: _poly_from_parts(Field.from_spec(doc["field"]), int(doc["arity"]), doc["terms"])
+    )
 
 
 def vectorpoly_to_json(f: VectorPoly) -> str:
@@ -71,36 +80,32 @@ def vectorpoly_to_json(f: VectorPoly) -> str:
 
 
 def vectorpoly_from_json(text: str) -> VectorPoly:
-    doc = _load(text)
-    try:
+    def build(doc) -> VectorPoly:
         field = Field.from_spec(doc["field"])
         arity = int(doc["arity"])
         dim = int(doc["dim"])
         items = [(tuple(int(x) for x in row["exp"]), row["coef"]) for row in doc["terms"]]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from exc
-    return VectorPoly.make(field, arity, dim, items)
+        return VectorPoly.make(field, arity, dim, items)
+
+    return load_document(text, build)
 
 
 def monomial_set_from_json(text: str) -> tuple[int, list[ExpVec]]:
-    doc = _load(text)
-    try:
+    def build(doc) -> tuple[int, list[ExpVec]]:
         arity = int(doc["arity"])
         vectors = [tuple(int(x) for x in row) for row in doc["vectors"]]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from exc
-    for v in vectors:
-        if len(v) != arity:
-            raise ParseError(f"vector {v} does not have arity {arity}")
-    return arity, vectors
+        for v in vectors:
+            if len(v) != arity:
+                raise ParseError(f"vector {v} does not have arity {arity}")
+        return arity, vectors
+
+    return load_document(text, build)
 
 
 def product_terms_from_json(text: str) -> list[list[MultiPoly]]:
-    doc = _load(text)
-    try:
+    def build(doc) -> list[list[MultiPoly]]:
         field = Field.from_spec(doc["field"])
         arity = int(doc["arity"])
-        groups = doc["terms"]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from exc
-    return [[_poly_from_parts(field, arity, factor) for factor in group] for group in groups]
+        return [[_poly_from_parts(field, arity, factor) for factor in group] for group in doc["terms"]]
+
+    return load_document(text, build)

@@ -1,16 +1,17 @@
-"""Vectorized modular arithmetic kernels (internal).
+"""Vectorized field arithmetic kernels (internal).
 
-Exact mod-p arithmetic on numpy uint64 arrays, used to batch-evaluate
-circuits and diagonal circuits on many points at once.  Two regimes:
+Exact arithmetic on numpy arrays, used to evaluate circuits on many points
+at once.  Every field has a kernel:
 
-* p = 2^61 - 1: Mersenne reduction with a 32/32 split multiply.  All
-  intermediates stay below 2^64.
+* p = 2^61 - 1: Mersenne reduction on uint64 with a 32/32 split multiply.
+  All intermediates stay below 2^64.
 * p < 2^31: products of canonical residues fit in uint64 directly.
+* anything else (the rationals, other primes): :class:`Field` arithmetic
+  elementwise on object arrays of Python scalars.
 
-Anything else (other primes, the rationals) has no kernel and callers fall
-back to scalar Python arithmetic.  Integers enter through ``array``, which
-reduces them mod p, so results are bit-identical to the scalar path on any
-integer input.
+Values enter through ``array`` (integers are reduced mod p) and scalars
+through ``scalar``, so results equal those of the scalar path,
+``Circuit.evaluate``, on any integer input.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import MERSENNE61, Field
+from .fields import MERSENNE61, Field, Scalar
 
 _U = np.uint64
 
@@ -52,6 +53,9 @@ class Mersenne61Kernel:
 
     def array(self, values: Sequence[int]) -> np.ndarray:
         return _residues(values, self.p)
+
+    def scalar(self, value: int) -> np.uint64:
+        return _U(value)
 
     def full(self, n: int, value: int) -> np.ndarray:
         return np.full(n, value, dtype=np.uint64)
@@ -97,6 +101,9 @@ class SmallPrimeKernel:
     def array(self, values: Sequence[int]) -> np.ndarray:
         return _residues(values, self.p)
 
+    def scalar(self, value: int) -> np.uint64:
+        return _U(value)
+
     def full(self, n: int, value: int) -> np.ndarray:
         return np.full(n, value, dtype=np.uint64)
 
@@ -120,10 +127,38 @@ class SmallPrimeKernel:
         return out
 
 
+class ObjectKernel:
+    """Field arithmetic elementwise on numpy object arrays: the rationals,
+    and primes too wide for the uint64 kernels."""
+
+    def __init__(self, field: Field):
+        self.p = field.p
+        self._pow = np.frompyfunc(field.pow, 2, 1)
+
+    def array(self, values: Sequence[Scalar]) -> np.ndarray:
+        out = np.asarray(values, dtype=object)
+        return out if self.p is None else out % self.p
+
+    def scalar(self, value: Scalar) -> Scalar:
+        return value
+
+    def full(self, n: int, value: Scalar) -> np.ndarray:
+        return np.full(n, value, dtype=object)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b if self.p is None else (a + b) % self.p
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * b if self.p is None else (a * b) % self.p
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        return self._pow(a, e)
+
+
 def kernel_for(field: Field):
-    """Vector kernel for the field, or None when only the scalar path applies."""
+    """The vector kernel for the field."""
     if field.p == MERSENNE61:
         return Mersenne61Kernel()
     if field.p is not None and field.p < (1 << 31):
         return SmallPrimeKernel(field.p)
-    return None
+    return ObjectKernel(field)

@@ -24,16 +24,16 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .circuits import Circuit
+from .documents import load_document
 from .errors import (
     ArityMismatch,
     ArityTooSmall,
     BadParameters,
     CharTooSmall,
     DesignTooSmall,
-    ParseError,
     RaggedInput,
     TooLarge,
     ValidationError,
@@ -77,22 +77,12 @@ class HsgTuple:
     def arity(self) -> int:
         return len(self.polys)
 
-    def monomial_image(self, e: ExpVec) -> DensePoly:
-        """prod f_i^(e_i) as a univariate in y."""
-        out = DensePoly.const(self.field, 1)
-        for p, x in zip(self.polys, e):
-            if x:
-                out = out.mul(p.pow(x))
-        return out
+    def monomial_images(self, exps: Iterable[ExpVec]) -> list[DensePoly]:
+        """prod f_i^(e_i) as a univariate in y, for each exponent vector.
 
-    def compose(self, g: MultiPoly) -> DensePoly:
-        """g(f_1(y), ..., f_n(y)), expanded exactly.
-
-        Monomial images are built by a shared-prefix memo: each needed
-        power vector costs one univariate multiplication by some f_i.
+        The images share a prefix memo: each power vector needed costs one
+        univariate multiplication by some f_i.
         """
-        if g.arity != self.arity:
-            raise ArityMismatch(f"polynomial arity {g.arity}, tuple arity {self.arity}")
         memo: dict[ExpVec, DensePoly] = {(0,) * self.arity: DensePoly.const(self.field, 1)}
 
         def image(e: ExpVec) -> DensePoly:
@@ -105,9 +95,15 @@ class HsgTuple:
             memo[e] = out
             return out
 
+        return [image(e) for e in exps]
+
+    def compose(self, g: MultiPoly) -> DensePoly:
+        """g(f_1(y), ..., f_n(y)), expanded exactly."""
+        if g.arity != self.arity:
+            raise ArityMismatch(f"polynomial arity {g.arity}, tuple arity {self.arity}")
         acc = DensePoly.zero(self.field)
-        for e, c in g.terms.items():
-            acc = acc.add(image(e).scale(c))
+        for c, img in zip(g.terms.values(), self.monomial_images(g.terms)):
+            acc = acc.add(img.scale(c))
         return acc
 
 
@@ -121,17 +117,13 @@ def hsg_to_json(t: HsgTuple) -> str:
 
 
 def hsg_from_json(text: str) -> HsgTuple:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    try:
+    def build(doc) -> HsgTuple:
         field = Field.from_spec(doc["field"])
         polys = [DensePoly.make(field, coeffs) for coeffs in doc["polys"]]
         degree = int(doc["degree"]) if "degree" in doc else None
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from exc
-    return HsgTuple.make(field, polys, degree)
+        return HsgTuple.make(field, polys, degree)
+
+    return load_document(text, build)
 
 
 # ----------------------------------------------------------------------
@@ -225,20 +217,7 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     if len(support) < delta0:
         raise VerificationFailed("support enumeration fell short of the guaranteed size")
 
-    # Shared-prefix memo over the support (each entry costs one univariate mul).
-    memo: dict[ExpVec, DensePoly] = {(0,) * n: DensePoly.const(F, 1)}
-
-    def image(e: ExpVec) -> DensePoly:
-        got = memo.get(e)
-        if got is not None:
-            return got
-        i = max(j for j, x in enumerate(e) if x > 0)
-        prev = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        out = image(prev).mul(t.polys[i])
-        memo[e] = out
-        return out
-
-    images = [image(e) for e in support]
+    images = t.monomial_images(support)
     delta1 = max(p.degree() for p in images)
     rows = [[img.coefficient(r) for img in images] for r in range(delta1 + 1)]
 

@@ -149,6 +149,23 @@ def test_usage_errors(tmp_path):
     assert invoke(["no-such-command"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["diag-pit", "--diag"], "[1, 2]"),
+        (["annihilate", "--hsg"], "[1, 2]"),
+        (["shift-basis", "--weights", "1", "--vectorpoly"], "[1, 2]"),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": "a"}], "output": 0}'),
+    ],
+)
+def test_malformed_documents_are_usage_errors(tmp_path, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
 def test_precondition_errors(tmp_path):
     assert invoke(["design", "--l", "3", "--n", "3", "--d", "1"])[0] == 3
     hsg = tmp_path / "one.json"

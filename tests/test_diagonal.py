@@ -19,7 +19,7 @@ from conepit.fields import Field
 from conepit.generators import random_diagonal
 from conepit.linalg import matrix_rank
 from conepit.pit import NONZERO, ZERO, brute_force_pit
-from conepit.polys import is_cone_closed, pd_space_dim
+from conepit.polys import MultiPoly, is_cone_closed, pd_space_dim
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -184,12 +184,21 @@ def test_diagonal_evaluate_many_matches_scalar():
 
 
 def test_to_circuit_agrees():
+    # reference: sum c_i * (const_i + <a_i, x>)^(d_i) expanded with MultiPoly
+    # arithmetic, which never goes through to_circuit()
     rng = random.Random(71)
     for _ in range(10):
         n = rng.randint(1, 3)
         D = random_diagonal(rng, Q, n, 2, 3)
+        ref = MultiPoly.zero(Q, n)
+        for t in D.terms:
+            form = MultiPoly.const(Q, n, t.const)
+            for i, a in enumerate(t.coeffs):
+                form = form.add(MultiPoly.variable(Q, n, i).scale(a))
+            ref = ref.add(form.pow(t.d).scale(t.c))
         C = D.to_circuit()
         for _ in range(5):
             pt = [Q.random(rng) for _ in range(n)]
-            assert C.evaluate(pt) == D.evaluate(pt)
-        assert dense_expand(Oracle.from_circuit(C)) == dense_expand(D.as_oracle())
+            assert C.evaluate(pt) == ref.evaluate(pt)
+        assert dense_expand(Oracle.from_circuit(C)) == ref
+        assert dense_expand(D.as_oracle()) == ref
