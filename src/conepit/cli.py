@@ -50,6 +50,18 @@ def _circuit_oracle(args) -> Oracle:
     return Oracle.from_circuit(circuit)
 
 
+def positive_int(text: str) -> int:
+    """argparse type; argparse reports the ValueError as an invalid value."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _format_set(vectors) -> str:
     return "{" + ",".join("(" + ",".join(str(x) for x in v) + ")" for v in vectors) + "}"
 
@@ -159,8 +171,7 @@ def cmd_kron(args) -> int:
 
 def cmd_shift_basis(args) -> int:
     f = documents.vectorpoly_from_json(_read(args.vectorpoly))
-    weights = tuple(int(x) for x in args.weights.split(","))
-    A = cone_closed_basis_after_shift(f, weights)
+    A = cone_closed_basis_after_shift(f, args.weights)
     rank = coeff_rank(f)
     closed = is_cone_closed(A)
     if args.json:
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pit", help="low-cone blackbox identity test of a circuit oracle")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
-    p.add_argument("--k", type=int, required=True, help="cone-size budget (partial-derivative dimension promise)")
+    p.add_argument("--k", type=positive_int, required=True, help="cone-size budget (partial-derivative dimension promise)")
     p.add_argument("--field", help="override the circuit's field spec")
     p.set_defaults(fn=cmd_pit)
 
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("szpit", help="randomized identity test by seeded point evaluation")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--field")
     p.set_defaults(fn=cmd_szpit)
@@ -228,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_coef)
 
     p = sub.add_parser("cones", help="enumerate monomials of bounded cone size")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--dcap", type=int, default=None, help="total-degree cap (default unbounded)")
     p.add_argument("--list", action="store_true", help="print the monomials after the count")
     p.set_defaults(fn=cmd_cones)
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift-basis", help="cone-closed coefficient basis of a polynomial after a weighted shift")
     p.add_argument("--vectorpoly", required=True, help="vector polynomial JSON file")
-    p.add_argument("--weights", required=True, help="comma-separated variable weights")
+    p.add_argument("--weights", type=int_list, required=True, help="comma-separated variable weights")
     p.set_defaults(fn=cmd_shift_basis)
 
     p = sub.add_parser("diag-pit", help="identity test for sums of powers of affine forms")

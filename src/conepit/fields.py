@@ -2,9 +2,10 @@
 
 Scalars are plain Python values: a canonical residue ``int`` in ``[0, p)``
 for a prime field, or a ``fractions.Fraction`` (which normalizes itself to
-a reduced fraction with positive denominator) for the rationals.  All
+a reduced fraction with positive denominator) for the rationals.  Scalar
 arithmetic goes through a :class:`Field` object, keeping the hot paths free
-of wrapper objects.
+of wrapper objects; :meth:`DensePoly.mul` instead convolves whole
+coefficient sequences as numpy object arrays of Python integers.
 
 The module also provides dense univariate polynomials (:class:`DensePoly`)
 over a field.  They serve two roles: polynomials in the shift variable ``t``
@@ -18,10 +19,13 @@ rationals, ``"p:<decimal prime>"`` for a prime field.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import CharTooSmall, MixedFields, ParseError, ValidationError, ZeroInverse
 
@@ -183,6 +187,12 @@ def scalar_inverse(a: Scalar, field: Field) -> Scalar:
     return field.inv(a)
 
 
+def clear_denominators(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """([m * v for v in values], m) for m the lcm of the values' denominators."""
+    m = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values], m
+
+
 def require_same_field(fields: Sequence[Field], what: str) -> Field:
     first = fields[0]
     for f in fields[1:]:
@@ -254,16 +264,17 @@ class DensePoly:
         return DensePoly(F, tuple(F.mul(c, v) for v in self.coeffs))
 
     def mul(self, other: "DensePoly") -> "DensePoly":
+        """One ``np.convolve`` over exact integers: the residues over F_p, or
+        over Q the numerators once each operand's denominators are cleared."""
         F = self.field
         if self.is_zero or other.is_zero:
             return DensePoly.zero(F)
-        out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return DensePoly.make(F, out)
+        if F.p is not None:
+            prod = np.convolve(np.array(self.coeffs, dtype=object), np.array(other.coeffs, dtype=object))
+            return DensePoly(F, tuple(v % F.p for v in prod))
+        (na, da), (nb, db) = clear_denominators(self.coeffs), clear_denominators(other.coeffs)
+        prod = np.convolve(np.array(na, dtype=object), np.array(nb, dtype=object))
+        return DensePoly(F, tuple(Fraction(v, da * db) for v in prod))
 
     def pow(self, e: int) -> "DensePoly":
         result = DensePoly.const(self.field, 1)

@@ -219,7 +219,8 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
 
     images = t.monomial_images(support)
     delta1 = max(p.degree() for p in images)
-    rows = [[img.coefficient(r) for img in images] for r in range(delta1 + 1)]
+    zero = F.zero()
+    rows = list(zip(*(img.coeffs + (zero,) * (delta1 - img.degree()) for img in images)))
 
     if F.is_rational:
         vec = integer_nullspace_canonical(rows, len(support))

@@ -11,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import Field, Scalar
+import numpy as np
+
+from .fields import Field, Scalar, clear_denominators
 
 
 class RowReducer:
@@ -138,51 +140,38 @@ def nullspace_canonical(rows: Sequence[Sequence[Scalar]], field: Field, width: i
 # ----------------------------------------------------------------------
 
 
-def _to_integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel is unchanged)."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            d = x.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        out.append([int(x * lcm) for x in fr])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def bareiss_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of an integer matrix.
 
-    Returns (echelon rows, pivot column per row).  Bareiss one-step
-    elimination keeps every intermediate entry equal to a minor of the
-    input, so bit growth is bounded by the determinant bound.
+    Returns (echelon rows, pivot column per row).  The pivot of column c is
+    the first nonzero entry at or below the current row r; one Bareiss step
+    then updates the whole trailing block of a numpy object array at once,
+    a[i, j] <- (a[r, c] * a[i, j] - a[i, c] * a[r, j]) // prev for i > r and
+    j > c, where prev is the previous pivot and the division is exact.
+    Bareiss one-step elimination keeps every intermediate entry equal to a
+    minor of the input, so bit growth is bounded by the determinant bound.
     """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0 or n == 0:
+        return [], []
+    a = np.empty((m, n), dtype=object)
+    a[:] = rows
     piv_rows: list[list[int]] = []
     piv_cols: list[int] = []
     prev = 1
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        piv_rows.append(a[r])
+        pr = r + int(below[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r + 1 :, c + 1 :] = (a[r, c] * a[r + 1 :, c + 1 :] - np.outer(a[r + 1 :, c], a[r, c + 1 :])) // prev
+        a[r + 1 :, c] = 0
+        prev = a[r, c]
+        piv_rows.append(a[r].tolist())
         piv_cols.append(c)
         r += 1
         if r == m:
@@ -220,14 +209,8 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
     is scaled to integers with content 1.  Sign normalization is left to the
     caller.  Returns None when the kernel is trivial.
     """
-    int_rows = _to_integer_rows(rows)
-    if not int_rows:
-        vec = [0] * width
-        if width == 0:
-            return None
-        vec[0] = 1
-        return vec
-    ech, piv_cols = bareiss_echelon(int_rows)
+    # Scaling a row by the lcm of its denominators leaves the kernel as is.
+    ech, piv_cols = bareiss_echelon([clear_denominators(row)[0] for row in rows])
     pivot_set = set(piv_cols)
     free = next((j for j in range(width) if j not in pivot_set), None)
     if free is None:
@@ -240,15 +223,6 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
             if row[j] != 0 and x[j] != 0:
                 s += Fraction(row[j]) * x[j]
         x[piv] = -s / row[piv]
-    lcm = 1
-    for v in x:
-        d = v.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(v * lcm) for v in x]
-    content = 0
-    for v in ints:
-        content = _gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints
+    # Content 1 needs no division: with x[free] = 1, every prime of the lcm
+    # divides some denominator to its full power, so not that numerator.
+    return clear_denominators(x)[0]

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
-from .errors import VerificationFailed
+from .errors import BadParameters, VerificationFailed
 from .extraction import FilteredOracle
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
@@ -131,8 +131,11 @@ def sz_pit(oracle: Oracle, trials: int, seed: int) -> PitVerdict:
     with probability at most (d / field size) per trial.
 
     Points come from a splitmix64 stream reduced into the field, consumed
-    point-major then coordinate-minor, so runs are reproducible.
+    point-major then coordinate-minor, so runs are reproducible.  Fewer than
+    one trial raises BadParameters rather than answer Zero untested.
     """
+    if trials < 1:
+        raise BadParameters(f"need at least one trial, got {trials}")
     F = oracle.field
     modulus = F.p if F.p is not None else MERSENNE61
     stream = splitmix64(seed)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArityMismatch, FieldMismatch, ParseError, ZeroPolynomial
+from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, ZeroPolynomial
 from .fields import Field, Scalar
 from .linalg import RowReducer
 
@@ -82,7 +82,7 @@ def enumerate_low_cone(n: int, k: int, dcap: int | None = None) -> list[ExpVec]:
     any prefix whose partial cone product already exceeds k.
     """
     if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+        raise BadParameters("need n >= 1 and k >= 1")
     out: list[ExpVec] = []
     prefix = [0] * n
 

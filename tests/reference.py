@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from conepit.fields import Field, Scalar
+from conepit.fields import DensePoly, Field, Scalar
 from conepit.linalg import RowReducer
 from conepit.polys import ExpVec, MultiPoly, VectorPoly
 
@@ -144,3 +144,46 @@ def symbolic_shift_coefficients(f: VectorPoly, w) -> dict[ExpVec, list[dict[int,
 
 def multipoly_from_dense_rows(field: Field, arity: int, pairs) -> MultiPoly:
     return MultiPoly.make(field, arity, pairs)
+
+
+def schoolbook_mul(a: DensePoly, b: DensePoly) -> DensePoly:
+    """Product of two dense univariates by the double loop over coefficient
+    pairs, one field operation at a time."""
+    F = a.field
+    if a.is_zero or b.is_zero:
+        return DensePoly.zero(F)
+    out = [F.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return DensePoly.make(F, out)
+
+
+def scalar_bareiss_echelon(rows):
+    """Fraction-free row echelon form by the scalar Bareiss triple loop:
+    (echelon rows, pivot column per row), pivot = first nonzero at or
+    below the current row."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    piv_rows, piv_cols = [], []
+    prev = 1
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        for i in range(r + 1, m):
+            for j in range(c + 1, n):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        piv_rows.append(a[r])
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return piv_rows, piv_cols

@@ -166,6 +166,25 @@ def test_malformed_documents_are_usage_errors(tmp_path, argv, text):
     assert "Traceback" not in err and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cones", "--n", "0", "--k", "4"],
+        ["cones", "--n", "2", "--k", "0"],
+        ["pit", "--circuit", "{square}", "--k", "0"],
+        ["szpit", "--circuit", "{square}", "--trials", "0", "--seed", "1"],
+        ["szpit", "--circuit", "{square}", "--trials", "-1", "--seed", "1"],
+        ["shift-basis", "--vectorpoly", "{vp}", "--weights", "1,a"],
+    ],
+)
+def test_bad_arguments_are_usage_errors(tmp_path, square_circuit, argv):
+    vp = tmp_path / "vp.json"
+    vp.write_text('{"field": "q", "arity": 2, "dim": 1, "terms": [{"exp": [1, 0], "coef": ["1"]}]}')
+    code, out, err = invoke([a.format(square=square_circuit, vp=vp) for a in argv])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.startswith("usage: ")
+
+
 def test_precondition_errors(tmp_path):
     assert invoke(["design", "--l", "3", "--n", "3", "--d", "1"])[0] == 3
     hsg = tmp_path / "one.json"

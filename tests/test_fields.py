@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepit.errors import CharTooSmall, MixedFields, ParseError, ValidationError, ZeroInverse
 from conepit.fields import DensePoly, Field, MERSENNE61, rank_over_ft, scalar_inverse
+from reference import schoolbook_mul
 
 
 Q = Field.rationals()
@@ -121,3 +124,28 @@ def test_miller_rabin_rejects_composites():
             Field.prime(n)
     Field.prime(2)
     Field.prime(MERSENNE61)
+
+
+PRIMES = [Field.prime(p) for p in (2, 7, (1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)]
+
+
+def coefficient_lists(field):
+    if field.is_rational:
+        entry = st.fractions(min_value=-(1 << 40), max_value=1 << 40, max_denominator=1000)
+    else:
+        entry = st.integers(min_value=-(1 << 100), max_value=1 << 100)
+    # empty = the zero polynomial, length 1 = a constant
+    return st.lists(st.one_of(st.just(0), entry), max_size=9)
+
+
+@pytest.mark.parametrize("field", [Q] + PRIMES, ids=lambda F: F.spec)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mul_matches_schoolbook(field, data):
+    a = DensePoly.make(field, data.draw(coefficient_lists(field)))
+    b = DensePoly.make(field, data.draw(coefficient_lists(field)))
+    got = a.mul(b)
+    assert got == schoolbook_mul(a, b)
+    assert not got.coeffs or got.coeffs[-1] != 0
+    assert all(type(c) is (Fraction if field.is_rational else int) for c in got.coeffs)
+    assert got.is_zero == (a.is_zero or b.is_zero)

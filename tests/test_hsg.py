@@ -100,6 +100,49 @@ def test_annihilator_rejects_all_constant():
         build_annihilator(HsgTuple.make(Q, [DensePoly.const(Q, 2), DensePoly.const(Q, 3)]))
 
 
+P89 = "p:618970019642690137449562111"  # 2^89 - 1, outside both uint64 kernels
+
+# Renderings of build_annihilator before its products and elimination moved
+# onto numpy object arrays.  The Q tuples have non-integer coefficients, so
+# they exercise the common-denominator paths of DensePoly.mul and of the
+# integer kernel.
+PINNED_ANNIHILATORS = [
+    ("q", [["1/2", "0", "3/4"], ["-2/3", "5"]], "154*x1*x2^7 + 12*x1*x2^8 + -300*x1^2*x2^7 + 9*x1*x2^9"),
+    ("q", [["0", "1/3"], ["1/5", "-7/2", "2/9"]], "2*x2^8 + -10*x2^9 + -105*x1*x2^8 + 20*x1^2*x2^8"),
+    ("q", [["1/2", "1"], ["0", "2/3"], ["-1", "0", "3/7"]], "-1*x2^3*x3^5 + -3*x2^4*x3^5 + 2*x1*x2^3*x3^5"),
+    (
+        "q",
+        [["3/8", "-1/6", "0", "5/4"], ["7", "1/10", "-2/5", "0", "11/3"]],
+        "1562651953*x2^14 + -670309390*x2^15 + 23569428*x1*x2^14 + 95789250*x2^16 + -5605200*x1*x2^15"
+        " + 10801584*x1^2*x2^14 + -4556250*x2^17 + 8078400*x1^2*x2^15 + -128589120*x1^3*x2^14"
+        " + 91998720*x1^4*x2^14",
+    ),
+    (
+        P89,
+        [["3", "0", "5"], ["123456789012345678901234567", "-1", "0", "2"]],
+        "266255048205546562483968340*x2^11 + 597894087380668350657196161*x2^12"
+        " + 154742504910672534362390591*x1*x2^11 + 464227514732017603087171552*x2^13"
+        " + 618970019642690137449562097*x1^2*x2^11 + x1^3*x2^11",
+    ),
+    (
+        P89,
+        [["1", "2"], ["0", "-5", "7"], ["1/3", "0", "0", "9"]],
+        "196698927524936515982513905*x2^4*x3^6 + 176848577040768610699874885*x2^4*x3^7"
+        " + 310387298479716337146719194*x2^5*x3^6 + 363321566437497417900423244*x1*x2^4*x3^6"
+        " + 606337978425492379542428190*x2^6*x3^6 + x1*x2^4*x3^7",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, polys, rendered", PINNED_ANNIHILATORS)
+def test_pinned_annihilators(spec, polys, rendered):
+    F = Field.from_spec(spec)
+    t = HsgTuple.make(F, [DensePoly.make(F, p) for p in polys])
+    g = build_annihilator(t)
+    assert g.render() == rendered
+    check_annihilator(t, g)
+
+
 def test_hsg_tuple_validation_and_json():
     with pytest.raises(ValidationError):
         HsgTuple.make(Q, [Y, DensePoly.zero(Q)])

@@ -1,0 +1,79 @@
+"""Fraction-free elimination against its scalar twin, and the integral
+kernel against the field kernel over Q."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conepit.fields import Field
+from conepit.linalg import bareiss_echelon, integer_nullspace_canonical, nullspace_canonical
+from reference import scalar_bareiss_echelon
+
+Q = Field.rationals()
+SETTINGS = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def integer_matrices(draw):
+    """m x n integer matrices, m, n in 0..6: dense random entries, or a
+    product of an m x k and a k x n factor (rank at most k), with some
+    columns then zeroed."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-(1 << 40), 1 << 40))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * n for row in left]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    dead = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    return [[0 if j in dead else x for j, x in enumerate(row)] for row in rows]
+
+
+@SETTINGS
+@given(rows=integer_matrices())
+def test_bareiss_matches_scalar_loop(rows):
+    assert bareiss_echelon(rows) == scalar_bareiss_echelon(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[], [[]], [[], [], []], [[0, 0, 0]], [[0, 5, -3, 0]], [[0], [0], [7]], [[2, 4], [1, 2], [3, 6]]],
+    ids=["0x0", "1x0", "3x0", "1x3-zero", "1x4", "3x1", "rank-1"],
+)
+def test_bareiss_edge_shapes(rows):
+    got = bareiss_echelon(rows)
+    assert got == scalar_bareiss_echelon(rows)
+    assert all(type(x) is int for row in got[0] for x in row)
+
+
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_integer_kernel_is_the_scaled_field_kernel(data):
+    width = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.lists(rationals, min_size=width, max_size=width), min_size=1, max_size=6))
+    got = integer_nullspace_canonical(rows, width)
+    want = nullspace_canonical(rows, Q, width)
+    if want is None:
+        assert got is None
+        return
+    scale = math.lcm(*(x.denominator for x in want))
+    ints = [int(x * scale) for x in want]
+    content = math.gcd(*ints)
+    assert got == [x // content for x in ints]
+
+
+def test_integer_kernel_with_denominators():
+    # x/2 + y/3 - z/6 = 0 and y/4 = z/8 force x = 0, z = 2y
+    rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6)], [0, Fraction(1, 4), Fraction(-1, 8)]]
+    assert integer_nullspace_canonical(rows, 3) == [0, 1, 2]
+    # 2x/3 = 4y/9 and z = 0
+    rows = [[Fraction(2, 3), Fraction(-4, 9), 0], [0, 0, Fraction(5, 7)]]
+    assert integer_nullspace_canonical(rows, 3) == [2, 3, 0]

@@ -4,7 +4,7 @@ import pytest
 
 from conepit import pit
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
-from conepit.errors import VerificationFailed
+from conepit.errors import BadParameters, VerificationFailed
 from conepit.extraction import FilteredOracle, extract_coefficient
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal
@@ -132,6 +132,14 @@ def test_sz_pit_examples_and_determinism():
 
 def test_sz_pit_over_rationals():
     assert sz_pit(zero_circuit_oracle(Q), 3, 7).outcome == ZERO
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sz_pit_needs_a_trial(trials):
+    # no point evaluated, so Zero would be untested
+    b = CircuitBuilder(FP, 1)
+    with pytest.raises(BadParameters):
+        sz_pit(Oracle.from_circuit(b.build(b.const(1))), trials, 1)
 
 
 def test_verdict_rendering():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conepit.errors import ArityMismatch, ZeroPolynomial
+from conepit.errors import ArityMismatch, BadParameters, ZeroPolynomial
 from conepit.fields import Field
 from conepit.generators import random_multipoly
 from conepit.polys import (
@@ -60,6 +60,9 @@ def test_enumerate_low_cone_examples():
     assert len(got) == 8
     assert set(got) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3)}
     assert enumerate_low_cone(3, 1) == [(0, 0, 0)]
+    for n, k in ((0, 4), (2, 0)):
+        with pytest.raises(BadParameters):
+            enumerate_low_cone(n, k)
 
 
 def test_enumerate_low_cone_ordering_and_closure():
