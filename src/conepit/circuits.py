@@ -57,6 +57,10 @@ from .polys import ExpVec, MultiPoly
 
 DENSE_EXPAND_GUARD = 10_000_000
 
+#: Grids are evaluated this many points at a time, so the column engine's
+#: live arrays stay bounded whatever the grid size.
+GRID_CHUNK = 4096
+
 GATE_KINDS = ("input", "const", "add", "mul", "pow")
 
 
@@ -384,19 +388,26 @@ class CircuitOracle(Oracle):
         return self.circuit.evaluate_many(points)
 
     def eval_grid(self, nodes_per_var: int) -> np.ndarray:
-        kern = kernel_for(self.field)
+        """Grid values by the column engine, ``GRID_CHUNK`` points at a time,
+        every chunk in the whole grid's kernel layout."""
         n = self.arity
         count = nodes_per_var ** n
         self.calls += count
-        idx = np.arange(count, dtype=np.uint64)
+        kern = kernel_for(self.field, count)
+        circuit = self.circuit.to_circuit()
         m = np.uint64(nodes_per_var)
-        cols = [kern.array(idx // np.uint64(nodes_per_var ** (n - 1 - i)) % m) for i in range(n)]
-        return self.circuit.to_circuit()._evaluate_columns(kern, cols, count)
+        strides = [np.uint64(nodes_per_var ** (n - 1 - i)) for i in range(n)]
+        out = kern.full(count, 0)
+        for start in range(0, count, GRID_CHUNK):
+            idx = np.arange(start, min(start + GRID_CHUNK, count), dtype=np.uint64)
+            cols = [kern.array(idx // s % m) for s in strides]
+            out[start : start + idx.size] = circuit._evaluate_columns(kern, cols, idx.size)
+        return out
 
 
 def evaluate_points(circuit: Circuit, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
     """The circuit's values at the points, by one pass of the column engine."""
-    kern = kernel_for(circuit.field)
+    kern = kernel_for(circuit.field, len(points))
     cols = [kern.array([pt[i] for pt in points]) for i in range(circuit.arity)]
     return circuit._evaluate_columns(kern, cols, len(points)).tolist()
 
@@ -420,7 +431,7 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
         raise TooLarge(f"dense expansion grid {width}^{n} exceeds {DENSE_EXPAND_GUARD}")
     F.require_size_over(d, "dense_expand interpolation grid")
 
-    kern = kernel_for(F)
+    kern = kernel_for(F, count)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t.
     coeff_rows = [[kern.scalar(w) for w in interpolation_row(F, width, t)] for t in range(width)]
     arr = kern.array(oracle.eval_grid(width))

@@ -59,7 +59,11 @@ def positive_int(text: str) -> int:
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    """argparse type: comma-separated non-negative integers."""
+    values = tuple(int(x) for x in text.split(","))
+    if any(v < 0 for v in values):
+        raise ValueError(text)
+    return values
 
 
 def _format_set(vectors) -> str:
@@ -270,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift-basis", help="cone-closed coefficient basis of a polynomial after a weighted shift")
     p.add_argument("--vectorpoly", required=True, help="vector polynomial JSON file")
-    p.add_argument("--weights", type=int_list, required=True, help="comma-separated variable weights")
+    p.add_argument("--weights", type=int_list, required=True, help="comma-separated non-negative variable weights")
     p.set_defaults(fn=cmd_shift_basis)
 
     p = sub.add_parser("diag-pit", help="identity test for sums of powers of affine forms")
@@ -288,6 +292,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse (Python 3.11) reads "--opt=--" as an empty list and skips
+        # the option's type; no option here takes a list
+        if any(isinstance(v, list) for v in vars(args).values()):
+            parser.error("an option value may not be '--'")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

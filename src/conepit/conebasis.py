@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArityMismatch, EmptyInput, NotIsolating, VerificationFailed, ZeroPolynomial
+from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, VerificationFailed, ZeroPolynomial
 from .fields import DensePoly, Field, Scalar, rank_over_ft
 from .linalg import RowReducer, in_span
 from .polys import ExpVec, VectorPoly, coeff_rank, deglex_key, submonomials
@@ -191,7 +191,12 @@ class ShiftedVectorPoly:
 def shift_by_weight(f: VectorPoly, w: Sequence[int]) -> ShiftedVectorPoly:
     """Expand f(x_1 + t^(w_1), ..., x_n + t^(w_n)) by the binomial theorem:
     the new coefficient of x^a collects C(b, a) * t^(w(b) - w(a)) times the
-    old coefficient of x^b over all supermonomials b in the support."""
+    old coefficient of x^b over all supermonomials b in the support.
+
+    The weights must be non-negative: the coefficients are polynomials in t.
+    """
+    if any(x < 0 for x in w):
+        raise BadParameters(f"shift weights must be non-negative, got {tuple(w)}")
     F = f.field
     acc: dict[ExpVec, list[dict[int, Scalar]]] = {}
     for b in f.terms:

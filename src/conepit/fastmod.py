@@ -3,8 +3,14 @@
 Exact arithmetic on numpy arrays, used to evaluate circuits on many points
 at once.  Every field has a kernel:
 
-* p = 2^61 - 1: Mersenne reduction on uint64 with a 32/32 split multiply.
-  All intermediates stay below 2^64.
+* p = 2^61 - 1: two residue layouts, fixed per batch from its point count
+  (see :class:`Mersenne61Kernel`).  Batches of up to ``SMALL`` points are
+  object arrays of Python ints, where one operation is a single numpy call
+  (``(a*b) % p``, ``pow(a, e, p)``).  Larger batches are uint64 arrays with
+  Mersenne reduction and a 32/32 split multiply, all intermediates below
+  2^64: about twenty numpy calls per multiply, which only pay off on long
+  arrays.  The batches a low-cone PIT sends hold tens of points, where the
+  fixed cost per numpy call dominates; grids hold thousands.
 * p < 2^31: products of canonical residues fit in uint64 directly.
 * anything else (the rationals, other primes): :class:`Field` arithmetic
   elementwise on object arrays of Python scalars.
@@ -24,6 +30,14 @@ from .fields import MERSENNE61, Field, Scalar
 
 _U = np.uint64
 
+#: Batches of at most this many points take the object layout of
+#: :class:`Mersenne61Kernel`.  On whole diagonal circuits (arity 4-7, 6-7
+#: terms) at random residues the object layout is faster up to about 128
+#: points and 2-8x slower from 512 points up.  PIT points are small
+#: integers, which moves the crossover up: on diag-pit, 256 gave the same
+#: throughput as 128 and a lower p95 latency.
+SMALL = 256
+
 
 def _residues(values: Sequence[int], p: int) -> np.ndarray:
     """The integers reduced mod p as a uint64 array.  Canonical residues
@@ -40,7 +54,13 @@ def _residues(values: Sequence[int], p: int) -> np.ndarray:
 
 class Mersenne61Kernel:
     """mod (2^61 - 1) vector arithmetic; operands must be canonical residues,
-    which :meth:`array` produces from any integers."""
+    which :meth:`array` produces from any integers.
+
+    The layout is fixed at construction from the batch's point count, and
+    every array of that batch must come from this kernel: object arrays of
+    Python ints for at most ``SMALL`` points, uint64 arrays otherwise.
+    Every value of the object layout is a Python int: a numpy integer held
+    in an object array would multiply in 64 bits and wrap."""
 
     p = MERSENNE61
     _MASK = _U(MERSENNE61)
@@ -50,26 +70,39 @@ class Mersenne61Kernel:
     _S3 = _U(3)
     _LOW32 = _U(0xFFFFFFFF)
     _LOW29 = _U((1 << 29) - 1)
+    _powmod = np.frompyfunc(pow, 3, 1)
+
+    def __init__(self, points: int | None = None):
+        self.small = points is not None and points <= SMALL
 
     def array(self, values: Sequence[int]) -> np.ndarray:
+        if self.small:
+            return np.array([int(v) % self.p for v in values], dtype=object)
         return _residues(values, self.p)
 
-    def scalar(self, value: int) -> np.uint64:
-        return _U(value)
+    def scalar(self, value: int) -> int | np.uint64:
+        return int(value) if self.small else _U(value)
 
     def full(self, n: int, value: int) -> np.ndarray:
+        if self.small:
+            return np.full(n, int(value), dtype=object)
         return np.full(n, value, dtype=np.uint64)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
-        # valid for x < 2^63: two folds of 2^61 = 1, then conditional subtract
+        # uint64 layout, valid for x < 2^63: two folds of 2^61 = 1, then
+        # conditional subtract
         x = (x >> self._S61) + (x & self._MASK)
         x = (x >> self._S61) + (x & self._MASK)
         return np.where(x >= self._MASK, x - self._MASK, x)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.small:
+            return (a + b) % self.p
         return self.reduce(a + b)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.small:
+            return a * b % self.p
         ah = a >> self._S32
         al = a & self._LOW32
         bh = b >> self._S32
@@ -81,6 +114,8 @@ class Mersenne61Kernel:
         return self.reduce(acc)     # acc < 2^63
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        if self.small:
+            return self._powmod(a, e, self.p)
         out = np.ones_like(a)
         base = a
         while e:
@@ -155,10 +190,11 @@ class ObjectKernel:
         return self._pow(a, e)
 
 
-def kernel_for(field: Field):
-    """The vector kernel for the field."""
+def kernel_for(field: Field, points: int | None = None):
+    """The vector kernel for the field, for batches of ``points`` points
+    (unknown: the layout for long arrays)."""
     if field.p == MERSENNE61:
-        return Mersenne61Kernel()
+        return Mersenne61Kernel(points)
     if field.p is not None and field.p < (1 << 31):
         return SmallPrimeKernel(field.p)
     return ObjectKernel(field)

@@ -8,7 +8,9 @@ keeps intermediate entries at minor-determinant size.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -206,8 +208,9 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
     """Canonical integral kernel vector of a homogeneous rational system.
 
     Same free-variable convention as :func:`nullspace_canonical`; the result
-    is scaled to integers with content 1.  Sign normalization is left to the
-    caller.  Returns None when the kernel is trivial.
+    is scaled to integers with content 1 and a positive free entry.  Sign
+    normalization is left to the caller.  Returns None when the kernel is
+    trivial.
     """
     # Scaling a row by the lcm of its denominators leaves the kernel as is.
     ech, piv_cols = bareiss_echelon([clear_denominators(row)[0] for row in rows])
@@ -215,14 +218,21 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
     free = next((j for j in range(width) if j not in pivot_set), None)
     if free is None:
         return None
-    x: list[Fraction] = [Fraction(0)] * width
-    x[free] = Fraction(1)
+    # Back-substitute in integers: x = num / den for one common den, which
+    # each pivot scales by its reduced pivot entry.  den itself is never
+    # needed, since the answer is the primitive multiple of num.
+    num = [0] * width
+    num[free] = 1
     for row, piv in sorted(zip(ech, piv_cols), key=lambda t: t[1], reverse=True):
-        s = Fraction(0)
-        for j in range(piv + 1, width):
-            if row[j] != 0 and x[j] != 0:
-                s += Fraction(row[j]) * x[j]
-        x[piv] = -s / row[piv]
-    # Content 1 needs no division: with x[free] = 1, every prime of the lcm
-    # divides some denominator to its full power, so not that numerator.
-    return clear_denominators(x)[0]
+        s = sum(map(mul, row[piv + 1 :], num[piv + 1 :]))
+        if s == 0:
+            continue
+        g = math.gcd(s, row[piv])
+        s, d = s // g, row[piv] // g
+        if d < 0:
+            s, d = -s, -d
+        if d != 1:
+            num = [d * v for v in num]
+        num[piv] = -s
+    g = math.gcd(*num)
+    return [v // g for v in num]

@@ -3,6 +3,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepit.circuits import CircuitBuilder, save_circuit
 from conepit.cli import run
@@ -175,6 +177,10 @@ def test_malformed_documents_are_usage_errors(tmp_path, argv, text):
         ["szpit", "--circuit", "{square}", "--trials", "0", "--seed", "1"],
         ["szpit", "--circuit", "{square}", "--trials", "-1", "--seed", "1"],
         ["shift-basis", "--vectorpoly", "{vp}", "--weights", "1,a"],
+        ["shift-basis", "--vectorpoly", "{vp}", "--weights=-1,2"],
+        ["shift-basis", "--vectorpoly", "{vp}", "--weights", "-1,2"],
+        ["szpit", "--circuit", "{square}", "--trials", "1", "--seed=--"],
+        ["pit", "--circuit=--", "--k", "2"],
     ],
 )
 def test_bad_arguments_are_usage_errors(tmp_path, square_circuit, argv):
@@ -208,3 +214,110 @@ def test_help_mentions_constructs():
         assert needle in out
     code, out, _ = invoke(["shift-basis", "--help"])
     assert code == 0 and "--weights" in out
+
+
+# -- fuzz: every subcommand, arguments drawn from numbers, junk and documents
+
+VALID_DOCS = {
+    "circuit": [
+        '{"field": "q", "arity": 2, "gates": [{"id": 0, "kind": "input", "var": 0}, '
+        '{"id": 1, "kind": "input", "var": 1}, {"id": 2, "kind": "add", "children": [0, 1]}, '
+        '{"id": 3, "kind": "pow", "children": [2], "exp": 2}], "output": 3}',
+        '{"field": "p:2305843009213693951", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
+        '{"id": 1, "kind": "mul", "children": [0, 0]}, {"id": 2, "kind": "pow", "children": [0], "exp": 2}, '
+        '{"id": 3, "kind": "add", "children": [1, 2], "weights": ["1", "-1"]}], "output": 3}',
+    ],
+    "set": ['{"arity": 2, "vectors": [[2, 1], [0, 3]]}'],
+    "hsg": ['{"field": "q", "degree": 2, "polys": [["0", "1"], ["0", "0", "1"]]}'],
+    "terms": ['{"field": "q", "arity": 2, "terms": [[[{"exp": [1, 0], "coef": "1"}], [{"exp": [0, 1], "coef": "1"}]]]}'],
+    "vectorpoly": [
+        '{"field": "q", "arity": 2, "dim": 2, "terms": [{"exp": [0, 0], "coef": ["1", "0"]}, '
+        '{"exp": [1, 0], "coef": ["0", "1"]}, {"exp": [1, 1], "coef": ["1", "1"]}]}'
+    ],
+    "diag": [
+        '{"field": "p:7", "arity": 2, "terms": [{"c": "1", "const": "1", "coeffs": ["1", "2"], "d": 2}]}',
+        '{"field": "q", "arity": 1, "terms": [{"c": "1", "const": "0", "coeffs": ["1"], "d": 1}, '
+        '{"c": "-1", "const": "0", "coeffs": ["1"], "d": 1}]}',
+    ],
+    "poly": ['{"field": "q", "arity": 2, "terms": [{"exp": [1, 1], "coef": "1"}]}'],
+}
+MALFORMED_DOCS = [
+    "{broken",
+    "",
+    "null",
+    "[1, 2]",
+    "{}",
+    '{"arity": "x"}',
+    '{"field": "p:4", "arity": 1, "gates": [], "output": 0}',
+    '{"field": "q", "arity": -1, "dim": 0, "terms": [], "vectors": [], "polys": []}',
+    '{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "pow", "children": [0], "exp": 2}], "output": 0}',
+    '{"field": "q", "arity": 2, "terms": [{"c": "1/0", "const": "0", "coeffs": ["1"], "d": -1}]}',
+]
+VERDICTS = {"pit", "bfpit", "szpit", "diag-pit"}
+junk = st.sampled_from(["", "a", "-", "--", "1.5", "1e3", "0x10", "1,a", "-1,2", "x3^", "p:4", "é", "9" * 40])
+numbers = st.integers(min_value=-1, max_value=6).map(str)
+FIELDS = st.sampled_from(["q", "p:2", "p:7", "p:2147483647", "p:2305843009213693951"])
+# option -> strategy for its value, the kind of document it reads, or None for a flag
+COMMANDS = {
+    "pit": {"--circuit": "circuit", "--k": numbers, "--field": FIELDS},
+    "bfpit": {"--circuit": "circuit", "--field": FIELDS},
+    "szpit": {"--circuit": "circuit", "--trials": numbers, "--seed": numbers, "--field": FIELDS},
+    "coef": {"--circuit": "circuit", "--monomial": st.sampled_from(["1", "x1", "x2^2", "x1*x2", "x3"]), "--field": FIELDS},
+    "cones": {"--n": numbers, "--k": numbers, "--dcap": numbers, "--list": None},
+    "cone-closed": {"--set": "set"},
+    "annihilate": {"--hsg": "hsg"},
+    "design": {"--l": numbers, "--n": numbers, "--d": numbers},
+    "fischer": {"--terms": "terms"},
+    "kron": {"--circuit": "circuit", "--block": numbers},
+    "shift-basis": {"--vectorpoly": "vectorpoly", "--weights": st.sampled_from(["1,3", "0,2", "2,1", "1", "1,2,3"])},
+    "diag-pit": {"--diag": "diag"},
+    "derivdim": {"--poly": "poly"},
+}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """kind -> paths of its valid documents, plus every path (malformed,
+    valid for another kind, missing)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    valid = {}
+    for kind, texts in VALID_DOCS.items():
+        valid[kind] = []
+        for i, text in enumerate(texts):
+            path = root / f"{kind}-{i}.json"
+            path.write_text(text)
+            valid[kind].append(str(path))
+    malformed = []
+    for i, text in enumerate(MALFORMED_DOCS):
+        path = root / f"malformed-{i}.json"
+        path.write_text(text)
+        malformed.append(str(path))
+    every = [p for paths in valid.values() for p in paths] + malformed + [str(root / "missing.json"), str(root)]
+    return valid, every
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz(documents, data):
+    valid, every = documents
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = ["--json"] if data.draw(st.booleans()) else []
+    argv.append(command)
+    all_docs_valid = True
+    for option, kind in COMMANDS[command].items():
+        if data.draw(st.integers(0, 5)) == 0:  # mostly present, sometimes left out
+            continue
+        if kind is None:
+            argv.append(option)
+            continue
+        if isinstance(kind, str):
+            value = data.draw(st.one_of(st.sampled_from(valid[kind]), st.sampled_from(every)))
+            all_docs_valid &= value in valid[kind]
+        else:
+            value = data.draw(st.one_of(kind, kind, junk))
+        argv += [f"{option}={value}"] if data.draw(st.booleans()) else [option, value]
+    code, _, err = invoke(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code == 1:
+        assert command in VERDICTS and all_docs_valid, argv

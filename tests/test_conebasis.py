@@ -14,7 +14,7 @@ from conepit.conebasis import (
     transfer_submatrix,
     weight_of,
 )
-from conepit.errors import EmptyInput, NotIsolating, ZeroPolynomial
+from conepit.errors import BadParameters, EmptyInput, NotIsolating, ZeroPolynomial
 from conepit.fields import Field
 from conepit.generators import random_vectorpoly
 from conepit.linalg import bareiss_det
@@ -133,6 +133,16 @@ def test_shift_by_weight_examples():
     assert sh2.coefficient((0,))[0].coeffs == (0, 0, 1)  # t^2
     assert sh2.coefficient((1,))[0].coeffs == (0, 2)  # 2t
     assert sh2.coefficient((2,))[0].coeffs == (1,)
+
+
+def test_shift_rejects_negative_weights():
+    # t^(-1) is not a polynomial in t; the shift used to drop it silently
+    f = example_f()
+    with pytest.raises(BadParameters):
+        shift_by_weight(f, (-1, 2))
+    with pytest.raises(BadParameters):
+        cone_closed_basis_after_shift(f, (2, -1))
+    assert shift_by_weight(f, (0, 2)).coefficient((0, 0))[0].coeffs == (1, 0, 1)  # 1 + t^2
 
 
 def test_shift_matches_symbolic_substitution():

@@ -1,14 +1,16 @@
 """The one evaluation engine: every field has a kernel, and the column engine
-agrees with the scalar twin ``Circuit.evaluate`` on any integer input."""
+agrees with the scalar twin ``Circuit.evaluate`` on any integer input, in
+both residue layouts of the 2^61 - 1 kernel and across grid chunks."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conepit.circuits import Circuit, CircuitBuilder, Oracle, dense_expand
-from conepit.fastmod import Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, kernel_for
+from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, dense_expand
+from conepit.fastmod import SMALL, Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 
@@ -83,3 +85,61 @@ def test_repeated_children_and_a_consumed_output(field):
     nodes = [(i, j) for i in range(3) for j in range(3)]
     assert grid.tolist() == [C.evaluate(pt) for pt in nodes]
     assert oracle.calls == 9
+
+
+M61 = Field.prime((1 << 61) - 1)
+residues = st.one_of(st.sampled_from([0, 1, (1 << 32) - 1, 1 << 32, M61.p - 1]), st.integers(0, M61.p - 1))
+
+
+@SETTINGS
+@given(a=st.lists(residues, min_size=1, max_size=20), data=st.data(), e=st.integers(0, 70))
+def test_mersenne_layouts_agree(a, data, e):
+    b = data.draw(st.lists(residues, min_size=len(a), max_size=len(a)))
+    small, wide = kernel_for(M61, 1), kernel_for(M61)
+    assert small.small and not wide.small
+    want_mul = [x * y % M61.p for x, y in zip(a, b)]
+    want_add = [(x + y) % M61.p for x, y in zip(a, b)]
+    want_pow = [pow(x, e, M61.p) for x in a]
+    for kern in (small, wide):
+        xa, xb = kern.array(a), kern.array(b)
+        assert kern.mul(xa, xb).tolist() == want_mul
+        assert kern.add(xa, xb).tolist() == want_add
+        assert kern.pow(xa, e).tolist() == want_pow
+        assert kern.mul(kern.scalar(b[0]), xa).tolist() == [b[0] * x % M61.p for x in a]
+
+
+def test_object_layout_holds_python_ints():
+    # numpy integers inside an object array would multiply in 64 bits and wrap
+    kern = kernel_for(M61, SMALL)
+    values = [M61.p - 1, -5, 1 << 40]
+    x = kern.array([np.uint64(values[0]), np.int64(values[1]), values[2]])
+    y = kern.mul(kern.mul(x, kern.full(3, np.uint64(M61.p - 2))), kern.scalar(np.uint64(3)))
+    assert all(type(v) is int for v in x.tolist() + y.tolist())
+    assert y.tolist() == [3 * (M61.p - 2) * v % M61.p for v in values]
+
+
+@pytest.mark.parametrize("count", [SMALL - 1, SMALL, SMALL + 1])
+def test_evaluate_many_at_the_layout_boundary(count):
+    assert kernel_for(M61, count).small == (count <= SMALL)
+    rng = random.Random(count)
+    C = random_circuit(rng, M61, 3, 10, 5)
+    pts = [[rng.randrange(-(1 << 70), 1 << 70) for _ in range(3)] for _ in range(count)]
+    assert C.evaluate_many(pts) == [C.evaluate(pt) for pt in pts]
+
+
+def test_dense_expand_across_grid_chunks():
+    # 5^6 = 15,625 points: several chunks and a short last one
+    count = 5**6
+    assert count > GRID_CHUNK and count % GRID_CHUNK
+    rng = random.Random(6)
+    D = random_diagonal(rng, M61, 6, 4, 4)
+    oracle = Oracle.from_circuit(D.to_circuit(), degree=4)
+    grid = oracle.eval_grid(5)
+    assert oracle.calls == count
+    for pos in (0, GRID_CHUNK - 1, GRID_CHUNK, 2 * GRID_CHUNK + 1, count - 1):
+        pt = [pos // 5 ** (5 - i) % 5 for i in range(6)]
+        assert int(grid[pos]) == D.evaluate(pt)
+    P = dense_expand(oracle)
+    for _ in range(20):
+        pt = [rng.randrange(M61.p) for _ in range(6)]
+        assert P.evaluate(pt) == D.evaluate(pt)
