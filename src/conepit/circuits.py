@@ -1,4 +1,4 @@
-"""Arithmetic-circuit DAG, exact evaluation, substitution, and blackbox oracles.
+"""Arithmetic-circuit DAG, exact evaluation, substitution, and the blackbox oracle.
 
 A circuit is a list of gates in topological order (ids are the list
 positions, strictly increasing, children always precede parents):
@@ -26,10 +26,11 @@ The JSON document format (UTF-8 text) is::
 Scalars travel as decimal strings so rationals stay exact.  ``parse`` and
 ``serialize`` are mutually inverse on valid documents.
 
-:class:`Oracle` is the evaluation-only view of a polynomial: arity, a degree
-bound, and a point-evaluation capability.  :func:`dense_expand` recovers the
-full sparse polynomial of an oracle by grid interpolation; it is the
-brute-force ground truth the rest of the package is tested against.
+:class:`Oracle` is the evaluation-only view of a polynomial: a circuit and a
+degree bound, which testers may only evaluate, pointwise, in batches or on
+a grid.  :func:`dense_expand` recovers the full sparse polynomial of an
+oracle by grid interpolation; it is the brute-force ground truth the rest
+of the package is tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -317,79 +318,42 @@ class CircuitBuilder:
 
 
 # ----------------------------------------------------------------------
-# Oracles
+# The oracle
 # ----------------------------------------------------------------------
 
 
 class Oracle:
-    """Evaluation-only view of a polynomial: arity n, degree bound d, field.
+    """Blackbox view of a polynomial: a circuit plus a degree bound d.
 
-    ``calls`` counts every base evaluation ever requested, including batch
-    and grid evaluations point by point.
+    The circuit is a gate circuit, or another circuit kind through its gate
+    view ``to_circuit()``.  A point goes through the circuit's scalar
+    ``evaluate``, a batch through its ``evaluate_many`` and a grid through
+    the column engine.  ``calls`` counts every evaluated point.
     """
 
-    def __init__(self, arity: int, degree: int, field: Field, fn: Callable[[Sequence[Scalar]], Scalar]):
-        self.arity = arity
-        self.degree = degree
-        self.field = field
-        self._fn = fn
+    def __init__(self, circuit, degree: int | None = None):
+        self.circuit = circuit
+        self.arity = circuit.arity
+        self.field = circuit.field
+        self.degree = circuit.syntactic_degree() if degree is None else degree
         self.calls = 0
 
     @staticmethod
-    def from_circuit(circuit: Circuit, degree: int | None = None) -> "CircuitOracle":
-        return CircuitOracle(circuit, degree)
-
-    @staticmethod
-    def from_multipoly(poly: MultiPoly, degree: int | None = None) -> "Oracle":
-        d = poly.degree() if degree is None else degree
-        return Oracle(poly.arity, d, poly.field, poly.evaluate)
-
-    @staticmethod
-    def linear(a: Scalar, o1: "Oracle", b: Scalar, o2: "Oracle") -> "Oracle":
-        """The oracle a*o1 + b*o2 (evaluations are combined pointwise)."""
-        if o1.arity != o2.arity:
-            raise ArityMismatch("oracles of different arity")
-        F = o1.field
-        return Oracle(
-            o1.arity,
-            max(o1.degree, o2.degree),
-            F,
-            lambda pt: F.add(F.mul(a, o1.eval_point(pt)), F.mul(b, o2.eval_point(pt))),
-        )
+    def from_circuit(circuit: Circuit, degree: int | None = None) -> "Oracle":
+        return Oracle(circuit, degree)
 
     def eval_point(self, point: Sequence[Scalar]) -> Scalar:
         self.calls += 1
-        return self._fn(point)
-
-    def eval_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        self.calls += len(points)
-        return [self._fn(pt) for pt in points]
-
-    def eval_grid(self, nodes_per_var: int) -> Sequence[Scalar]:
-        """Values on the grid {0..m-1}^n in row-major order (x1 slowest)."""
-        count = nodes_per_var ** self.arity
-        self.calls += count
-        nodes = [self.field.of(i) for i in range(nodes_per_var)]
-        return [self._fn(pt) for pt in itertools.product(nodes, repeat=self.arity)]
-
-
-class CircuitOracle(Oracle):
-    """Oracle of a gate circuit, or of another circuit kind through its gate
-    view ``to_circuit()``.  Batches go through the circuit's own
-    ``evaluate_many`` and grids through the column engine."""
-
-    def __init__(self, circuit, degree: int | None = None):
-        d = circuit.syntactic_degree() if degree is None else degree
-        super().__init__(circuit.arity, d, circuit.field, circuit.evaluate)
-        self.circuit = circuit
+        return self.circuit.evaluate(point)
 
     def eval_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
         self.calls += len(points)
         return self.circuit.evaluate_many(points)
 
     def eval_grid(self, nodes_per_var: int) -> np.ndarray:
-        """Grid values by the column engine, ``GRID_CHUNK`` points at a time,
-        every chunk in the whole grid's kernel layout."""
+        """Values on the grid {0..m-1}^n in row-major order (x1 slowest), by
+        the column engine, ``GRID_CHUNK`` points at a time, every chunk in
+        the whole grid's kernel layout."""
         n = self.arity
         count = nodes_per_var ** n
         self.calls += count
@@ -403,6 +367,9 @@ class CircuitOracle(Oracle):
             cols = [kern.array(idx // s % m) for s in strides]
             out[start : start + idx.size] = circuit._evaluate_columns(kern, cols, idx.size)
         return out
+
+
+CircuitOracle = Oracle  # the earlier name, which code outside the package still uses
 
 
 def evaluate_points(circuit: Circuit, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:

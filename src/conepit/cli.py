@@ -79,6 +79,15 @@ def _verdict_json(verdict) -> dict:
     return out
 
 
+def _emit_basis(A, rank: int, as_json: bool) -> int:
+    closed = is_cone_closed(A)
+    if as_json:
+        print(json.dumps({"A": [list(v) for v in A], "rank": rank, "cone_closed": closed}))
+    else:
+        print(f"A={_format_set(A)} rank={rank} cone_closed={'true' if closed else 'false'}")
+    return 0
+
+
 def _emit_verdict(verdict, as_json: bool) -> int:
     if as_json:
         print(json.dumps(_verdict_json(verdict)))
@@ -126,13 +135,7 @@ def cmd_cone_closed(args) -> int:
     arity, vectors = documents.monomial_set_from_json(_read(args.set))
     A = find_cone_closed(vectors, arity)
     T = transfer_submatrix(A, vectors)
-    rank = len(bareiss_echelon(T)[0]) if T else 0
-    closed = is_cone_closed(A)
-    if args.json:
-        print(json.dumps({"A": [list(v) for v in A], "rank": rank, "cone_closed": closed}))
-    else:
-        print(f"A={_format_set(A)} rank={rank} cone_closed={'true' if closed else 'false'}")
-    return 0
+    return _emit_basis(A, len(bareiss_echelon(T)[0]) if T else 0, args.json)
 
 
 def cmd_annihilate(args) -> int:
@@ -176,13 +179,7 @@ def cmd_kron(args) -> int:
 def cmd_shift_basis(args) -> int:
     f = documents.vectorpoly_from_json(_read(args.vectorpoly))
     A = cone_closed_basis_after_shift(f, args.weights)
-    rank = coeff_rank(f)
-    closed = is_cone_closed(A)
-    if args.json:
-        print(json.dumps({"A": [list(v) for v in A], "rank": rank, "cone_closed": closed}))
-    else:
-        print(f"A={_format_set(A)} rank={rank} cone_closed={'true' if closed else 'false'}")
-    return 0
+    return _emit_basis(A, coeff_rank(f), args.json)
 
 
 def cmd_diag_pit(args) -> int:
@@ -212,76 +209,73 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    class _Sub:
-        def add_parser(self, name, **kw):
-            return subparsers.add_parser(name, parents=[shared], **kw)
+    def add_parser(name, **kw):
+        return subparsers.add_parser(name, parents=[shared], **kw)
 
-    sub = _Sub()
-
-    p = sub.add_parser("pit", help="low-cone blackbox identity test of a circuit oracle")
+    p = add_parser("pit", help="low-cone blackbox identity test of a circuit oracle")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
     p.add_argument("--k", type=positive_int, required=True, help="cone-size budget (partial-derivative dimension promise)")
     p.add_argument("--field", help="override the circuit's field spec")
     p.set_defaults(fn=cmd_pit)
 
-    p = sub.add_parser("bfpit", help="ground-truth identity test by dense grid expansion")
+    p = add_parser("bfpit", help="ground-truth identity test by dense grid expansion")
     p.add_argument("--circuit", required=True)
     p.add_argument("--field")
     p.set_defaults(fn=cmd_bfpit)
 
-    p = sub.add_parser("szpit", help="randomized identity test by seeded point evaluation")
+    p = add_parser("szpit", help="randomized identity test by seeded point evaluation")
     p.add_argument("--circuit", required=True)
     p.add_argument("--trials", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--field")
     p.set_defaults(fn=cmd_szpit)
 
-    p = sub.add_parser("coef", help="blackbox extraction of one monomial coefficient")
+    p = add_parser("coef", help="blackbox extraction of one monomial coefficient")
     p.add_argument("--circuit", required=True)
     p.add_argument("--monomial", required=True, help="monomial text, e.g. x1^2*x3")
     p.add_argument("--field")
     p.set_defaults(fn=cmd_coef)
 
-    p = sub.add_parser("cones", help="enumerate monomials of bounded cone size")
+    p = add_parser("cones", help="enumerate monomials of bounded cone size")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--dcap", type=int, default=None, help="total-degree cap (default unbounded)")
     p.add_argument("--list", action="store_true", help="print the monomials after the count")
     p.set_defaults(fn=cmd_cones)
 
-    p = sub.add_parser("cone-closed", help="cone-closed rewrite of a monomial set and its transfer-matrix rank")
+    p = add_parser("cone-closed", help="cone-closed rewrite of a monomial set and its transfer-matrix rank")
     p.add_argument("--set", required=True, help="monomial set JSON file")
     p.set_defaults(fn=cmd_cone_closed)
 
-    p = sub.add_parser("annihilate", help="annihilating polynomial of a univariate tuple")
+    p = add_parser("annihilate", help="annihilating polynomial of a univariate tuple")
     p.add_argument("--hsg", required=True, help="univariate tuple JSON file")
     p.set_defaults(fn=cmd_annihilate)
 
-    p = sub.add_parser("design", help="greedy bounded-intersection set design")
+    p = add_parser("design", help="greedy bounded-intersection set design")
     p.add_argument("--l", type=int, required=True, help="base set size")
     p.add_argument("--n", type=int, required=True, help="subset size")
     p.add_argument("--d", type=int, required=True, help="pairwise intersection bound")
     p.set_defaults(fn=cmd_design)
 
-    p = sub.add_parser("fischer", help="rewrite sums of products as signed sums of powers")
+    p = add_parser("fischer", help="rewrite sums of products as signed sums of powers")
     p.add_argument("--terms", required=True, help="product terms JSON file")
     p.set_defaults(fn=cmd_fischer)
 
-    p = sub.add_parser("kron", help="blockwise variable-collapsing power substitution")
+    p = add_parser("kron", help="blockwise variable-collapsing power substitution")
     p.add_argument("--circuit", required=True)
     p.add_argument("--block", type=int, required=True, help="variables per block")
     p.set_defaults(fn=cmd_kron)
 
-    p = sub.add_parser("shift-basis", help="cone-closed coefficient basis of a polynomial after a weighted shift")
+    p = add_parser("shift-basis", help="cone-closed coefficient basis of a polynomial after a weighted shift")
     p.add_argument("--vectorpoly", required=True, help="vector polynomial JSON file")
     p.add_argument("--weights", type=int_list, required=True, help="comma-separated non-negative variable weights")
     p.set_defaults(fn=cmd_shift_basis)
 
-    p = sub.add_parser("diag-pit", help="identity test for sums of powers of affine forms")
+    p = add_parser("diag-pit", help="identity test for sums of powers of affine forms")
     p.add_argument("--diag", required=True, help="diagonal circuit JSON file")
     p.set_defaults(fn=cmd_diag_pit)
 
-    p = sub.add_parser("derivdim", help="dimension of the iterated partial-derivative span")
+    p = add_parser("derivdim", help="dimension of the iterated partial-derivative span")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
     p.set_defaults(fn=cmd_derivdim)
 

@@ -177,9 +177,6 @@ class ShiftedVectorPoly:
     dim: int
     terms: Mapping[ExpVec, tuple[DensePoly, ...]]
 
-    def support(self) -> list[ExpVec]:
-        return sorted(self.terms, key=deglex_key)
-
     def coefficient(self, e: ExpVec) -> tuple[DensePoly, ...]:
         zero = DensePoly.zero(self.field)
         return self.terms.get(tuple(e), (zero,) * self.dim)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .circuits import Circuit, CircuitBuilder, CircuitOracle, evaluate_points
+from .circuits import Circuit, CircuitBuilder, Oracle, evaluate_points
 from .documents import load_document
 from .errors import RankZero, ValidationError
 from .fields import Field, Scalar
@@ -56,10 +56,6 @@ class DiagonalCircuit:
             rows.append(DiagonalTerm(field.of(c), field.of(const), coeffs, d))
         return DiagonalCircuit(field, arity, tuple(rows))
 
-    @property
-    def size(self) -> int:
-        return sum(self.arity + 2 for _ in self.terms)
-
     def degree(self) -> int:
         return max((t.d for t in self.terms), default=0)
 
@@ -69,8 +65,8 @@ class DiagonalCircuit:
     def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
         return evaluate_points(self.to_circuit(), points)
 
-    def as_oracle(self) -> CircuitOracle:
-        return CircuitOracle(self, self.degree())
+    def as_oracle(self) -> Oracle:
+        return Oracle(self, self.degree())
 
     def to_circuit(self) -> Circuit:
         """Equivalent gate-level circuit (weighted add -> pow -> weighted add),

@@ -47,10 +47,6 @@ def multipoly_to_obj(p: MultiPoly) -> dict:
     }
 
 
-def multipoly_to_json(p: MultiPoly) -> str:
-    return json.dumps(multipoly_to_obj(p), separators=(", ", ": "))
-
-
 def _poly_from_parts(field: Field, arity: int, rows) -> MultiPoly:
     items = []
     for row in rows:

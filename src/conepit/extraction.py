@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArityMismatch, DuplicateNodes
 from .fields import Field, Scalar
-from .polys import ExpVec, cone_size
+from .polys import ExpVec
 
 if TYPE_CHECKING:
     from .circuits import Oracle
@@ -105,20 +105,6 @@ class FilteredOracle:
                 self.stage_weights.append(interpolation_row(F, ei + 1, ei))
         self.t_weights = interpolation_row(F, base.degree + 1, sum(self.e))
 
-    def filtered_eval(self, point: Sequence[Scalar]) -> Scalar:
-        """Value at ``point`` of the fully filtered polynomial, whose terms
-        are the target coefficient times x^e plus proper supermonomials of
-        x^e only."""
-        F = self.field
-        acc = F.zero()
-        for combo in itertools.product(*(range(len(ns)) for ns in self.stage_nodes)):
-            w = F.one()
-            for i, j in enumerate(combo):
-                w = F.mul(w, self.stage_weights[i][j])
-            scaled = [F.mul(self.stage_nodes[i][j], point[i]) for i, j in enumerate(combo)]
-            acc = F.add(acc, F.mul(w, self.base.eval_point(scaled)))
-        return acc
-
     def queries(self) -> tuple[list[tuple[Scalar, ...]], list[Scalar]]:
         """The base points of this extraction, tau-major, and the weight of
         each point's value in the coefficient: cone_size(e) * (d + 1) of
@@ -158,8 +144,3 @@ def extract_coefficient(oracle: Oracle, e: ExpVec) -> Scalar:
     """Coefficient of x^e in the polynomial behind the oracle, using exactly
     cone_size(e) * (degree + 1) base evaluations."""
     return FilteredOracle(oracle, e).coefficient()
-
-
-def extraction_cost(e: ExpVec, degree: int) -> int:
-    """Base-oracle call count of one extraction."""
-    return cone_size(e) * (degree + 1)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import MERSENNE61, Field, Scalar
+from .fields import MERSENNE61, Field, Scalar, square_and_multiply
 
 _U = np.uint64
 
@@ -72,8 +72,8 @@ class Mersenne61Kernel:
     _LOW29 = _U((1 << 29) - 1)
     _powmod = np.frompyfunc(pow, 3, 1)
 
-    def __init__(self, points: int | None = None):
-        self.small = points is not None and points <= SMALL
+    def __init__(self, points: int):
+        self.small = points <= SMALL
 
     def array(self, values: Sequence[int]) -> np.ndarray:
         if self.small:
@@ -116,14 +116,7 @@ class Mersenne61Kernel:
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         if self.small:
             return self._powmod(a, e, self.p)
-        out = np.ones_like(a)
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return square_and_multiply(a, e, np.ones_like(a), self.mul)
 
 
 class SmallPrimeKernel:
@@ -142,9 +135,6 @@ class SmallPrimeKernel:
     def full(self, n: int, value: int) -> np.ndarray:
         return np.full(n, value, dtype=np.uint64)
 
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        return x % self._p
-
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self._p
 
@@ -152,14 +142,7 @@ class SmallPrimeKernel:
         return (a * b) % self._p
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        out = np.ones_like(a)
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return square_and_multiply(a, e, np.ones_like(a), self.mul)
 
 
 class ObjectKernel:
@@ -190,9 +173,8 @@ class ObjectKernel:
         return self._pow(a, e)
 
 
-def kernel_for(field: Field, points: int | None = None):
-    """The vector kernel for the field, for batches of ``points`` points
-    (unknown: the layout for long arrays)."""
+def kernel_for(field: Field, points: int):
+    """The vector kernel for the field, for batches of ``points`` points."""
     if field.p == MERSENNE61:
         return Mersenne61Kernel(points)
     if field.p is not None and field.p < (1 << 31):

@@ -23,13 +23,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
 from .errors import CharTooSmall, MixedFields, ParseError, ValidationError, ZeroInverse
 
 Scalar = Union[int, Fraction]
+T = TypeVar("T")
 
 #: Default prime: 2^61 - 1 (Mersenne).  Large enough that every binomial
 #: coefficient, degree and interpolation node count arising at desk scale
@@ -158,9 +159,6 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: Scalar, e: int) -> Scalar:
         if self.p is not None:
             return pow(a, e, self.p)
@@ -191,6 +189,18 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """([m * v for v in values], m) for m the lcm of the values' denominators."""
     m = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (m // v.denominator) for v in values], m
+
+
+def square_and_multiply(base: T, e: int, one: T, mul: Callable[[T, T], T]) -> T:
+    """base^e for a natural e by binary exponentiation, where ``one`` is the
+    identity of the product ``mul``."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        e >>= 1
+    return out
 
 
 def require_same_field(fields: Sequence[Field], what: str) -> Field:
@@ -277,14 +287,7 @@ class DensePoly:
         return DensePoly(F, tuple(Fraction(v, da * db) for v in prod))
 
     def pow(self, e: int) -> "DensePoly":
-        result = DensePoly.const(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return result
+        return square_and_multiply(self, e, DensePoly.const(self.field, 1), DensePoly.mul)
 
     def eval(self, x: Scalar) -> Scalar:
         F = self.field

@@ -22,68 +22,40 @@ class RowReducer:
     """Incremental Gaussian elimination over a field.
 
     Rows are inserted one by one; independent rows are kept in echelon form
-    with pivot entries normalized to 1.  With ``track=True`` each stored row
-    also remembers its expansion over the original inserted rows, which lets
-    :meth:`reduce` report the combination expressing a vector in terms of
-    the previously accepted originals.
+    with pivot entries normalized to 1.
     """
 
-    def __init__(self, field: Field, track: bool = False):
+    def __init__(self, field: Field):
         self.field = field
-        self.track = track
         self.rows: list[list[Scalar]] = []
         self.pivots: list[int] = []
-        self.combos: list[list[Scalar]] = []  # expansion over accepted originals
-        self.accepted = 0
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    def reduce(self, vec: Sequence[Scalar]) -> list[Scalar]:
+        """Residual of vec modulo the current span."""
         F = self.field
         v = list(vec)
-        combo = [F.zero()] * self.accepted if self.track else []
-        for row, piv, rc in zip(self.rows, self.pivots, self.combos if self.track else [[]] * len(self.rows)):
+        for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c == 0:
                 continue
             for j in range(piv, len(v)):
                 if row[j] != 0:
                     v[j] = F.sub(v[j], F.mul(c, row[j]))
-            if self.track:
-                for j, rj in enumerate(rc):
-                    if rj != 0:
-                        combo[j] = F.add(combo[j], F.mul(c, rj))
-        return v, combo
-
-    def reduce(self, vec: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-        """Residual of vec modulo the current span, plus (if tracking) the
-        combination of accepted original rows that was subtracted."""
-        return self._reduce(vec)
+        return v
 
     def insert(self, vec: Sequence[Scalar]) -> bool:
         """Insert a row; returns True iff it was independent of the span."""
         F = self.field
-        v, combo = self._reduce(vec)
+        v = self.reduce(vec)
         piv = next((j for j, x in enumerate(v) if x != 0), None)
         if piv is None:
-            if self.track:
-                self.accepted += 1
-                for rc in self.combos:
-                    rc.append(F.zero())
             return False
         inv = F.inv(v[piv])
-        v = [F.mul(inv, x) for x in v]
-        if self.track:
-            # new stored row = inv * (original - sum combo_j * original_j)
-            rc = [F.neg(F.mul(inv, c)) for c in combo]
-            rc.append(inv)
-            self.accepted += 1
-            for old in self.combos:
-                old.append(F.zero())
-            self.combos.append(rc)
-        self.rows.append(v)
+        self.rows.append([F.mul(inv, x) for x in v])
         self.pivots.append(piv)
         return True
 
@@ -99,13 +71,17 @@ def in_span(vec: Sequence[Scalar], basis: Sequence[Sequence[Scalar]], field: Fie
     """Is vec in the span of basis?  Returns (membership, combination).
 
     The combination lists one coefficient per basis vector, in order, such
-    that vec = sum coeff_i * basis_i when membership holds.
+    that vec = sum coeff_i * basis_i when membership holds.  Each basis
+    vector is inserted with the unit vector e_i appended, so reducing
+    [vec | 0] leaves [vec - sum c_i * basis_i | -c].
     """
-    red = RowReducer(field, track=True)
-    for b in basis:
-        red.insert(b)
-    residual, combo = red.reduce(vec)
-    return all(x == 0 for x in residual), combo
+    F = field
+    n, m = len(vec), len(basis)
+    red = RowReducer(F)
+    for i, b in enumerate(basis):
+        red.insert(list(b) + [F.one() if j == i else F.zero() for j in range(m)])
+    out = red.reduce(list(vec) + [F.zero()] * m)
+    return all(x == 0 for x in out[:n]), [F.neg(x) for x in out[n:]]
 
 
 def nullspace_canonical(rows: Sequence[Sequence[Scalar]], field: Field, width: int) -> list[Scalar] | None:

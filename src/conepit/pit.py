@@ -73,8 +73,8 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     cone_size(e) * (d + 1) each.
     """
     monomials = enumerate_low_cone(oracle.arity, k, dcap=oracle.degree)
-    values: dict[tuple[Scalar, ...], Scalar] = {}
-    table = Oracle(oracle.arity, oracle.degree, oracle.field, values.__getitem__)
+    table = _Table(oracle)
+    values = table.values
     tested = 0
     for _, layer in itertools.groupby(monomials, key=sum):
         extractions = [FilteredOracle(table, e) for e in layer]
@@ -89,6 +89,21 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
                 return PitVerdict(NONZERO, x.e, c, tested, table.calls)
     _check_budget(tested, oracle.arity, k)
     return PitVerdict(ZERO, None, None, tested, table.calls)
+
+
+class _Table:
+    """The values one low-cone test has evaluated, keyed by point, which
+    the test's extractions read as their base oracle.  ``calls`` counts the
+    points read, so it sums the extractions' requests."""
+
+    def __init__(self, oracle: Oracle):
+        self.arity, self.degree, self.field = oracle.arity, oracle.degree, oracle.field
+        self.values: dict[tuple[Scalar, ...], Scalar] = {}
+        self.calls = 0
+
+    def eval_many(self, points: list[tuple[Scalar, ...]]) -> list[Scalar]:
+        self.calls += len(points)
+        return [self.values[pt] for pt in points]
 
 
 def _check_budget(tested: int, n: int, k: int) -> None:

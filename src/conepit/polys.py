@@ -24,11 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, ZeroPolynomial
-from .fields import Field, Scalar
+from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, TooLarge, ZeroPolynomial
+from .fields import Field, Scalar, square_and_multiply
 from .linalg import RowReducer
 
 ExpVec = tuple[int, ...]
+
+#: :func:`enumerate_low_cone` refuses outputs of more exponent entries than
+#: this (arity times vector count), as ``dense_expand`` refuses large grids.
+LOW_CONE_GUARD = 10_000_000
 
 
 def deglex_key(e: ExpVec) -> tuple[int, ExpVec]:
@@ -78,24 +82,36 @@ def is_cone_closed(monomials: Iterable[ExpVec]) -> bool:
 def enumerate_low_cone(n: int, k: int, dcap: int | None = None) -> list[ExpVec]:
     """All arity-n exponent vectors with cone size <= k (and degree <= dcap).
 
-    Output is ascending deg-lex and duplicate-free.  The recursion prunes
-    any prefix whose partial cone product already exceeds k.
+    Output is ascending deg-lex and duplicate-free.  The walk recurses over
+    the nonzero entries, each of which at least doubles the cone size, so
+    its depth is at most log2 k for any n.  Raises TooLarge when the output
+    would hold more than ``LOW_CONE_GUARD`` entries (n times its count).
     """
     if n < 1 or k < 1:
         raise BadParameters("need n >= 1 and k >= 1")
+    # a cone of size <= k bounds the degree by k - 1
+    cap = k - 1 if dcap is None else dcap
     out: list[ExpVec] = []
-    prefix = [0] * n
+    if cap < 0:
+        return out
+    too_large = TooLarge(f"more than {LOW_CONE_GUARD} exponent entries at arity {n}, cone size {k}")
+    if n > LOW_CONE_GUARD:
+        raise too_large
+    row = [0] * n
 
-    def rec(i: int, prod: int, deg: int) -> None:
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        e = 0
-        while prod * (e + 1) <= k and (dcap is None or deg + e <= dcap):
-            prefix[i] = e
-            rec(i + 1, prod * (e + 1), deg + e)
-            e += 1
-        prefix[i] = 0
+    def rec(start: int, prod: int, deg: int) -> None:
+        out.append(tuple(row))
+        if n * len(out) > LOW_CONE_GUARD:
+            raise too_large
+        if prod * 2 > k or deg >= cap:
+            return  # no entry fits, at this position or any later one
+        for i in range(start, n):
+            v = 1
+            while prod * (v + 1) <= k and deg + v <= cap:
+                row[i] = v
+                rec(i + 1, prod * (v + 1), deg + v)
+                v += 1
+            row[i] = 0
 
     rec(0, 1, 0)
     out.sort(key=deglex_key)
@@ -144,6 +160,19 @@ def parse_monomial(text: str, arity: int) -> ExpVec:
 # ----------------------------------------------------------------------
 
 
+def _accumulate(field: Field, out: dict[ExpVec, Scalar], pairs: Iterable[tuple[ExpVec, Scalar]]) -> dict[ExpVec, Scalar]:
+    """Add each scalar c into out[e], dropping every entry that cancels to
+    zero, and return out."""
+    zero = field.zero()
+    for e, c in pairs:
+        v = field.add(out.get(e, zero), c)
+        if v == 0:
+            out.pop(e, None)
+        else:
+            out[e] = v
+    return out
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Sparse polynomial: exponent vector -> nonzero scalar."""
@@ -155,17 +184,14 @@ class MultiPoly:
     @staticmethod
     def make(field: Field, arity: int, items: Mapping[ExpVec, int | Fraction | str] | Iterable[tuple[ExpVec, int | Fraction | str]]) -> "MultiPoly":
         pairs = items.items() if isinstance(items, Mapping) else items
-        terms: dict[ExpVec, Scalar] = {}
-        for e, c in pairs:
+
+        def checked(e) -> ExpVec:
             e = tuple(e)
             if len(e) != arity:
                 raise ArityMismatch(f"exponent {e} has arity {len(e)}, expected {arity}")
-            v = field.add(terms.get(e, field.zero()), field.of(c))
-            if v == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = v
-        return MultiPoly(field, arity, terms)
+            return e
+
+        return MultiPoly(field, arity, _accumulate(field, {}, ((checked(e), field.of(c)) for e, c in pairs)))
 
     @staticmethod
     def zero(field: Field, arity: int) -> "MultiPoly":
@@ -204,15 +230,7 @@ class MultiPoly:
 
     def add(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        F = self.field
-        for e, c in other.terms.items():
-            v = F.add(out.get(e, F.zero()), c)
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return MultiPoly(F, self.arity, out)
+        return MultiPoly(self.field, self.arity, _accumulate(self.field, dict(self.terms), other.terms.items()))
 
     def neg(self) -> "MultiPoly":
         F = self.field
@@ -230,16 +248,12 @@ class MultiPoly:
     def mul(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         F = self.field
-        out: dict[ExpVec, Scalar] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = F.add(out.get(e, F.zero()), F.mul(ca, cb))
-                if v == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
-        return MultiPoly(F, self.arity, out)
+        products = (
+            (tuple(x + y for x, y in zip(ea, eb)), F.mul(ca, cb))
+            for ea, ca in self.terms.items()
+            for eb, cb in other.terms.items()
+        )
+        return MultiPoly(F, self.arity, _accumulate(F, {}, products))
 
     def mul_monomial(self, e: ExpVec, c: Scalar = None) -> "MultiPoly":
         F = self.field
@@ -247,14 +261,7 @@ class MultiPoly:
         return MultiPoly(F, self.arity, {tuple(a + b for a, b in zip(m, e)): F.mul(c, v) for m, v in self.terms.items()})
 
     def pow(self, e: int) -> "MultiPoly":
-        result = MultiPoly.const(self.field, self.arity, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return result
+        return square_and_multiply(self, e, MultiPoly.const(self.field, self.arity, 1), MultiPoly.mul)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.arity:
@@ -357,18 +364,12 @@ class PolySpan:
 
 def partial_derivative(p: MultiPoly, var: int) -> MultiPoly:
     F = p.field
-    out: dict[ExpVec, Scalar] = {}
-    for e, c in p.terms.items():
-        x = e[var]
-        if x == 0:
-            continue
-        d = e[:var] + (x - 1,) + e[var + 1 :]
-        v = F.add(out.get(d, F.zero()), F.mul(F.of(x), c))
-        if v == 0:
-            out.pop(d, None)
-        else:
-            out[d] = v
-    return MultiPoly(F, p.arity, out)
+    terms = (
+        (e[:var] + (e[var] - 1,) + e[var + 1 :], F.mul(F.of(e[var]), c))
+        for e, c in p.terms.items()
+        if e[var]
+    )
+    return MultiPoly(F, p.arity, _accumulate(F, {}, terms))
 
 
 def pd_space_dim(p: MultiPoly) -> int:

@@ -60,6 +60,15 @@ def test_cones_list_and_json():
     assert json.loads(out) == {"count": 3, "vectors": [[0], [1], [2]]}
 
 
+@pytest.mark.parametrize(
+    "n, code, out", [("2000", 0, "count=1\n"), ("99999999999", 3, ""), (str(10**40), 3, "")], ids=["2000", "1e11", "1e40"]
+)
+def test_cones_at_large_arity(n, code, out):
+    got_code, got_out, err = invoke(["cones", "--n", n, "--k", "1"])
+    assert (got_code, got_out) == (code, out)
+    assert "Traceback" not in err and (code == 0 or err.startswith("error: "))
+
+
 def test_pit_zero_exit_code(zero_circuit):
     code, out, _ = invoke(["pit", "--circuit", zero_circuit, "--k", "8"])
     assert (code, out) == (0, "ZERO\n")

@@ -54,6 +54,26 @@ def test_is_basis_isolating_examples():
     assert is_basis_isolating(single, (0, 0)).isolating
 
 
+@pytest.mark.parametrize("field", [FP, Field.prime(7), Q], ids=lambda F: F.spec)
+def test_certificates_rebuild_every_non_basis_coefficient(field):
+    rng = random.Random(41)
+    for _ in range(40):
+        n, dim, d = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 4)
+        f = random_vectorpoly(rng, field, n, dim, d, rng.randint(1, 8))
+        if f.is_zero:
+            continue
+        w = kronecker_weights(n, f.degree())
+        rep = is_basis_isolating(f, w)
+        assert rep.isolating
+        assert set(rep.certificate) == set(f.terms) - set(rep.basis)
+        for e, combo in rep.certificate.items():
+            rebuilt = [field.zero()] * dim
+            for b, c in combo:
+                assert weight_of(w, b) < weight_of(w, e)
+                rebuilt = [field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, f.terms[b])]
+            assert tuple(rebuilt) == f.terms[e]
+
+
 def test_kronecker_weights_examples():
     assert kronecker_weights(2, 2) == (1, 3)
     assert kronecker_weights(3, 1) == (1, 2, 4)

@@ -27,7 +27,7 @@ def points(arity: int):
 
 
 def test_every_field_has_a_kernel():
-    kinds = [type(kernel_for(F)) for F in FIELDS]
+    kinds = [type(kernel_for(F, SMALL + 1)) for F in FIELDS]
     assert kinds == [SmallPrimeKernel, SmallPrimeKernel, SmallPrimeKernel, Mersenne61Kernel, ObjectKernel, ObjectKernel]
 
 
@@ -95,7 +95,7 @@ residues = st.one_of(st.sampled_from([0, 1, (1 << 32) - 1, 1 << 32, M61.p - 1]),
 @given(a=st.lists(residues, min_size=1, max_size=20), data=st.data(), e=st.integers(0, 70))
 def test_mersenne_layouts_agree(a, data, e):
     b = data.draw(st.lists(residues, min_size=len(a), max_size=len(a)))
-    small, wide = kernel_for(M61, 1), kernel_for(M61)
+    small, wide = kernel_for(M61, 1), kernel_for(M61, SMALL + 1)
     assert small.small and not wide.small
     want_mul = [x * y % M61.p for x, y in zip(a, b)]
     want_add = [(x + y) % M61.p for x, y in zip(a, b)]

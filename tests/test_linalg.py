@@ -1,7 +1,8 @@
-"""Fraction-free elimination against its scalar twin, and the integral
-kernel against the field kernel over Q."""
+"""Fraction-free elimination against its scalar twin, the integral kernel
+against the field kernel over Q, and span membership with its combination."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conepit.fields import Field
-from conepit.linalg import bareiss_echelon, integer_nullspace_canonical, nullspace_canonical
+from conepit.linalg import bareiss_echelon, in_span, integer_nullspace_canonical, matrix_rank, nullspace_canonical
 from reference import scalar_bareiss_echelon
 
 Q = Field.rationals()
@@ -77,3 +78,44 @@ def test_integer_kernel_with_denominators():
     # 2x/3 = 4y/9 and z = 0
     rows = [[Fraction(2, 3), Fraction(-4, 9), 0], [0, 0, Fraction(5, 7)]]
     assert integer_nullspace_canonical(rows, 3) == [2, 3, 0]
+
+
+SPAN_FIELDS = [Field.prime((1 << 61) - 1), Field.prime(7), Q]
+
+
+def combination(field, basis, coeffs, width):
+    out = [field.zero()] * width
+    for c, row in zip(coeffs, basis):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("field", SPAN_FIELDS, ids=lambda F: F.spec)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32))
+def test_in_span_combination_rebuilds_members(field, seed):
+    rng = random.Random(seed)
+    width, m = rng.randint(1, 6), rng.randint(0, 5)
+    basis = [[field.random(rng) for _ in range(width)] for _ in range(m)]
+    if m and rng.random() < 0.5:
+        # a dependent row: a combination of the others, or a copy
+        basis.insert(rng.randrange(m + 1), combination(field, basis, [field.random(rng) for _ in basis], width))
+    vec = combination(field, basis, [field.random(rng) for _ in basis], width)
+    ok, combo = in_span(vec, basis, field)
+    assert ok and len(combo) == len(basis)
+    assert combination(field, basis, combo, width) == vec
+
+
+@pytest.mark.parametrize("field", SPAN_FIELDS, ids=lambda F: F.spec)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32))
+def test_in_span_rejects_non_members(field, seed):
+    rng = random.Random(seed)
+    width, m = rng.randint(1, 6), rng.randint(0, 5)
+    basis = [[field.random(rng) for _ in range(width)] for _ in range(m)]
+    vec = [field.random(rng) for _ in range(width)]
+    member = matrix_rank(basis + [vec], field) == matrix_rank(basis, field)
+    assert in_span(vec, basis, field)[0] == member
+    # a last coordinate that no basis row has is never in the span
+    flat = [row[:-1] + [field.zero()] for row in basis]
+    assert not in_span(vec[:-1] + [field.one()], flat, field)[0]

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conepit.errors import ArityMismatch, BadParameters, ZeroPolynomial
+from conepit import polys
+from conepit.errors import ArityMismatch, BadParameters, TooLarge, ZeroPolynomial
 from conepit.fields import Field
 from conepit.generators import random_multipoly
 from conepit.polys import (
@@ -63,6 +64,26 @@ def test_enumerate_low_cone_examples():
     for n, k in ((0, 4), (2, 0)):
         with pytest.raises(BadParameters):
             enumerate_low_cone(n, k)
+
+
+def test_enumerate_low_cone_at_large_arity(monkeypatch):
+    # the walk recurses over nonzero entries, so its depth does not grow with n
+    n = 1500
+    got = enumerate_low_cone(n, 2)
+    assert len(got) == n + 1
+    assert got[:2] == [(0,) * n, (0,) * (n - 1) + (1,)] and got[-1] == (1,) + (0,) * (n - 1)
+    assert enumerate_low_cone(100_000, 1) == [(0,) * 100_000]
+    assert enumerate_low_cone(3, 4, dcap=-1) == []
+    # n times the output count may not pass the guard; these raise before
+    # a single vector is built
+    for n in (99_999_999_999, 10**40):
+        with pytest.raises(TooLarge):
+            enumerate_low_cone(n, 1)
+    monkeypatch.setattr(polys, "LOW_CONE_GUARD", 12)
+    assert len(enumerate_low_cone(3, 2)) == 4
+    monkeypatch.setattr(polys, "LOW_CONE_GUARD", 11)
+    with pytest.raises(TooLarge):
+        enumerate_low_cone(3, 2)
 
 
 def test_enumerate_low_cone_ordering_and_closure():
