@@ -121,6 +121,8 @@ class Field:
 
     def of(self, x: int | Fraction | str) -> Scalar:
         """Coerce an int, Fraction, or decimal string into canonical form."""
+        if type(x) is int:
+            return Fraction(x) if self.p is None else x % self.p
         if isinstance(x, str):
             try:
                 x = Fraction(x)

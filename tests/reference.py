@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+from conepit.extraction import vandermonde_row
 from conepit.fields import DensePoly, Field, Scalar
 from conepit.linalg import RowReducer
 from conepit.polys import ExpVec, MultiPoly, VectorPoly
@@ -159,6 +160,28 @@ def schoolbook_mul(a: DensePoly, b: DensePoly) -> DensePoly:
         for j, y in enumerate(b.coeffs):
             out[i + j] = F.add(out[i + j], F.mul(x, y))
     return DensePoly.make(F, out)
+
+
+def reference_queries(field: Field, e: ExpVec, degree: int) -> tuple[list[tuple[Scalar, ...]], list[Scalar]]:
+    """The base points of the extraction of x^e at degree bound ``degree``
+    and their weights, built one extraction at a time: per-variable stages
+    of nodes 0..e_i with the Vandermonde row of x_i^e_i (node 1 alone for
+    e_i = 0), then a tau stage over 0..degree, tau-major, x1's node slowest."""
+    F = field
+    points: list[tuple[Scalar, ...]] = []
+    weights: list[Scalar] = []
+    if sum(e) > degree:
+        return points, weights
+    t_nodes = [F.of(j) for j in range(degree + 1)]
+    stage_nodes = [[F.one()] if ei == 0 else t_nodes[: ei + 1] for ei in e]
+    stage_weights = [[F.one()] if ei == 0 else vandermonde_row(t_nodes[: ei + 1], ei, F) for ei in e]
+    combo_weights = [F.one()]
+    for ws in stage_weights:
+        combo_weights = [F.mul(w, x) for w in combo_weights for x in ws]
+    for tau, tw in zip(t_nodes, vandermonde_row(t_nodes, sum(e), F)):
+        points.extend(itertools.product(*([F.mul(a, tau) for a in ns] for ns in stage_nodes)))
+        weights.extend([F.mul(tw, w) for w in combo_weights])
+    return points, weights
 
 
 def scalar_bareiss_echelon(rows):

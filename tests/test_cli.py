@@ -69,6 +69,33 @@ def test_cones_at_large_arity(n, code, out):
     assert "Traceback" not in err and (code == 0 or err.startswith("error: "))
 
 
+# x1^(10^9) and a diagonal (1 + x1)^4000: the first extraction of each needs
+# (d + 1)^2 past extraction.EXTRACTION_GUARD, so it is refused before any
+# node or weight row is built.
+HUGE_POWER = (
+    '{"field": "p:2305843009213693951", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
+    '{"id": 1, "kind": "pow", "children": [0], "exp": 1000000000}], "output": 1}'
+)
+HIGH_DIAGONAL = '{"field": "p:2305843009213693951", "arity": 1, "terms": [{"c": "1", "const": "1", "coeffs": ["1"], "d": 4000}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["pit", "--k", "2", "--circuit"], HUGE_POWER),
+        (["coef", "--monomial", "x1", "--circuit"], HUGE_POWER),
+        (["diag-pit", "--diag"], HIGH_DIAGONAL),
+    ],
+    ids=["pit", "coef", "diag-pit"],
+)
+def test_extraction_past_the_guard_is_a_precondition_error(tmp_path, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_pit_zero_exit_code(zero_circuit):
     code, out, _ = invoke(["pit", "--circuit", zero_circuit, "--k", "8"])
     assert (code, out) == (0, "ZERO\n")

@@ -2,13 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conepit import extraction
 from conepit.circuits import Circuit, CircuitBuilder, Oracle, dense_expand
-from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes
-from conepit.extraction import extract_coefficient, vandermonde_row
+from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes, TooLarge
+from conepit.extraction import (
+    EXTRACTION_GUARD,
+    QUERY_CACHE_POINTS,
+    FilteredOracle,
+    extract_coefficient,
+    interpolation_nodes,
+    interpolation_row,
+    vandermonde_row,
+)
 from conepit.fields import Field
 from conepit.generators import random_circuit
 from conepit.polys import cone_size, enumerate_low_cone
+from reference import reference_queries
+from test_pit import PLAN_FIELDS
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -115,3 +128,99 @@ def test_extraction_linearity():
 def test_deterministic_results():
     o = sum_square_oracle(FP)
     assert extract_coefficient(o, (1, 1)) == extract_coefficient(o, (1, 1))
+
+
+# ----------------------------------------------------------------------
+# Closed-form interpolation rows and the cached query sets
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=lambda F: F.spec)
+def test_interpolation_row_matches_vandermonde_row(field):
+    for m in range(1, min(13, field.p or 13) + 1):
+        for t in range(m):
+            got = interpolation_row(field, m, t)
+            want = vandermonde_row(interpolation_nodes(field, m), t, field)
+            assert list(got) == want
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_interpolation_row_guards():
+    with pytest.raises(DuplicateNodes):
+        interpolation_row(Field.prime(7), 8, 0)
+    with pytest.raises(ValueError):
+        interpolation_row(FP, 3, 3)
+
+
+def blank_oracle(field, n, degree):
+    """An oracle of arity n and degree bound ``degree`` that reads 0
+    everywhere: extraction builds its queries from these alone."""
+    b = CircuitBuilder(field, n)
+    return Oracle.from_circuit(b.build(b.const(0)), degree=degree)
+
+
+@st.composite
+def extraction_keys(draw):
+    field = draw(st.sampled_from(PLAN_FIELDS))
+    n = draw(st.integers(1, 3))
+    e = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    degree = draw(st.integers(0, min(8, (field.p or 9) - 1)))
+    return field, e, degree
+
+
+@given(extraction_keys(), st.data())
+def test_query_set_and_combine_match_reference(key, data):
+    field, e, degree = key
+    x = FilteredOracle(blank_oracle(field, len(e), degree), e)
+    points, weights = x.queries()
+    ref_points, ref_weights = reference_queries(field, e, degree)
+    assert list(points) == ref_points
+    assert list(weights) == ref_weights
+    assert [type(w) for w in weights] == [type(w) for w in ref_weights]
+    # combine is the scalar weighted sum, with the coefficient's type
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    values = [field.random(rng) for _ in points]
+    want = field.zero()
+    for w, v in zip(ref_weights, values):
+        want = field.add(want, field.mul(w, v))
+    got = x.combine(values)
+    assert got == want and type(got) is type(want)
+
+
+def test_query_sets_are_shared_and_read_only():
+    a = FilteredOracle(blank_oracle(FP, 2, 4), (1, 1)).queries()
+    b = FilteredOracle(blank_oracle(FP, 2, 4), (1, 1)).queries()
+    assert a is b
+    points, weights = a
+    with pytest.raises(TypeError):
+        points[0] = (0, 0)
+    with pytest.raises(ValueError):
+        weights[0] = 0
+
+
+def test_large_extraction_is_exact_and_not_cached():
+    # (1 + x + 2y)^20: x^3 y^3 requests 16 * 21 points, over the cache bound
+    b = CircuitBuilder(FP, 2)
+    oracle = Oracle.from_circuit(b.build(b.pow(b.add([(1, b.const(1)), (1, b.input(0)), (2, b.input(1))]), 20)))
+    e = (3, 3)
+    assert cone_size(e) * (oracle.degree + 1) > QUERY_CACHE_POINTS
+    before = extraction._cached_query_set.cache_info()
+    x, y = FilteredOracle(oracle, e), FilteredOracle(oracle, e)
+    assert x.queries() is not y.queries()
+    assert extraction._cached_query_set.cache_info() == before
+    assert x.coefficient() == dense_expand(Oracle.from_circuit(oracle.circuit)).coefficient(e)
+
+
+def test_extraction_guard(monkeypatch):
+    # (d + 1)^2 = 16 at d = 3, and cone_size * (d + 1) = 32 for x1 x2 x3
+    monkeypatch.setattr(extraction, "EXTRACTION_GUARD", 16)
+    FilteredOracle(blank_oracle(FP, 1, 3), (0,))
+    with pytest.raises(TooLarge):
+        FilteredOracle(blank_oracle(FP, 3, 3), (1, 1, 1))
+    monkeypatch.setattr(extraction, "EXTRACTION_GUARD", 32)
+    FilteredOracle(blank_oracle(FP, 3, 3), (1, 1, 1))
+    monkeypatch.setattr(extraction, "EXTRACTION_GUARD", 15)
+    with pytest.raises(TooLarge):
+        FilteredOracle(blank_oracle(FP, 1, 3), (0,))
+    # beyond the degree bound there is nothing to build, and nothing to refuse
+    assert extract_coefficient(blank_oracle(FP, 1, 3), (EXTRACTION_GUARD,)) == 0

@@ -149,6 +149,15 @@ def test_verdict_rendering():
     assert low_cone_pit(zero_circuit_oracle(FP), 4).render() == "ZERO"
 
 
+def test_tiny_arity_at_high_degree():
+    # (x + y + 1)^300: the constant term is the witness, read through the
+    # weight row of 301 nodes
+    b = CircuitBuilder(FP, 2)
+    s = b.add([(1, b.input(0)), (1, b.input(1)), (1, b.const(1))])
+    oracle = Oracle.from_circuit(b.build(b.pow(s, 300)))
+    assert low_cone_pit(oracle, 2).render() == "NONZERO witness=1 coeff=1 tested=1 calls=301"
+
+
 # ----------------------------------------------------------------------
 # The shared evaluation plan against one extraction per monomial
 # ----------------------------------------------------------------------
