@@ -124,9 +124,9 @@ class Circuit:
         if len(point) != self.arity:
             raise ArityMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         F = self.field
-        if F.p is not None:
-            # canonical residues, as the vector path's kernel entry makes them
-            point = [x % F.p for x in point]
+        # canonical field scalars, equal to what the vector path's kernel
+        # entry makes of the coordinates
+        point = [F.of(x) for x in point]
         vals: dict[int, Scalar] = {}
         for g in self.gates:
             if g.kind == "input":
@@ -353,7 +353,8 @@ class Oracle:
     def eval_grid(self, nodes_per_var: int) -> np.ndarray:
         """Values on the grid {0..m-1}^n in row-major order (x1 slowest), by
         the column engine, ``GRID_CHUNK`` points at a time, every chunk in
-        the whole grid's kernel layout."""
+        the whole grid's kernel layout.  The result is the kernel array:
+        over Q it holds an ``int`` for every integral value."""
         n = self.arity
         count = nodes_per_var ** n
         self.calls += count
@@ -373,10 +374,13 @@ CircuitOracle = Oracle  # the earlier name, which code outside the package still
 
 
 def evaluate_points(circuit: Circuit, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-    """The circuit's values at the points, by one pass of the column engine."""
-    kern = kernel_for(circuit.field, len(points))
+    """The circuit's values at the points, by one pass of the column engine,
+    as field scalars."""
+    F = circuit.field
+    kern = kernel_for(F, len(points))
     cols = [kern.array([pt[i] for pt in points]) for i in range(circuit.arity)]
-    return circuit._evaluate_columns(kern, cols, len(points)).tolist()
+    values = circuit._evaluate_columns(kern, cols, len(points)).tolist()
+    return values if F.p is not None else [F.of(v) for v in values]
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +405,7 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
     kern = kernel_for(F, count)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t.
     coeff_rows = [[kern.scalar(w) for w in interpolation_row(F, width, t)] for t in range(width)]
-    arr = kern.array(oracle.eval_grid(width))
+    arr = oracle.eval_grid(width)  # already in the layout of kern, for count points
     for axis in range(n):
         stride = width ** (n - 1 - axis)
         shaped = arr.reshape(-1, width, stride)
@@ -415,7 +419,7 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
         arr = out.reshape(-1)
     nz = np.flatnonzero(arr)
     terms: dict[ExpVec, Scalar] = {
-        tuple(pos // width ** (n - 1 - i) % width for i in range(n)): c
+        tuple(pos // width ** (n - 1 - i) % width for i in range(n)): F.of(c)
         for pos, c in zip(nz.tolist(), arr[nz].tolist())
     }
     return MultiPoly(F, n, terms)

@@ -55,6 +55,14 @@ QUERY_CACHE_POINTS = 256
 EXTRACTION_GUARD = 10_000_000
 
 
+def require_within_guard(cone: int, total: int, degree: int) -> None:
+    """Raise TooLarge when extracting a monomial of cone size ``cone`` and
+    total degree ``total`` at degree bound ``degree`` exceeds
+    ``EXTRACTION_GUARD``."""
+    if total <= degree and max(cone, degree + 1) * (degree + 1) > EXTRACTION_GUARD:
+        raise TooLarge(f"extraction of a cone of size {cone} at degree bound {degree} exceeds the guard {EXTRACTION_GUARD}")
+
+
 def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[Scalar]:
     """The unique weights a with sum_j a_j * nodes_j^k = [k == target]
     for k = 0 .. len(nodes)-1, by exact elimination on the transposed
@@ -162,8 +170,7 @@ class FilteredOracle:
         self.e = tuple(e)
         self.field = F
         cone = cone_size(self.e)
-        if sum(self.e) <= d and max(cone, d + 1) * (d + 1) > EXTRACTION_GUARD:
-            raise TooLarge(f"extraction of a cone of size {cone} at degree bound {d} exceeds the guard {EXTRACTION_GUARD}")
+        require_within_guard(cone, sum(self.e), d)
         build = _cached_query_set if cone * (d + 1) <= QUERY_CACHE_POINTS else _build_query_set
         self._queries = build(F, self.e, d)
 

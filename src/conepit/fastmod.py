@@ -12,16 +12,23 @@ at once.  Every field has a kernel:
   arrays.  The batches a low-cone PIT sends hold tens of points, where the
   fixed cost per numpy call dominates; grids hold thousands.
 * p < 2^31: products of canonical residues fit in uint64 directly.
-* anything else (the rationals, other primes): :class:`Field` arithmetic
-  elementwise on object arrays of Python scalars.
+* anything else (the rationals, other primes): Python arithmetic
+  elementwise on object arrays of Python scalars (see :class:`ObjectKernel`).
+  Over Q an integral value is held as a Python ``int`` and only a truly
+  rational one as a ``Fraction``, so integer data never builds a
+  ``Fraction`` inside the engine; the engine's exits turn values back into
+  ``Fraction`` field scalars.
 
-Values enter through ``array`` (integers are reduced mod p) and scalars
-through ``scalar``, so results equal those of the scalar path,
-``Circuit.evaluate``, on any integer input.
+Values enter through ``array`` (integers, numpy integers included, are
+reduced mod p as the Python ints they equal) and scalars through
+``scalar``, so results equal those of the scalar path, ``Circuit.evaluate``,
+on any integer input.
 """
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -40,16 +47,16 @@ SMALL = 256
 
 
 def _residues(values: Sequence[int], p: int) -> np.ndarray:
-    """The integers reduced mod p as a uint64 array.  Canonical residues
-    convert directly; anything else (at least p, or negative, or too wide
-    for uint64) is reduced first."""
-    try:
-        out = np.asarray(values, dtype=np.uint64)
-    except OverflowError:
-        return np.asarray([v % p for v in values], dtype=np.uint64)
-    if out.size and out.max() >= p:
-        return out % _U(p)
-    return out
+    """The integers reduced mod p as a uint64 array.  Values that numpy
+    reads as unsigned, or as signed and non-negative, convert directly;
+    anything else (negative, too wide for uint64, or a mix numpy would
+    widen to float) is reduced as the Python ints they equal."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "u" or kind == "i" and (not arr.size or arr.min() >= 0):
+        out = arr.astype(np.uint64, copy=False)
+        return out % _U(p) if out.size and out.max() >= p else out
+    return np.array([int(v) % p for v in values], dtype=np.uint64)
 
 
 class Mersenne61Kernel:
@@ -146,22 +153,41 @@ class SmallPrimeKernel:
 
 
 class ObjectKernel:
-    """Field arithmetic elementwise on numpy object arrays: the rationals,
-    and primes too wide for the uint64 kernels."""
+    """Exact arithmetic elementwise on numpy object arrays: the rationals,
+    and primes too wide for the uint64 kernels.
+
+    Over a prime every value is a Python-int residue.  Over Q every
+    integral value is a Python ``int`` and only a truly rational one a
+    ``Fraction``: Python mixes the two exactly, and integral data, all that
+    a PIT sends, never pays for a ``Fraction`` and its gcd.  An array
+    over Q may therefore hold ``int``, and ``Fraction`` with denominator 1
+    where a product of rationals came out integral; the callers that hand
+    values out of the engine turn them into ``Fraction`` field scalars."""
+
+    _powmod = np.frompyfunc(pow, 3, 1)
 
     def __init__(self, field: Field):
         self.p = field.p
-        self._pow = np.frompyfunc(field.pow, 2, 1)
+
+    def _entry(self, value) -> Scalar:
+        if self.p is not None:
+            return int(value) % self.p
+        if type(value) is int:
+            return value
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
+        return operator.index(value)
 
     def array(self, values: Sequence[Scalar]) -> np.ndarray:
-        out = np.asarray(values, dtype=object)
-        return out if self.p is None else out % self.p
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        return np.array([self._entry(v) for v in values], dtype=object)
 
     def scalar(self, value: Scalar) -> Scalar:
-        return value
+        return self._entry(value)
 
     def full(self, n: int, value: Scalar) -> np.ndarray:
-        return np.full(n, value, dtype=object)
+        return np.full(n, self._entry(value), dtype=object)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b if self.p is None else (a + b) % self.p
@@ -170,7 +196,7 @@ class ObjectKernel:
         return a * b if self.p is None else (a * b) % self.p
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        return self._pow(a, e)
+        return a**e if self.p is None else self._powmod(a, e, self.p)
 
 
 def kernel_for(field: Field, points: int):

@@ -120,9 +120,12 @@ class Field:
         return Fraction(1) if self.p is None else 1
 
     def of(self, x: int | Fraction | str) -> Scalar:
-        """Coerce an int, Fraction, or decimal string into canonical form."""
+        """Coerce an int (numpy integers too), Fraction, or decimal string
+        into canonical form."""
         if type(x) is int:
             return Fraction(x) if self.p is None else x % self.p
+        if isinstance(x, np.integer):
+            return self.of(int(x))
         if isinstance(x, str):
             try:
                 x = Fraction(x)

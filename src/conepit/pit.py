@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
 from .errors import BadParameters, VerificationFailed
-from .extraction import FilteredOracle
+from .extraction import FilteredOracle, require_within_guard
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
 
@@ -71,7 +71,12 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     points of the layers walked, while the verdict's ``oracle_calls`` is the
     number of points the tested extractions requested,
     cone_size(e) * (d + 1) each.
+
+    The first extraction, of the constant monomial, is checked against the
+    extraction guard before the walk, so a degree bound too high to extract
+    at raises TooLarge without enumerating a monomial.
     """
+    require_within_guard(1, 0, oracle.degree)
     monomials = enumerate_low_cone(oracle.arity, k, dcap=oracle.degree)
     table = _Table(oracle)
     values = table.values

@@ -69,14 +69,15 @@ def test_cones_at_large_arity(n, code, out):
     assert "Traceback" not in err and (code == 0 or err.startswith("error: "))
 
 
-# x1^(10^9) and a diagonal (1 + x1)^4000: the first extraction of each needs
-# (d + 1)^2 past extraction.EXTRACTION_GUARD, so it is refused before any
-# node or weight row is built.
+# x1^(10^9) and the diagonals (1 + x1)^4000 and (1 + x1)^(10^9): the first
+# extraction of each needs (d + 1)^2 past extraction.EXTRACTION_GUARD, so it
+# is refused before any monomial, node or weight row is built.
 HUGE_POWER = (
     '{"field": "p:2305843009213693951", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
     '{"id": 1, "kind": "pow", "children": [0], "exp": 1000000000}], "output": 1}'
 )
 HIGH_DIAGONAL = '{"field": "p:2305843009213693951", "arity": 1, "terms": [{"c": "1", "const": "1", "coeffs": ["1"], "d": 4000}]}'
+HUGE_DIAGONAL = HIGH_DIAGONAL.replace('"d": 4000', '"d": 1000000000')
 
 
 @pytest.mark.parametrize(
@@ -85,8 +86,9 @@ HIGH_DIAGONAL = '{"field": "p:2305843009213693951", "arity": 1, "terms": [{"c": 
         (["pit", "--k", "2", "--circuit"], HUGE_POWER),
         (["coef", "--monomial", "x1", "--circuit"], HUGE_POWER),
         (["diag-pit", "--diag"], HIGH_DIAGONAL),
+        (["diag-pit", "--diag"], HUGE_DIAGONAL),
     ],
-    ids=["pit", "coef", "diag-pit"],
+    ids=["pit", "coef", "diag-pit", "diag-pit-1e9"],
 )
 def test_extraction_past_the_guard_is_a_precondition_error(tmp_path, argv, text):
     path = tmp_path / "doc.json"

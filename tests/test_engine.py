@@ -1,18 +1,21 @@
 """The one evaluation engine: every field has a kernel, and the column engine
-agrees with the scalar twin ``Circuit.evaluate`` on any integer input, in
-both residue layouts of the 2^61 - 1 kernel and across grid chunks."""
+agrees with the scalar twin ``Circuit.evaluate`` on any integer input,
+numpy integers included, in both residue layouts of the 2^61 - 1 kernel and
+across grid chunks, and over Q on rational input too."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, dense_expand
 from conepit.fastmod import SMALL, Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
+from conepit.polys import MultiPoly
 
 FIELDS = [Field.prime(p) for p in (2, 7, (1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)] + [Field.rationals()]
 IDS = [F.spec for F in FIELDS]
@@ -20,10 +23,33 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 # any Python int: negative, at least p, wider than 64 bits
 integers = st.integers(min_value=-(1 << 100), max_value=1 << 100)
+numpy_integers = st.one_of(
+    st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+    st.integers(0, (1 << 64) - 1).map(np.uint64),
+)
 
 
 def points(arity: int):
     return st.lists(st.lists(integers, min_size=arity, max_size=arity), min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([1, SMALL + 1]))
+def test_numpy_integers_enter_as_the_ints_they_equal(field, seed, data, count):
+    # signed and unsigned numpy integers, alone or mixed in one column, in
+    # the object layouts and the uint64 ones
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    C = random_circuit(rng, field, n, rng.randint(1, 8), 4)
+    drawn = data.draw(st.lists(st.lists(numpy_integers, min_size=n, max_size=n), min_size=1, max_size=4))
+    pts = [drawn[i % len(drawn)] for i in range(count)]
+    ints = [[int(x) for x in pt] for pt in pts]
+    one = [C.evaluate(pt) for pt in drawn]
+    assert one == [C.evaluate([int(x) for x in pt]) for pt in drawn]
+    many = C.evaluate_many(pts)
+    assert many == C.evaluate_many(ints) == [one[i % len(drawn)] for i in range(count)]
+    assert {type(v) for v in many + one} == {Fraction if field.p is None else int}
 
 
 def test_every_field_has_a_kernel():
@@ -85,6 +111,65 @@ def test_repeated_children_and_a_consumed_output(field):
     nodes = [(i, j) for i in range(3) for j in range(3)]
     assert grid.tolist() == [C.evaluate(pt) for pt in nodes]
     assert oracle.calls == 9
+
+
+Q = Field.rationals()
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def rational_circuits(draw, arity: int, max_degree: int = 4):
+    """A random circuit over Q built gate by gate from rational weights and
+    constants, with its polynomial expanded gate by gate alongside."""
+    b = CircuitBuilder(Q, arity)
+    polys = {b.input(i): MultiPoly.variable(Q, arity, i) for i in range(arity)}
+    degs = dict.fromkeys(polys, 1)
+    for _ in range(draw(st.integers(1, 7))):
+        ids = list(polys)
+        kind = draw(st.sampled_from(["add", "mul", "pow", "const"]))
+        if kind == "const":
+            c = draw(rationals)
+            poly, deg, gid = MultiPoly.const(Q, arity, c), 0, b.const(c)
+        elif kind == "add":
+            picks = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+            weights = [draw(rationals) for _ in picks]
+            poly = MultiPoly.zero(Q, arity)
+            for w, g in zip(weights, picks):
+                poly = poly.add(polys[g].scale(Q.of(w)))
+            deg, gid = max(degs[g] for g in picks), b.add(list(zip(weights, picks)))
+        elif kind == "mul":
+            x, y = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+            if degs[x] + degs[y] > max_degree:
+                continue
+            poly, deg, gid = polys[x].mul(polys[y]), degs[x] + degs[y], b.mul([x, y])
+        else:
+            x, exp = draw(st.sampled_from(ids)), draw(st.integers(0, 3))
+            if degs[x] * exp > max_degree:
+                continue
+            poly, deg, gid = polys[x].pow(exp), degs[x] * exp, b.pow(x, exp)
+        polys[gid], degs[gid] = poly, deg
+    out = max(polys)
+    return b.build(out), polys[out]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_rational_circuits_give_fractions(data):
+    # rational weights, constants and points: the engine's int path must
+    # leave the values exact and hand out only Fraction scalars
+    n = data.draw(st.integers(1, 2))
+    C, P = data.draw(rational_circuits(n))
+    coordinate = st.one_of(rationals, integers)
+    pts = data.draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=6))
+    pts.append([data.draw(st.integers(-9, 9)) for _ in range(n)])
+    many = C.evaluate_many(pts)
+    one = [C.evaluate(pt) for pt in pts]
+    assert many == one == [P.evaluate(pt) for pt in pts]
+    assert all(type(v) is Fraction for v in many + one)
+    assume(any(c.denominator > 1 for c in P.terms.values()))
+    got = dense_expand(Oracle.from_circuit(C))
+    assert got == P
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 M61 = Field.prime((1 << 61) - 1)

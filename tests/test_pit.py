@@ -4,7 +4,7 @@ import pytest
 
 from conepit import pit
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
-from conepit.errors import BadParameters, VerificationFailed
+from conepit.errors import BadParameters, TooLarge, VerificationFailed
 from conepit.extraction import FilteredOracle, extract_coefficient
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal
@@ -241,3 +241,17 @@ def test_budget_overrun_is_verification_failure(monkeypatch):
     monkeypatch.setattr(pit, "enumerate_low_cone", lambda n, k, dcap=None: [e for e in real(n, k, dcap) for _ in range(4)])
     with pytest.raises(VerificationFailed, match="cone-count bound"):
         low_cone_pit(zero_circuit_oracle(FP), 1)
+
+
+def test_over_guard_degree_is_refused_before_enumerating(monkeypatch):
+    # (d + 1)^2 > EXTRACTION_GUARD already for the constant monomial, so the
+    # test must refuse before it walks the low cone
+    def walk(n, k, dcap=None):
+        raise AssertionError("enumerated the low cone")
+
+    monkeypatch.setattr(pit, "enumerate_low_cone", walk)
+    b = CircuitBuilder(FP, 1)
+    oracle = Oracle.from_circuit(b.build(b.input(0)), degree=10**6)
+    with pytest.raises(TooLarge):
+        low_cone_pit(oracle, 2)
+    assert oracle.calls == 0
