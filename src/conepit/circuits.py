@@ -51,7 +51,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .extraction import interpolation_row
+from .extraction import interpolation_rows
 from .fastmod import kernel_for
 from .fields import Field, Scalar
 from .polys import ExpVec, MultiPoly
@@ -404,7 +404,7 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
 
     kern = kernel_for(F, count)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t.
-    coeff_rows = [[kern.scalar(w) for w in interpolation_row(F, width, t)] for t in range(width)]
+    coeff_rows = [[kern.scalar(w) for w in row] for row in interpolation_rows(F, width)]
     arr = oracle.eval_grid(width)  # already in the layout of kern, for count points
     for axis in range(n):
         stride = width ** (n - 1 - axis)

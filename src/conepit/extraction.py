@@ -26,15 +26,17 @@ points in all; a larger extraction builds its own.  ``EXTRACTION_GUARD``
 refuses an extraction whose points or weight rows would not fit in memory.
 
 Interpolation nodes are always 0 .. m-1, so the weight rows have a closed
-form, :func:`interpolation_row`, cached per (field, m, target);
+form, :func:`interpolation_row`, cached per (field, m, target), and all m
+rows of one width come out of one O(m^2) pass, :func:`interpolation_rows`;
 :func:`vandermonde_row` solves for arbitrary nodes by elimination and is
-its twin.
+their twin.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -93,19 +95,28 @@ def interpolation_nodes(field: Field, m: int) -> tuple[Scalar, ...]:
     return tuple(field.of(j) for j in range(m))
 
 
-@functools.lru_cache(maxsize=4096)
-def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
-    """:func:`vandermonde_row` on the nodes 0 .. m-1, in closed form and
-    cached.  With P(x) = prod_{i<m} (x - i), the weight of node j is the
-    coefficient of x^target in the Lagrange basis polynomial
-    P(x) / ((x - j) P'(j)), where P'(j) = (-1)^(m-1-j) j! (m-1-j)!:
-    O(m^2) operations."""
+#: The row tables of :func:`interpolation_rows` held in its cache hold at
+#: most this many rows together, as many as :func:`interpolation_row`'s
+#: cache; a wider table is built and not kept.
+ROW_CACHE_ROWS = 4096
+
+#: :func:`interpolation_row` reads its row from the whole table up to this
+#: width, and past it stops the division at its row.
+ROW_TABLE_WIDTH = 64
+
+
+def _lagrange_rows(field: Field, m: int):
+    """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 as
+    (target, row) pairs, target m-1 first, from one synthetic division.
+
+    With P(x) = prod_{i<m} (x - i), the weight of node j in row t is the
+    coefficient of x^t in the Lagrange basis polynomial P(x) / ((x - j) P'(j)),
+    where P'(j) = (-1)^(m-1-j) j! (m-1-j)!.  Dividing P by (x - j) for every
+    j at once, from the top coefficient down, passes through the
+    coefficient of every x^t in turn, so all m rows cost O(m^2) operations
+    and each P'(j) is inverted once."""
     F = field
     p = F.p
-    if p is not None and m > p:
-        raise DuplicateNodes(f"interpolation nodes 0..{m - 1} not distinct in F_{p}")
-    if not 0 <= target < m:
-        raise ValueError(f"target power {target} outside 0..{m - 1}")
     # c[k] is the coefficient of x^k in P, built one factor (x - i) at a time.
     c = np.zeros(m + 1, dtype=object)
     c[0] = 1
@@ -114,19 +125,62 @@ def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
         c[0] = -i * c[0]
         if p is not None:
             c[: i + 2] %= p
-    # Synthetic division by (x - j) for every node j at once, from the top
-    # coefficient down to x^target.
-    js = np.arange(m).astype(object)
-    q = np.ones(m, dtype=object)
-    for k in range(m - 1, target, -1):
-        q = c[k] + js * q
-        if p is not None:
-            q %= p
     # P'(j) is nonzero in F_p because p >= m
     fact = [1]
     for j in range(1, m):
         fact.append(F.mul(fact[-1], j))
-    return tuple(F.mul(F.of(q[j]), F.inv(F.of((-1) ** (m - 1 - j) * fact[j] * fact[m - 1 - j]))) for j in range(m))
+    inv = np.array([F.inv(F.of((-1) ** (m - 1 - j) * fact[j] * fact[m - 1 - j])) for j in range(m)], dtype=object)
+    js = np.arange(m).astype(object)
+    q = np.ones(m, dtype=object)  # the coefficient of x^(m-1) in P(x) / (x - j)
+    for t in range(m - 1, -1, -1):
+        row = q * inv
+        yield t, tuple((row if p is None else row % p).tolist())
+        q = c[t] + js * q
+        if p is not None:
+            q %= p
+
+
+def _require_distinct_nodes(field: Field, m: int) -> None:
+    if field.p is not None and m > field.p:
+        raise DuplicateNodes(f"interpolation nodes 0..{m - 1} not distinct in F_{field.p}")
+
+
+_row_tables: OrderedDict[tuple[Field, int], tuple[tuple[Scalar, ...], ...]] = OrderedDict()
+
+
+def interpolation_rows(field: Field, m: int) -> tuple[tuple[Scalar, ...], ...]:
+    """Every :func:`interpolation_row` on the nodes 0 .. m-1: row t maps
+    the values at the nodes to the coefficient of x^t.  O(m^2) operations
+    in all; the least recently used tables are dropped to keep at most
+    ``ROW_CACHE_ROWS`` rows."""
+    key = (field, m)
+    table = _row_tables.get(key)
+    if table is not None:
+        _row_tables.move_to_end(key)
+        return table
+    _require_distinct_nodes(field, m)
+    table = tuple(reversed([row for _, row in _lagrange_rows(field, m)]))
+    if m <= ROW_CACHE_ROWS:
+        _row_tables[key] = table
+        while sum(map(len, _row_tables.values())) > ROW_CACHE_ROWS:
+            _row_tables.popitem(last=False)
+    return table
+
+
+@functools.lru_cache(maxsize=4096)
+def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
+    """:func:`vandermonde_row` on the nodes 0 .. m-1, in closed form and
+    cached: the weight of node j is the coefficient of x^target in the
+    Lagrange basis polynomial of j (see :func:`_lagrange_rows`).  Read
+    from the cached table of :func:`interpolation_rows` up to width
+    ``ROW_TABLE_WIDTH``; past it the division stops at the target row, so
+    an extraction at a high degree builds no whole table."""
+    _require_distinct_nodes(field, m)
+    if not 0 <= target < m:
+        raise ValueError(f"target power {target} outside 0..{m - 1}")
+    if m <= ROW_TABLE_WIDTH:
+        return interpolation_rows(field, m)[target]
+    return next(row for t, row in _lagrange_rows(field, m) if t == target)
 
 
 def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple[Scalar, ...], ...], np.ndarray]:

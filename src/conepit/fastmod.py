@@ -19,10 +19,11 @@ at once.  Every field has a kernel:
   ``Fraction`` inside the engine; the engine's exits turn values back into
   ``Fraction`` field scalars.
 
-Values enter through ``array`` (integers, numpy integers included, are
-reduced mod p as the Python ints they equal) and scalars through
-``scalar``, so results equal those of the scalar path, ``Circuit.evaluate``,
-on any integer input.
+Values enter through ``array`` and scalars through ``scalar``.  Over a
+prime an exact ``int`` is reduced mod p directly, and anything else
+(numpy integers, ``Fraction``s) goes through ``Field.of``, so results
+equal those of the scalar path, ``Circuit.evaluate``, on any integer or
+rational input.
 """
 
 from __future__ import annotations
@@ -46,17 +47,27 @@ _U = np.uint64
 SMALL = 256
 
 
-def _residues(values: Sequence[int], p: int) -> np.ndarray:
-    """The integers reduced mod p as a uint64 array.  Values that numpy
+def _residue_list(values: Sequence[Scalar], field: Field) -> list[int]:
+    """The values as Python-int residues of the prime field: an exact
+    ``int`` by ``%``, anything else (numpy integers, ``Fraction``s) by
+    ``Field.of``, as the scalar path reads it."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    p = field.p
+    return [v % p if type(v) is int else field.of(v) for v in values]
+
+
+def _residues(values: Sequence[Scalar], field: Field) -> np.ndarray:
+    """The values reduced mod p as a uint64 array.  Values that numpy
     reads as unsigned, or as signed and non-negative, convert directly;
-    anything else (negative, too wide for uint64, or a mix numpy would
-    widen to float) is reduced as the Python ints they equal."""
+    anything else (negative, too wide for uint64, rational, or a mix numpy
+    would widen to float) goes through :func:`_residue_list`."""
     arr = np.asarray(values)
     kind = arr.dtype.kind
     if kind == "u" or kind == "i" and (not arr.size or arr.min() >= 0):
         out = arr.astype(np.uint64, copy=False)
-        return out % _U(p) if out.size and out.max() >= p else out
-    return np.array([int(v) % p for v in values], dtype=np.uint64)
+        return out % _U(field.p) if out.size and out.max() >= field.p else out
+    return np.array(_residue_list(values, field), dtype=np.uint64)
 
 
 class Mersenne61Kernel:
@@ -70,6 +81,7 @@ class Mersenne61Kernel:
     in an object array would multiply in 64 bits and wrap."""
 
     p = MERSENNE61
+    field = Field.prime(MERSENNE61)
     _MASK = _U(MERSENNE61)
     _S61 = _U(61)
     _S32 = _U(32)
@@ -82,10 +94,10 @@ class Mersenne61Kernel:
     def __init__(self, points: int):
         self.small = points <= SMALL
 
-    def array(self, values: Sequence[int]) -> np.ndarray:
+    def array(self, values: Sequence[Scalar]) -> np.ndarray:
         if self.small:
-            return np.array([int(v) % self.p for v in values], dtype=object)
-        return _residues(values, self.p)
+            return np.array(_residue_list(values, self.field), dtype=object)
+        return _residues(values, self.field)
 
     def scalar(self, value: int) -> int | np.uint64:
         return int(value) if self.small else _U(value)
@@ -129,12 +141,13 @@ class Mersenne61Kernel:
 class SmallPrimeKernel:
     """mod p vector arithmetic for p < 2^31 (products fit in uint64)."""
 
-    def __init__(self, p: int):
-        self.p = p
-        self._p = _U(p)
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field.p
+        self._p = _U(field.p)
 
-    def array(self, values: Sequence[int]) -> np.ndarray:
-        return _residues(values, self.p)
+    def array(self, values: Sequence[Scalar]) -> np.ndarray:
+        return _residues(values, self.field)
 
     def scalar(self, value: int) -> np.uint64:
         return _U(value)
@@ -167,11 +180,12 @@ class ObjectKernel:
     _powmod = np.frompyfunc(pow, 3, 1)
 
     def __init__(self, field: Field):
+        self.field = field
         self.p = field.p
 
     def _entry(self, value) -> Scalar:
         if self.p is not None:
-            return int(value) % self.p
+            return value % self.p if type(value) is int else self.field.of(value)
         if type(value) is int:
             return value
         if isinstance(value, Fraction):
@@ -204,5 +218,5 @@ def kernel_for(field: Field, points: int):
     if field.p == MERSENNE61:
         return Mersenne61Kernel(points)
     if field.p is not None and field.p < (1 << 31):
-        return SmallPrimeKernel(field.p)
+        return SmallPrimeKernel(field)
     return ObjectKernel(field)

@@ -6,8 +6,8 @@ substitution:
 
 * :func:`build_annihilator` -- a nonzero polynomial g with g(f_1(y), ...,
   f_n(y)) identically zero, with controlled individual and total degree,
-  found by solving one homogeneous linear system whose unknowns are the
-  coefficients of g on a fixed small support.
+  found as the first linear dependency among the images of a fixed small
+  support, solved on the shortest total-degree prefix that has one.
 * :func:`greedy_design` -- bounded-pairwise-intersection set families by
   greedy selection over subsets in lexicographic order.
 * :func:`hard_map_substitution` -- plugs copies of one hard polynomial,
@@ -77,13 +77,16 @@ class HsgTuple:
     def arity(self) -> int:
         return len(self.polys)
 
-    def monomial_images(self, exps: Iterable[ExpVec]) -> list[DensePoly]:
+    def monomial_images(self, exps: Iterable[ExpVec], memo: dict[ExpVec, DensePoly] | None = None) -> list[DensePoly]:
         """prod f_i^(e_i) as a univariate in y, for each exponent vector.
 
         The images share a prefix memo: each power vector needed costs one
-        univariate multiplication by some f_i.
+        univariate multiplication by some f_i.  Passing the same ``memo``
+        dict to several calls shares it across them too.
         """
-        memo: dict[ExpVec, DensePoly] = {(0,) * self.arity: DensePoly.const(self.field, 1)}
+        if memo is None:
+            memo = {}
+        memo.setdefault((0,) * self.arity, DensePoly.const(self.field, 1))
 
         def image(e: ExpVec) -> DensePoly:
             got = memo.get(e)
@@ -197,12 +200,22 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     deg-lex-least exponent vectors with entries below delta; comparing the
     coefficients of every power of y in g(f) gives strictly fewer equations
     than unknowns, so a nontrivial kernel always exists.  The canonical
-    kernel vector (reduced echelon, first free variable 1) is used; over
-    the rationals it is scaled to integers with content 1 and a positive
-    coefficient on the deg-lex-leading support monomial.  If the resulting
-    degree falls short of delta*n, g is multiplied by the deg-lex-least
-    monomial closing the gap while keeping individual degrees below
-    2*delta.
+    kernel vector (reduced echelon, first free variable 1, other free
+    variables 0) is used; over the rationals it is scaled to integers with
+    content 1 and a positive coefficient on the deg-lex-leading support
+    monomial.  If the resulting degree falls short of delta*n, g is
+    multiplied by the deg-lex-least monomial closing the gap while keeping
+    individual degrees below 2*delta.
+
+    The canonical vector is the first linear dependency among the columns:
+    for j0 the first column in the span of the columns before it, it is 1
+    at j0, zero after j0, and unique on the independent columns before j0.
+    So every column prefix containing j0 has the same canonical vector,
+    and every shorter prefix has a trivial kernel.  The system is
+    therefore solved on growing prefixes of the support, one total-degree
+    block at a time, stopping at the first prefix with a kernel; rows past
+    the prefix's largest image degree are zero and are left out.  The
+    images are built once, block by block, on one shared memo.
     """
     n = t.arity
     if n < 2:
@@ -217,16 +230,20 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     if len(support) < delta0:
         raise VerificationFailed("support enumeration fell short of the guaranteed size")
 
-    images = t.monomial_images(support)
-    delta1 = max(p.degree() for p in images)
     zero = F.zero()
-    rows = list(zip(*(img.coeffs + (zero,) * (delta1 - img.degree()) for img in images)))
-
-    if F.is_rational:
-        vec = integer_nullspace_canonical(rows, len(support))
+    memo: dict[ExpVec, DensePoly] = {}
+    images: list[DensePoly] = []
+    for _, block in itertools.groupby(support, key=sum):
+        images += t.monomial_images(block, memo)
+        delta1 = max(img.degree() for img in images)
+        rows = list(zip(*(img.coeffs + (zero,) * (delta1 - img.degree()) for img in images)))
+        if F.is_rational:
+            vec = integer_nullspace_canonical(rows, len(images))
+        else:
+            vec = nullspace_canonical(rows, F, len(images))
+        if vec is not None:
+            break
     else:
-        vec = nullspace_canonical(rows, F, len(support))
-    if vec is None:
         raise VerificationFailed("annihilator system has a guaranteed kernel; none found")
 
     coeffs = {e: F.of(c) for e, c in zip(support, vec) if c != 0}

@@ -157,29 +157,6 @@ def bareiss_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], lis
     return piv_rows, piv_cols
 
 
-def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return 0
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width: int) -> list[int] | None:
     """Canonical integral kernel vector of a homogeneous rational system.
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+from conepit import hsg
+from conepit.errors import VerificationFailed
 from conepit.extraction import vandermonde_row
 from conepit.fields import DensePoly, Field, Scalar
-from conepit.linalg import RowReducer
-from conepit.polys import ExpVec, MultiPoly, VectorPoly
+from conepit.linalg import RowReducer, integer_nullspace_canonical, nullspace_canonical
+from conepit.polys import ExpVec, MultiPoly, VectorPoly, deglex_key
 
 
 def grid_low_cone_count(n: int, k: int, dcap: int | None = None) -> int:
@@ -210,3 +212,58 @@ def scalar_bareiss_echelon(rows):
         if r == m:
             break
     return piv_rows, piv_cols
+
+
+def bareiss_det(rows):
+    """Exact determinant of a square integer matrix (fraction-free)."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pr is None:
+                return 0
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reference_annihilator(t: hsg.HsgTuple) -> MultiPoly:
+    """:func:`conepit.hsg.build_annihilator` by one solve of the whole
+    system: the images of every support vector, every power of y as a row,
+    one canonical kernel vector, then the same integer scaling, sign and
+    degree-deficit monomial."""
+    n = t.arity
+    d = max(p.degree() for p in t.polys)
+    F = t.field
+    delta = hsg.annihilator_delta(n, d)
+    support = hsg._smallest_vectors(n, delta, d * n * delta + 1)
+    images = t.monomial_images(support)
+    top = max(p.degree() for p in images)
+    rows = [[p.coefficient(k) for p in images] for k in range(top + 1)]
+    if F.is_rational:
+        vec = integer_nullspace_canonical(rows, len(support))
+    else:
+        vec = nullspace_canonical(rows, F, len(support))
+    if vec is None:
+        raise VerificationFailed("annihilator system has a guaranteed kernel; none found")
+    coeffs = {e: F.of(c) for e, c in zip(support, vec) if c != 0}
+    if F.is_rational:
+        lead = max(coeffs, key=deglex_key)
+        if coeffs[lead] < 0:
+            coeffs = {e: F.neg(c) for e, c in coeffs.items()}
+    g = MultiPoly(F, n, coeffs)
+    deficit = delta * n - g.degree()
+    if deficit > 0:
+        caps = [2 * delta - 1 - ind for ind in g.individual_degrees()]
+        g = g.mul_monomial(hsg._deficit_monomial(deficit, caps))
+    return g

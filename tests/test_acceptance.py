@@ -31,7 +31,6 @@ from conepit.generators import (
     random_vectorpoly,
 )
 from conepit.hsg import HsgTuple, annihilator_delta, build_annihilator, fischer_rewrite, greedy_design
-from conepit.linalg import bareiss_det
 from conepit.pit import brute_force_pit
 from conepit.polys import (
     MultiPoly,
@@ -44,6 +43,7 @@ from conepit.polys import (
     pd_space_dim,
 )
 from reference import (
+    bareiss_det,
     factorization_low_cone_count,
     grid_low_cone_count,
     pairwise_design_ok,

@@ -17,10 +17,9 @@ from conepit.conebasis import (
 from conepit.errors import BadParameters, EmptyInput, NotIsolating, ZeroPolynomial
 from conepit.fields import Field
 from conepit.generators import random_vectorpoly
-from conepit.linalg import bareiss_det
 from conepit.polys import VectorPoly, coeff_rank, cone_size, is_cone_closed
 from conepit.linalg import RowReducer
-from reference import symbolic_shift_coefficients
+from reference import bareiss_det, symbolic_shift_coefficients
 
 Q = Field.rationals()
 FP = Field.default_prime()

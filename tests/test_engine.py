@@ -1,7 +1,7 @@
 """The one evaluation engine: every field has a kernel, and the column engine
 agrees with the scalar twin ``Circuit.evaluate`` on any integer input,
 numpy integers included, in both residue layouts of the 2^61 - 1 kernel and
-across grid chunks, and over Q on rational input too."""
+across grid chunks, and on rational input over Q and over every prime."""
 
 import random
 from fractions import Fraction
@@ -50,6 +50,38 @@ def test_numpy_integers_enter_as_the_ints_they_equal(field, seed, data, count):
     many = C.evaluate_many(pts)
     assert many == C.evaluate_many(ints) == [one[i % len(drawn)] for i in range(count)]
     assert {type(v) for v in many + one} == {Fraction if field.p is None else int}
+
+
+PRIME_FIELDS = [F for F in FIELDS if F.p is not None]
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=lambda F: F.spec)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([1, SMALL + 1]))
+def test_rational_points_over_a_prime_read_as_field_elements(field, seed, data, count):
+    # a Fraction a/b is a * b^-1 in F_p on both paths, in the object layouts
+    # and the uint64 ones, alone or mixed with ints in one column
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    C = random_circuit(rng, field, n, rng.randint(1, 8), 4)
+    coordinate = st.one_of(
+        st.fractions(max_denominator=1 << 70).filter(lambda x: x.denominator % field.p), integers
+    )
+    drawn = data.draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=4))
+    pts = [drawn[i % len(drawn)] for i in range(count)]
+    one = [C.evaluate(pt) for pt in drawn]
+    assert one == [C.evaluate([field.of(x) for x in pt]) for pt in drawn]
+    assert C.evaluate_many(pts) == [one[i % len(drawn)] for i in range(count)]
+
+
+def test_half_is_the_inverse_of_two():
+    for field in (F for F in PRIME_FIELDS if F.p > 2):
+        b = CircuitBuilder(field, 1)
+        C = b.build(b.input(0))
+        half = (field.p + 1) // 2
+        for count in (1, SMALL + 1):
+            assert C.evaluate_many([(Fraction(1, 2),)] * count) == [half] * count
+        assert C.evaluate((Fraction(1, 2),)) == half
 
 
 def test_every_field_has_a_kernel():

@@ -11,10 +11,12 @@ from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes, TooLarge
 from conepit.extraction import (
     EXTRACTION_GUARD,
     QUERY_CACHE_POINTS,
+    ROW_TABLE_WIDTH,
     FilteredOracle,
     extract_coefficient,
     interpolation_nodes,
     interpolation_row,
+    interpolation_rows,
     vandermonde_row,
 )
 from conepit.fields import Field
@@ -150,6 +152,32 @@ def test_interpolation_row_guards():
         interpolation_row(Field.prime(7), 8, 0)
     with pytest.raises(ValueError):
         interpolation_row(FP, 3, 3)
+
+
+@pytest.mark.parametrize("field", [FP, Field.prime(101)], ids=lambda F: F.spec)
+def test_wide_interpolation_rows_invert_the_vandermonde_matrix(field):
+    # past ROW_TABLE_WIDTH, interpolation_row stops the division at its row
+    m = ROW_TABLE_WIDTH + 3
+    rows = interpolation_rows(field, m)
+    assert len(rows) == m
+    for t in (0, 1, m // 2, m - 1):
+        assert interpolation_row(field, m, t) == rows[t]
+    # sum_j row_t[j] * j^k = [k == t]
+    powers = [[pow(j, k, field.p) for k in range(m)] for j in range(m)]
+    for t, row in enumerate(rows):
+        for k in range(m):
+            assert sum(w * powers[j][k] for j, w in enumerate(row)) % field.p == (k == t)
+
+
+def test_row_tables_keep_the_cache_bound(monkeypatch):
+    monkeypatch.setattr(extraction, "_row_tables", type(extraction._row_tables)())
+    monkeypatch.setattr(extraction, "ROW_CACHE_ROWS", 100)
+    for m in (40, 50, 30, 101):
+        table = interpolation_rows(FP, m)
+        assert table == tuple(interpolation_row(FP, m, t) for t in range(m))
+        assert sum(map(len, extraction._row_tables.values())) <= 100
+    assert list(extraction._row_tables) == [(FP, 50), (FP, 30)]
+    assert interpolation_rows(FP, 30) is extraction._row_tables[FP, 30]
 
 
 def blank_oracle(field, n, degree):

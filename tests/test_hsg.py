@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit import hsg
@@ -35,7 +37,7 @@ from conepit.hsg import (
 )
 from conepit.pit import brute_force_pit
 from conepit.polys import MultiPoly
-from reference import pairwise_design_ok
+from reference import pairwise_design_ok, reference_annihilator
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -141,6 +143,27 @@ def test_pinned_annihilators(spec, polys, rendered):
     g = build_annihilator(t)
     assert g.render() == rendered
     check_annihilator(t, g)
+
+
+TWIN_FIELDS = [Q, Field.prime(7), Field.prime(101), FP, Field.from_spec(P89)]
+
+
+@pytest.mark.parametrize("field", TWIN_FIELDS, ids=lambda F: F.spec)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 1 << 32), arity=st.integers(2, 4), data=st.data())
+def test_prefix_solve_matches_the_full_system(field, seed, arity, data):
+    """The block-prefix solve gives the annihilator of one solve of the
+    whole system, or fails the same way."""
+    degree = data.draw(st.integers(1, {2: 5, 3: 3, 4: 2}[arity]))
+    t = random_hsg(random.Random(seed), field, arity, degree)
+
+    def outcome(build):
+        try:
+            return build(t).render()
+        except VerificationFailed as exc:
+            return f"VerificationFailed: {exc}"
+
+    assert outcome(build_annihilator) == outcome(reference_annihilator)
 
 
 def test_hsg_tuple_validation_and_json():

@@ -1,5 +1,6 @@
 """Fraction-free elimination against its scalar twin, the integral kernel
-against the field kernel over Q, and span membership with its combination."""
+against the field kernel over Q, canonical kernel vectors of column
+prefixes, and span membership with its combination."""
 
 import math
 import random
@@ -88,6 +89,48 @@ def combination(field, basis, coeffs, width):
     for c, row in zip(coeffs, basis):
         out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
     return out
+
+
+def dependent_columns(field, rng, height, width):
+    """A height x width matrix whose columns are fresh random vectors, zero
+    columns, repeats of an earlier column, or combinations of earlier ones."""
+    cols = []
+    for _ in range(width):
+        kind = rng.choice(("fresh", "fresh", "zero", "repeat", "combination"))
+        if kind == "zero" or not cols and kind != "fresh":
+            col = [field.zero()] * height
+        elif kind == "repeat":
+            col = list(rng.choice(cols))
+        elif kind == "combination":
+            col = combination(field, cols, [field.random(rng) for _ in cols], height)
+        else:
+            col = [field.random(rng) for _ in range(height)]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("field", SPAN_FIELDS, ids=lambda F: F.spec)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32))
+def test_column_prefix_keeps_the_canonical_kernel_vector(field, seed):
+    """The canonical kernel vector is the first dependency among the
+    columns: every column prefix that reaches its last nonzero entry has it
+    as its own canonical vector, and every shorter prefix has none."""
+    rng = random.Random(seed)
+    height, width = rng.randint(1, 6), rng.randint(1, 8)
+    rows = dependent_columns(field, rng, height, width)
+    solvers = [lambda rs, k: nullspace_canonical(rs, field, k)]
+    if field.is_rational:
+        solvers.append(integer_nullspace_canonical)
+    for solve in solvers:
+        full = solve(rows, width)
+        first = width if full is None else max(j for j, x in enumerate(full) if x != 0)
+        for k in range(1, width + 1):
+            got = solve([row[:k] for row in rows], k)
+            if k <= first:
+                assert got is None
+            else:
+                assert got + [0] * (width - k) == full
 
 
 @pytest.mark.parametrize("field", SPAN_FIELDS, ids=lambda F: F.spec)
