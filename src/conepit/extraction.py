@@ -100,21 +100,18 @@ def interpolation_nodes(field: Field, m: int) -> tuple[Scalar, ...]:
 #: cache; a wider table is built and not kept.
 ROW_CACHE_ROWS = 4096
 
-#: :func:`interpolation_row` reads its row from the whole table up to this
-#: width, and past it stops the division at its row.
-ROW_TABLE_WIDTH = 64
 
-
-def _lagrange_rows(field: Field, m: int):
-    """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 as
-    (target, row) pairs, target m-1 first, from one synthetic division.
+def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tuple[Scalar, ...]]:
+    """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 for
+    each of ``targets``, by target, from one synthetic division.
 
     With P(x) = prod_{i<m} (x - i), the weight of node j in row t is the
     coefficient of x^t in the Lagrange basis polynomial P(x) / ((x - j) P'(j)),
     where P'(j) = (-1)^(m-1-j) j! (m-1-j)!.  Dividing P by (x - j) for every
     j at once, from the top coefficient down, passes through the
     coefficient of every x^t in turn, so all m rows cost O(m^2) operations
-    and each P'(j) is inverted once."""
+    and each P'(j) is inverted once.  The division stops at the lowest
+    target, and only the rows asked for are scaled."""
     F = field
     p = F.p
     # c[k] is the coefficient of x^k in P, built one factor (x - i) at a time.
@@ -132,12 +129,17 @@ def _lagrange_rows(field: Field, m: int):
     inv = np.array([F.inv(F.of((-1) ** (m - 1 - j) * fact[j] * fact[m - 1 - j])) for j in range(m)], dtype=object)
     js = np.arange(m).astype(object)
     q = np.ones(m, dtype=object)  # the coefficient of x^(m-1) in P(x) / (x - j)
-    for t in range(m - 1, -1, -1):
-        row = q * inv
-        yield t, tuple((row if p is None else row % p).tolist())
-        q = c[t] + js * q
-        if p is not None:
-            q %= p
+    lowest = min(targets)
+    rows = {}
+    for t in range(m - 1, lowest - 1, -1):
+        if t in targets:
+            row = q * inv
+            rows[t] = tuple((row if p is None else row % p).tolist())
+        if t > lowest:
+            q = c[t] + js * q
+            if p is not None:
+                q %= p
+    return rows
 
 
 def _require_distinct_nodes(field: Field, m: int) -> None:
@@ -159,7 +161,8 @@ def interpolation_rows(field: Field, m: int) -> tuple[tuple[Scalar, ...], ...]:
         _row_tables.move_to_end(key)
         return table
     _require_distinct_nodes(field, m)
-    table = tuple(reversed([row for _, row in _lagrange_rows(field, m)]))
+    rows = _lagrange_rows(field, m, range(m))
+    table = tuple(rows[t] for t in range(m))
     if m <= ROW_CACHE_ROWS:
         _row_tables[key] = table
         while sum(map(len, _row_tables.values())) > ROW_CACHE_ROWS:
@@ -171,16 +174,13 @@ def interpolation_rows(field: Field, m: int) -> tuple[tuple[Scalar, ...], ...]:
 def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     """:func:`vandermonde_row` on the nodes 0 .. m-1, in closed form and
     cached: the weight of node j is the coefficient of x^target in the
-    Lagrange basis polynomial of j (see :func:`_lagrange_rows`).  Read
-    from the cached table of :func:`interpolation_rows` up to width
-    ``ROW_TABLE_WIDTH``; past it the division stops at the target row, so
-    an extraction at a high degree builds no whole table."""
+    Lagrange basis polynomial of j (see :func:`_lagrange_rows`).  The
+    division stops at the target row, so an extraction at a high degree
+    builds no whole table."""
     _require_distinct_nodes(field, m)
     if not 0 <= target < m:
         raise ValueError(f"target power {target} outside 0..{m - 1}")
-    if m <= ROW_TABLE_WIDTH:
-        return interpolation_rows(field, m)[target]
-    return next(row for t, row in _lagrange_rows(field, m) if t == target)
+    return _lagrange_rows(field, m, (target,))[target]
 
 
 def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple[Scalar, ...], ...], np.ndarray]:

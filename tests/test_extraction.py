@@ -11,7 +11,6 @@ from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes, TooLarge
 from conepit.extraction import (
     EXTRACTION_GUARD,
     QUERY_CACHE_POINTS,
-    ROW_TABLE_WIDTH,
     FilteredOracle,
     extract_coefficient,
     interpolation_nodes,
@@ -156,8 +155,7 @@ def test_interpolation_row_guards():
 
 @pytest.mark.parametrize("field", [FP, Field.prime(101)], ids=lambda F: F.spec)
 def test_wide_interpolation_rows_invert_the_vandermonde_matrix(field):
-    # past ROW_TABLE_WIDTH, interpolation_row stops the division at its row
-    m = ROW_TABLE_WIDTH + 3
+    m = 67
     rows = interpolation_rows(field, m)
     assert len(rows) == m
     for t in (0, 1, m // 2, m - 1):
