@@ -392,14 +392,14 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
     """The unique polynomial of individual degree <= d agreeing with the
     oracle on the grid {0..d}^n, by per-variable interpolation.  Exact.
 
-    Requires (d+1)^n within the enumeration guard and a field with more
-    than d elements.
+    Requires the (d+1)^n grid and the (d+1)^2 interpolation table within
+    the enumeration guard, and a field with more than d elements.
     """
     n, d, F = oracle.arity, oracle.degree, oracle.field
     width = d + 1
     count = width ** n
-    if count > DENSE_EXPAND_GUARD:
-        raise TooLarge(f"dense expansion grid {width}^{n} exceeds {DENSE_EXPAND_GUARD}")
+    if max(count, width * width) > DENSE_EXPAND_GUARD:
+        raise TooLarge(f"dense expansion grid {width}^{n} or table {width}^2 exceeds {DENSE_EXPAND_GUARD}")
     F.require_size_over(d, "dense_expand interpolation grid")
 
     kern = kernel_for(F, count)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Sequence
 
 from .circuits import Circuit, CircuitBuilder, Oracle, evaluate_points
@@ -27,7 +28,7 @@ from .errors import RankZero, ValidationError
 from .fields import Field, Scalar
 from .linalg import RowReducer
 from .pit import NONZERO, ZERO, PitVerdict, low_cone_pit
-from .polys import ExpVec, VectorPoly
+from .polys import ExpVec, VectorPoly, exponents_of_degree
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,6 @@ def diag_power_vectorpoly(field: Field, rows: Sequence[Sequence[Scalar]], d: int
         if len(row) != n:
             raise ValidationError("rows must share one length")
 
-    from math import comb
-
     items: list[tuple[ExpVec, list[Scalar]]] = []
 
     def multinomial(e: ExpVec) -> int:
@@ -189,9 +188,8 @@ def diag_power_vectorpoly(field: Field, rows: Sequence[Sequence[Scalar]], d: int
             left -= x
         return out
 
-    def rec(i: int, remaining: int, prefix: list[int]) -> None:
-        if i == n:
-            e = tuple(prefix)
+    for total in range(d + 1):
+        for e in exponents_of_degree([d] * n, total):
             m = field.of(multinomial(e))
             vec = []
             for t in range(k):
@@ -201,13 +199,6 @@ def diag_power_vectorpoly(field: Field, rows: Sequence[Sequence[Scalar]], d: int
                         v = field.mul(v, field.pow(mat[t][j], x))
                 vec.append(v)
             items.append((e, vec))
-            return
-        for x in range(remaining + 1):
-            prefix.append(x)
-            rec(i + 1, remaining - x, prefix)
-            prefix.pop()
-
-    rec(0, d, [])
     return VectorPoly.make(field, n, k, items)
 
 

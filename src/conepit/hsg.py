@@ -7,7 +7,8 @@ substitution:
 * :func:`build_annihilator` -- a nonzero polynomial g with g(f_1(y), ...,
   f_n(y)) identically zero, with controlled individual and total degree,
   found as the first linear dependency among the images of a fixed small
-  support, solved on the shortest total-degree prefix that has one.
+  support, read lazily and solved block by block up to the shortest
+  total-degree prefix that has one.
 * :func:`greedy_design` -- bounded-pairwise-intersection set families by
   greedy selection over subsets in lexicographic order.
 * :func:`hard_map_substitution` -- plugs copies of one hard polynomial,
@@ -24,7 +25,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .circuits import Circuit
 from .documents import load_document
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .fields import DensePoly, Field, Scalar
 from .linalg import integer_nullspace_canonical, nullspace_canonical
-from .polys import ExpVec, MultiPoly, deglex_key
+from .polys import ExpVec, MultiPoly, deglex_key, exponents_of_degree
 
 DESIGN_GUARD = 10_000_000
 
@@ -142,53 +143,20 @@ def annihilator_delta(n: int, d: int) -> int:
     return delta
 
 
-def _smallest_vectors(n: int, entry_cap: int, count: int) -> list[ExpVec]:
-    """The ``count`` deg-lex-least arity-n vectors with entries < entry_cap."""
-    out: list[ExpVec] = []
-    total = 0
-
-    def rec(i: int, remaining: int, prefix: list[int]) -> None:
-        nonlocal total
-        if total >= count:
-            return
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-                total += 1
-            return
-        hi = min(entry_cap - 1, remaining)
-        for x in range(hi + 1):
-            if remaining - x > (n - i - 1) * (entry_cap - 1):
-                continue
-            prefix.append(x)
-            rec(i + 1, remaining - x, prefix)
-            prefix.pop()
-            if total >= count:
-                return
-
-    degree = 0
-    while total < count:
-        if degree > n * (entry_cap - 1):
-            break
-        rec(0, degree, [])
-        degree += 1
-    return out
+def _smallest_vectors(n: int, entry_cap: int, count: int) -> Iterator[ExpVec]:
+    """The ``count`` deg-lex-least arity-n vectors with entries < entry_cap,
+    read lazily in ascending deg-lex order (fewer if there are not enough)."""
+    caps = [entry_cap - 1] * n
+    layers = (exponents_of_degree(caps, s) for s in range(sum(caps) + 1))
+    return itertools.islice(itertools.chain.from_iterable(layers), count)
 
 
 def _deficit_monomial(deficit: int, caps: Sequence[int]) -> ExpVec:
     """Deg-lex-least exponent vector of total degree ``deficit`` with
     entrywise caps (minimize x1 first, then x2, ...)."""
-    n = len(caps)
-    out = []
-    remaining = deficit
-    for i in range(n):
-        tail = sum(caps[i + 1 :])
-        x = max(0, remaining - tail)
-        out.append(x)
-        remaining -= x
-    if remaining != 0:
-        raise VerificationFailed("degree deficit exceeds the admissible caps")
-    return tuple(out)
+    for e in exponents_of_degree(caps, deficit):
+        return e
+    raise VerificationFailed("degree deficit exceeds the admissible caps")
 
 
 def build_annihilator(t: HsgTuple) -> MultiPoly:
@@ -215,7 +183,8 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     therefore solved on growing prefixes of the support, one total-degree
     block at a time, stopping at the first prefix with a kernel; rows past
     the prefix's largest image degree are zero and are left out.  The
-    images are built once, block by block, on one shared memo.
+    support is read lazily, and no further than that prefix; its images
+    are built once, block by block, on one shared memo.
     """
     n = t.arity
     if n < 2:
@@ -226,15 +195,14 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     F = t.field
     delta = annihilator_delta(n, d)
     delta0 = d * n * delta + 1
-    support = _smallest_vectors(n, delta, delta0)
-    if len(support) < delta0:
-        raise VerificationFailed("support enumeration fell short of the guaranteed size")
 
     zero = F.zero()
     memo: dict[ExpVec, DensePoly] = {}
+    support: list[ExpVec] = []
     images: list[DensePoly] = []
-    for _, block in itertools.groupby(support, key=sum):
-        images += t.monomial_images(block, memo)
+    for _, block in itertools.groupby(_smallest_vectors(n, delta, delta0), key=sum):
+        support += block
+        images += t.monomial_images(support[len(images) :], memo)
         delta1 = max(img.degree() for img in images)
         rows = list(zip(*(img.coeffs + (zero,) * (delta1 - img.degree()) for img in images)))
         if F.is_rational:
@@ -244,6 +212,8 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
         if vec is not None:
             break
     else:
+        if len(support) < delta0:
+            raise VerificationFailed("support enumeration fell short of the guaranteed size")
         raise VerificationFailed("annihilator system has a guaranteed kernel; none found")
 
     coeffs = {e: F.of(c) for e, c in zip(support, vec) if c != 0}

@@ -60,6 +60,20 @@ def submonomials(f: ExpVec) -> Iterator[ExpVec]:
     return itertools.product(*(range(x + 1) for x in f))
 
 
+def exponents_of_degree(caps: Sequence[int], total: int) -> Iterator[ExpVec]:
+    """The exponent vectors e with sum(e) = total and e_i <= caps[i], in
+    ascending lex order, so ascending deg-lex.  Lazy, one recursion level
+    per variable; x1 ranges only over values the later caps can complete."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    rest = caps[1:]
+    for x in range(max(0, total - sum(rest)), min(caps[0], total) + 1):
+        for tail in exponents_of_degree(rest, total - x):
+            yield (x,) + tail
+
+
 def is_cone_closed(monomials: Iterable[ExpVec]) -> bool:
     """Is the set closed under taking submonomials?  The empty set is.
 

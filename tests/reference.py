@@ -239,14 +239,15 @@ def bareiss_det(rows):
 
 def reference_annihilator(t: hsg.HsgTuple) -> MultiPoly:
     """:func:`conepit.hsg.build_annihilator` by one solve of the whole
-    system: the images of every support vector, every power of y as a row,
-    one canonical kernel vector, then the same integer scaling, sign and
-    degree-deficit monomial."""
+    system: the support cut from the sorted grid of vectors with entries
+    below delta, the images of every support vector, every power of y as a
+    row, one canonical kernel vector, then the same integer scaling, sign
+    and degree-deficit monomial."""
     n = t.arity
     d = max(p.degree() for p in t.polys)
     F = t.field
     delta = hsg.annihilator_delta(n, d)
-    support = hsg._smallest_vectors(n, delta, d * n * delta + 1)
+    support = sorted(itertools.product(range(delta), repeat=n), key=deglex_key)[: d * n * delta + 1]
     images = t.monomial_images(support)
     top = max(p.degree() for p in images)
     rows = [[p.coefficient(k) for p in images] for k in range(top + 1)]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conepit import circuits
 from conepit.circuits import (
     Circuit,
     CircuitBuilder,
@@ -127,11 +128,18 @@ def test_dense_expand_round_trip_random():
             assert poly.evaluate(pt) == v
 
 
-def test_dense_expand_guard_and_char():
+def test_dense_expand_guard_and_char(monkeypatch):
     b = CircuitBuilder(Q, 9)
     C = b.build(b.pow(b.input(0), 8))
     with pytest.raises(TooLarge):
         dense_expand(Oracle.from_circuit(C, degree=8))
+    # One variable: the (d + 1)^2 interpolation table outgrows the grid.
+    monkeypatch.setattr(circuits, "DENSE_EXPAND_GUARD", 100)
+    b = CircuitBuilder(FP, 1)
+    assert dense_expand(Oracle.from_circuit(b.build(b.pow(b.input(0), 9)))) == MultiPoly.make(FP, 1, {(9,): 1})
+    b = CircuitBuilder(FP, 1)
+    with pytest.raises(TooLarge):
+        dense_expand(Oracle.from_circuit(b.build(b.pow(b.input(0), 10))))
     F3 = Field.prime(3)
     b = CircuitBuilder(F3, 1)
     C = b.build(b.pow(b.input(0), 4))

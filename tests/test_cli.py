@@ -71,11 +71,14 @@ def test_cones_at_large_arity(n, code, out):
 
 # x1^(10^9) and the diagonals (1 + x1)^4000 and (1 + x1)^(10^9): the first
 # extraction of each needs (d + 1)^2 past extraction.EXTRACTION_GUARD, so it
-# is refused before any monomial, node or weight row is built.
+# is refused before any monomial, node or weight row is built.  bfpit on
+# x1^20000 has a grid of 20001 points but a 20001^2 interpolation table, past
+# circuits.DENSE_EXPAND_GUARD.
 HUGE_POWER = (
     '{"field": "p:2305843009213693951", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
     '{"id": 1, "kind": "pow", "children": [0], "exp": 1000000000}], "output": 1}'
 )
+HIGH_POWER = HUGE_POWER.replace('"exp": 1000000000', '"exp": 20000')
 HIGH_DIAGONAL = '{"field": "p:2305843009213693951", "arity": 1, "terms": [{"c": "1", "const": "1", "coeffs": ["1"], "d": 4000}]}'
 HUGE_DIAGONAL = HIGH_DIAGONAL.replace('"d": 4000', '"d": 1000000000')
 
@@ -87,8 +90,9 @@ HUGE_DIAGONAL = HIGH_DIAGONAL.replace('"d": 4000', '"d": 1000000000')
         (["coef", "--monomial", "x1", "--circuit"], HUGE_POWER),
         (["diag-pit", "--diag"], HIGH_DIAGONAL),
         (["diag-pit", "--diag"], HUGE_DIAGONAL),
+        (["bfpit", "--circuit"], HIGH_POWER),
     ],
-    ids=["pit", "coef", "diag-pit", "diag-pit-1e9"],
+    ids=["pit", "coef", "diag-pit", "diag-pit-1e9", "bfpit"],
 )
 def test_extraction_past_the_guard_is_a_precondition_error(tmp_path, argv, text):
     path = tmp_path / "doc.json"

@@ -347,6 +347,13 @@ def test_local_kronecker_preserves_multilinear_nonzeroness():
         assert brute_force_pit(Oracle.from_circuit(K)).outcome == "NONZERO"
 
 
+def test_deficit_monomial_past_the_caps_is_verification_failure():
+    assert hsg._deficit_monomial(5, [1, 3, 2]) == (0, 3, 2)
+    # The caps sum to 7: no vector of degree 8 fits under them.
+    with pytest.raises(VerificationFailed, match="degree deficit"):
+        hsg._deficit_monomial(8, [0, 3, 1, 3, 0])
+
+
 def test_broken_invariant_is_verification_failure(monkeypatch):
     t = HsgTuple.make(Q, [DensePoly.make(Q, [0, 1]), DensePoly.make(Q, [0, 0, 1])])
     monkeypatch.setattr(hsg, "_smallest_vectors", lambda n, cap, count: [])

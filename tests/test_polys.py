@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from conepit.polys import (
     cone_size,
     deglex_key,
     enumerate_low_cone,
+    exponents_of_degree,
     format_monomial,
     is_cone_closed,
     is_submonomial,
@@ -53,6 +55,16 @@ def test_is_cone_closed_matches_naive():
         n = rng.randint(1, 3)
         S = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 6))}
         assert is_cone_closed(S) == naive_is_cone_closed(S)
+
+
+def test_exponents_of_degree_is_the_grid_filter_in_order():
+    rng = random.Random(10)
+    shapes = [caps for length in range(5) for caps in itertools.product(range(5), repeat=length)]
+    shapes += [tuple(rng.randint(0, 4) for _ in range(5)) for _ in range(150)]
+    for caps in shapes:
+        grid = list(itertools.product(*(range(c + 1) for c in caps)))
+        for total in range(sum(caps) + 2):
+            assert list(exponents_of_degree(caps, total)) == [e for e in grid if sum(e) == total]
 
 
 def test_enumerate_low_cone_examples():
