@@ -15,7 +15,7 @@ from .conebasis import (
 )
 from .diagonal import DiagonalCircuit, build_psi, diag_pit, diag_power_vectorpoly, rank_of_forms
 from .extraction import FilteredOracle, extract_coefficient, vandermonde_row
-from .fields import DensePoly, Field, MERSENNE61, Scalar, rank_over_ft, scalar_inverse
+from .fields import DensePoly, Field, MERSENNE61, Scalar, rank_over_ft
 from .hsg import (
     DesignFamily,
     HsgTuple,

@@ -26,11 +26,18 @@ The JSON document format (UTF-8 text) is::
 Scalars travel as decimal strings so rationals stay exact.  ``parse`` and
 ``serialize`` are mutually inverse on valid documents.
 
+There is one vector evaluator: every circuit kind compiles itself, once,
+on first use, into a :class:`Program` of array steps (``lincomb``, ``mul``
+and ``pow`` kernel calls on blocks of rows, one point per column), which
+batches and grids run.  ``Circuit.evaluate`` walks the gates one scalar at
+a time and is the program's brute-force twin.
+
 :class:`Oracle` is the evaluation-only view of a polynomial: a circuit and a
 degree bound, which testers may only evaluate, pointwise, in batches or on
 a grid.  :func:`dense_expand` recovers the full sparse polynomial of an
-oracle by grid interpolation; it is the brute-force ground truth the rest
-of the package is tested against.
+oracle by grid interpolation, one ``lincomb`` with the interpolation rows
+per variable; it is the brute-force ground truth the rest of the package is
+tested against.
 """
 
 from __future__ import annotations
@@ -38,12 +45,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import load_document
+from .documents import json_list, load_document, natural
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -58,8 +66,8 @@ from .polys import ExpVec, MultiPoly
 
 DENSE_EXPAND_GUARD = 10_000_000
 
-#: Grids are evaluated this many points at a time, so the column engine's
-#: live arrays stay bounded whatever the grid size.
+#: Grids are evaluated in chunks whose blocks hold at most this many
+#: entries, so a program's live arrays stay bounded whatever the grid size.
 GRID_CHUNK = 4096
 
 GATE_KINDS = ("input", "const", "add", "mul", "pow")
@@ -148,38 +156,13 @@ class Circuit:
         return vals[self.output]
 
     def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        return evaluate_points(self, points)
+        return self.program.evaluate_many(points)
 
-    def _evaluate_columns(self, kern, cols: list[np.ndarray], n_points: int) -> np.ndarray:
-        """The column engine: each gate's values on all points as one kernel
-        array, dropped after the gate's last use."""
-        last_use = {c: g.id for g in self.gates for c in g.children}
-        vals: dict[int, np.ndarray] = {}
-        for g in self.gates:
-            if g.kind == "input":
-                v = cols[g.var]
-            elif g.kind == "const":
-                v = kern.full(n_points, g.value)
-            elif g.kind == "add":
-                v = None
-                for w, c in zip(g.weights or itertools.repeat(1), g.children):
-                    term = vals[c] if w == 1 else kern.mul(kern.scalar(w), vals[c])
-                    v = term if v is None else kern.add(v, term)
-            elif g.kind == "mul":
-                v = vals[g.children[0]]
-                for c in g.children[1:]:
-                    v = kern.mul(v, vals[c])
-            else:
-                v = kern.pow(vals[g.children[0]], g.exp)
-            vals[g.id] = v
-            for c in g.children:
-                if last_use[c] == g.id and c != self.output:
-                    vals.pop(c, None)
-        return vals[self.output]
-
-    def to_circuit(self) -> "Circuit":
-        """The gate circuit itself: every circuit kind offers this gate view."""
-        return self
+    @cached_property
+    def program(self) -> "Program":
+        """The circuit compiled for the engine, once, on first use (see
+        :func:`compile_gates`)."""
+        return compile_gates(self)
 
     # -- structure -----------------------------------------------------
 
@@ -318,6 +301,102 @@ class CircuitBuilder:
 
 
 # ----------------------------------------------------------------------
+# The engine: compiled programs
+# ----------------------------------------------------------------------
+
+def weight_matrix(field: Field, rows: Sequence[Sequence[Scalar]]) -> np.ndarray:
+    """Field scalars as a weight matrix for ``lincomb``: an object array of
+    residues, or over Q of an ``int`` for every integral weight."""
+    rows = [[w.numerator if field.p is None and w.denominator == 1 else w for w in row] for row in rows]
+    return np.array(rows, dtype=object)
+
+
+class Program:
+    """A circuit compiled for the vector kernels: steps over blocks, 2-D
+    kernel arrays with one value per row and one point per column.
+
+    Block 0 is [1; x_1; ...; x_n] and step i writes block i + 1; the last
+    block's first row is the output.  A step ``(op, sources, arg)`` reads
+    rows ``(block, slice)`` of earlier blocks: ``lincomb`` multiplies them
+    by the weight matrix ``arg``, ``mul`` multiplies them together and
+    ``pow`` raises them to ``arg``, one exponent or a tuple of one per row.
+    The last uses are found once, here: a run drops each block after the
+    step that reads it last."""
+
+    def __init__(self, field: Field, arity: int, steps: Sequence[tuple]):
+        self.field, self.arity = field, arity
+        rows = [arity + 1]  # per block
+        self.width = arity + 1  # a run on N points holds arrays of up to width * N entries
+        for op, srcs, arg in steps:
+            read = [len(range(rows[b])[r]) for b, r in srcs]
+            rows.append(len(arg) if op == "lincomb" else read[0] if op == "mul" else sum(read))
+            self.width = max(self.width, rows[-1], sum(read))
+        last = {b: i for i, (_, srcs, _) in enumerate(steps) for b, _ in srcs}
+        self.steps = tuple(
+            (op, srcs, arg, tuple(b for b in {b for b, _ in srcs} if last[b] == i))
+            for i, (op, srcs, arg) in enumerate(steps)
+        )
+
+    def run(self, kern, x: np.ndarray) -> np.ndarray:
+        """The output's values from the block 0 ``x`` in the layout of ``kern``."""
+        vals = [x]
+        for op, srcs, arg, dead in self.steps:
+            if op == "mul":
+                (b, r), *rest = srcs
+                v = vals[b][r]
+                for b, r in rest:
+                    v = kern.mul(v, vals[b][r])
+            else:
+                v = vals[srcs[0][0]][srcs[0][1]] if len(srcs) == 1 else np.concatenate([vals[b][r] for b, r in srcs])
+                v = kern.lincomb(arg, v) if op == "lincomb" else kern.pow(v, arg)
+            vals.append(v)
+            for b in dead:
+                vals[b] = None
+        return vals[-1][0]
+
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+        """The values at the points, by one run, as field scalars."""
+        F, n, count = self.field, self.arity, len(points)
+        if any(len(pt) != n for pt in points):
+            raise ArityMismatch(f"points must have {n} coordinates")
+        kern = kernel_for(F, count)
+        coords = kern.array([v for pt in points for v in pt]).reshape(count, n).T
+        values = self.run(kern, np.concatenate([kern.full(count, 1)[None], coords])).tolist()
+        return values if F.p is not None else [F.of(v) for v in values]
+
+
+def compile_gates(circuit: Circuit) -> Program:
+    """The program of a gate circuit: one step for each gate the output
+    depends on, in gate order, except inputs, which are rows of block 0."""
+    F = circuit.field
+    live = {circuit.output}
+    for g in reversed(circuit.gates):
+        if g.id in live:
+            live.update(g.children)
+    ref: dict[int, tuple[int, slice]] = {}
+    steps: list[tuple] = []
+    for g in circuit.gates:
+        if g.id not in live:
+            continue
+        if g.kind == "input":
+            ref[g.id] = (0, slice(g.var + 1, g.var + 2))
+            continue
+        if g.kind == "const":
+            steps.append(("lincomb", ((0, slice(0, 1)),), weight_matrix(F, [[F.of(g.value)]])))
+        elif g.kind == "add":
+            weights: dict[int, Scalar] = {}
+            for w, c in zip(g.weights or itertools.repeat(F.one()), g.children):
+                weights[c] = F.add(weights.get(c, F.zero()), F.of(w))
+            steps.append(("lincomb", tuple(ref[c] for c in weights), weight_matrix(F, [list(weights.values())])))
+        else:
+            steps.append((g.kind, tuple(ref[c] for c in g.children), g.exp))
+        ref[g.id] = (len(steps), slice(0, 1))
+    if ref[circuit.output][0] == 0:  # the output is an input
+        steps.append(("lincomb", (ref[circuit.output],), weight_matrix(F, [[F.one()]])))
+    return Program(F, circuit.arity, steps)
+
+
+# ----------------------------------------------------------------------
 # The oracle
 # ----------------------------------------------------------------------
 
@@ -325,10 +404,10 @@ class CircuitBuilder:
 class Oracle:
     """Blackbox view of a polynomial: a circuit plus a degree bound d.
 
-    The circuit is a gate circuit, or another circuit kind through its gate
-    view ``to_circuit()``.  A point goes through the circuit's scalar
-    ``evaluate``, a batch through its ``evaluate_many`` and a grid through
-    the column engine.  ``calls`` counts every evaluated point.
+    The circuit is a gate circuit or another circuit kind with a
+    ``program``.  A point goes through the circuit's scalar ``evaluate``,
+    a batch through its ``evaluate_many`` and a grid through its program.
+    ``calls`` counts every evaluated point.
     """
 
     def __init__(self, circuit, degree: int | None = None):
@@ -340,6 +419,8 @@ class Oracle:
 
     @staticmethod
     def from_circuit(circuit: Circuit, degree: int | None = None) -> "Oracle":
+        """The constructor under its earlier name, which the benchmark
+        workloads in ``perfbench/`` still call."""
         return Oracle(circuit, degree)
 
     def eval_point(self, point: Sequence[Scalar]) -> Scalar:
@@ -352,35 +433,27 @@ class Oracle:
 
     def eval_grid(self, nodes_per_var: int) -> np.ndarray:
         """Values on the grid {0..m-1}^n in row-major order (x1 slowest), by
-        the column engine, ``GRID_CHUNK`` points at a time, every chunk in
-        the whole grid's kernel layout.  The result is the kernel array:
-        over Q it holds an ``int`` for every integral value."""
+        the circuit's program, in chunks that keep every block within
+        ``GRID_CHUNK`` entries, every chunk in the whole grid's kernel
+        layout.  The result is the kernel array: over Q it holds an ``int``
+        for every integral value."""
         n = self.arity
         count = nodes_per_var ** n
         self.calls += count
         kern = kernel_for(self.field, count)
-        circuit = self.circuit.to_circuit()
+        program = self.circuit.program
+        chunk = max(1, GRID_CHUNK // program.width)
         m = np.uint64(nodes_per_var)
         strides = [np.uint64(nodes_per_var ** (n - 1 - i)) for i in range(n)]
         out = kern.full(count, 0)
-        for start in range(0, count, GRID_CHUNK):
-            idx = np.arange(start, min(start + GRID_CHUNK, count), dtype=np.uint64)
-            cols = [kern.array(idx // s % m) for s in strides]
-            out[start : start + idx.size] = circuit._evaluate_columns(kern, cols, idx.size)
+        for start in range(0, count, chunk):
+            idx = np.arange(start, min(start + chunk, count), dtype=np.uint64)
+            x = np.stack([kern.full(idx.size, 1)] + [kern.array(idx // s % m) for s in strides])
+            out[start : start + idx.size] = program.run(kern, x)
         return out
 
 
 CircuitOracle = Oracle  # the earlier name, which code outside the package still uses
-
-
-def evaluate_points(circuit: Circuit, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-    """The circuit's values at the points, by one pass of the column engine,
-    as field scalars."""
-    F = circuit.field
-    kern = kernel_for(F, len(points))
-    cols = [kern.array([pt[i] for pt in points]) for i in range(circuit.arity)]
-    values = circuit._evaluate_columns(kern, cols, len(points)).tolist()
-    return values if F.p is not None else [F.of(v) for v in values]
 
 
 # ----------------------------------------------------------------------
@@ -404,19 +477,18 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
 
     kern = kernel_for(F, count)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t.
-    coeff_rows = [[kern.scalar(w) for w in row] for row in interpolation_rows(F, width)]
+    rows = weight_matrix(F, interpolation_rows(F, width))
     arr = oracle.eval_grid(width)  # already in the layout of kern, for count points
     for axis in range(n):
-        stride = width ** (n - 1 - axis)
-        shaped = arr.reshape(-1, width, stride)
-        out = np.zeros_like(shaped)
-        for t, row in enumerate(coeff_rows):
-            acc = out[:, t, :]
-            for j, w in enumerate(row):
-                if w != 0:
-                    acc = kern.add(acc, kern.mul(w, shaped[:, j, :]))
-            out[:, t, :] = acc
-        arr = out.reshape(-1)
+        # the axis first, then one lincomb with the rows per chunk of lines,
+        # each within GRID_CHUNK entries
+        lines = arr.reshape(-1, width, width ** (n - 1 - axis)).transpose(1, 0, 2)
+        flat = lines.reshape(width, -1)
+        out = np.empty_like(flat)
+        step = max(1, GRID_CHUNK // width)
+        for s in range(0, flat.shape[1], step):
+            out[:, s : s + step] = kern.lincomb(rows, flat[:, s : s + step])
+        arr = out.reshape(lines.shape).transpose(1, 0, 2).reshape(-1)
     nz = np.flatnonzero(arr)
     terms: dict[ExpVec, Scalar] = {
         tuple(pos // width ** (n - 1 - i) % width for i in range(n)): F.of(c)
@@ -460,23 +532,22 @@ def circuit_from_document(doc) -> Circuit:
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a JSON object")
     field = Field.from_spec(doc["field"])
-    arity = int(doc["arity"])
-    raw_gates = doc["gates"]
-    output = int(doc["output"])
+    arity = natural(doc["arity"], "arity")
+    output = natural(doc["output"], "output")
     gates = []
-    for row in raw_gates:
+    for row in json_list(doc["gates"], "gates"):
         try:
             kind = row["kind"]
-            gid = int(row["id"])
+            gid = natural(row["id"], "gate id")
         except KeyError as exc:
             raise ParseError(f"gate missing key {exc.args[0]!r}") from exc
         if kind not in GATE_KINDS:
             raise ParseError(f"gate {gid}: unknown kind {kind!r}")
-        var = int(row["var"]) if "var" in row else None
+        var = natural(row["var"], "var") if "var" in row else None
         value = field.of(row["value"]) if "value" in row else None
-        children = tuple(int(c) for c in row.get("children", ()))
-        weights = tuple(field.of(w) for w in row["weights"]) if "weights" in row else None
-        exp = int(row["exp"]) if "exp" in row else None
+        children = tuple(natural(c, "child id") for c in json_list(row.get("children", []), "children"))
+        weights = tuple(field.of(w) for w in json_list(row["weights"], "weights")) if "weights" in row else None
+        exp = natural(row["exp"], "exp") if "exp" in row else None
         gates.append(Gate(gid, kind, var, value, children, weights, exp))
     return Circuit(field, arity, tuple(gates), output)
 

@@ -47,7 +47,7 @@ def _circuit_oracle(args) -> Oracle:
     circuit = load_circuit(args.circuit)
     if getattr(args, "field", None):
         circuit = circuit.with_field(Field.from_spec(args.field))
-    return Oracle.from_circuit(circuit)
+    return Oracle(circuit)
 
 
 def positive_int(text: str) -> int:

@@ -1,12 +1,14 @@
 """Depth-3 diagonal circuits: sums of powers of affine forms.
 
 A :class:`DiagonalCircuit` stores terms (c_i, affine form, d_i) and computes
-sum c_i * (const_i + <coeffs_i, x>)^(d_i).  Its rank is the linear rank of
-the non-constant parts; when that rank r is small the circuit can be
-compressed to r variables by a coordinate-selection substitution that keeps
-nonzeroness, which is what makes the low-cone identity test effective here:
-the partial-derivative space of a k-term diagonal circuit has dimension at
-most sum (d_i + 1).
+sum c_i * (const_i + <coeffs_i, x>)^(d_i): its program is three array steps
+built straight from the terms, L = A.[1; x], P = L^d row by row and c.P,
+and its gate view serves only the scalar twin ``evaluate``.  Its rank is
+the linear rank of the non-constant parts; when that rank r is small the
+circuit can be compressed to r variables by a coordinate-selection
+substitution that keeps nonzeroness, which is what makes the low-cone
+identity test effective here: the partial-derivative space of a k-term
+diagonal circuit has dimension at most sum (d_i + 1).
 
 JSON document format::
 
@@ -22,8 +24,8 @@ from functools import cached_property
 from math import comb
 from typing import Sequence
 
-from .circuits import Circuit, CircuitBuilder, Oracle, evaluate_points
-from .documents import load_document
+from .circuits import Circuit, CircuitBuilder, Oracle, Program, weight_matrix
+from .documents import json_list, load_document, natural
 from .errors import RankZero, ValidationError
 from .fields import Field, Scalar
 from .linalg import RowReducer
@@ -61,17 +63,32 @@ class DiagonalCircuit:
         return max((t.d for t in self.terms), default=0)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """The scalar twin: the gate view's ``Circuit.evaluate``."""
         return self.to_circuit().evaluate(point)
 
     def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        return evaluate_points(self.to_circuit(), points)
+        return self.program.evaluate_many(points)
+
+    @cached_property
+    def program(self) -> Program:
+        """Three steps, built from the terms on first use, with no gate:
+        L = A.[1; x] for A = [const | coeffs], P = L^d row by row, then
+        c.P.  The terms are taken in ascending d, which is the order in
+        which ``pow`` raises rows most cheaply."""
+        F, whole = self.field, slice(None)
+        zero = DiagonalTerm(F.zero(), F.zero(), (F.zero(),) * self.arity, 0)  # no terms: the sum 0
+        terms = sorted(self.terms, key=lambda t: t.d) or [zero]
+        A = weight_matrix(F, [(t.const,) + t.coeffs for t in terms])
+        c = weight_matrix(F, [[t.c for t in terms]])
+        steps = [("lincomb", ((0, whole),), A), ("pow", ((1, whole),), tuple(t.d for t in terms))]
+        return Program(F, self.arity, steps + [("lincomb", ((2, whole),), c)])
 
     def as_oracle(self) -> Oracle:
         return Oracle(self, self.degree())
 
     def to_circuit(self) -> Circuit:
         """Equivalent gate-level circuit (weighted add -> pow -> weighted add),
-        built once per circuit."""
+        built once per circuit, on first use: the scalar twin's view."""
         return self._gates
 
     @cached_property
@@ -153,7 +170,7 @@ def diag_pit(circuit: DiagonalCircuit) -> PitVerdict:
         psi = build_psi(circuit)
     except RankZero:
         # Constant polynomial: evaluate once at the origin.
-        v = circuit.evaluate([circuit.field.zero()] * circuit.arity)
+        v = circuit.evaluate_many([[circuit.field.zero()] * circuit.arity])[0]
         if v == 0:
             return PitVerdict(ZERO, None, None, 1, 1)
         return PitVerdict(NONZERO, (), v, 1, 1)
@@ -227,8 +244,9 @@ def diagonal_to_json(circuit: DiagonalCircuit) -> str:
 def diagonal_from_json(text: str) -> DiagonalCircuit:
     def build(doc) -> DiagonalCircuit:
         field = Field.from_spec(doc["field"])
-        arity = int(doc["arity"])
-        terms = [(row["c"], row["const"], row["coeffs"], int(row["d"])) for row in doc["terms"]]
+        arity = natural(doc["arity"], "arity")
+        rows = json_list(doc["terms"], "terms")
+        terms = [(row["c"], row["const"], json_list(row["coeffs"], "coeffs"), natural(row["d"], "d")) for row in rows]
         return DiagonalCircuit.make(field, arity, terms)
 
     return load_document(text, build)

@@ -39,6 +39,25 @@ def load_document(text: str, build: Callable[[Any], T]) -> T:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
+def natural(value: Any, what: str) -> int:
+    """A JSON integer >= 0, else :class:`ParseError`: no float, no bool and
+    no string is read as one."""
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{what} must be a natural number, got {json.dumps(value)}")
+    return value
+
+
+def json_list(value: Any, what: str) -> list:
+    """A JSON array, else :class:`ParseError`."""
+    if type(value) is not list:
+        raise ParseError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def exponent_vector(value: Any) -> ExpVec:
+    return tuple(natural(x, "exponent") for x in json_list(value, "exponent vector"))
+
+
 def multipoly_to_obj(p: MultiPoly) -> dict:
     return {
         "field": p.field.spec,
@@ -49,9 +68,9 @@ def multipoly_to_obj(p: MultiPoly) -> dict:
 
 def _poly_from_parts(field: Field, arity: int, rows) -> MultiPoly:
     items = []
-    for row in rows:
+    for row in json_list(rows, "terms"):
         try:
-            items.append((tuple(int(x) for x in row["exp"]), row["coef"]))
+            items.append((exponent_vector(row["exp"]), row["coef"]))
         except KeyError as exc:
             raise ParseError(f"term missing key {exc.args[0]!r}") from exc
     return MultiPoly.make(field, arity, items)
@@ -59,7 +78,7 @@ def _poly_from_parts(field: Field, arity: int, rows) -> MultiPoly:
 
 def multipoly_from_json(text: str) -> MultiPoly:
     return load_document(
-        text, lambda doc: _poly_from_parts(Field.from_spec(doc["field"]), int(doc["arity"]), doc["terms"])
+        text, lambda doc: _poly_from_parts(Field.from_spec(doc["field"]), natural(doc["arity"], "arity"), doc["terms"])
     )
 
 
@@ -78,9 +97,10 @@ def vectorpoly_to_json(f: VectorPoly) -> str:
 def vectorpoly_from_json(text: str) -> VectorPoly:
     def build(doc) -> VectorPoly:
         field = Field.from_spec(doc["field"])
-        arity = int(doc["arity"])
-        dim = int(doc["dim"])
-        items = [(tuple(int(x) for x in row["exp"]), row["coef"]) for row in doc["terms"]]
+        arity = natural(doc["arity"], "arity")
+        dim = natural(doc["dim"], "dim")
+        rows = json_list(doc["terms"], "terms")
+        items = [(exponent_vector(row["exp"]), json_list(row["coef"], "coef")) for row in rows]
         return VectorPoly.make(field, arity, dim, items)
 
     return load_document(text, build)
@@ -88,8 +108,8 @@ def vectorpoly_from_json(text: str) -> VectorPoly:
 
 def monomial_set_from_json(text: str) -> tuple[int, list[ExpVec]]:
     def build(doc) -> tuple[int, list[ExpVec]]:
-        arity = int(doc["arity"])
-        vectors = [tuple(int(x) for x in row) for row in doc["vectors"]]
+        arity = natural(doc["arity"], "arity")
+        vectors = [exponent_vector(row) for row in json_list(doc["vectors"], "vectors")]
         for v in vectors:
             if len(v) != arity:
                 raise ParseError(f"vector {v} does not have arity {arity}")
@@ -101,7 +121,8 @@ def monomial_set_from_json(text: str) -> tuple[int, list[ExpVec]]:
 def product_terms_from_json(text: str) -> list[list[MultiPoly]]:
     def build(doc) -> list[list[MultiPoly]]:
         field = Field.from_spec(doc["field"])
-        arity = int(doc["arity"])
-        return [[_poly_from_parts(field, arity, factor) for factor in group] for group in doc["terms"]]
+        arity = natural(doc["arity"], "arity")
+        groups = json_list(doc["terms"], "terms")
+        return [[_poly_from_parts(field, arity, factor) for factor in json_list(group, "group")] for group in groups]
 
     return load_document(text, build)

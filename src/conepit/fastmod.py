@@ -1,7 +1,10 @@
 """Vectorized field arithmetic kernels (internal).
 
-Exact arithmetic on numpy arrays, used to evaluate circuits on many points
-at once.  Every field has a kernel:
+Exact arithmetic on numpy arrays, one point per column, used to run
+circuit programs on many points at once.  Besides elementwise ``add``,
+``mul`` and ``pow`` (one exponent, or a tuple of one per row), every kernel
+has ``lincomb(W, V)``, the product of a weight matrix with a 2-D block.
+Every field has a kernel:
 
 * p = 2^61 - 1: two residue layouts, fixed per batch from its point count
   (see :class:`Mersenne61Kernel`).  Batches of up to ``SMALL`` points are
@@ -19,8 +22,15 @@ at once.  Every field has a kernel:
   ``Fraction`` inside the engine; the engine's exits turn values back into
   ``Fraction`` field scalars.
 
-Values enter through ``array`` and scalars through ``scalar``.  Over a
-prime an exact ``int`` is reduced mod p directly, and anything else
+On object layouts ``lincomb`` is one object ``np.dot`` and one reduction
+mod p (none over Q); a uint64 dot product would overflow, so the uint64
+layouts run ``lincomb`` as one ``mul`` and one ``add`` per column of W.
+``pow`` with one exponent per row multiplies rows up from lower powers,
+so a sum of low powers costs a few ``mul`` calls.
+
+Values enter through ``array`` and ``full``; a weight matrix is an object
+array of residues (over Q, of ints and Fractions).  Over a prime an exact
+``int`` is reduced mod p directly, and anything else
 (numpy integers, ``Fraction``s) goes through ``Field.of``, so results
 equal those of the scalar path, ``Circuit.evaluate``, on any integer or
 rational input.
@@ -70,6 +80,33 @@ def _residues(values: Sequence[Scalar], field: Field) -> np.ndarray:
     return np.array(_residue_list(values, field), dtype=np.uint64)
 
 
+def _lincomb_loop(kern, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """W.V in a uint64 layout, where a dot product would overflow: one
+    ``mul`` and one ``add`` per column of W (residues), each on a block."""
+    Wu = W.astype(np.uint64)
+    acc = kern.mul(Wu[:, :1], V[:1])
+    for j in range(1, W.shape[1]):
+        acc = kern.add(acc, kern.mul(Wu[:, j : j + 1], V[j : j + 1]))
+    return acc
+
+
+def _pow_rows(kern, a: np.ndarray, exps: tuple[int, ...]) -> np.ndarray:
+    """Row i of ``a`` raised to exps[i].  In ascending exponent order every
+    row is multiplied up from the power of the row before it, so low powers
+    cost about one ``mul`` per row and degree, not a power per element."""
+    order = sorted(range(len(exps)), key=exps.__getitem__)
+    if order != list(range(len(exps))):
+        out = np.empty_like(a)
+        out[order] = _pow_rows(kern, a[order], tuple(sorted(exps)))
+        return out
+    out = kern.pow(a, exps[0]) if exps and exps[0] != 1 else a.copy()
+    for i in range(1, len(exps)):
+        gap = exps[i] - exps[i - 1]
+        if gap:
+            out[i:] = kern.mul(out[i:], a[i:] if gap == 1 else kern.pow(a[i:], gap))
+    return out
+
+
 class Mersenne61Kernel:
     """mod (2^61 - 1) vector arithmetic; operands must be canonical residues,
     which :meth:`array` produces from any integers.
@@ -98,9 +135,6 @@ class Mersenne61Kernel:
         if self.small:
             return np.array(_residue_list(values, self.field), dtype=object)
         return _residues(values, self.field)
-
-    def scalar(self, value: int) -> int | np.uint64:
-        return int(value) if self.small else _U(value)
 
     def full(self, n: int, value: int) -> np.ndarray:
         if self.small:
@@ -132,7 +166,14 @@ class Mersenne61Kernel:
         acc = self.reduce(lo) + (hi << self._S3) + (mid >> self._S29) + ((mid & self._LOW29) << self._S32)
         return self.reduce(acc)     # acc < 2^63
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+    def lincomb(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+        if self.small:
+            return W.dot(V) % self.p
+        return _lincomb_loop(self, W, V)
+
+    def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
+        if type(e) is tuple:
+            return _pow_rows(self, a, e)
         if self.small:
             return self._powmod(a, e, self.p)
         return square_and_multiply(a, e, np.ones_like(a), self.mul)
@@ -149,9 +190,6 @@ class SmallPrimeKernel:
     def array(self, values: Sequence[Scalar]) -> np.ndarray:
         return _residues(values, self.field)
 
-    def scalar(self, value: int) -> np.uint64:
-        return _U(value)
-
     def full(self, n: int, value: int) -> np.ndarray:
         return np.full(n, value, dtype=np.uint64)
 
@@ -161,7 +199,12 @@ class SmallPrimeKernel:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a * b) % self._p
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+    def lincomb(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return _lincomb_loop(self, W, V)
+
+    def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
+        if type(e) is tuple:
+            return _pow_rows(self, a, e)
         return square_and_multiply(a, e, np.ones_like(a), self.mul)
 
 
@@ -197,9 +240,6 @@ class ObjectKernel:
             values = values.tolist()
         return np.array([self._entry(v) for v in values], dtype=object)
 
-    def scalar(self, value: Scalar) -> Scalar:
-        return self._entry(value)
-
     def full(self, n: int, value: Scalar) -> np.ndarray:
         return np.full(n, self._entry(value), dtype=object)
 
@@ -209,7 +249,13 @@ class ObjectKernel:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b if self.p is None else (a * b) % self.p
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+    def lincomb(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+        out = W.dot(V)
+        return out if self.p is None else out % self.p
+
+    def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
+        if type(e) is tuple:
+            return _pow_rows(self, a, e)
         return a**e if self.p is None else self._powmod(a, e, self.p)
 
 

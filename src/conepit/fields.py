@@ -92,6 +92,8 @@ class Field:
     @staticmethod
     def from_spec(spec: str) -> "Field":
         """Parse a field spec string: ``"q"`` or ``"p:<decimal prime>"``."""
+        if not isinstance(spec, str):
+            raise ParseError(f"field spec must be a string, got {spec!r}")
         spec = spec.strip()
         if spec == "q":
             return Field.rationals()
@@ -162,7 +164,7 @@ class Field:
             raise ZeroInverse("0 has no multiplicative inverse")
         if self.p is None:
             return 1 / Fraction(a)
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a: Scalar, e: int) -> Scalar:
         if self.p is not None:
@@ -183,11 +185,6 @@ class Field:
     def require_size_over(self, n: int, what: str) -> None:
         if not self.size_exceeds(n):
             raise CharTooSmall(f"{what} needs a field with more than {n} elements, have F_{self.p}")
-
-
-def scalar_inverse(a: Scalar, field: Field) -> Scalar:
-    """Multiplicative inverse of a nonzero scalar (raises ZeroInverse on 0)."""
-    return field.inv(a)
 
 
 def clear_denominators(values: Sequence[Scalar]) -> tuple[list[int], int]:

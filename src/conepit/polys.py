@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, TooLarge, ZeroPolynomial
-from .fields import Field, Scalar, square_and_multiply
+from .fields import Field, Scalar
 from .linalg import RowReducer
 
 ExpVec = tuple[int, ...]
@@ -274,9 +274,6 @@ class MultiPoly:
         c = F.one() if c is None else c
         return MultiPoly(F, self.arity, {tuple(a + b for a, b in zip(m, e)): F.mul(c, v) for m, v in self.terms.items()})
 
-    def pow(self, e: int) -> "MultiPoly":
-        return square_and_multiply(self, e, MultiPoly.const(self.field, self.arity, 1), MultiPoly.mul)
-
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.arity:
             raise ArityMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
@@ -289,29 +286,6 @@ class MultiPoly:
                     term = F.mul(term, F.pow(v, x))
             acc = F.add(acc, term)
         return acc
-
-    def compose(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute images[i] for variable i; images share arity and field."""
-        if len(images) != self.arity:
-            raise ArityMismatch(f"need {self.arity} images, got {len(images)}")
-        F = self.field
-        m = images[0].arity if images else 0
-        out = MultiPoly.zero(F, m)
-        powers: list[dict[int, MultiPoly]] = [{} for _ in images]
-
-        def power(i: int, e: int) -> MultiPoly:
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = images[i].pow(e)
-            return cache[e]
-
-        for e, c in self.terms.items():
-            term = MultiPoly.const(F, m, 1)
-            for i, x in enumerate(e):
-                if x:
-                    term = term.mul(power(i, x))
-            out = out.add(term.scale(c))
-        return out
 
     def render(self) -> str:
         """Human text: `c*mono` terms joined by ` + `, ascending deg-lex."""

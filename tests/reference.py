@@ -13,7 +13,8 @@ from math import comb
 from conepit import hsg
 from conepit.errors import VerificationFailed
 from conepit.extraction import vandermonde_row
-from conepit.fields import DensePoly, Field, Scalar
+from conepit.errors import ArityMismatch
+from conepit.fields import DensePoly, Field, Scalar, square_and_multiply
 from conepit.linalg import RowReducer, integer_nullspace_canonical, nullspace_canonical
 from conepit.polys import ExpVec, MultiPoly, VectorPoly, deglex_key
 
@@ -120,6 +121,28 @@ def subset_uniqueness_design_ok(subsets, n: int, d: int) -> bool:
     return True
 
 
+def poly_pow(p: MultiPoly, e: int) -> MultiPoly:
+    """p^e by repeated squaring of sparse polynomials."""
+    return square_and_multiply(p, e, MultiPoly.const(p.field, p.arity, 1), MultiPoly.mul)
+
+
+def compose(p: MultiPoly, images) -> MultiPoly:
+    """p with images[i] substituted for variable i, expanded term by term;
+    the images share one arity and field."""
+    if len(images) != p.arity:
+        raise ArityMismatch(f"need {p.arity} images, got {len(images)}")
+    F = p.field
+    m = images[0].arity if images else 0
+    out = MultiPoly.zero(F, m)
+    for e, c in p.terms.items():
+        term = MultiPoly.const(F, m, 1)
+        for img, x in zip(images, e):
+            if x:
+                term = term.mul(poly_pow(img, x))
+        out = out.add(term.scale(c))
+    return out
+
+
 def symbolic_shift_coefficients(f: VectorPoly, w) -> dict[ExpVec, list[dict[int, Scalar]]]:
     """Coefficients of f(x + t^w) computed by literal substitution in a ring
     with t appended as an extra variable.  Returns, per monomial in x, one
@@ -137,7 +160,7 @@ def symbolic_shift_coefficients(f: VectorPoly, w) -> dict[ExpVec, list[dict[int,
     for t in range(f.dim):
         coord = f.coordinate(t)
         lifted = MultiPoly(F, n + 1, {e + (0,): c for e, c in coord.terms.items()})
-        shifted = lifted.compose(images + [MultiPoly.variable(F, n + 1, n)])
+        shifted = compose(lifted, images + [MultiPoly.variable(F, n + 1, n)])
         for e, c in shifted.terms.items():
             x_part, t_pow = e[:n], e[n]
             slot = out.setdefault(x_part, [dict() for _ in range(f.dim)])

@@ -13,6 +13,7 @@ from conepit.circuits import (
     serialize,
 )
 from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
+from conepit.fastmod import SMALL, ObjectKernel, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.polys import MultiPoly
@@ -71,17 +72,17 @@ def test_substitute_examples():
     y4 = MultiPoly.make(Q, 1, {(4,): 1})
     sub = C.substitute({0: y2, 1: y4})
     assert sub.arity == 1
-    assert dense_expand(Oracle.from_circuit(sub)) == MultiPoly.make(Q, 1, {(6,): 1})
+    assert dense_expand(Oracle(sub)) == MultiPoly.make(Q, 1, {(6,): 1})
 
     identity = {i: MultiPoly.variable(Q, 2, i) for i in range(2)}
     again = C.substitute(identity)
-    assert dense_expand(Oracle.from_circuit(again)) == dense_expand(Oracle.from_circuit(C))
+    assert dense_expand(Oracle(again)) == dense_expand(Oracle(C))
 
     b = CircuitBuilder(Q, 2)
     C2 = b.build(b.add([(1, b.input(0)), (1, b.input(1))]))
     q = MultiPoly.make(Q, 1, {(1,): 1, (0,): 1})
     doubled = C2.substitute({0: q, 1: q})
-    assert dense_expand(Oracle.from_circuit(doubled)) == MultiPoly.make(Q, 1, {(1,): 2, (0,): 2})
+    assert dense_expand(Oracle(doubled)) == MultiPoly.make(Q, 1, {(1,): 2, (0,): 2})
 
 
 def test_substitute_field_mismatch():
@@ -105,11 +106,11 @@ def test_substitute_homomorphism_random():
 
 def test_dense_expand_examples():
     C = build_sum_square(Q)
-    assert dense_expand(Oracle.from_circuit(C)) == MultiPoly.make(Q, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    assert dense_expand(Oracle(C)) == MultiPoly.make(Q, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
     b = CircuitBuilder(Q, 2)
     Z = b.build(b.const(0))
-    assert dense_expand(Oracle.from_circuit(Z)).is_zero
+    assert dense_expand(Oracle(Z)).is_zero
 
 
 def test_dense_expand_round_trip_random():
@@ -121,7 +122,7 @@ def test_dense_expand_round_trip_random():
         n = rng.randint(1, 4)
         C = random_circuit(rng, field, n, rng.randint(2, 12), 5)
         assert C.size <= 120
-        poly = dense_expand(Oracle.from_circuit(C))
+        poly = dense_expand(Oracle(C))
         pts = [[field.random(rng) for _ in range(n)] for _ in range(20)]
         vals = C.evaluate_many(pts)
         for pt, v in zip(pts, vals):
@@ -132,19 +133,32 @@ def test_dense_expand_guard_and_char(monkeypatch):
     b = CircuitBuilder(Q, 9)
     C = b.build(b.pow(b.input(0), 8))
     with pytest.raises(TooLarge):
-        dense_expand(Oracle.from_circuit(C, degree=8))
+        dense_expand(Oracle(C, degree=8))
     # One variable: the (d + 1)^2 interpolation table outgrows the grid.
     monkeypatch.setattr(circuits, "DENSE_EXPAND_GUARD", 100)
     b = CircuitBuilder(FP, 1)
-    assert dense_expand(Oracle.from_circuit(b.build(b.pow(b.input(0), 9)))) == MultiPoly.make(FP, 1, {(9,): 1})
+    assert dense_expand(Oracle(b.build(b.pow(b.input(0), 9)))) == MultiPoly.make(FP, 1, {(9,): 1})
     b = CircuitBuilder(FP, 1)
     with pytest.raises(TooLarge):
-        dense_expand(Oracle.from_circuit(b.build(b.pow(b.input(0), 10))))
+        dense_expand(Oracle(b.build(b.pow(b.input(0), 10))))
     F3 = Field.prime(3)
     b = CircuitBuilder(F3, 1)
     C = b.build(b.pow(b.input(0), 4))
     with pytest.raises(CharTooSmall):
-        dense_expand(Oracle.from_circuit(C))
+        dense_expand(Oracle(C))
+
+
+@pytest.mark.parametrize("field", (FP, Field.prime((1 << 31) - 1)), ids=lambda F: F.spec)
+def test_dense_expand_at_width_301(field):
+    # 301 grid points cross SMALL into the uint64 layout, where the
+    # interpolation runs as lincomb's mul/add loop
+    assert 301 > SMALL and not isinstance(kernel_for(field, 301), ObjectKernel)
+    rng = random.Random(301)
+    terms = [((e,), field.random(rng)) for e in rng.sample(range(300), 20)] + [((300,), field.p - 1), ((0,), 1)]
+    P = MultiPoly.make(field, 1, terms)
+    assert dense_expand(Oracle(Circuit.from_multipoly(P), degree=300)) == P
+    b = CircuitBuilder(field, 1)
+    assert dense_expand(Oracle(b.build(b.pow(b.input(0), 300)))) == MultiPoly.make(field, 1, {(300,): 1})
 
 
 def test_evaluate_many_matches_scalar_path():

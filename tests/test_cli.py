@@ -210,6 +210,46 @@ def test_malformed_documents_are_usage_errors(tmp_path, argv, text):
     assert "Traceback" not in err and err.startswith("error: ")
 
 
+GATES = '[{"id": 0, "kind": "input", "var": 0}, {"id": 1, "kind": "pow", "children": [0], "exp": 2}]'
+DIAG_TERM = '{"c": "1", "const": "1", "coeffs": ["1", "2"], "d": 2}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["diag-pit", "--diag"], '{"field": "p:7", "arity": 2, "terms": [' + DIAG_TERM.replace('"d": 2', '"d": 2.7') + "]}"),
+        (["diag-pit", "--diag"], '{"field": "p:7", "arity": 2, "terms": [' + DIAG_TERM.replace('"d": 2', '"d": true') + "]}"),
+        (["diag-pit", "--diag"], '{"field": "p:7", "arity": 2, "terms": [' + DIAG_TERM.replace('["1", "2"]', '"12"') + "]}"),
+        (["diag-pit", "--diag"], '{"field": "p:7", "arity": -1, "terms": [' + DIAG_TERM + "]}"),
+        (["diag-pit", "--diag"], '{"field": "p:7", "arity": 2, "terms": {}}'),
+        (["diag-pit", "--diag"], '{"field": 7, "arity": 2, "terms": []}'),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": -1, "gates": ' + GATES + ', "output": 1}'),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": ' + GATES.replace('"exp": 2', '"exp": 2.7') + ', "output": 1}'),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": ' + GATES.replace('"var": 0', '"var": false') + ', "output": 1}'),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": ' + GATES.replace('"id": 1', '"id": 1.0') + ', "output": 1}'),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": ' + GATES + ', "output": "1"}'),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": ' + GATES.replace("[0]", '"0"') + ', "output": 1}'),
+        (["cone-closed", "--set"], '{"arity": 2, "vectors": [[1.5, 0]]}'),
+        (["cone-closed", "--set"], '{"arity": 2, "vectors": "12"}'),
+        (["derivdim", "--poly"], '{"field": "q", "arity": 2, "terms": [{"exp": [1, -1], "coef": "1"}]}'),
+        (["shift-basis", "--weights", "1", "--vectorpoly"], '{"field": "q", "arity": 1, "dim": 1.0, "terms": [{"exp": [1], "coef": ["1"]}]}'),
+        (["shift-basis", "--weights", "1", "--vectorpoly"], '{"field": "q", "arity": 1, "dim": 2, "terms": [{"exp": [1], "coef": "12"}]}'),
+        (["annihilate", "--hsg"], '{"field": "q", "degree": true, "polys": [["0", "1"], ["0", "0", "1"]]}'),
+        (["annihilate", "--hsg"], '{"field": "q", "degree": 2, "polys": ["01", "001"]}'),
+        (["fischer", "--terms"], '{"field": "q", "arity": 2, "terms": [[[{"exp": [1, 0.5], "coef": "1"}]]]}'),
+    ],
+)
+def test_integers_and_lists_are_strict(tmp_path, argv, text):
+    # a float, a bool, a string or a negative number where the format has a
+    # natural number, or a string or object where it has a list, is a
+    # malformed document: before, int() and iteration read them
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (2, ""), err
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

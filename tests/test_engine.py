@@ -11,11 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, dense_expand
+from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Program, dense_expand, parse, serialize
+from conepit.diagonal import DiagonalCircuit, diag_pit, diagonal_from_json, diagonal_to_json
+from conepit.errors import ArityMismatch
 from conepit.fastmod import SMALL, Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.polys import MultiPoly
+from reference import poly_pow
 
 FIELDS = [Field.prime(p) for p in (2, 7, (1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)] + [Field.rationals()]
 IDS = [F.spec for F in FIELDS]
@@ -120,7 +123,7 @@ def test_dense_expand_recovers_the_source_polynomial(field, seed):
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     P = random_multipoly(rng, field, n, rng.randint(0, 4), rng.randint(0, 6))
-    assert dense_expand(Oracle.from_circuit(Circuit.from_multipoly(P))) == P
+    assert dense_expand(Oracle(Circuit.from_multipoly(P))) == P
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -138,7 +141,7 @@ def test_repeated_children_and_a_consumed_output(field):
     assert C.evaluate_many(pts) == [C.evaluate(pt) for pt in pts]
     assert C.evaluate_many([[3, 5]]) == [field.of(2 * 9 + 5 * 5)]
 
-    oracle = Oracle.from_circuit(C, degree=2)
+    oracle = Oracle(C, degree=2)
     grid = oracle.eval_grid(3)
     nodes = [(i, j) for i in range(3) for j in range(3)]
     assert grid.tolist() == [C.evaluate(pt) for pt in nodes]
@@ -178,7 +181,7 @@ def rational_circuits(draw, arity: int, max_degree: int = 4):
             x, exp = draw(st.sampled_from(ids)), draw(st.integers(0, 3))
             if degs[x] * exp > max_degree:
                 continue
-            poly, deg, gid = polys[x].pow(exp), degs[x] * exp, b.pow(x, exp)
+            poly, deg, gid = poly_pow(polys[x], exp), degs[x] * exp, b.pow(x, exp)
         polys[gid], degs[gid] = poly, deg
     out = max(polys)
     return b.build(out), polys[out]
@@ -199,7 +202,7 @@ def test_rational_circuits_give_fractions(data):
     assert many == one == [P.evaluate(pt) for pt in pts]
     assert all(type(v) is Fraction for v in many + one)
     assume(any(c.denominator > 1 for c in P.terms.values()))
-    got = dense_expand(Oracle.from_circuit(C))
+    got = dense_expand(Oracle(C))
     assert got == P
     assert all(type(c) is Fraction for c in got.terms.values())
 
@@ -222,7 +225,7 @@ def test_mersenne_layouts_agree(a, data, e):
         assert kern.mul(xa, xb).tolist() == want_mul
         assert kern.add(xa, xb).tolist() == want_add
         assert kern.pow(xa, e).tolist() == want_pow
-        assert kern.mul(kern.scalar(b[0]), xa).tolist() == [b[0] * x % M61.p for x in a]
+        assert kern.mul(kern.array([b[0]]), xa).tolist() == [b[0] * x % M61.p for x in a]
 
 
 def test_object_layout_holds_python_ints():
@@ -230,7 +233,7 @@ def test_object_layout_holds_python_ints():
     kern = kernel_for(M61, SMALL)
     values = [M61.p - 1, -5, 1 << 40]
     x = kern.array([np.uint64(values[0]), np.int64(values[1]), values[2]])
-    y = kern.mul(kern.mul(x, kern.full(3, np.uint64(M61.p - 2))), kern.scalar(np.uint64(3)))
+    y = kern.mul(kern.mul(x, kern.full(3, np.uint64(M61.p - 2))), kern.array([np.uint64(3)]))
     assert all(type(v) is int for v in x.tolist() + y.tolist())
     assert y.tolist() == [3 * (M61.p - 2) * v % M61.p for v in values]
 
@@ -250,7 +253,7 @@ def test_dense_expand_across_grid_chunks():
     assert count > GRID_CHUNK and count % GRID_CHUNK
     rng = random.Random(6)
     D = random_diagonal(rng, M61, 6, 4, 4)
-    oracle = Oracle.from_circuit(D.to_circuit(), degree=4)
+    oracle = Oracle(D.to_circuit(), degree=4)
     grid = oracle.eval_grid(5)
     assert oracle.calls == count
     for pos in (0, GRID_CHUNK - 1, GRID_CHUNK, 2 * GRID_CHUNK + 1, count - 1):
@@ -260,3 +263,140 @@ def test_dense_expand_across_grid_chunks():
     for _ in range(20):
         pt = [rng.randrange(M61.p) for _ in range(6)]
         assert P.evaluate(pt) == D.evaluate(pt)
+
+
+# -- compiled programs: the gate program and the diagonal program against
+# the scalar twin Circuit.evaluate
+
+PROGRAM_FIELDS = [M61, Field.prime((1 << 31) - 1), Field.prime(7), Q]
+
+
+def coordinates(field: Field):
+    """Negative and wider-than-uint64 ints, numpy integers and Fractions
+    (over F_p with a denominator that is a unit)."""
+    fractions = st.fractions(max_denominator=1 << 70)
+    if field.p is not None:
+        fractions = fractions.filter(lambda x: x.denominator % field.p)
+    return st.one_of(integers, numpy_integers, fractions)
+
+
+@st.composite
+def diagonal_circuits(draw, field: Field, arity: int):
+    """Zero to four terms, exponents 0 to 4, forms with zero coefficients
+    (constant-only forms among them)."""
+    scalar = st.one_of(st.integers(-3, 3), st.integers(0, (field.p or 97) - 1))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = [draw(scalar) for _ in range(arity)]
+        terms.append((draw(scalar), draw(scalar), coeffs, draw(st.integers(0, 4))))
+    return DiagonalCircuit.make(field, arity, terms)
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([0, SMALL + 1]))
+def test_programs_match_the_scalar_twin(field, seed, data, count):
+    # count 0: the drawn points alone; SMALL + 1: repeated past the object
+    # layout of 2^61 - 1 into the uint64 one
+    rng = random.Random(seed)
+    n = data.draw(st.integers(0, 3))
+    circuits = [data.draw(diagonal_circuits(field, n))]
+    if n:
+        circuits.append(random_circuit(rng, field, n, rng.randint(1, 8), 4))
+    drawn = data.draw(st.lists(st.lists(coordinates(field), min_size=n, max_size=n), min_size=1, max_size=4))
+    pts = [drawn[i % len(drawn)] for i in range(count or len(drawn))]
+    for C in circuits:
+        one = [C.evaluate(pt) for pt in drawn]
+        assert C.evaluate_many(pts) == [one[i % len(drawn)] for i in range(len(pts))]
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+def test_diagonal_edge_cases(field):
+    F = field
+    at = [[1, 2], [3, -4]]
+    none = DiagonalCircuit.make(F, 2, [])
+    assert none.evaluate_many(at) == [F.zero()] * 2 == [none.evaluate(pt) for pt in at]
+    # d = 0 is the constant c, whatever the form
+    assert DiagonalCircuit.make(F, 2, [(5, 1, (2, 3), 0)]).evaluate_many(at) == [F.of(5)] * 2
+    # a constant-only form, and arity 0
+    assert DiagonalCircuit.make(F, 2, [(3, 2, (0, 0), 3)]).evaluate_many(at) == [F.of(24)] * 2
+    D0 = DiagonalCircuit.make(F, 0, [(3, 2, (), 2), (1, 1, (), 0)])
+    assert D0.evaluate_many([()] * 3) == [F.of(13)] * 3 == [D0.evaluate(())] * 3
+    # no points at all
+    assert D0.evaluate_many([]) == [] == none.evaluate_many([])
+    with pytest.raises(ArityMismatch):
+        none.evaluate_many([[1, 2], [3]])
+
+
+def test_programs_compile_lazily_once():
+    rng = random.Random(5)
+    D = diagonal_from_json(diagonal_to_json(random_diagonal(rng, M61, 3, 4, 3)))
+    C = parse(serialize(random_circuit(rng, M61, 3, 6, 3)))
+    assert "program" not in vars(D) and "program" not in vars(C)
+    D.evaluate_many([[1, 2, 3]])
+    C.evaluate_many([[1, 2, 3]])
+    assert vars(D)["program"] is D.program and vars(C)["program"] is C.program
+    # L = A.[1; x], P = L^d row by row, c.P
+    assert [op for op, *_ in D.program.steps] == ["lincomb", "pow", "lincomb"]
+
+
+def test_diag_pit_builds_no_gate_circuit(monkeypatch):
+    built = []
+    to_circuit = DiagonalCircuit.to_circuit
+    monkeypatch.setattr(DiagonalCircuit, "to_circuit", lambda self: built.append(self) or to_circuit(self))
+    rng = random.Random(9)
+    for zero in (True, False):
+        for _ in range(4):
+            D = random_diagonal(rng, M61, rng.randint(2, 4), 4, 3, force_zero=zero)
+            assert diag_pit(D).is_zero == zero
+    # all forms constant: the one evaluation at the origin
+    assert diag_pit(DiagonalCircuit.make(M61, 2, [(2, 3, (0, 0), 2)])).coefficient == 18
+    assert built == []
+
+
+def test_grid_chunks_keep_every_block_within_the_bound(monkeypatch):
+    # nine terms make blocks of nine rows, so a chunk holds GRID_CHUNK // 9
+    # points and no block of a run exceeds GRID_CHUNK entries
+    sizes = []
+    run = Program.run
+    monkeypatch.setattr(Program, "run", lambda self, kern, x: sizes.append((self.width, x.shape[1])) or run(self, kern, x))
+    D = random_diagonal(random.Random(3), M61, 3, 9, 3)
+    oracle = Oracle(D, degree=3)
+    grid = oracle.eval_grid(17)
+    assert D.program.width == 9 and max(w * n for w, n in sizes) <= GRID_CHUNK < 9 * sizes[0][1] + 9
+    assert sum(n for _, n in sizes) == 17**3 and grid[-1] == D.evaluate([16, 16, 16])
+
+
+UINT64_KERNELS = [Mersenne61Kernel(SMALL + 1), SmallPrimeKernel(Field.prime((1 << 31) - 1)), SmallPrimeKernel(Field.prime(7))]
+
+
+@pytest.mark.parametrize("kern", UINT64_KERNELS, ids=lambda k: f"p:{k.p}")
+@pytest.mark.parametrize("rows, cols, points", [(1, 1, 3), (3, 5, 7), (6, 9, 40)])
+def test_lincomb_is_the_mul_add_loop_at_the_overflow_edge(kern, rows, cols, points):
+    p = kern.p
+    rng = random.Random(rows * cols)
+    for fill in (lambda: p - 1, lambda: rng.choice([0, 1, p - 1, rng.randrange(p)])):
+        W = np.array([[fill() for _ in range(cols)] for _ in range(rows)], dtype=object)
+        values = [[fill() for _ in range(points)] for _ in range(cols)]
+        V = kern.array([v for row in values for v in row]).reshape(cols, points)
+        loop = []
+        for i in range(rows):
+            acc = kern.full(points, 0)
+            for j in range(cols):
+                acc = kern.add(acc, kern.mul(kern.full(points, W[i, j]), V[j]))
+            loop.append(acc.tolist())
+        exact = [[sum(W[i, j] * values[j][t] for j in range(cols)) % p for t in range(points)] for i in range(rows)]
+        assert kern.lincomb(W, V).tolist() == loop == exact
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS + [Field.prime((1 << 89) - 1)], ids=lambda F: F.spec)
+@pytest.mark.parametrize("count", [5, SMALL + 1])
+def test_pow_with_one_exponent_per_row(field, count):
+    kern = kernel_for(field, count)
+    rng = random.Random(count)
+    exps = (3, 0, 1, 3, 70, 2, 1)
+    values = [[rng.randrange(-50, 50) for _ in range(count)] for _ in exps]
+    a = kern.array([v for row in values for v in row]).reshape(len(exps), count)
+    got = kern.pow(a, exps).tolist()
+    assert got == [[field.pow(field.of(v), e) for v in row] for row, e in zip(values, exps)]
+    assert kern.pow(a[:0], ()).shape == (0, count)

@@ -55,7 +55,7 @@ def test_vandermonde_row_duplicate_nodes():
 def sum_square_oracle(field):
     b = CircuitBuilder(field, 2)
     s = b.add([(1, b.input(0)), (1, b.input(1))])
-    return Oracle.from_circuit(b.build(b.pow(s, 2)))
+    return Oracle(b.build(b.pow(s, 2)))
 
 
 def test_extract_coefficient_examples():
@@ -70,7 +70,7 @@ def test_extract_arity_and_char_guards():
         extract_coefficient(sum_square_oracle(Q), (1, 1, 0))
     F2 = Field.prime(2)
     b = CircuitBuilder(F2, 1)
-    o = Oracle.from_circuit(b.build(b.pow(b.input(0), 2)))
+    o = Oracle(b.build(b.pow(b.input(0), 2)))
     with pytest.raises(CharTooSmall):
         extract_coefficient(o, (1,))
 
@@ -86,8 +86,8 @@ def test_extract_matches_dense_expansion_random():
         for _ in range(25 if field is FP else 8):
             n = rng.randint(1, 3)
             C = random_circuit(rng, field, n, rng.randint(2, 8), 4)
-            oracle = Oracle.from_circuit(C)
-            truth = dense_expand(Oracle.from_circuit(C))
+            oracle = Oracle(C)
+            truth = dense_expand(Oracle(C))
             for e in enumerate_low_cone(n, 16, dcap=oracle.degree):
                 assert extract_coefficient(oracle, e) == truth.coefficient(e)
 
@@ -97,7 +97,7 @@ def test_call_count_is_exactly_cone_times_degree():
     for _ in range(20):
         n = rng.randint(1, 3)
         C = random_circuit(rng, FP, n, 6, 4)
-        oracle = Oracle.from_circuit(C)
+        oracle = Oracle(C)
         e = tuple(rng.randint(0, 2) for _ in range(n))
         if sum(e) > oracle.degree:
             continue
@@ -110,13 +110,13 @@ def test_extraction_linearity():
     rng = random.Random(29)
     for _ in range(20):
         n = rng.randint(1, 3)
-        o1 = Oracle.from_circuit(random_circuit(rng, FP, n, 6, 3))
-        o2 = Oracle.from_circuit(random_circuit(rng, FP, n, 6, 3))
+        o1 = Oracle(random_circuit(rng, FP, n, 6, 3))
+        o2 = Oracle(random_circuit(rng, FP, n, 6, 3))
         a, b = FP.random(rng), FP.random(rng)
         # a*p1 + b*p2 as one circuit; both random circuits have degree <= 3
-        p1 = dense_expand(Oracle.from_circuit(o1.circuit))
-        p2 = dense_expand(Oracle.from_circuit(o2.circuit))
-        combo = Oracle.from_circuit(Circuit.from_multipoly(p1.scale(a).add(p2.scale(b))), degree=3)
+        p1 = dense_expand(Oracle(o1.circuit))
+        p2 = dense_expand(Oracle(o2.circuit))
+        combo = Oracle(Circuit.from_multipoly(p1.scale(a).add(p2.scale(b))), degree=3)
         e = tuple(rng.randint(0, 1) for _ in range(n))
         lhs = extract_coefficient(combo, e)
         rhs = FP.add(
@@ -182,7 +182,7 @@ def blank_oracle(field, n, degree):
     """An oracle of arity n and degree bound ``degree`` that reads 0
     everywhere: extraction builds its queries from these alone."""
     b = CircuitBuilder(field, n)
-    return Oracle.from_circuit(b.build(b.const(0)), degree=degree)
+    return Oracle(b.build(b.const(0)), degree=degree)
 
 
 @st.composite
@@ -227,14 +227,14 @@ def test_query_sets_are_shared_and_read_only():
 def test_large_extraction_is_exact_and_not_cached():
     # (1 + x + 2y)^20: x^3 y^3 requests 16 * 21 points, over the cache bound
     b = CircuitBuilder(FP, 2)
-    oracle = Oracle.from_circuit(b.build(b.pow(b.add([(1, b.const(1)), (1, b.input(0)), (2, b.input(1))]), 20)))
+    oracle = Oracle(b.build(b.pow(b.add([(1, b.const(1)), (1, b.input(0)), (2, b.input(1))]), 20)))
     e = (3, 3)
     assert cone_size(e) * (oracle.degree + 1) > QUERY_CACHE_POINTS
     before = extraction._cached_query_set.cache_info()
     x, y = FilteredOracle(oracle, e), FilteredOracle(oracle, e)
     assert x.queries() is not y.queries()
     assert extraction._cached_query_set.cache_info() == before
-    assert x.coefficient() == dense_expand(Oracle.from_circuit(oracle.circuit)).coefficient(e)
+    assert x.coefficient() == dense_expand(Oracle(oracle.circuit)).coefficient(e)
 
 
 def test_extraction_guard(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conepit.errors import CharTooSmall, MixedFields, ParseError, ValidationError, ZeroInverse
-from conepit.fields import DensePoly, Field, MERSENNE61, rank_over_ft, scalar_inverse
+from conepit.fields import DensePoly, Field, MERSENNE61, rank_over_ft
 from reference import schoolbook_mul
 
 
@@ -15,17 +15,23 @@ F5 = Field.prime(5)
 FP = Field.default_prime()
 
 
-def test_scalar_inverse_examples():
-    assert scalar_inverse(1, FP) == 1
-    assert scalar_inverse(2, F5) == 3
-    assert scalar_inverse(Fraction(3, 4), Q) == Fraction(4, 3)
+def test_inverse_examples():
+    assert FP.inv(1) == 1
+    assert F5.inv(2) == 3
+    assert Q.inv(Fraction(3, 4)) == Fraction(4, 3)
+    # Fermat's little theorem, the inverse's earlier route
+    rng = random.Random(3)
+    for F in (F5, Field.prime(7), Field.prime((1 << 31) - 1), FP):
+        for a in [1, F.p - 1] + [rng.randrange(1, F.p) for _ in range(50)]:
+            assert F.inv(a) == pow(a, F.p - 2, F.p)
+            assert F.mul(a, F.inv(a)) == 1
 
 
-def test_scalar_inverse_zero():
+def test_inverse_zero():
     with pytest.raises(ZeroInverse):
-        scalar_inverse(0, F5)
+        F5.inv(0)
     with pytest.raises(ZeroInverse):
-        scalar_inverse(Fraction(0), Q)
+        Q.inv(Fraction(0))
 
 
 def test_field_spec_round_trip():

@@ -26,13 +26,13 @@ def zero_circuit_oracle(field):
         (field.of(-2), b.mul([b.input(0), b.input(1)])),
         (field.of(-1), b.pow(b.input(1), 2)),
     ]
-    return Oracle.from_circuit(b.build(b.add(parts)))
+    return Oracle(b.build(b.add(parts)))
 
 
 def cube_oracle(field):
     b = CircuitBuilder(field, 2)
     s = b.add([(1, b.const(1)), (1, b.input(0)), (1, b.input(1))])
-    return Oracle.from_circuit(b.build(b.pow(s, 3)))
+    return Oracle(b.build(b.pow(s, 3)))
 
 
 def test_low_cone_pit_zero_example():
@@ -74,7 +74,7 @@ def test_low_cone_pit_witness_is_least_and_verified():
 def test_brute_force_pit_examples():
     assert brute_force_pit(zero_circuit_oracle(Q)).outcome == ZERO
     b = CircuitBuilder(Q, 2)
-    o = Oracle.from_circuit(b.build(b.input(0)))
+    o = Oracle(b.build(b.input(0)))
     v = brute_force_pit(o)
     assert v.outcome == NONZERO and v.witness == (1, 0) and v.coefficient == 1
 
@@ -117,15 +117,15 @@ def test_sz_pit_examples_and_determinism():
     assert sz_pit(zero_circuit_oracle(FP), 10, 0).outcome == ZERO
 
     b = CircuitBuilder(FP, 2)
-    o = Oracle.from_circuit(b.build(b.add([(1, b.input(0)), (FP.neg(1), b.input(1))])))
+    o = Oracle(b.build(b.add([(1, b.input(0)), (FP.neg(1), b.input(1))])))
     v = sz_pit(o, 20, 0)
     assert v.outcome == NONZERO
     assert v.witness is None
-    again = sz_pit(Oracle.from_circuit(b.build(b.add([(1, b.input(0)), (FP.neg(1), b.input(1))]))), 20, 0)
+    again = sz_pit(Oracle(b.build(b.add([(1, b.input(0)), (FP.neg(1), b.input(1))]))), 20, 0)
     assert (v.outcome, v.coefficient, v.monomials_tested) == (again.outcome, again.coefficient, again.monomials_tested)
 
     b = CircuitBuilder(FP, 1)
-    const = Oracle.from_circuit(b.build(b.const(1)))
+    const = Oracle(b.build(b.const(1)))
     v = sz_pit(const, 5, 9)
     assert v.outcome == NONZERO and v.monomials_tested == 1
 
@@ -139,7 +139,7 @@ def test_sz_pit_needs_a_trial(trials):
     # no point evaluated, so Zero would be untested
     b = CircuitBuilder(FP, 1)
     with pytest.raises(BadParameters):
-        sz_pit(Oracle.from_circuit(b.build(b.const(1))), trials, 1)
+        sz_pit(Oracle(b.build(b.const(1))), trials, 1)
 
 
 def test_verdict_rendering():
@@ -154,7 +154,7 @@ def test_tiny_arity_at_high_degree():
     # weight row of 301 nodes
     b = CircuitBuilder(FP, 2)
     s = b.add([(1, b.input(0)), (1, b.input(1)), (1, b.const(1))])
-    oracle = Oracle.from_circuit(b.build(b.pow(s, 300)))
+    oracle = Oracle(b.build(b.pow(s, 300)))
     assert low_cone_pit(oracle, 2).render() == "NONZERO witness=1 coeff=1 tested=1 calls=301"
 
 
@@ -185,11 +185,11 @@ def plan_instances(field, rng):
     for _ in range(4):
         n = rng.randint(1, 4)
         C = random_circuit(rng, field, n, rng.randint(2, 8), 4)
-        out.append((lambda C=C: Oracle.from_circuit(C), rng.choice((4, 8, 16))))
+        out.append((lambda C=C: Oracle(C), rng.choice((4, 8, 16))))
         D = random_diagonal(rng, field, n, rng.randint(1, 4), 3, force_zero=rng.random() < 0.5)
         out.append((D.as_oracle, sum(t.d + 1 for t in D.terms)))
         Z = random_diagonal(rng, field, n, rng.randint(2, 4), 3, force_zero=True).to_circuit()
-        out.append((lambda Z=Z: Oracle.from_circuit(Z), 8))
+        out.append((lambda Z=Z: Oracle(Z), 8))
     return out
 
 
@@ -229,7 +229,7 @@ def test_plan_prefetches_the_witness_layer_whole():
     # other four monomials of the layer are prefetched too, so distinct
     # evaluations exceed the request count.
     b = CircuitBuilder(FP, 5)
-    oracle = Oracle.from_circuit(b.build(b.input(4)), degree=2)
+    oracle = Oracle(b.build(b.input(4)), degree=2)
     verdict = low_cone_pit(oracle, 2)
     assert (verdict.witness, verdict.coefficient, verdict.monomials_tested) == ((0, 0, 0, 0, 1), 1, 2)
     assert verdict.oracle_calls == 3 + 6
@@ -251,7 +251,7 @@ def test_over_guard_degree_is_refused_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(pit, "enumerate_low_cone", walk)
     b = CircuitBuilder(FP, 1)
-    oracle = Oracle.from_circuit(b.build(b.input(0)), degree=10**6)
+    oracle = Oracle(b.build(b.input(0)), degree=10**6)
     with pytest.raises(TooLarge):
         low_cone_pit(oracle, 2)
     assert oracle.calls == 0
