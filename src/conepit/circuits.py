@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import json_list, load_document, natural
+from .documents import json_list, load_document, natural, scalar, scalar_list
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -61,7 +62,7 @@ from .errors import (
 )
 from .extraction import interpolation_rows
 from .fastmod import kernel_for
-from .fields import Field, Scalar
+from .fields import Field, Scalar, clear_denominators
 from .polys import ExpVec, MultiPoly
 
 DENSE_EXPAND_GUARD = 10_000_000
@@ -155,8 +156,8 @@ class Circuit:
             vals[g.id] = v
         return vals[self.output]
 
-    def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        return self.program.evaluate_many(points)
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]], scalars: bool = True) -> list[Scalar]:
+        return self.program.evaluate_many(points, scalars)
 
     @cached_property
     def program(self) -> "Program":
@@ -304,10 +305,14 @@ class CircuitBuilder:
 # The engine: compiled programs
 # ----------------------------------------------------------------------
 
-def weight_matrix(field: Field, rows: Sequence[Sequence[Scalar]]) -> np.ndarray:
+def weight_matrix(field: Field, rows: Sequence[Sequence[Scalar]]) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Field scalars as a weight matrix for ``lincomb``: an object array of
-    residues, or over Q of an ``int`` for every integral weight."""
-    rows = [[w.numerator if field.p is None and w.denominator == 1 else w for w in row] for row in rows]
+    residues or integers, or over Q, when a weight is not integral, the pair
+    (numerators, denominators), one denominator per row in an object column."""
+    if field.p is None:
+        rows, dens = zip(*map(clear_denominators, rows))
+        if set(dens) != {1}:
+            return np.array(rows, dtype=object), np.array(dens, dtype=object)[:, None]
     return np.array(rows, dtype=object)
 
 
@@ -318,10 +323,10 @@ class Program:
     Block 0 is [1; x_1; ...; x_n] and step i writes block i + 1; the last
     block's first row is the output.  A step ``(op, sources, arg)`` reads
     rows ``(block, slice)`` of earlier blocks: ``lincomb`` multiplies them
-    by the weight matrix ``arg``, ``mul`` multiplies them together and
-    ``pow`` raises them to ``arg``, one exponent or a tuple of one per row.
-    The last uses are found once, here: a run drops each block after the
-    step that reads it last."""
+    by the weights ``arg`` of :func:`weight_matrix`, ``mul`` multiplies them
+    together and ``pow`` raises them to ``arg``, one exponent or a tuple of
+    one per row.  The last uses are found once, here: a run drops each block
+    after the step that reads it last."""
 
     def __init__(self, field: Field, arity: int, steps: Sequence[tuple]):
         self.field, self.arity = field, arity
@@ -329,7 +334,8 @@ class Program:
         self.width = arity + 1  # a run on N points holds arrays of up to width * N entries
         for op, srcs, arg in steps:
             read = [len(range(rows[b])[r]) for b, r in srcs]
-            rows.append(len(arg) if op == "lincomb" else read[0] if op == "mul" else sum(read))
+            W = arg[0] if type(arg) is tuple else arg  # a lincomb's weights may be (numerators, denominators)
+            rows.append(len(W) if op == "lincomb" else read[0] if op == "mul" else sum(read))
             self.width = max(self.width, rows[-1], sum(read))
         last = {b: i for i, (_, srcs, _) in enumerate(steps) for b, _ in srcs}
         self.steps = tuple(
@@ -354,15 +360,16 @@ class Program:
                 vals[b] = None
         return vals[-1][0]
 
-    def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        """The values at the points, by one run, as field scalars."""
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]], scalars: bool = True) -> list[Scalar]:
+        """The values at the points, by one run, as field scalars, or with
+        ``scalars=False`` as the kernel holds them (over Q ints if integral)."""
         F, n, count = self.field, self.arity, len(points)
         if any(len(pt) != n for pt in points):
             raise ArityMismatch(f"points must have {n} coordinates")
         kern = kernel_for(F, count)
         coords = kern.array([v for pt in points for v in pt]).reshape(count, n).T
         values = self.run(kern, np.concatenate([kern.full(count, 1)[None], coords])).tolist()
-        return values if F.p is not None else [F.of(v) for v in values]
+        return values if F.p is not None or not scalars else [F.of(v) for v in values]
 
 
 def compile_gates(circuit: Circuit) -> Program:
@@ -428,8 +435,10 @@ class Oracle:
         return self.circuit.evaluate(point)
 
     def eval_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+        """The values at the points as the kernel holds them: over Q an
+        ``int`` for every integral value."""
         self.calls += len(points)
-        return self.circuit.evaluate_many(points)
+        return self.circuit.evaluate_many(points, scalars=False)
 
     def eval_grid(self, nodes_per_var: int) -> np.ndarray:
         """Values on the grid {0..m-1}^n in row-major order (x1 slowest), by
@@ -476,8 +485,10 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
     F.require_size_over(d, "dense_expand interpolation grid")
 
     kern = kernel_for(F, count)
-    # Row t maps the values at the nodes 0..d to the coefficient of x^t.
-    rows = weight_matrix(F, interpolation_rows(F, width))
+    # Row t maps the values at the nodes 0..d to the coefficient of x^t;
+    # over Q the rows are ints over d!, divided out once at the end.
+    rows = np.array(interpolation_rows(F, width, integral=F.p is None), dtype=object)
+    den = math.factorial(d) if F.p is None else 1
     arr = oracle.eval_grid(width)  # already in the layout of kern, for count points
     for axis in range(n):
         # the axis first, then one lincomb with the rows per chunk of lines,
@@ -491,7 +502,7 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
         arr = out.reshape(lines.shape).transpose(1, 0, 2).reshape(-1)
     nz = np.flatnonzero(arr)
     terms: dict[ExpVec, Scalar] = {
-        tuple(pos // width ** (n - 1 - i) % width for i in range(n)): F.of(c)
+        tuple(pos // width ** (n - 1 - i) % width for i in range(n)): Fraction(c, den**n) if F.p is None else F.of(c)
         for pos, c in zip(nz.tolist(), arr[nz].tolist())
     }
     return MultiPoly(F, n, terms)
@@ -544,9 +555,9 @@ def circuit_from_document(doc) -> Circuit:
         if kind not in GATE_KINDS:
             raise ParseError(f"gate {gid}: unknown kind {kind!r}")
         var = natural(row["var"], "var") if "var" in row else None
-        value = field.of(row["value"]) if "value" in row else None
+        value = field.of(scalar(row["value"], "value")) if "value" in row else None
         children = tuple(natural(c, "child id") for c in json_list(row.get("children", []), "children"))
-        weights = tuple(field.of(w) for w in json_list(row["weights"], "weights")) if "weights" in row else None
+        weights = tuple(map(field.of, scalar_list(row["weights"], "weights"))) if "weights" in row else None
         exp = natural(row["exp"], "exp") if "exp" in row else None
         gates.append(Gate(gid, kind, var, value, children, weights, exp))
     return Circuit(field, arity, tuple(gates), output)

@@ -25,7 +25,7 @@ from math import comb
 from typing import Sequence
 
 from .circuits import Circuit, CircuitBuilder, Oracle, Program, weight_matrix
-from .documents import json_list, load_document, natural
+from .documents import json_list, load_document, natural, scalar, scalar_list
 from .errors import RankZero, ValidationError
 from .fields import Field, Scalar
 from .linalg import RowReducer
@@ -66,8 +66,8 @@ class DiagonalCircuit:
         """The scalar twin: the gate view's ``Circuit.evaluate``."""
         return self.to_circuit().evaluate(point)
 
-    def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-        return self.program.evaluate_many(points)
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]], scalars: bool = True) -> list[Scalar]:
+        return self.program.evaluate_many(points, scalars)
 
     @cached_property
     def program(self) -> Program:
@@ -245,8 +245,10 @@ def diagonal_from_json(text: str) -> DiagonalCircuit:
     def build(doc) -> DiagonalCircuit:
         field = Field.from_spec(doc["field"])
         arity = natural(doc["arity"], "arity")
-        rows = json_list(doc["terms"], "terms")
-        terms = [(row["c"], row["const"], json_list(row["coeffs"], "coeffs"), natural(row["d"], "d")) for row in rows]
+        terms = []
+        for row in json_list(doc["terms"], "terms"):
+            c, const = scalar(row["c"], "c"), scalar(row["const"], "const")
+            terms.append((c, const, scalar_list(row["coeffs"], "coeffs"), natural(row["d"], "d")))
         return DiagonalCircuit.make(field, arity, terms)
 
     return load_document(text, build)

@@ -1,7 +1,7 @@
 """JSON codecs for polynomial-valued CLI documents.
 
-All scalars travel as decimal strings (``"3"``, ``"-3/4"``) so rational
-values stay exact.  Formats:
+All scalars travel as decimal strings (``"3"``, ``"-3/4"``) or JSON ints,
+so rational values stay exact; a float or a bool is refused.  Formats:
 
 * polynomial: ``{"field", "arity", "terms": [{"exp": [..], "coef": ".."}]}``
 * vector polynomial: ``{"field", "arity", "dim",
@@ -47,6 +47,18 @@ def natural(value: Any, what: str) -> int:
     return value
 
 
+def scalar(value: Any, what: str) -> int | str:
+    """A JSON integer (not a bool) or a decimal string, as it is, for
+    ``Field.of`` to read; else :class:`ParseError`: no float is read."""
+    if type(value) not in (int, str):
+        raise ParseError(f"{what} must be a decimal string or an integer, got {json.dumps(value)}")
+    return value
+
+
+def scalar_list(value: Any, what: str) -> list[int | str]:
+    return [scalar(x, what) for x in json_list(value, what)]
+
+
 def json_list(value: Any, what: str) -> list:
     """A JSON array, else :class:`ParseError`."""
     if type(value) is not list:
@@ -70,7 +82,7 @@ def _poly_from_parts(field: Field, arity: int, rows) -> MultiPoly:
     items = []
     for row in json_list(rows, "terms"):
         try:
-            items.append((exponent_vector(row["exp"]), row["coef"]))
+            items.append((exponent_vector(row["exp"]), scalar(row["coef"], "coef")))
         except KeyError as exc:
             raise ParseError(f"term missing key {exc.args[0]!r}") from exc
     return MultiPoly.make(field, arity, items)
@@ -100,7 +112,7 @@ def vectorpoly_from_json(text: str) -> VectorPoly:
         arity = natural(doc["arity"], "arity")
         dim = natural(doc["dim"], "dim")
         rows = json_list(doc["terms"], "terms")
-        items = [(exponent_vector(row["exp"]), json_list(row["coef"], "coef")) for row in rows]
+        items = [(exponent_vector(row["exp"]), scalar_list(row["coef"], "coef")) for row in rows]
         return VectorPoly.make(field, arity, dim, items)
 
     return load_document(text, build)

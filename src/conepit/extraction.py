@@ -14,7 +14,8 @@ tau^|e|.
 Stages are fused lazily: no intermediate circuit is materialized.  An
 extraction is two steps, :meth:`FilteredOracle.queries` (the base points
 and the weight of each in the combination) and :meth:`FilteredOracle.combine`
-(the weighted sum of the values there, one dot product), so a caller that
+(the weighted sum of the values there: one dot product, over Q with the
+weights' integer numerators, and one division), so a caller that
 extracts many coefficients can evaluate the union of their points once.
 The base oracle is queried exactly cone_size(e) * (d + 1) times per
 extraction.
@@ -25,24 +26,26 @@ sets, each of at most ``QUERY_CACHE_POINTS`` points, so at most 2^18
 points in all; a larger extraction builds its own.  ``EXTRACTION_GUARD``
 refuses an extraction whose points or weight rows would not fit in memory.
 
-Interpolation nodes are always 0 .. m-1, so the weight rows have a closed
-form, :func:`interpolation_row`, cached per (field, m, target), and all m
-rows of one width come out of one O(m^2) pass, :func:`interpolation_rows`;
-:func:`vandermonde_row` solves for arbitrary nodes by elimination and is
-their twin.
+Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
+int tuples), so the weight rows have a closed form, :func:`interpolation_row`;
+all m rows of one width come from one O(m^2) pass, :func:`interpolation_rows`
+(over Q also as ints, the rows times (m-1)!); :func:`vandermonde_row` solves
+for arbitrary nodes and is their twin.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import OrderedDict
+from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, DuplicateNodes, TooLarge
-from .fields import Field, Scalar
+from .fields import Field, Scalar, clear_denominators
 from .polys import ExpVec, cone_size
 
 if TYPE_CHECKING:
@@ -89,19 +92,13 @@ def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[
     return [rows[j][m] for j in range(m)]
 
 
-@functools.lru_cache(maxsize=256)
-def interpolation_nodes(field: Field, m: int) -> tuple[Scalar, ...]:
-    """The interpolation nodes 0 .. m-1 as field elements, cached."""
-    return tuple(field.of(j) for j in range(m))
-
-
 #: The row tables of :func:`interpolation_rows` held in its cache hold at
 #: most this many rows together, as many as :func:`interpolation_row`'s
 #: cache; a wider table is built and not kept.
 ROW_CACHE_ROWS = 4096
 
 
-def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tuple[Scalar, ...]]:
+def _lagrange_rows(field: Field, m: int, targets: Sequence[int], integral: bool = False) -> dict[int, tuple[Scalar, ...]]:
     """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 for
     each of ``targets``, by target, from one synthetic division.
 
@@ -109,9 +106,11 @@ def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tu
     coefficient of x^t in the Lagrange basis polynomial P(x) / ((x - j) P'(j)),
     where P'(j) = (-1)^(m-1-j) j! (m-1-j)!.  Dividing P by (x - j) for every
     j at once, from the top coefficient down, passes through the
-    coefficient of every x^t in turn, so all m rows cost O(m^2) operations
-    and each P'(j) is inverted once.  The division stops at the lowest
-    target, and only the rows asked for are scaled."""
+    coefficient of every x^t in turn, so all m rows cost O(m^2) operations.
+    As (m-1)! / P'(j) is the signed binomial (-1)^(m-1-j) C(m-1, j), only
+    (m-1)! is inverted, and the rows times (m-1)! are integers; ``integral``
+    asks for those, over Q.  The division stops at the lowest target, and
+    only the rows asked for are scaled."""
     F = field
     p = F.p
     # c[k] is the coefficient of x^k in P, built one factor (x - i) at a time.
@@ -122,11 +121,9 @@ def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tu
         c[0] = -i * c[0]
         if p is not None:
             c[: i + 2] %= p
-    # P'(j) is nonzero in F_p because p >= m
-    fact = [1]
-    for j in range(1, m):
-        fact.append(F.mul(fact[-1], j))
-    inv = np.array([F.inv(F.of((-1) ** (m - 1 - j) * fact[j] * fact[m - 1 - j])) for j in range(m)], dtype=object)
+    # (m-1)! is nonzero in F_p because p >= m
+    scale = 1 if integral else F.inv(F.of(math.factorial(m - 1)))
+    inv = np.array([F.mul((-1) ** (m - 1 - j) * math.comb(m - 1, j), scale) for j in range(m)], dtype=object)
     js = np.arange(m).astype(object)
     q = np.ones(m, dtype=object)  # the coefficient of x^(m-1) in P(x) / (x - j)
     lowest = min(targets)
@@ -147,21 +144,22 @@ def _require_distinct_nodes(field: Field, m: int) -> None:
         raise DuplicateNodes(f"interpolation nodes 0..{m - 1} not distinct in F_{field.p}")
 
 
-_row_tables: OrderedDict[tuple[Field, int], tuple[tuple[Scalar, ...], ...]] = OrderedDict()
+_row_tables: OrderedDict[tuple, tuple[tuple[Scalar, ...], ...]] = OrderedDict()
 
 
-def interpolation_rows(field: Field, m: int) -> tuple[tuple[Scalar, ...], ...]:
+def interpolation_rows(field: Field, m: int, integral: bool = False) -> tuple[tuple[Scalar, ...], ...]:
     """Every :func:`interpolation_row` on the nodes 0 .. m-1: row t maps
-    the values at the nodes to the coefficient of x^t.  O(m^2) operations
-    in all; the least recently used tables are dropped to keep at most
-    ``ROW_CACHE_ROWS`` rows."""
-    key = (field, m)
+    the values at the nodes to the coefficient of x^t; with ``integral``,
+    over Q, the rows times (m-1)!, all ints.  O(m^2) operations in all; the
+    least recently used tables are dropped to keep at most ``ROW_CACHE_ROWS``
+    rows."""
+    key = (field, m, True) if integral else (field, m)
     table = _row_tables.get(key)
     if table is not None:
         _row_tables.move_to_end(key)
         return table
     _require_distinct_nodes(field, m)
-    rows = _lagrange_rows(field, m, range(m))
+    rows = _lagrange_rows(field, m, range(m), integral)
     table = tuple(rows[t] for t in range(m))
     if m <= ROW_CACHE_ROWS:
         _row_tables[key] = table
@@ -183,17 +181,18 @@ def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     return _lagrange_rows(field, m, (target,))[target]
 
 
-def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple[Scalar, ...], ...], np.ndarray]:
+def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
     """:meth:`FilteredOracle.queries` of the extraction of x^e at degree
-    bound d over ``field``."""
+    bound d over ``field``, then the weights as numerators over one
+    denominator (over F_p the residues over 1)."""
     F = field
     points: list[tuple[Scalar, ...]] = []
     weights: list[Scalar] = []
     if sum(e) <= degree:
         # Zero-exponent coordinates use the single node 1 with weight 1: the
         # stage is the identity and contributes factor 1 to the cost.
-        t_nodes = interpolation_nodes(F, degree + 1)
-        stage_nodes = [(F.one(),) if ei == 0 else t_nodes[: ei + 1] for ei in e]
+        t_nodes = range(degree + 1)
+        stage_nodes = [(1,) if ei == 0 else t_nodes[: ei + 1] for ei in e]
         # itertools.product order over the stages: x1's node slowest
         combo = [F.one()]
         for ei in e:
@@ -202,9 +201,11 @@ def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple[
         for tau, tw in zip(t_nodes, interpolation_row(F, degree + 1, sum(e))):
             points.extend(itertools.product(*([F.mul(a, tau) for a in ns] for ns in stage_nodes)))
             weights.extend([F.mul(tw, w) for w in combo])
+    nums, den = clear_denominators(weights) if F.p is None else (weights, 1)
     out = np.array(weights, dtype=object)
-    out.flags.writeable = False
-    return tuple(points), out
+    num = np.array(nums, dtype=object) if F.p is None else out
+    out.flags.writeable = num.flags.writeable = False
+    return (tuple(points), out), num, den
 
 
 _cached_query_set = functools.lru_cache(maxsize=1024)(_build_query_set)
@@ -226,7 +227,7 @@ class FilteredOracle:
         cone = cone_size(self.e)
         require_within_guard(cone, sum(self.e), d)
         build = _cached_query_set if cone * (d + 1) <= QUERY_CACHE_POINTS else _build_query_set
-        self._queries = build(F, self.e, d)
+        self._queries, self._num, self._den = build(F, self.e, d)
 
     def queries(self) -> tuple[tuple[tuple[Scalar, ...], ...], np.ndarray]:
         """The base points of this extraction, tau-major, and the weight of
@@ -238,13 +239,13 @@ class FilteredOracle:
 
     def combine(self, values: Sequence[Scalar]) -> Scalar:
         """The coefficient of x^e from the base values at the points of
-        :meth:`queries`, in the same order."""
-        weights = self._queries[1]
+        :meth:`queries`, in the same order: one dot product, over Q with the
+        weights' integer numerators, then one division by their denominator."""
         F = self.field
-        if not len(weights):
+        if not len(self._num):
             return F.zero()
-        acc = np.dot(weights, np.array(values, dtype=object))
-        return acc if F.p is None else acc % F.p
+        acc = np.dot(self._num, np.array(values, dtype=object))
+        return Fraction(acc, self._den) if F.p is None else acc % F.p
 
     def coefficient(self) -> Scalar:
         """The coefficient of x^e in the base oracle's polynomial."""

@@ -23,17 +23,17 @@ Every field has a kernel:
   ``Fraction`` field scalars.
 
 On object layouts ``lincomb`` is one object ``np.dot`` and one reduction
-mod p (none over Q); a uint64 dot product would overflow, so the uint64
-layouts run ``lincomb`` as one ``mul`` and one ``add`` per column of W.
+mod p (over Q, one exact division by each rational row's denominator); a
+uint64 dot would overflow, so the uint64 layouts run ``lincomb`` as one
+``mul`` and one ``add`` per column of W.
 ``pow`` with one exponent per row multiplies rows up from lower powers,
 so a sum of low powers costs a few ``mul`` calls.
 
-Values enter through ``array`` and ``full``; a weight matrix is an object
-array of residues (over Q, of ints and Fractions).  Over a prime an exact
-``int`` is reduced mod p directly, and anything else
-(numpy integers, ``Fraction``s) goes through ``Field.of``, so results
-equal those of the scalar path, ``Circuit.evaluate``, on any integer or
-rational input.
+Values enter through ``array`` and ``full``, weights as
+``circuits.weight_matrix`` builds them.  Over a prime an exact ``int`` is
+reduced mod p directly, and anything else (numpy integers, ``Fraction``s)
+goes through ``Field.of``, so results equal those of the scalar path,
+``Circuit.evaluate``, on any integer or rational input.
 """
 
 from __future__ import annotations
@@ -212,15 +212,16 @@ class ObjectKernel:
     """Exact arithmetic elementwise on numpy object arrays: the rationals,
     and primes too wide for the uint64 kernels.
 
-    Over a prime every value is a Python-int residue.  Over Q every
-    integral value is a Python ``int`` and only a truly rational one a
-    ``Fraction``: Python mixes the two exactly, and integral data, all that
-    a PIT sends, never pays for a ``Fraction`` and its gcd.  An array
-    over Q may therefore hold ``int``, and ``Fraction`` with denominator 1
-    where a product of rationals came out integral; the callers that hand
-    values out of the engine turn them into ``Fraction`` field scalars."""
+    Over a prime every value is a Python-int residue.  Over Q an integral
+    value is a Python ``int`` (or, from a product of rationals, a ``Fraction``
+    of denominator 1) and only a truly rational one a ``Fraction``, so
+    integral data never pays for a gcd.  A rational weight matrix is integer
+    rows over one denominator per row: ``lincomb`` is one integer dot and one
+    exact division per entry, an ``int`` where it is integral.  The engine's
+    exits turn values into ``Fraction`` field scalars."""
 
     _powmod = np.frompyfunc(pow, 3, 1)
+    _exact_quotient = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 1)
 
     def __init__(self, field: Field):
         self.field = field
@@ -249,7 +250,9 @@ class ObjectKernel:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b if self.p is None else (a * b) % self.p
 
-    def lincomb(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def lincomb(self, W: np.ndarray | tuple[np.ndarray, np.ndarray], V: np.ndarray) -> np.ndarray:
+        if type(W) is tuple:  # over Q: integer rows, divided exactly by one denominator per row
+            return self._exact_quotient(W[0].dot(V), W[1])
         out = W.dot(V)
         return out if self.p is None else out % self.p
 

@@ -28,7 +28,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .circuits import Circuit
-from .documents import json_list, load_document, natural
+from .documents import json_list, load_document, natural, scalar_list
 from .errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -123,7 +123,7 @@ def hsg_to_json(t: HsgTuple) -> str:
 def hsg_from_json(text: str) -> HsgTuple:
     def build(doc) -> HsgTuple:
         field = Field.from_spec(doc["field"])
-        polys = [DensePoly.make(field, json_list(coeffs, "coefficients")) for coeffs in json_list(doc["polys"], "polys")]
+        polys = [DensePoly.make(field, scalar_list(coeffs, "coefficients")) for coeffs in json_list(doc["polys"], "polys")]
         degree = natural(doc["degree"], "degree") if "degree" in doc else None
         return HsgTuple.make(field, polys, degree)
 

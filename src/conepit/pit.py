@@ -97,9 +97,9 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
 
 
 class _Table:
-    """The values one low-cone test has evaluated, keyed by point, which
-    the test's extractions read as their base oracle.  ``calls`` counts the
-    points read, so it sums the extractions' requests."""
+    """The values one low-cone test has evaluated, as the kernel holds them,
+    keyed by point, which the test's extractions read as their base oracle.
+    ``calls`` counts the points read, so it sums the extractions' requests."""
 
     def __init__(self, oracle: Oracle):
         self.arity, self.degree, self.field = oracle.arity, oracle.degree, oracle.field

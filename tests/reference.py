@@ -209,6 +209,18 @@ def reference_queries(field: Field, e: ExpVec, degree: int) -> tuple[list[tuple[
     return points, weights
 
 
+def reference_coefficient(circuit, e: ExpVec, degree: int) -> Scalar:
+    """The coefficient of x^e by the scalar reference: the points and
+    weights of :func:`reference_queries`, every point through the scalar
+    twin ``circuit.evaluate``, summed in field arithmetic (over Q, in
+    ``Fraction``s throughout)."""
+    F = circuit.field
+    acc = F.zero()
+    for pt, w in zip(*reference_queries(F, e, degree)):
+        acc = F.add(acc, F.mul(w, circuit.evaluate(pt)))
+    return acc
+
+
 def scalar_bareiss_echelon(rows):
     """Fraction-free row echelon form by the scalar Bareiss triple loop:
     (echelon rows, pivot column per row), pivot = first nonzero at or

@@ -250,6 +250,51 @@ def test_integers_and_lists_are_strict(tmp_path, argv, text):
     assert "Traceback" not in err and err.startswith("error: ")
 
 
+POLY = '{"field": "q", "arity": 2, "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": %s}]}'
+CUBE = '{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, {"id": 1, "kind": "const", "value": %s}, ' \
+    '{"id": 2, "kind": "add", "children": [0, 1], "weights": [%s, "1"]}, {"id": 3, "kind": "pow", "children": [2], "exp": 3}], "output": 3}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["diag-pit", "--diag"], '{"field": "p:7", "arity": 2, "terms": [' + DIAG_TERM.replace('"c": "1"', '"c": 2.5') + "]}"),
+        (["diag-pit", "--diag"], '{"field": "q", "arity": 2, "terms": [' + DIAG_TERM.replace('"c": "1", "const": "1"', '"c": true, "const": 0.1') + "]}"),
+        (["diag-pit", "--diag"], '{"field": "q", "arity": 2, "terms": [' + DIAG_TERM.replace('"const": "1"', '"const": null') + "]}"),
+        (["diag-pit", "--diag"], '{"field": "q", "arity": 2, "terms": [' + DIAG_TERM.replace('["1", "2"]', '["1", 2.0]') + "]}"),
+        (["pit", "--k", "4", "--circuit"], CUBE % ("0.5", '"2"')),
+        (["pit", "--k", "4", "--circuit"], CUBE % ('"1"', "false")),
+        (["pit", "--k", "4", "--circuit"], CUBE % ('["1"]', '"2"')),
+        (["derivdim", "--poly"], POLY % "1e3"),
+        (["derivdim", "--poly"], POLY % "true"),
+        (["fischer", "--terms"], '{"field": "q", "arity": 2, "terms": [[[{"exp": [1, 0], "coef": 0.5}]]]}'),
+        (["shift-basis", "--weights", "1", "--vectorpoly"], '{"field": "q", "arity": 1, "dim": 2, "terms": [{"exp": [1], "coef": ["1", 1.5]}]}'),
+        (["annihilate", "--hsg"], '{"field": "q", "degree": 2, "polys": [["0", 1.0], ["0", "0", "1"]]}'),
+    ],
+)
+def test_scalars_are_strict(tmp_path, argv, text):
+    # a float, a bool, null or a list where the format has a scalar is a
+    # malformed document: before, Field.of read a float as its binary value
+    # and a bool as 0 or 1
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (2, ""), err
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_scalars_may_be_json_integers(tmp_path):
+    # a JSON integer reads as the decimal string of the same value
+    outs = []
+    for value in ('"-2"', "-2"):
+        (tmp_path / "c.json").write_text(CUBE % (value, value))
+        (tmp_path / "p.json").write_text(POLY % value)
+        pit = invoke(["pit", "--k", "4", "--circuit", str(tmp_path / "c.json")])
+        outs.append((pit[:2], invoke(["derivdim", "--poly", str(tmp_path / "p.json")])[:2]))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == (1, "NONZERO witness=1 coeff=-8 tested=1 calls=4\n") and outs[0][1][0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,14 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Program, dense_expand, parse, serialize
+from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Program, dense_expand, parse, serialize, weight_matrix
 from conepit.diagonal import DiagonalCircuit, diag_pit, diagonal_from_json, diagonal_to_json
 from conepit.errors import ArityMismatch
+from conepit.extraction import extract_coefficient
 from conepit.fastmod import SMALL, Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
-from conepit.polys import MultiPoly
-from reference import poly_pow
+from conepit.pit import low_cone_pit
+from conepit.polys import MultiPoly, enumerate_low_cone
+from reference import poly_pow, reference_coefficient
 
 FIELDS = [Field.prime(p) for p in (2, 7, (1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)] + [Field.rationals()]
 IDS = [F.spec for F in FIELDS]
@@ -205,6 +207,79 @@ def test_rational_circuits_give_fractions(data):
     got = dense_expand(Oracle(C))
     assert got == P
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@SETTINGS
+@given(data=st.data())
+def test_rational_circuits_match_the_fraction_reference(data):
+    # integer query points, weights as integers over one denominator, the
+    # low-cone table's ints and dense_expand's one division at the end:
+    # every coefficient over Q is the Fraction reference's, as a Fraction
+    n = data.draw(st.integers(1, 2))
+    C, P = data.draw(rational_circuits(n))
+    d = Oracle(C).degree
+    cone = enumerate_low_cone(n, 8, dcap=d)
+    want = {e: reference_coefficient(C, e, d) for e in cone}
+    for e in cone:
+        got = extract_coefficient(Oracle(C), e)
+        assert got == want[e] == P.coefficient(e) and type(got) is Fraction
+    first = next((e for e in cone if want[e] != 0), None)
+    verdict = low_cone_pit(Oracle(C), 8)
+    assert (verdict.witness, verdict.coefficient) == ((None, None) if first is None else (first, want[first]))
+    assert first is None or type(verdict.coefficient) is Fraction
+    expanded = dense_expand(Oracle(C))
+    assert expanded == P and all(type(c) is Fraction for c in expanded.terms.values())
+    # at rational points the kernel's values are the scalar twin's
+    pts = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=4))
+    assert C.evaluate_many(pts, scalars=False) == [C.evaluate(pt) for pt in pts]
+
+
+@SETTINGS
+@given(
+    rows=st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),
+    cols=st.lists(st.lists(st.one_of(rationals, integers), min_size=3, max_size=3), min_size=1, max_size=5),
+)
+def test_lincomb_on_rational_rows_is_the_fraction_dot(rows, cols):
+    # negative numerators, a zero row and a row that is surely rational;
+    # Fraction entries in V; an integral entry of the result is an int
+    rows = rows + [[0, 0, 0], [Fraction(-1, 2), 0, Fraction(3, 4)]]
+    kern = ObjectKernel(Q)
+    W = weight_matrix(Q, [[Q.of(w) for w in row] for row in rows])
+    assert type(W) is tuple and W[0].shape == (len(rows), 3) and W[1].shape == (len(rows), 1)
+    assert {type(x) for x in W[0].flat} | {type(x) for x in W[1].flat} == {int}
+    V = kern.array([v for col in cols for v in col]).reshape(len(cols), 3).T
+    got = kern.lincomb(W, V).tolist()
+    want = [[sum((Fraction(w) * v for w, v in zip(row, col)), Fraction(0)) for col in cols] for row in rows]
+    assert got == want
+    assert [[type(x) for x in r] for r in got] == [[int if x.denominator == 1 else Fraction for x in r] for r in want]
+    # integral weights over Q stay one matrix of ints
+    I = weight_matrix(Q, [[Q.of(2), Q.of(-3)], [Q.zero(), Q.one()]])
+    assert type(I) is np.ndarray and {type(x) for x in I.flat} == {int}
+
+
+def test_rational_diagonal_program_width_and_grid_chunks(monkeypatch):
+    # nine terms with rational forms and coefficients over Q: the weights
+    # compile to numerators with row denominators, the program's width is
+    # the nine rows, and grid chunks keep every block within GRID_CHUNK
+    rng = random.Random(11)
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    terms = [(Fraction(1, 2) if i == 0 else frac(), frac(), [frac(), frac()], rng.randint(0, 3)) for i in range(9)]
+    D = DiagonalCircuit.make(Q, 2, terms)
+    (_, _, A, _), _, (_, _, c, _) = D.program.steps
+    assert type(A) is tuple and A[0].shape == (9, 3) and type(c) is tuple and c[0].shape == (1, 9)
+    assert D.program.width == 9
+    sizes = []
+    run = Program.run
+    monkeypatch.setattr(Program, "run", lambda self, kern, x: sizes.append((self.width, x.shape[1])) or run(self, kern, x))
+    grid = Oracle(D, degree=3).eval_grid(40)
+    assert len(sizes) > 1 and max(w * n for w, n in sizes) <= GRID_CHUNK < 9 * sizes[0][1] + 9
+    assert sum(n for _, n in sizes) == 40**2 and grid[-1] == D.evaluate([39, 39])
+    x = [MultiPoly.variable(Q, 2, i) for i in range(2)]
+    P = MultiPoly.zero(Q, 2)
+    for t in D.terms:
+        form = MultiPoly.const(Q, 2, t.const).add(x[0].scale(t.coeffs[0])).add(x[1].scale(t.coeffs[1]))
+        P = P.add(poly_pow(form, t.d).scale(t.c))
+    assert dense_expand(Oracle(D, degree=3)) == P
 
 
 M61 = Field.prime((1 << 61) - 1)

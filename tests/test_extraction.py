@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from conepit.extraction import (
     QUERY_CACHE_POINTS,
     FilteredOracle,
     extract_coefficient,
-    interpolation_nodes,
     interpolation_row,
     interpolation_rows,
     vandermonde_row,
@@ -141,7 +141,7 @@ def test_interpolation_row_matches_vandermonde_row(field):
     for m in range(1, min(13, field.p or 13) + 1):
         for t in range(m):
             got = interpolation_row(field, m, t)
-            want = vandermonde_row(interpolation_nodes(field, m), t, field)
+            want = vandermonde_row(range(m), t, field)
             assert list(got) == want
             assert [type(x) for x in got] == [type(x) for x in want]
 
@@ -176,6 +176,18 @@ def test_row_tables_keep_the_cache_bound(monkeypatch):
         assert sum(map(len, extraction._row_tables.values())) <= 100
     assert list(extraction._row_tables) == [(FP, 50), (FP, 30)]
     assert interpolation_rows(FP, 30) is extraction._row_tables[FP, 30]
+
+
+def test_integral_rows_over_q_are_the_rows_times_the_factorial(monkeypatch):
+    # dense_expand's rows over Q: ints, each row (m-1)! times the Fraction
+    # row, negative entries among them, cached apart from the Fraction table
+    monkeypatch.setattr(extraction, "_row_tables", type(extraction._row_tables)())
+    for m in (1, 2, 5, 23):
+        ints = interpolation_rows(Q, m, integral=True)
+        assert {type(w) for row in ints for w in row} == {int}
+        assert [[w * math.factorial(m - 1) for w in row] for row in interpolation_rows(Q, m)] == [list(r) for r in ints]
+        assert interpolation_rows(Q, m, integral=True) is ints is extraction._row_tables[Q, m, True]
+    assert min(interpolation_rows(Q, 5, integral=True)[1]) < 0
 
 
 def blank_oracle(field, n, degree):
@@ -222,6 +234,20 @@ def test_query_sets_are_shared_and_read_only():
         points[0] = (0, 0)
     with pytest.raises(ValueError):
         weights[0] = 0
+
+
+def test_query_points_over_q_are_ints():
+    # integer nodes 0..d on every field: over Q the points are int tuples
+    # equal to the reference's Fraction points, node 1 standing for a zero
+    # exponent, and the weights stay Fractions
+    for e in [(0, 2), (1, 1, 0), (3,), (0,)]:
+        filtered = FilteredOracle(blank_oracle(Q, len(e), 4), e)
+        points, weights = filtered.queries()
+        assert list(points) == reference_queries(Q, e, 4)[0]
+        assert {type(x) for pt in points for x in pt} == {int}
+        assert {type(w) for w in weights} == {Fraction}
+        # combine reads the weights as integers over one denominator
+        assert {type(w) for w in filtered._num} == {int} and [w * filtered._den for w in weights] == list(filtered._num)
 
 
 def test_large_extraction_is_exact_and_not_cached():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -255,3 +256,23 @@ def test_over_guard_degree_is_refused_before_enumerating(monkeypatch):
     with pytest.raises(TooLarge):
         low_cone_pit(oracle, 2)
     assert oracle.calls == 0
+
+
+def test_the_table_over_q_holds_the_kernel_ints(monkeypatch):
+    # integer query points into circuits over Q, with integral and with
+    # rational weights (x y = ((x + y)^2 - (x - y)^2) / 4): the low-cone
+    # table keeps the kernel's ints, and only a coefficient is a Fraction
+    tables = []
+    init = pit._Table.__init__
+    monkeypatch.setattr(pit._Table, "__init__", lambda self, oracle: tables.append(self) or init(self, oracle))
+    b = CircuitBuilder(Q, 2)
+    x, y = b.input(0), b.input(1)
+    plus, minus = b.pow(b.add([(1, x), (1, y)]), 2), b.pow(b.add([(1, x), (-1, y)]), 2)
+    quarter = Oracle(b.build(b.add([(Fraction(1, 4), plus), (Fraction(-1, 4), minus), (-1, b.mul([x, y]))])))
+    assert low_cone_pit(quarter, 8).render() == low_cone_pit(zero_circuit_oracle(Q), 8).render() == "ZERO"
+    nonzero = low_cone_pit(cube_oracle(Q), 4)
+    assert nonzero.render() == "NONZERO witness=1 coeff=1 tested=1 calls=4" and type(nonzero.coefficient) is Fraction
+    assert len(tables) == 3
+    for table in tables:
+        assert {type(x) for pt in table.values for x in pt} == {int}
+        assert {type(v) for v in table.values.values()} == {int}
