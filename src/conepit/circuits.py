@@ -46,7 +46,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -61,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .extraction import interpolation_rows
-from .fastmod import kernel_for
+from .fastmod import SparseRows, kernel_for
 from .fields import Field, Scalar, clear_denominators
 from .polys import ExpVec, MultiPoly
 
@@ -305,15 +305,19 @@ class CircuitBuilder:
 # The engine: compiled programs
 # ----------------------------------------------------------------------
 
-def weight_matrix(field: Field, rows: Sequence[Sequence[Scalar]]) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Field scalars as a weight matrix for ``lincomb``: an object array of
-    residues or integers, or over Q, when a weight is not integral, the pair
-    (numerators, denominators), one denominator per row in an object column."""
+def weight_matrix(field: Field, rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[int]] | None = None):
+    """Field scalars as weights for ``lincomb``: a dense object matrix of
+    residues or integers, or, given the column of every weight, the same
+    ragged rows as :class:`SparseRows`.  Over Q, when a weight is not
+    integral, the pair (integer numerators in either form, one denominator
+    per row as an object column)."""
+    den = None
     if field.p is None:
         rows, dens = zip(*map(clear_denominators, rows))
         if set(dens) != {1}:
-            return np.array(rows, dtype=object), np.array(dens, dtype=object)[:, None]
-    return np.array(rows, dtype=object)
+            den = np.array(dens, dtype=object)[:, None]
+    W = np.array(rows, dtype=object) if cols is None else SparseRows(cols, rows)
+    return W if den is None else (W, den)
 
 
 class Program:
@@ -322,21 +326,25 @@ class Program:
 
     Block 0 is [1; x_1; ...; x_n] and step i writes block i + 1; the last
     block's first row is the output.  A step ``(op, sources, arg)`` reads
-    rows ``(block, slice)`` of earlier blocks: ``lincomb`` multiplies them
-    by the weights ``arg`` of :func:`weight_matrix`, ``mul`` multiplies them
-    together and ``pow`` raises them to ``arg``, one exponent or a tuple of
-    one per row.  The last uses are found once, here: a run drops each block
-    after the step that reads it last."""
+    V, the rows ``(block, slice or index array)`` of earlier blocks one
+    after the other: ``lincomb`` multiplies V by the weights ``arg`` of
+    :func:`weight_matrix`, ``pow`` raises V to ``arg``, one exponent or a
+    tuple of one per row, and ``mul`` multiplies the planes of V[arg], for
+    ``arg`` an index array of shape (fan-in, rows).  A run on N points holds
+    arrays of at most ``width`` * N entries, read, gathered or written.  The
+    last uses are found once, here: a run drops each block after the step
+    that reads it last."""
 
     def __init__(self, field: Field, arity: int, steps: Sequence[tuple]):
         self.field, self.arity = field, arity
         rows = [arity + 1]  # per block
-        self.width = arity + 1  # a run on N points holds arrays of up to width * N entries
+        self.width = arity + 1
         for op, srcs, arg in steps:
-            read = [len(range(rows[b])[r]) for b, r in srcs]
+            read = sum(np.arange(rows[b])[r].size for b, r in srcs)
             W = arg[0] if type(arg) is tuple else arg  # a lincomb's weights may be (numerators, denominators)
-            rows.append(len(W) if op == "lincomb" else read[0] if op == "mul" else sum(read))
-            self.width = max(self.width, rows[-1], sum(read))
+            rows.append(len(W) if op == "lincomb" else len(arg[0]) if op == "mul" else read)
+            gathered = arg.size if op == "mul" else W.cols.size if type(W) is SparseRows else 0
+            self.width = max(self.width, rows[-1], read, gathered)
         last = {b: i for i, (_, srcs, _) in enumerate(steps) for b, _ in srcs}
         self.steps = tuple(
             (op, srcs, arg, tuple(b for b in {b for b, _ in srcs} if last[b] == i))
@@ -347,14 +355,8 @@ class Program:
         """The output's values from the block 0 ``x`` in the layout of ``kern``."""
         vals = [x]
         for op, srcs, arg, dead in self.steps:
-            if op == "mul":
-                (b, r), *rest = srcs
-                v = vals[b][r]
-                for b, r in rest:
-                    v = kern.mul(v, vals[b][r])
-            else:
-                v = vals[srcs[0][0]][srcs[0][1]] if len(srcs) == 1 else np.concatenate([vals[b][r] for b, r in srcs])
-                v = kern.lincomb(arg, v) if op == "lincomb" else kern.pow(v, arg)
+            v = vals[srcs[0][0]][srcs[0][1]] if len(srcs) == 1 else np.concatenate([vals[b][r] for b, r in srcs])
+            v = reduce(kern.mul, v[arg]) if op == "mul" else kern.lincomb(arg, v) if op == "lincomb" else kern.pow(v, arg)
             vals.append(v)
             for b in dead:
                 vals[b] = None
@@ -372,34 +374,69 @@ class Program:
         return values if F.p is not None or not scalars else [F.of(v) for v in values]
 
 
+_ONES = (0, 0)  # the row of ones, block 0's first
+
+
+def _sources(refs: Sequence[tuple[int, int]]) -> tuple:
+    """The sources that read the rows ``refs``, (block, row) pairs grouped by block, in this order."""
+    return tuple((b, np.array([r for _, r in run], dtype=np.intp)) for b, run in itertools.groupby(refs, lambda ref: ref[0]))
+
+
 def compile_gates(circuit: Circuit) -> Program:
-    """The program of a gate circuit: one step for each gate the output
-    depends on, in gate order, except inputs, which are rows of block 0."""
+    """The program of a gate circuit: one step for each depth and kind of
+    the gates the output depends on.  The ``add`` and ``const`` gates of a
+    depth are one ``lincomb`` with sparse weights, its ``pow`` gates one
+    ``pow`` with an exponent per row, and its ``mul`` gates of one fan-in
+    one ``mul``.  An input is a row of block 0, a ``const`` child of an
+    ``add`` a weight on the row of ones, and equal gates of a step share a
+    row.  The output is the one gate of the greatest depth."""
     F = circuit.field
+    gates = {g.id: g for g in circuit.gates}
+    folded = lambda g, c: g.kind == "add" and gates[c].kind == "const"
     live = {circuit.output}
     for g in reversed(circuit.gates):
         if g.id in live:
-            live.update(g.children)
-    ref: dict[int, tuple[int, slice]] = {}
-    steps: list[tuple] = []
+            live.update(c for c in g.children if not folded(g, c))
+    depth, levels = {}, {}  # levels: (depth, op, fan-in) -> gates
     for g in circuit.gates:
-        if g.id not in live:
-            continue
-        if g.kind == "input":
-            ref[g.id] = (0, slice(g.var + 1, g.var + 2))
-            continue
-        if g.kind == "const":
-            steps.append(("lincomb", ((0, slice(0, 1)),), weight_matrix(F, [[F.of(g.value)]])))
-        elif g.kind == "add":
-            weights: dict[int, Scalar] = {}
-            for w, c in zip(g.weights or itertools.repeat(F.one()), g.children):
-                weights[c] = F.add(weights.get(c, F.zero()), F.of(w))
-            steps.append(("lincomb", tuple(ref[c] for c in weights), weight_matrix(F, [list(weights.values())])))
+        if g.id in live:
+            depth[g.id] = 0 if g.kind == "input" else 1 + max((depth[c] for c in g.children if not folded(g, c)), default=0)
+            if g.kind != "input":
+                op = "lincomb" if g.kind in ("add", "const") else g.kind
+                levels.setdefault((depth[g.id], op, len(g.children) if op == "mul" else 0), []).append(g)
+    ref = {g.id: (0, g.var + 1) for g in circuit.gates if g.kind == "input"}
+    steps: list[tuple] = []
+    for (_, op, _), level in sorted(levels.items()):
+        rows: dict[tuple, list[int]] = {}  # a row's key: its (source, exponent), factors or entries
+        for g in level:
+            if g.kind == "pow":
+                key = (ref[g.children[0]], g.exp)
+            elif g.kind == "mul":
+                key = tuple(ref[c] for c in g.children)
+            else:
+                entries: dict[tuple[int, int], Scalar] = {}
+                for w, c in [(1, g.id)] if g.kind == "const" else zip(g.weights or itertools.repeat(1), g.children):
+                    w, r = (F.mul(F.of(w), F.of(gates[c].value)), _ONES) if gates[c].kind == "const" else (F.of(w), ref[c])
+                    entries[r] = F.add(entries.get(r, F.zero()), w)
+                key = tuple((r, w) for r, w in entries.items() if w) or ((_ONES, F.zero()),)
+            rows.setdefault(key, []).append(g.id)
+        keys = list(rows)
+        if op == "pow":  # read in the order of the rows, ascending exponents within a block
+            keys.sort(key=lambda k: (k[0][0], k[1], k[0][1]))
+            srcs, arg = _sources([k[0] for k in keys]), tuple(k[1] for k in keys)
         else:
-            steps.append((g.kind, tuple(ref[c] for c in g.children), g.exp))
-        ref[g.id] = (len(steps), slice(0, 1))
+            read = sorted({r for k in keys for r in (k if op == "mul" else dict(k))})
+            srcs, pos = _sources(read), {r: i for i, r in enumerate(read)}
+            if op == "mul":
+                arg = np.array([[pos[r] for r in k] for k in keys], dtype=np.intp).T
+            else:
+                arg = weight_matrix(F, [[w for _, w in k] for k in keys], [[pos[r] for r, _ in k] for k in keys])
+        steps.append((op, srcs, arg))
+        for i, k in enumerate(keys):
+            for gid in rows[k]:
+                ref[gid] = (len(steps), i)
     if ref[circuit.output][0] == 0:  # the output is an input
-        steps.append(("lincomb", (ref[circuit.output],), weight_matrix(F, [[F.one()]])))
+        steps.append(("lincomb", _sources([ref[circuit.output]]), weight_matrix(F, [[F.one()]])))
     return Program(F, circuit.arity, steps)
 
 

@@ -22,10 +22,13 @@ Every field has a kernel:
   ``Fraction`` inside the engine; the engine's exits turn values back into
   ``Fraction`` field scalars.
 
-On object layouts ``lincomb`` is one object ``np.dot`` and one reduction
-mod p (over Q, one exact division by each rational row's denominator); a
-uint64 dot would overflow, so the uint64 layouts run ``lincomb`` as one
-``mul`` and one ``add`` per column of W.
+``lincomb`` takes W dense, an object matrix, or sparse, :class:`SparseRows`,
+whose rows are summed by one ``np.add.reduceat`` over their (source row,
+weight) entries.  On object layouts it is one object dot or that sum and
+one reduction mod p (over Q, one exact division by each rational row's
+denominator).  A uint64 sum of products would overflow: for p < 2^31 the
+products are reduced first (a dense W: two uint64 dots with the 16-bit
+halves of V), and for 2^61 - 1 their 32-bit halves are summed apart.
 ``pow`` with one exponent per row multiplies rows up from lower powers,
 so a sum of low powers costs a few ``mul`` calls.
 
@@ -80,14 +83,23 @@ def _residues(values: Sequence[Scalar], field: Field) -> np.ndarray:
     return np.array(_residue_list(values, field), dtype=np.uint64)
 
 
-def _lincomb_loop(kern, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """W.V in a uint64 layout, where a dot product would overflow: one
-    ``mul`` and one ``add`` per column of W (residues), each on a block."""
-    Wu = W.astype(np.uint64)
-    acc = kern.mul(Wu[:, :1], V[:1])
-    for j in range(1, W.shape[1]):
-        acc = kern.add(acc, kern.mul(Wu[:, j : j + 1], V[j : j + 1]))
-    return acc
+class SparseRows:
+    """Sparse weight rows for ``lincomb``: row i of W.V is the sum of
+    weights[e] * V[cols[e]] over the entries starts[i] <= e < starts[i + 1].
+    Every row holds at least one entry (a zero row one zero weight), since
+    ``np.add.reduceat`` reads an empty run as the entry at its start."""
+
+    def __init__(self, cols: Sequence[Sequence[int]], weights: Sequence[Sequence[Scalar]]):
+        self.cols = np.array([c for row in cols for c in row], dtype=np.intp)
+        self.weights = np.array([w for row in weights for w in row], dtype=object)[:, None]
+        self.starts = np.cumsum([0] + [len(row) for row in cols[:-1]], dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def dot(self, V: np.ndarray) -> np.ndarray:
+        """W.V on object arrays, before any reduction."""
+        return np.add.reduceat(self.weights * V[self.cols], self.starts)
 
 
 def _pow_rows(kern, a: np.ndarray, exps: tuple[int, ...]) -> np.ndarray:
@@ -142,7 +154,7 @@ class Mersenne61Kernel:
         return np.full(n, value, dtype=np.uint64)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
-        # uint64 layout, valid for x < 2^63: two folds of 2^61 = 1, then
+        # uint64 layout, valid for any x: two folds of 2^61 = 1, then
         # conditional subtract
         x = (x >> self._S61) + (x & self._MASK)
         x = (x >> self._S61) + (x & self._MASK)
@@ -166,10 +178,21 @@ class Mersenne61Kernel:
         acc = self.reduce(lo) + (hi << self._S3) + (mid >> self._S29) + ((mid & self._LOW29) << self._S32)
         return self.reduce(acc)     # acc < 2^63
 
-    def lincomb(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def lincomb(self, W: np.ndarray | SparseRows, V: np.ndarray) -> np.ndarray:
         if self.small:
             return W.dot(V) % self.p
-        return _lincomb_loop(self, W, V)
+        if type(W) is SparseRows:
+            P = self.mul(W.weights.astype(np.uint64), V[W.cols])
+            hi, lo = np.add.reduceat(P >> self._S32, W.starts), np.add.reduceat(P & self._LOW32, W.starts)
+        else:  # dense, column by column
+            Wu, hi, lo = W.astype(np.uint64), 0, 0
+            for j in range(W.shape[1]):
+                P = self.mul(Wu[:, j : j + 1], V[j : j + 1])
+                hi, lo = hi + (P >> self._S32), lo + (P & self._LOW32)
+        # the 32-bit halves of the products, summed apart: for fewer than
+        # 2^31 terms a row hi < 2^60 and lo < 2^63, and hi * 2^32 is a
+        # rotation of its 61 bits
+        return self.reduce(((hi << self._S32) & self._MASK) + (hi >> self._S29) + lo)
 
     def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
         if type(e) is tuple:
@@ -181,6 +204,9 @@ class Mersenne61Kernel:
 
 class SmallPrimeKernel:
     """mod p vector arithmetic for p < 2^31 (products fit in uint64)."""
+
+    _S16 = _U(16)
+    _LOW16 = _U(0xFFFF)
 
     def __init__(self, field: Field):
         self.field = field
@@ -199,8 +225,16 @@ class SmallPrimeKernel:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a * b) % self._p
 
-    def lincomb(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return _lincomb_loop(self, W, V)
+    def lincomb(self, W: np.ndarray | SparseRows, V: np.ndarray) -> np.ndarray:
+        if type(W) is SparseRows:  # products reduced, exact for rows of fewer than 2^33 entries
+            return np.add.reduceat(W.weights.astype(np.uint64) * V[W.cols] % self._p, W.starts) % self._p
+        # dense: two uint64 dots per 2^16 columns of W, with the 16-bit
+        # halves of V: every product is below 2^47 and every sum below 2^63
+        Wu, out, step = W.astype(np.uint64), 0, 1 << 16
+        for c in range(0, W.shape[1] or 1, step):
+            Wc, Vc = Wu[:, c : c + step], V[c : c + step]
+            out = (out + (Wc.dot(Vc >> self._S16) % self._p << self._S16) + Wc.dot(Vc & self._LOW16)) % self._p
+        return out
 
     def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
         if type(e) is tuple:

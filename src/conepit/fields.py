@@ -19,6 +19,7 @@ rationals, ``"p:<decimal prime>"`` for a prime field.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -40,8 +41,10 @@ MERSENNE61 = (1 << 61) - 1
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=256)
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24, else strong-pseudoprime check."""
+    """Miller-Rabin; deterministic for n < 3.3e24, else strong-pseudoprime check.
+    Cached, since every ``Field(p)`` asks, one per parsed document."""
     if n < 2:
         return False
     for p in _MR_BASES:

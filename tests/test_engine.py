@@ -15,10 +15,11 @@ from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Progra
 from conepit.diagonal import DiagonalCircuit, diag_pit, diagonal_from_json, diagonal_to_json
 from conepit.errors import ArityMismatch
 from conepit.extraction import extract_coefficient
-from conepit.fastmod import SMALL, Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, kernel_for
+from conepit.fastmod import SMALL, Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, SparseRows, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
-from conepit.pit import low_cone_pit
+from conepit.hsg import fischer_rewrite
+from conepit.pit import brute_force_pit, low_cone_pit
 from conepit.polys import MultiPoly, enumerate_low_cone
 from reference import poly_pow, reference_coefficient
 
@@ -367,6 +368,33 @@ def diagonal_circuits(draw, field: Field, arity: int):
     return DiagonalCircuit.make(field, arity, terms)
 
 
+@st.composite
+def gate_circuits(draw, field: Field, arity: int):
+    """Gates of every kind over earlier ones, which the level compiler
+    merges: ``mul`` of fan-in 1 to 3, duplicate children in ``mul`` and in
+    ``add``, ``add`` weights that cancel, ``const 0``, rational weights over
+    Q, and gates the output does not use.  The output is any gate, an input,
+    a ``const`` or a ``pow`` among them."""
+    scalar = st.fractions(-4, 4, max_denominator=6) if field.p is None else st.integers(-3, 3)
+    b = CircuitBuilder(field, arity)
+    ids = [b.input(i) for i in range(arity)] or [b.const(draw(scalar))]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["const", "add", "add", "mul", "mul", "pow"]))
+        if kind == "const":
+            ids.append(b.const(draw(st.one_of(st.just(0), scalar))))
+        elif kind == "add":
+            terms = [(draw(scalar), c) for c in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4))]
+            if draw(st.booleans()):  # w c - w c: a weight that cancels
+                c, w = draw(st.sampled_from(ids)), draw(scalar)
+                terms += [(w, c), (-w, c)]
+            ids.append(b.add(terms))
+        elif kind == "mul":
+            ids.append(b.mul(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))))
+        else:
+            ids.append(b.pow(draw(st.sampled_from(ids)), draw(st.integers(0, 4))))
+    return b.build(draw(st.sampled_from(ids)))
+
+
 @pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
 @SETTINGS
 @given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([0, SMALL + 1]))
@@ -375,7 +403,7 @@ def test_programs_match_the_scalar_twin(field, seed, data, count):
     # layout of 2^61 - 1 into the uint64 one
     rng = random.Random(seed)
     n = data.draw(st.integers(0, 3))
-    circuits = [data.draw(diagonal_circuits(field, n))]
+    circuits = [data.draw(diagonal_circuits(field, n)), data.draw(gate_circuits(field, n))]
     if n:
         circuits.append(random_circuit(rng, field, n, rng.randint(1, 8), 4))
     drawn = data.draw(st.lists(st.lists(coordinates(field), min_size=n, max_size=n), min_size=1, max_size=4))
@@ -383,6 +411,83 @@ def test_programs_match_the_scalar_twin(field, seed, data, count):
     for C in circuits:
         one = [C.evaluate(pt) for pt in drawn]
         assert C.evaluate_many(pts) == [one[i % len(drawn)] for i in range(len(pts))]
+    # the grid {0, 1, 2}^n runs the gate program in chunks of its width
+    C = circuits[1]
+    grid = [[v // 3 ** (n - 1 - i) % 3 for i in range(n)] for v in range(3**n)]
+    assert Oracle(C).eval_grid(3).tolist() == [C.evaluate(pt) for pt in grid]
+
+
+def fischer_zero(rng: random.Random, field: Field, n: int) -> Circuit:
+    """Two products of two quadratics minus their Fischer power rewrite:
+    identically zero, of depth 4 (squares of inputs, sums, products and
+    squares, one sum)."""
+    groups = [[random_multipoly(rng, field, n, 2, 3).add(MultiPoly.variable(field, n, j).mul(MultiPoly.variable(field, n, j)))
+               for j in range(2)] for _ in range(2)]
+    b = CircuitBuilder(field, n)
+    tops = [(1, b.mul([b.poly(f) for f in fs])) for fs in groups]
+    tops += [(field.neg(c), b.pow(b.poly(h), 2)) for c, h in fischer_rewrite(groups)]
+    return b.build(b.add(tops))
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+def test_a_fischer_zero_circuit_is_one_step_per_level(field):
+    rng = random.Random(13)
+    for n in (2, 3, 5):
+        C = fischer_zero(rng, field, n)
+        assert len(C.gates) > 30 and len(C.program.steps) <= 6
+        pts = [[rng.randrange(-99, 99) for _ in range(n)] for _ in range(SMALL + 1)]
+        assert C.evaluate_many(pts) == [field.zero()] * len(pts)
+        assert C.evaluate_many(pts[:5]) == [C.evaluate(pt) for pt in pts[:5]]
+
+
+def test_level_compiler_edge_cases():
+    # mul of fan-in 1, 2 and 3 at one depth are three steps; equal gates
+    # share a row: a duplicate mul, and a sum whose weights cancel with
+    # const 0, one row of one explicit zero; an unused gate compiles to nothing
+    for F in PROGRAM_FIELDS:
+        b = CircuitBuilder(F, 2)
+        x, y = b.input(0), b.input(1)
+        m1, m2, m3, m2b = b.mul([x]), b.mul([x, y]), b.mul([y, y, x]), b.mul([x, y])
+        zero, z = b.add([(2, x), (-2, x), (1, b.const(0))]), b.const(0)
+        b.pow(b.add([(5, x)]), 9)  # unused
+        C = b.build(b.add([(1, m1), (3, m2), (-1, m3), (1, m2b), (1, zero), (1, b.mul([z, x]))]))
+        ops = [(op, arg.shape if op == "mul" else len(arg)) for op, _, arg, _ in C.program.steps]
+        assert sorted(ops[:4]) == [("lincomb", 1), ("mul", (1, 1)), ("mul", (2, 1)), ("mul", (3, 1))]
+        (W,) = [arg for op, _, arg, _ in C.program.steps[:4] if op == "lincomb"]
+        assert W.cols.tolist() == [0] and W.weights.tolist() == [[0]]
+        assert ops[4:] == [("mul", (2, 1)), ("lincomb", 1)]
+        for pt in ([2, 3], [0, -1], [5, 5]):
+            assert C.evaluate_many([pt]) == [C.evaluate(pt)] == [F.of(pt[0] + 4 * pt[0] * pt[1] - pt[1] ** 2 * pt[0])]
+        # the output an input, a const, or a pow
+        for out in (y, z, b.pow(x, 3)):
+            D = b.build(out)
+            assert D.evaluate_many([[2, 3], [4, 1]]) == [D.evaluate([2, 3]), D.evaluate([4, 1])]
+
+
+def wide_level_circuit() -> Circuit:
+    """2,000 pow gates, 2,000 two-child sums of them, 1,000 products of
+    pairs of sums and one sum of the products, over F_{2^31-1}."""
+    rng = random.Random(13)
+    F = Field.prime((1 << 31) - 1)
+    b = CircuitBuilder(F, 2)
+    x = [b.input(0), b.input(1)]
+    pows = [b.pow(x[rng.randrange(2)], rng.randint(1, 3)) for _ in range(2000)]
+    sums = [b.add([(F.random(rng), p) for p in rng.sample(pows, 2)]) for _ in range(2000)]
+    products = [b.mul([sums[2 * i], sums[2 * i + 1]]) for i in range(1000)]
+    return b.build(b.add([(F.random(rng), m) for m in products]))
+
+
+def test_a_wide_level_stays_sparse():
+    # a dense level would hold a weight for every (row, source) pair
+    C = wide_level_circuit()
+    W = [arg[0] if type(arg) is tuple else arg for op, _, arg, _ in C.program.steps if op == "lincomb"]
+    assert all(type(w) is SparseRows for w in W)
+    fan_in = sum(len(g.children) for g in C.gates if g.kind == "add")
+    assert sum(w.cols.size for w in W) <= fan_in + sum(len(w) for w in W)
+    # the widest array a run holds is the gathered entries of the sums
+    assert C.program.width == W[0].cols.size > len(W[0]) == 2000
+    # a pinned verdict, as one gate per step computed it
+    assert brute_force_pit(Oracle(C)).render() == "NONZERO witness=x2^2 coeff=1984236975 tested=19 calls=49"
 
 
 @pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
@@ -461,7 +566,24 @@ def test_lincomb_is_the_mul_add_loop_at_the_overflow_edge(kern, rows, cols, poin
                 acc = kern.add(acc, kern.mul(kern.full(points, W[i, j]), V[j]))
             loop.append(acc.tolist())
         exact = [[sum(W[i, j] * values[j][t] for j in range(cols)) % p for t in range(points)] for i in range(rows)]
-        assert kern.lincomb(W, V).tolist() == loop == exact
+        sparse = SparseRows([range(cols)] * rows, W.tolist())
+        assert kern.lincomb(W, V).tolist() == kern.lincomb(sparse, V).tolist() == loop == exact
+
+
+@pytest.mark.parametrize("kern", UINT64_KERNELS[:2], ids=lambda k: f"p:{k.p}")
+@pytest.mark.parametrize("terms", [1 << 16, (1 << 16) + 1, 3 << 16])
+def test_lincomb_is_exact_at_2_16_terms_per_row(kern, terms):
+    # every weight and value p - 1, one row and one point; for p < 2^31 the
+    # dense sum takes 2^16 columns at a time (2^16 + 1 are two pieces, and
+    # 3 * 2^16 in one piece would pass 2^64), the dense sum mod 2^61 - 1
+    # runs column by column and is left out
+    p = kern.p
+    W = np.full((1, terms), p - 1, dtype=object)
+    V = kern.array([p - 1] * terms).reshape(terms, 1)
+    exact = [[terms * (p - 1) ** 2 % p]]
+    assert kern.lincomb(SparseRows([range(terms)], W.tolist()), V).tolist() == exact
+    if isinstance(kern, SmallPrimeKernel):
+        assert kern.lincomb(W, V).tolist() == exact
 
 
 @pytest.mark.parametrize("field", PROGRAM_FIELDS + [Field.prime((1 << 89) - 1)], ids=lambda F: F.spec)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conepit import circuits, fields
 from conepit.errors import CharTooSmall, MixedFields, ParseError, ValidationError, ZeroInverse
 from conepit.fields import DensePoly, Field, MERSENNE61, rank_over_ft
 from reference import schoolbook_mul
@@ -43,6 +44,19 @@ def test_field_spec_round_trip():
         Field.from_spec("gf(9)")
     with pytest.raises(ValidationError):
         Field.prime(10)
+
+
+def test_primality_is_tested_once_per_number():
+    # a parser builds one Field per document: 100 documents over one prime
+    # run Miller-Rabin once, and a composite is refused every time
+    fields._is_prime.cache_clear()
+    for _ in range(100):
+        assert circuits.parse(f'{{"field": "p:{FP.p}", "arity": 1, "gates": [{{"id": 0, "kind": "input", "var": 0}}], "output": 0}}').field == FP
+    assert fields._is_prime.cache_info().misses == 1
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            Field.from_spec("p:1000000016000000063")  # (10^9 + 7)(10^9 + 9)
+    assert fields._is_prime.cache_info().misses == 2
 
 
 def test_of_coerces_canonically():
