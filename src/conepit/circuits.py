@@ -71,7 +71,8 @@ DENSE_EXPAND_GUARD = 10_000_000
 #: entries, so a program's live arrays stay bounded whatever the grid size.
 GRID_CHUNK = 4096
 
-GATE_KINDS = ("input", "const", "add", "mul", "pow")
+#: every gate kind and the fields it takes
+GATE_KINDS = {"input": ("var",), "const": ("value",), "add": ("children", "weights"), "mul": ("children",), "pow": ("children", "exp")}
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,10 @@ class Circuit:
         for g in self.gates:
             if g.kind not in GATE_KINDS:
                 raise ValidationError(f"gate {g.id}: unknown kind {g.kind!r}")
+            stray = [f for f in ("var", "value", "children", "weights", "exp")
+                     if getattr(g, f) not in (None, ()) and f not in GATE_KINDS[g.kind]]
+            if stray:
+                raise ValidationError(f"gate {g.id}: {g.kind} takes no {', '.join(stray)}")
             if g.id <= last:
                 raise ValidationError(f"gate ids must be strictly increasing (saw {g.id} after {last})")
             last = g.id
@@ -368,7 +373,7 @@ class Program:
         F, n, count = self.field, self.arity, len(points)
         if any(len(pt) != n for pt in points):
             raise ArityMismatch(f"points must have {n} coordinates")
-        kern = kernel_for(F, count)
+        kern = kernel_for(F)
         coords = kern.array([v for pt in points for v in pt]).reshape(count, n).T
         values = self.run(kern, np.concatenate([kern.full(count, 1)[None], coords])).tolist()
         return values if F.p is not None or not scalars else [F.of(v) for v in values]
@@ -480,13 +485,12 @@ class Oracle:
     def eval_grid(self, nodes_per_var: int) -> np.ndarray:
         """Values on the grid {0..m-1}^n in row-major order (x1 slowest), by
         the circuit's program, in chunks that keep every block within
-        ``GRID_CHUNK`` entries, every chunk in the whole grid's kernel
-        layout.  The result is the kernel array: over Q it holds an ``int``
-        for every integral value."""
+        ``GRID_CHUNK`` entries.  The result is the kernel array: over Q it
+        holds an ``int`` for every integral value."""
         n = self.arity
         count = nodes_per_var ** n
         self.calls += count
-        kern = kernel_for(self.field, count)
+        kern = kernel_for(self.field)
         program = self.circuit.program
         chunk = max(1, GRID_CHUNK // program.width)
         m = np.uint64(nodes_per_var)
@@ -521,22 +525,23 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
         raise TooLarge(f"dense expansion grid {width}^{n} or table {width}^2 exceeds {DENSE_EXPAND_GUARD}")
     F.require_size_over(d, "dense_expand interpolation grid")
 
-    kern = kernel_for(F, count)
+    kern = kernel_for(F)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t;
     # over Q the rows are ints over d!, divided out once at the end.
     rows = np.array(interpolation_rows(F, width, integral=F.p is None), dtype=object)
     den = math.factorial(d) if F.p is None else 1
-    arr = oracle.eval_grid(width)  # already in the layout of kern, for count points
+    arr = oracle.eval_grid(width)
+    step = max(1, GRID_CHUNK // width)
     for axis in range(n):
         # the axis first, then one lincomb with the rows per chunk of lines,
-        # each within GRID_CHUNK entries
-        lines = arr.reshape(-1, width, width ** (n - 1 - axis)).transpose(1, 0, 2)
-        flat = lines.reshape(width, -1)
-        out = np.empty_like(flat)
-        step = max(1, GRID_CHUNK // width)
+        # each within GRID_CHUNK entries and written back in place, so the
+        # grid's old values are freed chunk by chunk
+        shape = (width**axis, width, width ** (n - 1 - axis))
+        flat = arr.reshape(shape).transpose(1, 0, 2).reshape(width, -1)
+        del arr
         for s in range(0, flat.shape[1], step):
-            out[:, s : s + step] = kern.lincomb(rows, flat[:, s : s + step])
-        arr = out.reshape(lines.shape).transpose(1, 0, 2).reshape(-1)
+            flat[:, s : s + step] = kern.lincomb(rows, flat[:, s : s + step])
+        arr = flat.reshape(width, shape[0], shape[2]).transpose(1, 0, 2).reshape(-1)
     nz = np.flatnonzero(arr)
     terms: dict[ExpVec, Scalar] = {
         tuple(pos // width ** (n - 1 - i) % width for i in range(n)): Fraction(c, den**n) if F.p is None else F.of(c)

@@ -109,12 +109,13 @@ def is_basis_isolating(f: VectorPoly, w: Sequence[int]) -> BasisReport:
 def find_cone_closed(monomials: Iterable[ExpVec], n: int) -> list[ExpVec]:
     """Replace a monomial set B by an equally large cone-closed set.
 
-    Recursion on the arity: with one variable, |B| exponents collapse to
-    {0, ..., |B|-1}.  Otherwise project away the last coordinate, group the
-    projections by preimage multiplicity (F_1 contains every projection,
-    F_i those hit at least i times), recurse on each group, and lift group
-    i to last coordinate i-1.  The output always satisfies |A| = |B|, is
-    cone-closed, and the binomial transfer submatrix T[A, B] is invertible.
+    Recursion on the arity: with no variable B is {()}, and with one, |B|
+    exponents collapse to {0, ..., |B|-1}.  Otherwise project away the last
+    coordinate, group the projections by preimage multiplicity (F_1
+    contains every projection, F_i those hit at least i times), recurse on
+    each group, and lift group i to last coordinate i-1.  The output always
+    satisfies |A| = |B|, is cone-closed, and the binomial transfer
+    submatrix T[A, B] is invertible.
     """
     B = {tuple(e) for e in monomials}
     if not B:
@@ -126,8 +127,8 @@ def find_cone_closed(monomials: Iterable[ExpVec], n: int) -> list[ExpVec]:
 
 
 def _fcc(B: set[ExpVec], n: int) -> set[ExpVec]:
-    if n == 1:
-        return {(i,) for i in range(len(B))}
+    if n <= 1:
+        return {(i,) * n for i in range(len(B))}
     counts: dict[ExpVec, int] = {}
     for e in B:
         counts[e[:-1]] = counts.get(e[:-1], 0) + 1

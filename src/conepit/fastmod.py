@@ -4,33 +4,27 @@ Exact arithmetic on numpy arrays, one point per column, used to run
 circuit programs on many points at once.  Besides elementwise ``add``,
 ``mul`` and ``pow`` (one exponent, or a tuple of one per row), every kernel
 has ``lincomb(W, V)``, the product of a weight matrix with a 2-D block.
-Every field has a kernel:
+Every field has one residue layout:
 
-* p = 2^61 - 1: two residue layouts, fixed per batch from its point count
-  (see :class:`Mersenne61Kernel`).  Batches of up to ``SMALL`` points are
-  object arrays of Python ints, where one operation is a single numpy call
-  (``(a*b) % p``, ``pow(a, e, p)``).  Larger batches are uint64 arrays with
-  Mersenne reduction and a 32/32 split multiply, all intermediates below
-  2^64: about twenty numpy calls per multiply, which only pay off on long
-  arrays.  The batches a low-cone PIT sends hold tens of points, where the
-  fixed cost per numpy call dominates; grids hold thousands.
-* p < 2^31: products of canonical residues fit in uint64 directly.
-* anything else (the rationals, other primes): Python arithmetic
-  elementwise on object arrays of Python scalars (see :class:`ObjectKernel`).
-  Over Q an integral value is held as a Python ``int`` and only a truly
-  rational one as a ``Fraction``, so integer data never builds a
-  ``Fraction`` inside the engine; the engine's exits turn values back into
-  ``Fraction`` field scalars.
+* p < 2^31: uint64 arrays (:class:`SmallPrimeKernel`); products of
+  canonical residues fit in uint64 directly.
+* everything else (the rationals, 2^61 - 1 and other wide primes): object
+  arrays of Python scalars with Python arithmetic elementwise (see
+  :class:`ObjectKernel`), where one operation is a single numpy call
+  (``(a*b) % p``, ``pow(a, e, p)``).  F_{2^61-1} has a subclass of its own,
+  :class:`Mersenne61Kernel`.  Over Q an integral value is held as a Python
+  ``int`` and only a truly rational one as a ``Fraction``, so integer data
+  never builds a ``Fraction`` inside the engine; the engine's exits turn
+  values back into ``Fraction`` field scalars.
 
 ``lincomb`` takes W dense, an object matrix, or sparse, :class:`SparseRows`,
 whose rows are summed by one ``np.add.reduceat`` over their (source row,
-weight) entries.  On object layouts it is one object dot or that sum and
+weight) entries.  On object arrays it is one object dot or that sum and
 one reduction mod p (over Q, one exact division by each rational row's
-denominator).  A uint64 sum of products would overflow: for p < 2^31 the
-products are reduced first (a dense W: two uint64 dots with the 16-bit
-halves of V), and for 2^61 - 1 their 32-bit halves are summed apart.
-``pow`` with one exponent per row multiplies rows up from lower powers,
-so a sum of low powers costs a few ``mul`` calls.
+denominator).  A uint64 sum of products would overflow, so for p < 2^31
+the products are reduced first (a dense W: two uint64 dots with the 16-bit
+halves of V).  ``pow`` with one exponent per row multiplies rows up from
+lower powers, so a sum of low powers costs a few ``mul`` calls.
 
 Values enter through ``array`` and ``full``, weights as
 ``circuits.weight_matrix`` builds them.  Over a prime an exact ``int`` is
@@ -50,14 +44,6 @@ import numpy as np
 from .fields import MERSENNE61, Field, Scalar, square_and_multiply
 
 _U = np.uint64
-
-#: Batches of at most this many points take the object layout of
-#: :class:`Mersenne61Kernel`.  On whole diagonal circuits (arity 4-7, 6-7
-#: terms) at random residues the object layout is faster up to about 128
-#: points and 2-8x slower from 512 points up.  PIT points are small
-#: integers, which moves the crossover up: on diag-pit, 256 gave the same
-#: throughput as 128 and a lower p95 latency.
-SMALL = 256
 
 
 def _residue_list(values: Sequence[Scalar], field: Field) -> list[int]:
@@ -119,89 +105,6 @@ def _pow_rows(kern, a: np.ndarray, exps: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-class Mersenne61Kernel:
-    """mod (2^61 - 1) vector arithmetic; operands must be canonical residues,
-    which :meth:`array` produces from any integers.
-
-    The layout is fixed at construction from the batch's point count, and
-    every array of that batch must come from this kernel: object arrays of
-    Python ints for at most ``SMALL`` points, uint64 arrays otherwise.
-    Every value of the object layout is a Python int: a numpy integer held
-    in an object array would multiply in 64 bits and wrap."""
-
-    p = MERSENNE61
-    field = Field.prime(MERSENNE61)
-    _MASK = _U(MERSENNE61)
-    _S61 = _U(61)
-    _S32 = _U(32)
-    _S29 = _U(29)
-    _S3 = _U(3)
-    _LOW32 = _U(0xFFFFFFFF)
-    _LOW29 = _U((1 << 29) - 1)
-    _powmod = np.frompyfunc(pow, 3, 1)
-
-    def __init__(self, points: int):
-        self.small = points <= SMALL
-
-    def array(self, values: Sequence[Scalar]) -> np.ndarray:
-        if self.small:
-            return np.array(_residue_list(values, self.field), dtype=object)
-        return _residues(values, self.field)
-
-    def full(self, n: int, value: int) -> np.ndarray:
-        if self.small:
-            return np.full(n, int(value), dtype=object)
-        return np.full(n, value, dtype=np.uint64)
-
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        # uint64 layout, valid for any x: two folds of 2^61 = 1, then
-        # conditional subtract
-        x = (x >> self._S61) + (x & self._MASK)
-        x = (x >> self._S61) + (x & self._MASK)
-        return np.where(x >= self._MASK, x - self._MASK, x)
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.small:
-            return (a + b) % self.p
-        return self.reduce(a + b)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.small:
-            return a * b % self.p
-        ah = a >> self._S32
-        al = a & self._LOW32
-        bh = b >> self._S32
-        bl = b & self._LOW32
-        hi = ah * bh                # < 2^58
-        mid = ah * bl + al * bh     # < 2^62
-        lo = al * bl                # full 64-bit product, wraps nowhere
-        acc = self.reduce(lo) + (hi << self._S3) + (mid >> self._S29) + ((mid & self._LOW29) << self._S32)
-        return self.reduce(acc)     # acc < 2^63
-
-    def lincomb(self, W: np.ndarray | SparseRows, V: np.ndarray) -> np.ndarray:
-        if self.small:
-            return W.dot(V) % self.p
-        if type(W) is SparseRows:
-            P = self.mul(W.weights.astype(np.uint64), V[W.cols])
-            hi, lo = np.add.reduceat(P >> self._S32, W.starts), np.add.reduceat(P & self._LOW32, W.starts)
-        else:  # dense, column by column
-            Wu, hi, lo = W.astype(np.uint64), 0, 0
-            for j in range(W.shape[1]):
-                P = self.mul(Wu[:, j : j + 1], V[j : j + 1])
-                hi, lo = hi + (P >> self._S32), lo + (P & self._LOW32)
-        # the 32-bit halves of the products, summed apart: for fewer than
-        # 2^31 terms a row hi < 2^60 and lo < 2^63, and hi * 2^32 is a
-        # rotation of its 61 bits
-        return self.reduce(((hi << self._S32) & self._MASK) + (hi >> self._S29) + lo)
-
-    def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
-        if type(e) is tuple:
-            return _pow_rows(self, a, e)
-        if self.small:
-            return self._powmod(a, e, self.p)
-        return square_and_multiply(a, e, np.ones_like(a), self.mul)
-
-
 class SmallPrimeKernel:
     """mod p vector arithmetic for p < 2^31 (products fit in uint64)."""
 
@@ -244,7 +147,7 @@ class SmallPrimeKernel:
 
 class ObjectKernel:
     """Exact arithmetic elementwise on numpy object arrays: the rationals,
-    and primes too wide for the uint64 kernels.
+    and primes too wide for the uint64 kernel.
 
     Over a prime every value is a Python-int residue.  Over Q an integral
     value is a Python ``int`` (or, from a product of rationals, a ``Fraction``
@@ -271,6 +174,8 @@ class ObjectKernel:
         return operator.index(value)
 
     def array(self, values: Sequence[Scalar]) -> np.ndarray:
+        if self.p is not None:
+            return np.array(_residue_list(values, self.field), dtype=object)
         if isinstance(values, np.ndarray):
             values = values.tolist()
         return np.array([self._entry(v) for v in values], dtype=object)
@@ -284,7 +189,7 @@ class ObjectKernel:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b if self.p is None else (a * b) % self.p
 
-    def lincomb(self, W: np.ndarray | tuple[np.ndarray, np.ndarray], V: np.ndarray) -> np.ndarray:
+    def lincomb(self, W: np.ndarray | SparseRows | tuple[np.ndarray, np.ndarray], V: np.ndarray) -> np.ndarray:
         if type(W) is tuple:  # over Q: integer rows, divided exactly by one denominator per row
             return self._exact_quotient(W[0].dot(V), W[1])
         out = W.dot(V)
@@ -296,10 +201,21 @@ class ObjectKernel:
         return a**e if self.p is None else self._powmod(a, e, self.p)
 
 
-def kernel_for(field: Field, points: int):
-    """The vector kernel for the field, for batches of ``points`` points."""
+class Mersenne61Kernel(ObjectKernel):
+    """mod (2^61 - 1) arithmetic on object arrays of Python-int residues:
+    :class:`ObjectKernel` with the field fixed, a class of its own so that
+    the F_{2^61-1} kernel can be named, and its calls timed, apart."""
+
+    field = Field.prime(MERSENNE61)
+
+    def __init__(self):
+        super().__init__(self.field)
+
+
+def kernel_for(field: Field):
+    """The vector kernel for the field."""
     if field.p == MERSENNE61:
-        return Mersenne61Kernel(points)
+        return Mersenne61Kernel()
     if field.p is not None and field.p < (1 << 31):
         return SmallPrimeKernel(field)
     return ObjectKernel(field)

@@ -13,7 +13,6 @@ from conepit.circuits import (
     serialize,
 )
 from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
-from conepit.fastmod import SMALL, ObjectKernel, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.polys import MultiPoly
@@ -150,15 +149,15 @@ def test_dense_expand_guard_and_char(monkeypatch):
 
 @pytest.mark.parametrize("field", (FP, Field.prime((1 << 31) - 1)), ids=lambda F: F.spec)
 def test_dense_expand_at_width_301(field):
-    # 301 grid points cross SMALL into the uint64 layout, where the
-    # interpolation runs as lincomb's mul/add loop
-    assert 301 > SMALL and not isinstance(kernel_for(field, 301), ObjectKernel)
     rng = random.Random(301)
     terms = [((e,), field.random(rng)) for e in rng.sample(range(300), 20)] + [((300,), field.p - 1), ((0,), 1)]
     P = MultiPoly.make(field, 1, terms)
     assert dense_expand(Oracle(Circuit.from_multipoly(P), degree=300)) == P
     b = CircuitBuilder(field, 1)
     assert dense_expand(Oracle(b.build(b.pow(b.input(0), 300)))) == MultiPoly.make(field, 1, {(300,): 1})
+    # arity 4 at degree 4: a grid of 625 points, with the corner x^(4,4,4,4)
+    P = random_multipoly(rng, field, 4, 4, 30).add(MultiPoly.make(field, 4, {(4, 4, 4, 4): field.p - 1}))
+    assert dense_expand(Oracle(Circuit.from_multipoly(P), degree=4)) == P
 
 
 def test_evaluate_many_matches_scalar_path():
@@ -225,3 +224,23 @@ def test_validation_errors():
         Circuit(Q, 1, (Gate(1, "input", var=0), Gate(0, "const", value=Q.of(1))), 0)
     with pytest.raises(ValidationError):
         Circuit(Q, 1, (Gate(0, "input", var=0),), 5)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        '{"id": 1, "kind": "const", "value": "1", "children": [0]}',
+        '{"id": 1, "kind": "input", "var": 0, "children": [0]}',
+        '{"id": 1, "kind": "input", "var": 0, "value": "2"}',
+        '{"id": 1, "kind": "input", "var": 0, "exp": 2}',
+        '{"id": 1, "kind": "mul", "children": [0], "weights": ["2"]}',
+        '{"id": 1, "kind": "mul", "children": [0], "exp": 2}',
+        '{"id": 1, "kind": "add", "children": [0], "var": 0}',
+        '{"id": 1, "kind": "pow", "children": [0], "exp": 2, "value": "3"}',
+    ],
+)
+def test_fields_of_another_gate_kind_are_rejected(gate):
+    # a stray field would be dropped by serialize, so parse(serialize(C))
+    # would not be C
+    with pytest.raises(ValidationError, match="takes no"):
+        parse('{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, ' + gate + '], "output": 1}')

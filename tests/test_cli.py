@@ -132,6 +132,12 @@ def test_cone_closed_example(tmp_path):
     assert out == "A={(0,0),(1,0)} rank=2 cone_closed=true\n"
 
 
+def test_cone_closed_at_arity_0(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text('{"arity": 0, "vectors": [[]]}')
+    assert invoke(["cone-closed", "--set", str(path)]) == (0, "A={()} rank=1 cone_closed=true\n", "")
+
+
 def test_design_rendering():
     code, out, _ = invoke(["design", "--l", "4", "--n", "3", "--d", "2"])
     assert code == 0
@@ -200,6 +206,11 @@ def test_usage_errors(tmp_path):
         (["annihilate", "--hsg"], "[1, 2]"),
         (["shift-basis", "--weights", "1", "--vectorpoly"], "[1, 2]"),
         (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": "a"}], "output": 0}'),
+        # fields of another gate kind: children on a const, weights on a mul
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
+         '{"id": 1, "kind": "const", "value": "1", "children": [0]}], "output": 1}'),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
+         '{"id": 1, "kind": "mul", "children": [0], "weights": ["2"]}], "output": 1}'),
     ],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, argv, text):

@@ -98,6 +98,7 @@ def test_find_cone_closed_examples():
     assert find_cone_closed({(5,), (7,), (9,)}, 1) == [(0,), (1,), (2,)]
     assert find_cone_closed({(0, 0)}, 2) == [(0, 0)]
     assert find_cone_closed({(2, 1), (0, 3)}, 2) == [(0, 0), (1, 0)]
+    assert find_cone_closed({()}, 0) == [()]
     with pytest.raises(EmptyInput):
         find_cone_closed(set(), 2)
 
@@ -193,6 +194,7 @@ def test_cone_closed_basis_after_shift_examples():
 
     single = VectorPoly.make(Q, 3, 2, [((2, 0, 1), (3, 4))])
     assert cone_closed_basis_after_shift(single, kronecker_weights(3, 3)) == [(0, 0, 0)]
+    assert cone_closed_basis_after_shift(VectorPoly.make(Q, 0, 2, [((), (1, 2))]), ()) == [()]
 
     # support contains 1 and the least basis is already cone-closed
     f = VectorPoly.make(Q, 2, 2, [((0, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1), (2, 3))])

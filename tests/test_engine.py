@@ -1,6 +1,6 @@
 """The one evaluation engine: every field has a kernel, and the column engine
 agrees with the scalar twin ``Circuit.evaluate`` on any integer input,
-numpy integers included, in both residue layouts of the 2^61 - 1 kernel and
+numpy integers included, in the object and uint64 residue layouts and
 across grid chunks, and on rational input over Q and over every prime."""
 
 import random
@@ -15,7 +15,7 @@ from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Progra
 from conepit.diagonal import DiagonalCircuit, diag_pit, diagonal_from_json, diagonal_to_json
 from conepit.errors import ArityMismatch
 from conepit.extraction import extract_coefficient
-from conepit.fastmod import SMALL, Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, SparseRows, kernel_for
+from conepit.fastmod import Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, SparseRows, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.hsg import fischer_rewrite
@@ -41,7 +41,7 @@ def points(arity: int):
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @SETTINGS
-@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([1, SMALL + 1]))
+@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([1, 257]))
 def test_numpy_integers_enter_as_the_ints_they_equal(field, seed, data, count):
     # signed and unsigned numpy integers, alone or mixed in one column, in
     # the object layouts and the uint64 ones
@@ -63,7 +63,7 @@ PRIME_FIELDS = [F for F in FIELDS if F.p is not None]
 
 @pytest.mark.parametrize("field", PRIME_FIELDS, ids=lambda F: F.spec)
 @SETTINGS
-@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([1, SMALL + 1]))
+@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([1, 257]))
 def test_rational_points_over_a_prime_read_as_field_elements(field, seed, data, count):
     # a Fraction a/b is a * b^-1 in F_p on both paths, in the object layouts
     # and the uint64 ones, alone or mixed with ints in one column
@@ -85,13 +85,13 @@ def test_half_is_the_inverse_of_two():
         b = CircuitBuilder(field, 1)
         C = b.build(b.input(0))
         half = (field.p + 1) // 2
-        for count in (1, SMALL + 1):
+        for count in (1, 257):
             assert C.evaluate_many([(Fraction(1, 2),)] * count) == [half] * count
         assert C.evaluate((Fraction(1, 2),)) == half
 
 
 def test_every_field_has_a_kernel():
-    kinds = [type(kernel_for(F, SMALL + 1)) for F in FIELDS]
+    kinds = [type(kernel_for(F)) for F in FIELDS]
     assert kinds == [SmallPrimeKernel, SmallPrimeKernel, SmallPrimeKernel, Mersenne61Kernel, ObjectKernel, ObjectKernel]
 
 
@@ -289,38 +289,28 @@ residues = st.one_of(st.sampled_from([0, 1, (1 << 32) - 1, 1 << 32, M61.p - 1]),
 
 @SETTINGS
 @given(a=st.lists(residues, min_size=1, max_size=20), data=st.data(), e=st.integers(0, 70))
-def test_mersenne_layouts_agree(a, data, e):
+def test_mersenne_kernel_is_exact(a, data, e):
     b = data.draw(st.lists(residues, min_size=len(a), max_size=len(a)))
-    small, wide = kernel_for(M61, 1), kernel_for(M61, SMALL + 1)
-    assert small.small and not wide.small
-    want_mul = [x * y % M61.p for x, y in zip(a, b)]
-    want_add = [(x + y) % M61.p for x, y in zip(a, b)]
-    want_pow = [pow(x, e, M61.p) for x in a]
-    for kern in (small, wide):
-        xa, xb = kern.array(a), kern.array(b)
-        assert kern.mul(xa, xb).tolist() == want_mul
-        assert kern.add(xa, xb).tolist() == want_add
-        assert kern.pow(xa, e).tolist() == want_pow
-        assert kern.mul(kern.array([b[0]]), xa).tolist() == [b[0] * x % M61.p for x in a]
+    w = data.draw(st.lists(st.lists(residues, min_size=2, max_size=2), min_size=1, max_size=4))
+    kern, p = kernel_for(M61), M61.p
+    xa, xb = kern.array(a), kern.array(b)
+    assert kern.mul(xa, xb).tolist() == [x * y % p for x, y in zip(a, b)]
+    assert kern.add(xa, xb).tolist() == [(x + y) % p for x, y in zip(a, b)]
+    assert kern.pow(xa, e).tolist() == [pow(x, e, p) for x in a]
+    assert kern.mul(kern.array([b[0]]), xa).tolist() == [b[0] * x % p for x in a]
+    want = [[(u * x + v * y) % p for x, y in zip(a, b)] for u, v in w]
+    assert kern.lincomb(np.array(w, dtype=object), np.stack([xa, xb])).tolist() == want
+    assert kern.lincomb(SparseRows([(0, 1)] * len(w), w), np.stack([xa, xb])).tolist() == want
 
 
 def test_object_layout_holds_python_ints():
     # numpy integers inside an object array would multiply in 64 bits and wrap
-    kern = kernel_for(M61, SMALL)
+    kern = kernel_for(M61)
     values = [M61.p - 1, -5, 1 << 40]
     x = kern.array([np.uint64(values[0]), np.int64(values[1]), values[2]])
     y = kern.mul(kern.mul(x, kern.full(3, np.uint64(M61.p - 2))), kern.array([np.uint64(3)]))
     assert all(type(v) is int for v in x.tolist() + y.tolist())
     assert y.tolist() == [3 * (M61.p - 2) * v % M61.p for v in values]
-
-
-@pytest.mark.parametrize("count", [SMALL - 1, SMALL, SMALL + 1])
-def test_evaluate_many_at_the_layout_boundary(count):
-    assert kernel_for(M61, count).small == (count <= SMALL)
-    rng = random.Random(count)
-    C = random_circuit(rng, M61, 3, 10, 5)
-    pts = [[rng.randrange(-(1 << 70), 1 << 70) for _ in range(3)] for _ in range(count)]
-    assert C.evaluate_many(pts) == [C.evaluate(pt) for pt in pts]
 
 
 def test_dense_expand_across_grid_chunks():
@@ -397,10 +387,9 @@ def gate_circuits(draw, field: Field, arity: int):
 
 @pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
 @SETTINGS
-@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([0, SMALL + 1]))
+@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([0, 257]))
 def test_programs_match_the_scalar_twin(field, seed, data, count):
-    # count 0: the drawn points alone; SMALL + 1: repeated past the object
-    # layout of 2^61 - 1 into the uint64 one
+    # count 0: the drawn points alone; 257: the drawn points repeated to 257
     rng = random.Random(seed)
     n = data.draw(st.integers(0, 3))
     circuits = [data.draw(diagonal_circuits(field, n)), data.draw(gate_circuits(field, n))]
@@ -435,7 +424,7 @@ def test_a_fischer_zero_circuit_is_one_step_per_level(field):
     for n in (2, 3, 5):
         C = fischer_zero(rng, field, n)
         assert len(C.gates) > 30 and len(C.program.steps) <= 6
-        pts = [[rng.randrange(-99, 99) for _ in range(n)] for _ in range(SMALL + 1)]
+        pts = [[rng.randrange(-99, 99) for _ in range(n)] for _ in range(257)]
         assert C.evaluate_many(pts) == [field.zero()] * len(pts)
         assert C.evaluate_many(pts[:5]) == [C.evaluate(pt) for pt in pts[:5]]
 
@@ -547,10 +536,11 @@ def test_grid_chunks_keep_every_block_within_the_bound(monkeypatch):
     assert sum(n for _, n in sizes) == 17**3 and grid[-1] == D.evaluate([16, 16, 16])
 
 
-UINT64_KERNELS = [Mersenne61Kernel(SMALL + 1), SmallPrimeKernel(Field.prime((1 << 31) - 1)), SmallPrimeKernel(Field.prime(7))]
+#: the 2^61 - 1 kernel and the uint64 ones, whose sums must not overflow
+LINCOMB_KERNELS = [Mersenne61Kernel(), SmallPrimeKernel(Field.prime((1 << 31) - 1)), SmallPrimeKernel(Field.prime(7))]
 
 
-@pytest.mark.parametrize("kern", UINT64_KERNELS, ids=lambda k: f"p:{k.p}")
+@pytest.mark.parametrize("kern", LINCOMB_KERNELS, ids=lambda k: f"p:{k.p}")
 @pytest.mark.parametrize("rows, cols, points", [(1, 1, 3), (3, 5, 7), (6, 9, 40)])
 def test_lincomb_is_the_mul_add_loop_at_the_overflow_edge(kern, rows, cols, points):
     p = kern.p
@@ -570,26 +560,24 @@ def test_lincomb_is_the_mul_add_loop_at_the_overflow_edge(kern, rows, cols, poin
         assert kern.lincomb(W, V).tolist() == kern.lincomb(sparse, V).tolist() == loop == exact
 
 
-@pytest.mark.parametrize("kern", UINT64_KERNELS[:2], ids=lambda k: f"p:{k.p}")
+@pytest.mark.parametrize("kern", LINCOMB_KERNELS[:2], ids=lambda k: f"p:{k.p}")
 @pytest.mark.parametrize("terms", [1 << 16, (1 << 16) + 1, 3 << 16])
 def test_lincomb_is_exact_at_2_16_terms_per_row(kern, terms):
     # every weight and value p - 1, one row and one point; for p < 2^31 the
     # dense sum takes 2^16 columns at a time (2^16 + 1 are two pieces, and
-    # 3 * 2^16 in one piece would pass 2^64), the dense sum mod 2^61 - 1
-    # runs column by column and is left out
+    # 3 * 2^16 in one piece would pass 2^64)
     p = kern.p
     W = np.full((1, terms), p - 1, dtype=object)
     V = kern.array([p - 1] * terms).reshape(terms, 1)
     exact = [[terms * (p - 1) ** 2 % p]]
     assert kern.lincomb(SparseRows([range(terms)], W.tolist()), V).tolist() == exact
-    if isinstance(kern, SmallPrimeKernel):
-        assert kern.lincomb(W, V).tolist() == exact
+    assert kern.lincomb(W, V).tolist() == exact
 
 
 @pytest.mark.parametrize("field", PROGRAM_FIELDS + [Field.prime((1 << 89) - 1)], ids=lambda F: F.spec)
-@pytest.mark.parametrize("count", [5, SMALL + 1])
+@pytest.mark.parametrize("count", [5, 257])
 def test_pow_with_one_exponent_per_row(field, count):
-    kern = kernel_for(field, count)
+    kern = kernel_for(field)
     rng = random.Random(count)
     exps = (3, 0, 1, 3, 70, 2, 1)
     values = [[rng.randrange(-50, 50) for _ in range(count)] for _ in exps]
