@@ -520,7 +520,8 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
     """
     n, d, F = oracle.arity, oracle.degree, oracle.field
     width = d + 1
-    count = width ** n
+    # width^n past the guard already at n = the guard's bit length, if width > 1
+    count = width ** min(n, DENSE_EXPAND_GUARD.bit_length())
     if max(count, width * width) > DENSE_EXPAND_GUARD:
         raise TooLarge(f"dense expansion grid {width}^{n} or table {width}^2 exceeds {DENSE_EXPAND_GUARD}")
     F.require_size_over(d, "dense_expand interpolation grid")

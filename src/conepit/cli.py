@@ -29,7 +29,6 @@ from .hsg import build_annihilator, fischer_rewrite, greedy_design, hsg_from_jso
 from .linalg import bareiss_echelon
 from .pit import brute_force_pit, low_cone_pit, sz_pit
 from .polys import (
-    coeff_rank,
     enumerate_low_cone,
     format_monomial,
     is_cone_closed,
@@ -179,7 +178,7 @@ def cmd_kron(args) -> int:
 def cmd_shift_basis(args) -> int:
     f = documents.vectorpoly_from_json(_read(args.vectorpoly))
     A = cone_closed_basis_after_shift(f, args.weights)
-    return _emit_basis(A, coeff_rank(f), args.json)
+    return _emit_basis(A, len(A), args.json)
 
 
 def cmd_diag_pit(args) -> int:

@@ -21,14 +21,15 @@ cone-closed coefficient basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, VerificationFailed, ZeroPolynomial
+from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, TooLarge, VerificationFailed, ZeroPolynomial
 from .fields import DensePoly, Field, Scalar, rank_over_ft
-from .linalg import RowReducer, in_span
-from .polys import ExpVec, VectorPoly, coeff_rank, deglex_key, submonomials
+from .linalg import RowReducer
+from .polys import LOW_CONE_GUARD, ExpVec, VectorPoly, cone_size, deglex_key, submonomials
 
 Weights = tuple[int, ...]
 
@@ -46,6 +47,13 @@ def kronecker_weights(n: int, d: int) -> Weights:
     return tuple((d + 1) ** i for i in range(n))
 
 
+def _scan_order(f: VectorPoly, w: Sequence[int]) -> list[ExpVec]:
+    """The support in increasing weight with deg-lex tie-break."""
+    if f.is_zero:
+        raise ZeroPolynomial("least_basis of the zero polynomial")
+    return sorted(f.terms, key=lambda e: (weight_of(w, e), deglex_key(e)))
+
+
 def least_basis(f: VectorPoly, w: Sequence[int]) -> list[ExpVec]:
     """Greedy basis of the coefficient span of f, scanning the support in
     increasing weight with deg-lex tie-break.
@@ -53,15 +61,8 @@ def least_basis(f: VectorPoly, w: Sequence[int]) -> list[ExpVec]:
     When w is basis isolating this is the unique least basis; otherwise it
     is the greedy-canonical basis for the induced order.
     """
-    if f.is_zero:
-        raise ZeroPolynomial("least_basis of the zero polynomial")
-    order = sorted(f.terms, key=lambda e: (weight_of(w, e), deglex_key(e)))
     reducer = RowReducer(f.field)
-    basis: list[ExpVec] = []
-    for e in order:
-        if reducer.insert(list(f.terms[e])):
-            basis.append(e)
-    return basis
+    return [e for e in _scan_order(f, w) if reducer.insert(list(f.terms[e]))]
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,36 @@ def is_basis_isolating(f: VectorPoly, w: Sequence[int]) -> BasisReport:
     """Check the two isolation conditions for the greedy least basis:
     pairwise distinct basis weights, and every non-basis coefficient in the
     span of strictly lighter basis coefficients (solved exactly, with the
-    combination recorded)."""
-    basis = least_basis(f, w)
-    weights = [weight_of(w, e) for e in basis]
-    if len(set(weights)) != len(weights):
-        return BasisReport(tuple(basis), False, None)
-    certificate: dict[ExpVec, tuple[tuple[ExpVec, Scalar], ...]] = {}
-    basis_set = set(basis)
-    for e in f.support():
-        if e in basis_set:
-            continue
-        we = weight_of(w, e)
-        lighter = [b for b in basis if weight_of(w, b) < we]
-        ok, combo = in_span(list(f.terms[e]), [list(f.terms[b]) for b in lighter], f.field)
-        if not ok:
-            return BasisReport(tuple(basis), False, None)
-        certificate[e] = tuple((b, c) for b, c in zip(lighter, combo) if c != 0)
+    combination recorded).
+
+    One elimination pass over the support, one weight class at a time.
+    Every member of a class is reduced against the rows admitted from
+    strictly lighter classes before any member of the class is admitted.
+    The k-th admitted row carries the unit vector e_k in extra columns, so
+    reducing [v | 0] leaves [v - sum c_k b_k | -c]: a member with no
+    residue is in the lighter span with combination c.  Both conditions
+    hold iff at most one member per class leaves a residue, and that
+    member is the class's basis monomial.
+    """
+    F = f.field
+    reducer = RowReducer(F)
+    basis: list[ExpVec] = []
+    combos: dict[ExpVec, tuple[tuple[ExpVec, Scalar], ...]] = {}
+    for _, members in itertools.groupby(_scan_order(f, w), key=lambda e: weight_of(w, e)):
+        fresh = []
+        for e in members:
+            v = reducer.reduce(list(f.terms[e]) + [F.zero()] * min(f.dim, len(f.terms)))  # one per basis row
+            if any(v[: f.dim]):
+                fresh.append((e, v))
+            else:
+                combos[e] = tuple((b, F.neg(c)) for b, c in zip(basis, v[f.dim :]) if c != 0)
+        if len(fresh) > 1:
+            return BasisReport(tuple(least_basis(f, w)), False, None)
+        for e, v in fresh:
+            v[f.dim + len(basis)] = F.one()
+            reducer.insert(v)
+            basis.append(e)
+    certificate = {e: combos[e] for e in f.support() if e in combos}
     return BasisReport(tuple(basis), True, certificate)
 
 
@@ -195,6 +210,10 @@ def shift_by_weight(f: VectorPoly, w: Sequence[int]) -> ShiftedVectorPoly:
     """
     if any(x < 0 for x in w):
         raise BadParameters(f"shift weights must be non-negative, got {tuple(w)}")
+    # each support monomial b adds at most dim coefficients of length
+    # w(b) + 1 to each of its cone_size(b) submonomials: count before building
+    if f.dim * sum(cone_size(b) * (weight_of(w, b) + 1) for b in f.terms) > LOW_CONE_GUARD:
+        raise TooLarge(f"shifting by t^w builds more than {LOW_CONE_GUARD} coefficients")
     F = f.field
     acc: dict[ExpVec, list[dict[int, Scalar]]] = {}
     for b in f.terms:
@@ -248,7 +267,7 @@ def cone_closed_basis_after_shift(f: VectorPoly, w: Sequence[int]) -> list[ExpVe
         raise NotIsolating("weight assignment is not basis isolating for this polynomial")
     A = find_cone_closed(report.basis, f.arity)
     shifted = shift_by_weight(f, w)
-    expected = coeff_rank(f)
+    expected = len(report.basis)
     got = rank_over_ft(shifted.rows(A))
     if got != expected:
         raise VerificationFailed(f"shifted rows of A have rank {got}, expected {expected}")

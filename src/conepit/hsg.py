@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .circuits import Circuit
 from .documents import json_list, load_document, natural, scalar_list
@@ -40,7 +43,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .fields import DensePoly, Field, Scalar
+from .fields import DensePoly, Field, Scalar, clear_denominators
 from .linalg import integer_nullspace_canonical, nullspace_canonical
 from .polys import ExpVec, MultiPoly, deglex_key, exponents_of_degree
 
@@ -88,18 +91,20 @@ class HsgTuple:
         if memo is None:
             memo = {}
         memo.setdefault((0,) * self.arity, DensePoly.const(self.field, 1))
+        return [self._image(e, memo) for e in exps]
 
-        def image(e: ExpVec) -> DensePoly:
-            got = memo.get(e)
-            if got is not None:
-                return got
+    def _image(self, e: ExpVec, memo: dict[ExpVec, DensePoly]) -> DensePoly:
+        """The image of e from its nearest memoized predecessor, where the
+        predecessor of e is e minus one in its last nonzero entry."""
+        chain = []
+        while e not in memo:
             i = max(j for j, x in enumerate(e) if x > 0)
-            prev = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out = image(prev).mul(self.polys[i])
-            memo[e] = out
-            return out
-
-        return [image(e) for e in exps]
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1 :]
+        out = memo[e]
+        for e, i in reversed(chain):
+            out = memo[e] = out.mul(self.polys[i])
+        return out
 
     def compose(self, g: MultiPoly) -> DensePoly:
         """g(f_1(y), ..., f_n(y)), expanded exactly."""
@@ -184,7 +189,9 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     block at a time, stopping at the first prefix with a kernel; rows past
     the prefix's largest image degree are zero and are left out.  The
     support is read lazily, and no further than that prefix; its images
-    are built once, block by block, on one shared memo.
+    are built once, block by block.  Over Q the columns are integers, the
+    images scaled by products of the univariates' denominators; the
+    kernel vector is scaled back at the end.
     """
     n = t.arity
     if n < 2:
@@ -196,19 +203,33 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     delta = annihilator_delta(n, d)
     delta0 = d * n * delta + 1
 
-    zero = F.zero()
+    # Over Q each univariate is integer numerators over one denominator
+    # D_i, and the column of e is prod D_i^(e_i) times its image: the
+    # column of its predecessor (e minus one in its last nonzero entry,
+    # earlier in deg-lex) convolved with one numerator list.
+    if F.is_rational:
+        cleared = [clear_denominators(p.coeffs) for p in t.polys]
+        nums = [np.array(c, dtype=object) for c, _ in cleared]
+        integral: dict[ExpVec, np.ndarray] = {(0,) * n: np.array([1], dtype=object)}
     memo: dict[ExpVec, DensePoly] = {}
     support: list[ExpVec] = []
-    images: list[DensePoly] = []
+    columns: list[Sequence[Scalar]] = []
     for _, block in itertools.groupby(_smallest_vectors(n, delta, delta0), key=sum):
         support += block
-        images += t.monomial_images(support[len(images) :], memo)
-        delta1 = max(img.degree() for img in images)
-        rows = list(zip(*(img.coeffs + (zero,) * (delta1 - img.degree()) for img in images)))
         if F.is_rational:
-            vec = integer_nullspace_canonical(rows, len(images))
+            for e in support[len(columns) :]:
+                if any(e):
+                    i = max(j for j, x in enumerate(e) if x > 0)
+                    integral[e] = np.convolve(integral[e[:i] + (e[i] - 1,) + e[i + 1 :]], nums[i])
+                columns.append(tuple(integral[e]))
         else:
-            vec = nullspace_canonical(rows, F, len(images))
+            columns += [img.coeffs for img in t.monomial_images(support[len(columns) :], memo)]
+        height = max(map(len, columns))
+        rows = list(zip(*(c + (0,) * (height - len(c)) for c in columns)))
+        if F.is_rational:
+            vec = integer_nullspace_canonical(rows, len(columns))
+        else:
+            vec = nullspace_canonical(rows, F, len(columns))
         if vec is not None:
             break
     else:
@@ -216,6 +237,12 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
             raise VerificationFailed("support enumeration fell short of the guaranteed size")
         raise VerificationFailed("annihilator system has a guaranteed kernel; none found")
 
+    if F.is_rational and any(D != 1 for _, D in cleared):
+        # column j was scaled by s_j = prod D_i^(e_i) > 0, so its kernel
+        # entry is s_j times the primitive vector's, up to one common factor
+        vec = [v * math.prod(D**x for (_, D), x in zip(cleared, e)) for e, v in zip(support, vec)]
+        g = math.gcd(*vec)
+        vec = [v // g for v in vec]
     coeffs = {e: F.of(c) for e, c in zip(support, vec) if c != 0}
     if F.is_rational:
         lead = max(coeffs, key=deglex_key)

@@ -67,23 +67,6 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
     return red.rank
 
 
-def in_span(vec: Sequence[Scalar], basis: Sequence[Sequence[Scalar]], field: Field) -> tuple[bool, list[Scalar]]:
-    """Is vec in the span of basis?  Returns (membership, combination).
-
-    The combination lists one coefficient per basis vector, in order, such
-    that vec = sum coeff_i * basis_i when membership holds.  Each basis
-    vector is inserted with the unit vector e_i appended, so reducing
-    [vec | 0] leaves [vec - sum c_i * basis_i | -c].
-    """
-    F = field
-    n, m = len(vec), len(basis)
-    red = RowReducer(F)
-    for i, b in enumerate(basis):
-        red.insert(list(b) + [F.one() if j == i else F.zero() for j in range(m)])
-    out = red.reduce(list(vec) + [F.zero()] * m)
-    return all(x == 0 for x in out[:n]), [F.neg(x) for x in out[n:]]
-
-
 def nullspace_canonical(rows: Sequence[Sequence[Scalar]], field: Field, width: int) -> list[Scalar] | None:
     """Canonical kernel vector of a homogeneous system, or None if trivial.
 
@@ -166,7 +149,9 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
     trivial.
     """
     # Scaling a row by the lcm of its denominators leaves the kernel as is.
-    ech, piv_cols = bareiss_echelon([clear_denominators(row)[0] for row in rows])
+    ech, piv_cols = bareiss_echelon(
+        [row if all(type(v) is int for v in row) else clear_denominators(row)[0] for row in rows]
+    )
     pivot_set = set(piv_cols)
     free = next((j for j in range(width) if j not in pivot_set), None)
     if free is None:

@@ -108,28 +108,34 @@ def enumerate_low_cone(n: int, k: int, dcap: int | None = None) -> list[ExpVec]:
     out: list[ExpVec] = []
     if cap < 0:
         return out
-    too_large = TooLarge(f"more than {LOW_CONE_GUARD} exponent entries at arity {n}, cone size {k}")
     if n > LOW_CONE_GUARD:
-        raise too_large
-    row = [0] * n
-
-    def rec(start: int, prod: int, deg: int) -> None:
-        out.append(tuple(row))
-        if n * len(out) > LOW_CONE_GUARD:
-            raise too_large
-        if prod * 2 > k or deg >= cap:
-            return  # no entry fits, at this position or any later one
-        for i in range(start, n):
-            v = 1
-            while prod * (v + 1) <= k and deg + v <= cap:
-                row[i] = v
-                rec(i + 1, prod * (v + 1), deg + v)
-                v += 1
-            row[i] = 0
-
-    rec(0, 1, 0)
+        raise _low_cone_too_large(n, k)
+    out.append((0,) * n)
+    _low_cone_walk([0] * n, 0, 1, 0, k, cap, out)
     out.sort(key=deglex_key)
     return out
+
+
+def _low_cone_too_large(n: int, k: int) -> TooLarge:
+    return TooLarge(f"more than {LOW_CONE_GUARD} exponent entries at arity {n}, cone size {k}")
+
+
+def _low_cone_walk(row: list[int], start: int, prod: int, deg: int, k: int, cap: int, out: list[ExpVec]) -> None:
+    """Append, depth first, every vector that extends row (of cone size
+    prod and degree deg) by nonzero entries past position start, within
+    cone size k and degree cap.  Module-level, so that no reference cycle
+    holds the output list after the call."""
+    for i in range(start, len(row)):
+        v = 1
+        while prod * (v + 1) <= k and deg + v <= cap:
+            row[i] = v
+            out.append(tuple(row))
+            if len(row) * len(out) > LOW_CONE_GUARD:
+                raise _low_cone_too_large(len(row), k)
+            if prod * (v + 1) * 2 <= k and deg + v < cap:  # a later entry may fit
+                _low_cone_walk(row, i + 1, prod * (v + 1), deg + v, k, cap, out)
+            v += 1
+        row[i] = 0
 
 
 def low_cone_count_bound(n: int, k: int) -> float:
@@ -369,6 +375,9 @@ def pd_space_dim(p: MultiPoly) -> int:
     """
     if p.is_zero:
         return 0
+    # every derivative lies in the span of the support's cones
+    if sum(cone_size(e) for e in p.terms) > LOW_CONE_GUARD:
+        raise TooLarge(f"the cones of the support hold more than {LOW_CONE_GUARD} monomials")
     span = PolySpan(p.field)
     work = [p]
     while work:

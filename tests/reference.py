@@ -11,6 +11,7 @@ import itertools
 from math import comb
 
 from conepit import hsg
+from conepit.conebasis import BasisReport, least_basis, weight_of
 from conepit.errors import VerificationFailed
 from conepit.extraction import vandermonde_row
 from conepit.errors import ArityMismatch
@@ -303,3 +304,43 @@ def reference_annihilator(t: hsg.HsgTuple) -> MultiPoly:
         caps = [2 * delta - 1 - ind for ind in g.individual_degrees()]
         g = g.mul_monomial(hsg._deficit_monomial(deficit, caps))
     return g
+
+
+def in_span(vec, basis, field: Field) -> tuple[bool, list[Scalar]]:
+    """Is vec in the span of basis?  Returns (membership, combination).
+
+    The combination lists one coefficient per basis vector, in order, such
+    that vec = sum coeff_i * basis_i when membership holds.  Each basis
+    vector is inserted with the unit vector e_i appended, so reducing
+    [vec | 0] leaves [vec - sum c_i * basis_i | -c].
+    """
+    F = field
+    n, m = len(vec), len(basis)
+    red = RowReducer(F)
+    for i, b in enumerate(basis):
+        red.insert(list(b) + [F.one() if j == i else F.zero() for j in range(m)])
+    out = red.reduce(list(vec) + [F.zero()] * m)
+    return all(x == 0 for x in out[:n]), [F.neg(x) for x in out[n:]]
+
+
+def reference_is_basis_isolating(f: VectorPoly, w) -> BasisReport:
+    """:func:`conepit.conebasis.is_basis_isolating` by its definition: the
+    greedy least basis, a check that its weights are pairwise distinct, then
+    one fresh :func:`in_span` solve per non-basis monomial against the
+    strictly lighter basis monomials."""
+    basis = least_basis(f, w)
+    weights = [weight_of(w, e) for e in basis]
+    if len(set(weights)) != len(weights):
+        return BasisReport(tuple(basis), False, None)
+    certificate = {}
+    basis_set = set(basis)
+    for e in f.support():
+        if e in basis_set:
+            continue
+        we = weight_of(w, e)
+        lighter = [b for b in basis if weight_of(w, b) < we]
+        ok, combo = in_span(list(f.terms[e]), [list(f.terms[b]) for b in lighter], f.field)
+        if not ok:
+            return BasisReport(tuple(basis), False, None)
+        certificate[e] = tuple((b, c) for b, c in zip(lighter, combo) if c != 0)
+    return BasisReport(tuple(basis), True, certificate)

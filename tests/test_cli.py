@@ -102,6 +102,34 @@ def test_extraction_past_the_guard_is_a_precondition_error(tmp_path, argv, text)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Inputs whose size a guard counts before anything is built: a shift of
+# x1^(10^30) or x1^(10^6), the derivative cones of x1^(10^30)*x2, and a
+# grid of arity 10^30 (3^(10^30) points).
+SHIFT_POWER = '{"field": "q", "arity": 2, "dim": 2, "terms": [{"exp": [E, 0], "coef": ["1", "2"]}, {"exp": [0, 1], "coef": ["0", "1"]}]}'
+HUGE_ARITY = (
+    '{"field": "p:7", "arity": 1000000000000000000000000000000, "gates": [{"id": 0, "kind": "input", "var": 0}, '
+    '{"id": 1, "kind": "pow", "children": [0], "exp": 2}], "output": 1}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["shift-basis", "--weights", "1,3", "--vectorpoly"], SHIFT_POWER.replace("E", str(10**30))),
+        (["shift-basis", "--weights", "1,3", "--vectorpoly"], SHIFT_POWER.replace("E", str(10**6))),
+        (["derivdim", "--poly"], '{"field": "q", "arity": 2, "terms": [{"exp": [%d, 1], "coef": "1"}]}' % 10**30),
+        (["bfpit", "--circuit"], HUGE_ARITY),
+    ],
+    ids=["shift-basis-1e30", "shift-basis-1e6", "derivdim-1e30", "bfpit-arity-1e30"],
+)
+def test_guards_count_before_they_build(tmp_path, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_pit_zero_exit_code(zero_circuit):
     code, out, _ = invoke(["pit", "--circuit", zero_circuit, "--k", "8"])
     assert (code, out) == (0, "ZERO\n")

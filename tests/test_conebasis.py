@@ -3,7 +3,10 @@ from fractions import Fraction
 from math import log2
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conepit import conebasis
 from conepit.conebasis import (
     cone_closed_basis_after_shift,
     find_cone_closed,
@@ -14,12 +17,12 @@ from conepit.conebasis import (
     transfer_submatrix,
     weight_of,
 )
-from conepit.errors import BadParameters, EmptyInput, NotIsolating, ZeroPolynomial
+from conepit.errors import BadParameters, EmptyInput, NotIsolating, TooLarge, ZeroPolynomial
 from conepit.fields import Field
 from conepit.generators import random_vectorpoly
 from conepit.polys import VectorPoly, coeff_rank, cone_size, is_cone_closed
 from conepit.linalg import RowReducer
-from reference import bareiss_det, symbolic_shift_coefficients
+from reference import bareiss_det, reference_is_basis_isolating, symbolic_shift_coefficients
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -71,6 +74,29 @@ def test_certificates_rebuild_every_non_basis_coefficient(field):
                 assert weight_of(w, b) < weight_of(w, e)
                 rebuilt = [field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, f.terms[b])]
             assert tuple(rebuilt) == f.terms[e]
+
+
+@pytest.mark.parametrize("field", [Q, FP, Field.prime(7), Field.prime(3)], ids=lambda F: F.spec)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 1 << 32), weights=st.sampled_from(["kronecker", "random", "0/1"]))
+def test_one_pass_isolation_matches_the_twin(field, seed, weights):
+    """The one elimination pass gives the basis, the flag and the
+    certificate, in its order, of one in_span solve per rejected monomial."""
+    rng = random.Random(seed)
+    n, dim, d = rng.randint(1, 3), rng.randint(1, 4), rng.randint(0, 4)
+    f = random_vectorpoly(rng, field, n, dim, d, rng.randint(1, 8))
+    assume(not f.is_zero)
+    w = {
+        "kronecker": kronecker_weights(n, d),
+        "random": tuple(rng.randint(0, 6) for _ in range(n)),
+        "0/1": tuple(rng.randint(0, 1) for _ in range(n)),
+    }[weights]
+    got, want = is_basis_isolating(f, w), reference_is_basis_isolating(f, w)
+    assert (got.basis, got.isolating) == (want.basis, want.isolating)
+    if want.isolating:
+        assert list(got.certificate.items()) == list(want.certificate.items())
+    else:
+        assert got.certificate is None
 
 
 def test_kronecker_weights_examples():
@@ -163,6 +189,18 @@ def test_shift_rejects_negative_weights():
     with pytest.raises(BadParameters):
         cone_closed_basis_after_shift(f, (2, -1))
     assert shift_by_weight(f, (0, 2)).coefficient((0, 0))[0].coeffs == (1, 0, 1)  # 1 + t^2
+
+
+def test_shift_guard_counts_before_it_builds(monkeypatch):
+    # x1^2 with weight 1 over dim 1: cone 3 times length 3 is 9 coefficients
+    f = VectorPoly.make(Q, 1, 1, [((2,), (1,))])
+    monkeypatch.setattr(conebasis, "LOW_CONE_GUARD", 9)
+    assert shift_by_weight(f, (1,)).coefficient((0,))[0].coeffs == (0, 0, 1)
+    monkeypatch.setattr(conebasis, "LOW_CONE_GUARD", 8)
+    with pytest.raises(TooLarge):
+        shift_by_weight(f, (1,))
+    with pytest.raises(TooLarge):
+        cone_closed_basis_after_shift(VectorPoly.make(Q, 1, 1, [((10**30,), (1,))]), (1,))
 
 
 def test_shift_matches_symbolic_substitution():

@@ -1,10 +1,11 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
@@ -164,6 +165,34 @@ def test_prefix_solve_matches_the_full_system(field, seed, arity, data):
             return f"VerificationFailed: {exc}"
 
     assert outcome(build_annihilator) == outcome(reference_annihilator)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rational_denominators_match_the_full_system(data):
+    """Over Q, univariates with denominators give integer columns scaled
+    by the products of the denominators; the kernel vector scaled back is
+    the one solve of the whole system over the rationals."""
+    arity = data.draw(st.integers(2, 3))
+    degree = {2: 3, 3: 2}[arity]
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    polys = [data.draw(st.lists(coeff, min_size=1, max_size=degree + 1).filter(any)) for _ in range(arity)]
+    assume(max(map(len, polys)) > 1 and any(c.denominator != 1 for p in polys for c in p))
+    t = HsgTuple.make(Q, [DensePoly.make(Q, p) for p in polys])
+    assert build_annihilator(t).render() == reference_annihilator(t).render()
+
+
+@pytest.mark.parametrize("field", [Q, FP], ids=lambda F: F.spec)
+def test_images_leave_no_reference_cycle(field):
+    t = HsgTuple.make(field, [DensePoly.make(field, ["1/2", 2, 3]), DensePoly.make(field, [0, 1, 5])])
+    gc.collect()
+    gc.disable()
+    try:
+        t.monomial_images([(2, 1), (1, 3), (0, 0)])
+        build_annihilator(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_hsg_tuple_validation_and_json():

@@ -1,6 +1,7 @@
 """Fraction-free elimination against its scalar twin, the integral kernel
 against the field kernel over Q, canonical kernel vectors of column
-prefixes, and span membership with its combination."""
+prefixes, and the span-membership twin of tests/reference.py with its
+combination."""
 
 import math
 import random
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conepit.fields import Field
-from conepit.linalg import bareiss_echelon, in_span, integer_nullspace_canonical, matrix_rank, nullspace_canonical
-from reference import scalar_bareiss_echelon
+from conepit.linalg import bareiss_echelon, integer_nullspace_canonical, matrix_rank, nullspace_canonical
+from reference import in_span, scalar_bareiss_echelon
 
 Q = Field.rationals()
 SETTINGS = settings(max_examples=80, deadline=None)

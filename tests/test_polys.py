@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -78,6 +79,16 @@ def test_enumerate_low_cone_examples():
             enumerate_low_cone(n, k)
 
 
+def test_enumerate_low_cone_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_low_cone(4, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumerate_low_cone_at_large_arity(monkeypatch):
     # the walk recurses over nonzero entries, so its depth does not grow with n
     n = 1500
@@ -140,6 +151,16 @@ def test_pd_space_dim_examples():
     assert pd_space_dim(square) == 3
     assert pd_space_dim(MultiPoly.const(Q, 2, 7)) == 1
     assert pd_space_dim(MultiPoly.zero(Q, 2)) == 0
+
+
+def test_pd_space_dim_guard(monkeypatch):
+    # the cones of x1*x2 and x2^2 hold 4 + 3 monomials
+    p = MultiPoly.make(Q, 2, {(1, 1): 1, (0, 2): 1})
+    monkeypatch.setattr(polys, "LOW_CONE_GUARD", 7)
+    assert pd_space_dim(p) == 4
+    monkeypatch.setattr(polys, "LOW_CONE_GUARD", 6)
+    with pytest.raises(TooLarge):
+        pd_space_dim(p)
 
 
 def test_pd_space_dim_matches_naive():
