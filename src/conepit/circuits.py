@@ -239,11 +239,6 @@ class Circuit:
             gates.append(Gate(g.id, g.kind, g.var, value, g.children, weights, g.exp))
         return Circuit(field, self.arity, tuple(gates), self.output)
 
-    @staticmethod
-    def from_multipoly(poly: MultiPoly) -> "Circuit":
-        builder = CircuitBuilder(poly.field, poly.arity)
-        return builder.build(builder.poly(poly))
-
 
 class CircuitBuilder:
     """Append-only gate list with memoized input gates."""
@@ -516,7 +511,8 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
     oracle on the grid {0..d}^n, by per-variable interpolation.  Exact.
 
     Requires the (d+1)^n grid and the (d+1)^2 interpolation table within
-    the enumeration guard, and a field with more than d elements.
+    the enumeration guard, and a field with more than d elements.  A grid
+    of zeros, still evaluated whole, is the zero polynomial uninterpolated.
     """
     n, d, F = oracle.arity, oracle.degree, oracle.field
     width = d + 1
@@ -526,12 +522,14 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
         raise TooLarge(f"dense expansion grid {width}^{n} or table {width}^2 exceeds {DENSE_EXPAND_GUARD}")
     F.require_size_over(d, "dense_expand interpolation grid")
 
+    arr = oracle.eval_grid(width)
+    if not np.any(arr):
+        return MultiPoly.zero(F, n)
     kern = kernel_for(F)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t;
     # over Q the rows are ints over d!, divided out once at the end.
     rows = np.array(interpolation_rows(F, width, integral=F.p is None), dtype=object)
     den = math.factorial(d) if F.p is None else 1
-    arr = oracle.eval_grid(width)
     step = max(1, GRID_CHUNK // width)
     for axis in range(n):
         # the axis first, then one lincomb with the rows per chunk of lines,
@@ -609,9 +607,3 @@ def circuit_from_document(doc) -> Circuit:
 def load_circuit(path: str) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def save_circuit(circuit: Circuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(circuit))
-        fh.write("\n")

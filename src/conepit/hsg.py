@@ -401,13 +401,3 @@ def local_kronecker(circuit: Circuit, block: int) -> Circuit:
         e[j] = 1 << (i + 1)
         sigma[v] = MultiPoly.make(F, blocks, {tuple(e): 1})
     return circuit.substitute(sigma)
-
-
-def kronecker_exponent_image(e: ExpVec, block: int) -> ExpVec:
-    """Image of a monomial's exponent vector under the blockwise map."""
-    n = len(e)
-    blocks = (n + block - 1) // block
-    out = [0] * blocks
-    for v, x in enumerate(e):
-        out[v // block] += x * (1 << ((v % block) + 1))
-    return tuple(out)

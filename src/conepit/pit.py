@@ -9,7 +9,9 @@ Three testers over the same oracle interface:
   a Nonzero answer is always sound.  The extractions of one test share an
   evaluation plan: one total-degree layer at a time, the points of every
   monomial in the layer are gathered and those not evaluated earlier in
-  the test go to the oracle in one batch.
+  the test go to the oracle in one batch.  The query points are a hitting
+  set, so a Zero verdict needs only their values: coefficients are
+  combined only from the first layer where a value read is nonzero.
 * :func:`brute_force_pit` -- ground truth by dense grid expansion.
 * :func:`sz_pit` -- seeded random evaluations, one-sided error.
 """
@@ -72,6 +74,11 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     number of points the tested extractions requested,
     cone_size(e) * (d + 1) each.
 
+    Zero phase: until a layer reads a nonzero value, each of its
+    coefficients combines zeros only, so the layer just counts its
+    monomials as tested and its requests as read.  The points evaluated,
+    ``oracle.calls`` and ``oracle_calls`` are as if every one was combined.
+
     The first extraction, of the constant monomial, is checked against the
     extraction guard before the walk, so a degree bound too high to extract
     at raises TooLarge without enumerating a monomial.
@@ -81,11 +88,19 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     table = _Table(oracle)
     values = table.values
     tested = 0
+    seen_nonzero = False
     for _, layer in itertools.groupby(monomials, key=sum):
         extractions = [FilteredOracle(table, e) for e in layer]
         fresh = dict.fromkeys(pt for x in extractions for pt in x.queries()[0] if pt not in values)
         if fresh:
-            values.update(zip(fresh, oracle.eval_many(list(fresh))))
+            read = oracle.eval_many(list(fresh))
+            values.update(zip(fresh, read))
+            seen_nonzero = seen_nonzero or any(read)
+        if not seen_nonzero:
+            # every coefficient of the layer combines zeros only
+            tested += len(extractions)
+            table.calls += sum(len(x.queries()[0]) for x in extractions)
+            continue
         for x in extractions:
             tested += 1
             c = x.coefficient()
@@ -99,7 +114,8 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
 class _Table:
     """The values one low-cone test has evaluated, as the kernel holds them,
     keyed by point, which the test's extractions read as their base oracle.
-    ``calls`` counts the points read, so it sums the extractions' requests."""
+    ``calls`` counts the points read, so it sums the extractions' requests
+    (the zero phase adds those of the layers it skips)."""
 
     def __init__(self, oracle: Oracle):
         self.arity, self.degree, self.field = oracle.arity, oracle.degree, oracle.field

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a route different from the package
 code: literal grids, number-theoretic counting, pairwise scans, symbolic
-expansion.  Kept deliberately simple and slow.
+expansion.  Kept deliberately simple and slow.  The last section holds
+the few circuit helpers the tests share and the library does not need.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 from math import comb
 
 from conepit import hsg
+from conepit.circuits import Circuit, CircuitBuilder, serialize
 from conepit.conebasis import BasisReport, least_basis, weight_of
 from conepit.errors import VerificationFailed
 from conepit.extraction import vandermonde_row
@@ -344,3 +346,32 @@ def reference_is_basis_isolating(f: VectorPoly, w) -> BasisReport:
             return BasisReport(tuple(basis), False, None)
         certificate[e] = tuple((b, c) for b, c in zip(lighter, combo) if c != 0)
     return BasisReport(tuple(basis), True, certificate)
+
+
+# ----------------------------------------------------------------------
+# Test helpers: building and saving circuits, the Kronecker exponent map
+# ----------------------------------------------------------------------
+
+
+def circuit_from_multipoly(poly: MultiPoly) -> Circuit:
+    """A gate circuit computing ``poly`` term by term."""
+    builder = CircuitBuilder(poly.field, poly.arity)
+    return builder.build(builder.poly(poly))
+
+
+def save_circuit(circuit: Circuit, path: str) -> None:
+    """Write the circuit's JSON document to ``path``, as the CLI reads it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize(circuit))
+        fh.write("\n")
+
+
+def kronecker_exponent_image(e: ExpVec, block: int) -> ExpVec:
+    """Image of a monomial's exponent vector under ``hsg.local_kronecker``'s
+    blockwise map: variable i of block j goes to y_j^(2^(i+1))."""
+    n = len(e)
+    blocks = (n + block - 1) // block
+    out = [0] * blocks
+    for v, x in enumerate(e):
+        out[v // block] += x * (1 << ((v % block) + 1))
+    return tuple(out)

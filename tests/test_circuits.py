@@ -13,9 +13,12 @@ from conepit.circuits import (
     serialize,
 )
 from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
+from conepit.fastmod import kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
+from conepit.pit import NONZERO, ZERO, brute_force_pit
 from conepit.polys import MultiPoly
+from reference import circuit_from_multipoly
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -152,12 +155,73 @@ def test_dense_expand_at_width_301(field):
     rng = random.Random(301)
     terms = [((e,), field.random(rng)) for e in rng.sample(range(300), 20)] + [((300,), field.p - 1), ((0,), 1)]
     P = MultiPoly.make(field, 1, terms)
-    assert dense_expand(Oracle(Circuit.from_multipoly(P), degree=300)) == P
+    assert dense_expand(Oracle(circuit_from_multipoly(P), degree=300)) == P
     b = CircuitBuilder(field, 1)
     assert dense_expand(Oracle(b.build(b.pow(b.input(0), 300)))) == MultiPoly.make(field, 1, {(300,): 1})
     # arity 4 at degree 4: a grid of 625 points, with the corner x^(4,4,4,4)
     P = random_multipoly(rng, field, 4, 4, 30).add(MultiPoly.make(field, 4, {(4, 4, 4, 4): field.p - 1}))
-    assert dense_expand(Oracle(Circuit.from_multipoly(P), degree=4)) == P
+    assert dense_expand(Oracle(circuit_from_multipoly(P), degree=4)) == P
+
+
+GRID_FIELDS = (FP, Field.prime((1 << 31) - 1), Field.prime(7), Field.prime((1 << 89) - 1), Q)
+
+
+def lincomb_calls(monkeypatch, field):
+    """A list that grows by one entry on every ``lincomb`` of the field's kernel."""
+    kern_type = type(kernel_for(field))
+    real = kern_type.lincomb
+    calls = []
+
+    def lincomb(self, W, V):
+        calls.append(W)
+        return real(self, W, V)
+
+    monkeypatch.setattr(kern_type, "lincomb", lincomb)
+    return calls
+
+
+@pytest.mark.parametrize("field", GRID_FIELDS, ids=lambda F: F.spec)
+def test_dense_expand_of_a_zero_grid_interpolates_nothing(monkeypatch, field):
+    rng = random.Random(17)
+    b = CircuitBuilder(field, 2)
+    s = b.add([(1, b.input(0)), (1, b.input(1))])
+    sum_square = b.build(
+        b.add([(1, b.pow(s, 2)), (-1, b.pow(b.input(0), 2)), (-2, b.mul([b.input(0), b.input(1)])), (-1, b.pow(b.input(1), 2))])
+    )
+    diagonal = random_diagonal(rng, field, 3, 3, 3, force_zero=True).to_circuit()
+    calls = lincomb_calls(monkeypatch, field)
+    for C in (sum_square, diagonal):
+        oracle = Oracle(C)
+        grid = (oracle.degree + 1) ** C.arity
+        Oracle(C).eval_grid(oracle.degree + 1)
+        grid_lincombs = len(calls)
+        assert dense_expand(oracle) == MultiPoly.zero(field, C.arity)
+        # the grid's program again, and no interpolation pass
+        assert len(calls) == 2 * grid_lincombs
+        assert oracle.calls == grid
+        verdict = brute_force_pit(Oracle(C))
+        assert (verdict.outcome, verdict.oracle_calls) == (ZERO, grid)
+        calls.clear()
+
+
+@pytest.mark.parametrize("field", GRID_FIELDS, ids=lambda F: F.spec)
+def test_dense_expand_of_a_mostly_zero_grid(monkeypatch, field):
+    # prod over i of x_i (x_i - 1) ... (x_i - d + 1) vanishes on the grid
+    # {0..d}^n except at its corner (d, ..., d)
+    n, d = 3, 4
+    P = MultiPoly.const(field, n, 1)
+    for i in range(n):
+        for j in range(d):
+            P = P.mul(MultiPoly.variable(field, n, i).sub(MultiPoly.const(field, n, j)))
+    C = circuit_from_multipoly(P)
+    calls = lincomb_calls(monkeypatch, field)
+    Oracle(C, degree=d).eval_grid(d + 1)
+    grid_lincombs = len(calls)
+    assert dense_expand(Oracle(C, degree=d)) == P
+    # one interpolation pass per axis
+    assert len(calls) == 2 * grid_lincombs + n
+    verdict = brute_force_pit(Oracle(C, degree=d))
+    assert (verdict.outcome, verdict.monomials_tested) == (NONZERO, len(P.terms))
 
 
 def test_evaluate_many_matches_scalar_path():

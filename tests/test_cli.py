@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conepit.circuits import CircuitBuilder, save_circuit
+from conepit.circuits import CircuitBuilder
 from conepit.cli import run
 from conepit.fields import Field
+from reference import save_circuit
 
 Q = Field.rationals()
 FP = Field.default_prime()

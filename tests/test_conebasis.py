@@ -17,6 +17,7 @@ from conepit.conebasis import (
     transfer_submatrix,
     weight_of,
 )
+from conepit.documents import vectorpoly_from_json, vectorpoly_to_json
 from conepit.errors import BadParameters, EmptyInput, NotIsolating, TooLarge, ZeroPolynomial
 from conepit.fields import Field
 from conepit.generators import random_vectorpoly
@@ -30,6 +31,22 @@ FP = Field.default_prime()
 
 def example_f():
     return VectorPoly.make(Q, 2, 2, [((0, 0), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (1, 1))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    field=st.sampled_from([Q, FP, Field.prime(7)]),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 5), st.integers(0, 8)),
+    den=st.integers(1, 12),
+)
+def test_vectorpoly_json_round_trip(seed, field, shape, den):
+    arity, dim, degree, terms = shape
+    f = random_vectorpoly(random.Random(seed), field, arity, dim, degree, terms)
+    if field.p is None:
+        # non-integral rationals too: they render as "a/b"
+        f = VectorPoly.make(field, arity, dim, [(e, [c / den for c in vec]) for e, vec in f.terms.items()])
+    assert vectorpoly_from_json(vectorpoly_to_json(f)) == f
 
 
 def test_least_basis_examples():

@@ -21,7 +21,7 @@ from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.hsg import fischer_rewrite
 from conepit.pit import brute_force_pit, low_cone_pit
 from conepit.polys import MultiPoly, enumerate_low_cone
-from reference import poly_pow, reference_coefficient
+from reference import circuit_from_multipoly, poly_pow, reference_coefficient
 
 FIELDS = [Field.prime(p) for p in (2, 7, (1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)] + [Field.rationals()]
 IDS = [F.spec for F in FIELDS]
@@ -126,7 +126,7 @@ def test_dense_expand_recovers_the_source_polynomial(field, seed):
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     P = random_multipoly(rng, field, n, rng.randint(0, 4), rng.randint(0, 6))
-    assert dense_expand(Oracle(Circuit.from_multipoly(P))) == P
+    assert dense_expand(Oracle(circuit_from_multipoly(P))) == P
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conepit import extraction
-from conepit.circuits import Circuit, CircuitBuilder, Oracle, dense_expand
+from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes, TooLarge
 from conepit.extraction import (
     EXTRACTION_GUARD,
@@ -21,7 +21,7 @@ from conepit.extraction import (
 from conepit.fields import Field
 from conepit.generators import random_circuit
 from conepit.polys import cone_size, enumerate_low_cone
-from reference import reference_queries
+from reference import circuit_from_multipoly, reference_queries
 from test_pit import PLAN_FIELDS
 
 Q = Field.rationals()
@@ -116,7 +116,7 @@ def test_extraction_linearity():
         # a*p1 + b*p2 as one circuit; both random circuits have degree <= 3
         p1 = dense_expand(Oracle(o1.circuit))
         p2 = dense_expand(Oracle(o2.circuit))
-        combo = Oracle(Circuit.from_multipoly(p1.scale(a).add(p2.scale(b))), degree=3)
+        combo = Oracle(circuit_from_multipoly(p1.scale(a).add(p2.scale(b))), degree=3)
         e = tuple(rng.randint(0, 1) for _ in range(n))
         lhs = extract_coefficient(combo, e)
         rhs = FP.add(

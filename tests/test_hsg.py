@@ -32,13 +32,12 @@ from conepit.hsg import (
     hard_map_substitution,
     hsg_from_json,
     hsg_to_json,
-    kronecker_exponent_image,
     local_kronecker,
     scatter_polynomial,
 )
 from conepit.pit import brute_force_pit
 from conepit.polys import MultiPoly
-from reference import pairwise_design_ok, poly_pow, reference_annihilator
+from reference import circuit_from_multipoly, kronecker_exponent_image, pairwise_design_ok, poly_pow, reference_annihilator
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -199,6 +198,18 @@ def test_hsg_tuple_validation_and_json():
     with pytest.raises(ValidationError):
         HsgTuple.make(Q, [Y, DensePoly.zero(Q)])
     t = HsgTuple.make(Q, [Y, Y.pow(2)])
+    assert hsg_from_json(hsg_to_json(t)) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    field=st.sampled_from([Q, FP, Field.prime(7)]),
+    arity=st.integers(1, 4),
+    degree=st.integers(0, 6),
+)
+def test_hsg_json_round_trip(seed, field, arity, degree):
+    t = random_hsg(random.Random(seed), field, arity, degree)
     assert hsg_from_json(hsg_to_json(t)) == t
 
 
@@ -370,9 +381,7 @@ def test_local_kronecker_preserves_multilinear_nonzeroness():
         p = MultiPoly.make(FP, n, items)
         if p.is_zero:
             continue
-        from conepit.circuits import Circuit
-
-        K = local_kronecker(Circuit.from_multipoly(p), 2)
+        K = local_kronecker(circuit_from_multipoly(p), 2)
         assert brute_force_pit(Oracle(K)).outcome == "NONZERO"
 
 

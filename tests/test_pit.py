@@ -225,6 +225,47 @@ def test_plan_evaluates_each_distinct_point_once(field):
             assert verdict.oracle_calls <= len(requested)
 
 
+def count_coefficients(monkeypatch):
+    """Patch ``FilteredOracle.coefficient`` to record the exponent of each
+    extraction that combines its values."""
+    real = FilteredOracle.coefficient
+    combined = []
+
+    def coefficient(self):
+        combined.append(self.e)
+        return real(self)
+
+    monkeypatch.setattr(FilteredOracle, "coefficient", coefficient)
+    return combined
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=lambda F: F.spec)
+def test_zero_phase_skips_layers_that_read_only_zeros(monkeypatch, field):
+    # x1 - x2 vanishes on the constant monomial's points tau * (1, 1), so
+    # layer 0 combines nothing and layer 1 names the witness
+    b = CircuitBuilder(field, 2)
+    C = b.build(b.add([(1, b.input(0)), (-1, b.input(1))]))
+    want = reference_low_cone_pit(Oracle(C), 4)
+    combined = count_coefficients(monkeypatch)
+    got = low_cone_pit(Oracle(C), 4)
+    assert got == want and got.outcome == NONZERO
+    assert type(got.coefficient) is type(want.coefficient)
+    assert combined and all(sum(e) == 1 for e in combined)
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=lambda F: F.spec)
+def test_zero_phase_combines_nothing_on_zero_circuits(monkeypatch, field):
+    rng = random.Random(71)
+    D = random_diagonal(rng, field, 3, 3, 3, force_zero=True)
+    cases = ((lambda: zero_circuit_oracle(field), 8), (D.as_oracle, 16))
+    wants = [reference_low_cone_pit(make_oracle(), k) for make_oracle, k in cases]
+    combined = count_coefficients(monkeypatch)
+    for (make_oracle, k), want in zip(cases, wants):
+        got = low_cone_pit(make_oracle(), k)
+        assert got == want and got.outcome == ZERO and got.monomials_tested > 0
+    assert combined == []
+
+
 def test_plan_prefetches_the_witness_layer_whole():
     # x5 in arity 5: the witness opens layer 1 in deg-lex order, and the
     # other four monomials of the layer are prefetched too, so distinct
