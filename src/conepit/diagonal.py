@@ -2,13 +2,14 @@
 
 A :class:`DiagonalCircuit` stores terms (c_i, affine form, d_i) and computes
 sum c_i * (const_i + <coeffs_i, x>)^(d_i): its program is three array steps
-built straight from the terms, L = A.[1; x], P = L^d row by row and c.P,
-and its gate view serves only the scalar twin ``evaluate``.  Its rank is
-the linear rank of the non-constant parts; when that rank r is small the
-circuit can be compressed to r variables by a coordinate-selection
-substitution that keeps nonzeroness, which is what makes the low-cone
-identity test effective here: the partial-derivative space of a k-term
-diagonal circuit has dimension at most sum (d_i + 1).
+over the collected terms, L = A.[1; x], P = L^d row by row and c.P, with
+like terms (one form, one power) summed and those that cancel dropped; its
+gate view keeps every term and serves only the scalar twin ``evaluate``.
+Its rank is the linear rank of the non-constant parts; when that rank r is
+small the circuit can be compressed to r variables by a coordinate-selection
+substitution that keeps nonzeroness, which makes the low-cone identity test
+effective here: the partial-derivative space of a k-term diagonal circuit
+has dimension at most sum (d_i + 1).
 
 JSON document format::
 
@@ -73,11 +74,18 @@ class DiagonalCircuit:
     def program(self) -> Program:
         """Three steps, built from the terms on first use, with no gate:
         L = A.[1; x] for A = [const | coeffs], P = L^d row by row, then
-        c.P.  The terms are taken in ascending d, which is the order in
+        c.P.  Like terms are collected first, since c.l^d + c'.l^d =
+        (c + c').l^d: terms with one (const, coeffs, d) are one row whose c
+        is the field sum of theirs, and a row whose c sums to 0 is dropped.
+        The gate view keeps every term, so ``evaluate`` stays an independent
+        twin.  The rows are taken in ascending d, which is the order in
         which ``pow`` raises rows most cheaply."""
         F, whole = self.field, slice(None)
-        zero = DiagonalTerm(F.zero(), F.zero(), (F.zero(),) * self.arity, 0)  # no terms: the sum 0
-        terms = sorted(self.terms, key=lambda t: t.d) or [zero]
+        like: dict[tuple, Scalar] = {}  # (const, coeffs, d) -> the sum of its c
+        for t in self.terms:
+            like[t.const, t.coeffs, t.d] = F.add(like.get((t.const, t.coeffs, t.d), F.zero()), t.c)
+        zero = DiagonalTerm(F.zero(), F.zero(), (F.zero(),) * self.arity, 0)  # nothing left: the sum 0
+        terms = sorted((DiagonalTerm(c, *key) for key, c in like.items() if c != 0), key=lambda t: t.d) or [zero]
         A = weight_matrix(F, [(t.const,) + t.coeffs for t in terms])
         c = weight_matrix(F, [[t.c for t in terms]])
         steps = [("lincomb", ((0, whole),), A), ("pow", ((1, whole),), tuple(t.d for t in terms))]

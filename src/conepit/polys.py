@@ -140,11 +140,13 @@ def _low_cone_walk(row: list[int], start: int, prod: int, deg: int, k: int, cap:
 
 def low_cone_count_bound(n: int, k: int) -> float:
     """Cap on the number of arity-n monomials of cone size <= k:
-    k^2 * (3n / log2 k)^(log2 k), read as k^2 for k = 1."""
+    k^2 * (3n' / log2 k)^(log2 k) at n' = max(n, ceil(log2 k / 3)), k^2 for k = 1.
+    At n' = n it can fall below the count where 3n < log2 k (n = 1, k >= 65); the
+    count grows with n (append zeros to each vector), so n' >= n keeps a bound."""
     if k <= 1:
         return float(k * k)
     lg = math.log2(k)
-    return k * k * (3.0 * n / lg) ** lg
+    return k * k * (3.0 * max(n, math.ceil(lg / 3)) / lg) ** lg
 
 
 # ----------------------------------------------------------------------

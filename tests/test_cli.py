@@ -131,6 +131,31 @@ def test_guards_count_before_they_build(tmp_path, argv, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Zero circuits whose low cone outgrows the formula k^2 (3n / log2 k)^(log2 k)
+# read at the arity itself (3n < log2 k): x1^100 - x1^100 with k = 101 tests
+# 101 monomials against a formula of 50.5, and 3 l^60 - 3 l^60 for the rank-1
+# form l = 1 + x1 + 2 x2 tests 61 against 44.9.
+CANCELLING_POWERS = (
+    '{"field": "p:2305843009213693951", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
+    '{"id": 1, "kind": "pow", "children": [0], "exp": 100}, {"id": 2, "kind": "add", "children": [1, 1], "weights": ["1", "-1"]}], "output": 2}'
+)
+CANCELLING_DIAGONAL = (
+    '{"field": "p:2305843009213693951", "arity": 2, "terms": [{"c": "3", "const": "1", "coeffs": ["1", "2"], "d": 60}, '
+    '{"c": "-3", "const": "1", "coeffs": ["1", "2"], "d": 60}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["pit", "--k", "101", "--circuit"], CANCELLING_POWERS), (["diag-pit", "--diag"], CANCELLING_DIAGONAL)],
+    ids=["pit", "diag-pit"],
+)
+def test_the_count_bound_holds_past_3n_below_log2_k(tmp_path, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert invoke(argv + [str(path)]) == (0, "ZERO\n", "")
+
+
 def test_pit_zero_exit_code(zero_circuit):
     code, out, _ = invoke(["pit", "--circuit", zero_circuit, "--k", "8"])
     assert (code, out) == (0, "ZERO\n")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepit.circuits import Oracle, dense_expand
 from conepit.conebasis import least_basis
@@ -174,6 +176,23 @@ def test_psi_preserves_nonzeroness_random():
 
 def test_diagonal_json_round_trip():
     D = DiagonalCircuit.make(FP, 3, [(4, 1, (1, 0, 2), 3), (FP.neg(2), 0, (0, 1, 1), 5)])
+    assert diagonal_from_json(diagonal_to_json(D)) == D
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    field=st.sampled_from([Q, FP, Field.prime(7)]),
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(1, 5)),
+    force_zero=st.booleans(),
+    den=st.integers(1, 12),
+)
+def test_diagonal_json_round_trip_random(seed, field, shape, force_zero, den):
+    arity, terms, max_power = shape
+    D = random_diagonal(random.Random(seed), field, arity, terms, max_power, force_zero=force_zero)
+    if field.p is None:
+        # non-integral rationals too: they render as "a/b"
+        D = DiagonalCircuit.make(field, arity, [(t.c / den, t.const / den, [a / den for a in t.coeffs], t.d) for t in D.terms])
     assert diagonal_from_json(diagonal_to_json(D)) == D
 
 

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Program, dense_expand, parse, serialize, weight_matrix
-from conepit.diagonal import DiagonalCircuit, diag_pit, diagonal_from_json, diagonal_to_json
-from conepit.errors import ArityMismatch
+from conepit.diagonal import DiagonalCircuit, build_psi, diag_pit, diagonal_from_json, diagonal_to_json
+from conepit.errors import ArityMismatch, CharTooSmall, RankZero
 from conepit.extraction import extract_coefficient
 from conepit.fastmod import Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, SparseRows, kernel_for
 from conepit.fields import Field
@@ -521,6 +521,76 @@ def test_diag_pit_builds_no_gate_circuit(monkeypatch):
     # all forms constant: the one evaluation at the origin
     assert diag_pit(DiagonalCircuit.make(M61, 2, [(2, 3, (0, 0), 2)])).coefficient == 18
     assert built == []
+
+
+# -- like terms: the diagonal program collects terms of one (form, power)
+# and drops those that cancel; the gate view keeps every term
+
+
+@st.composite
+def diagonals_with_like_terms(draw, field: Field, arity: int):
+    """A forced-zero ``random_diagonal``, or none, plus terms drawn from one
+    to three forms (a constant-only one among them) at powers 0 to 3 with
+    c = 0 among the weights: one form at two powers, equal terms that add
+    up, and, when drawn, the negation of every drawn term, so that all of
+    them cancel."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    pairs = draw(st.integers(0, 2))
+    zero = random_diagonal(rng, field, arity, 2 * pairs, 3, force_zero=True).terms if pairs else ()
+    terms = [(t.c, t.const, t.coeffs, t.d) for t in zero]
+    forms = [(field.random(rng), [field.random(rng) for _ in range(arity)]) for _ in range(draw(st.integers(1, 3)))]
+    forms.append((field.random(rng), [0] * arity))
+    drawn = []
+    for _ in range(draw(st.integers(1, 5))):
+        const, coeffs = draw(st.sampled_from(forms))
+        drawn.append((draw(st.sampled_from([0, 1, -1, 2])), const, coeffs, draw(st.integers(0, 3))))
+    if draw(st.sampled_from([False, False, True])):
+        drawn += [(field.neg(field.of(c)), const, coeffs, d) for c, const, coeffs, d in drawn]
+    order = draw(st.permutations(range(len(terms) + len(drawn))))
+    return DiagonalCircuit.make(field, arity, [(terms + drawn)[i] for i in order])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@SETTINGS
+@given(data=st.data())
+def test_collected_like_terms_keep_every_value_and_verdict(field, data):
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(diagonals_with_like_terms(field, n))
+    pts = data.draw(points(n))
+    assert D.evaluate_many(pts) == [D.evaluate(pt) for pt in pts]
+    if not field.size_exceeds(D.degree()):
+        with pytest.raises(CharTooSmall):
+            diag_pit(D)
+        return
+    got = diag_pit(D)
+    try:
+        truth = brute_force_pit(Oracle(build_psi(D).apply(D).to_circuit()))
+    except RankZero:  # every form constant: diag_pit evaluates once, at the origin
+        truth = brute_force_pit(D.as_oracle())
+        assert (got.outcome, got.coefficient) == (truth.outcome, truth.coefficient)
+        return
+    assert (got.outcome, got.witness, got.coefficient) == (truth.outcome, truth.witness, truth.coefficient)
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+def test_the_diagonal_program_collects_like_terms(field):
+    F = field
+    rng = random.Random(3)
+
+    def rows(D):
+        (_, _, A, _), (_, _, d, _), (_, _, c, _) = D.program.steps
+        return [F.of(x) for x in A.flatten()], d, [F.of(x) for x in c.flatten()]
+
+    # a forced-zero circuit: no term is left, the program is the sum 0
+    D = random_diagonal(rng, F, 3, 6, 4, force_zero=True)
+    assert len(D.terms) == 6 and rows(D) == ([F.zero()] * 4, (0,), [F.zero()])
+    assert D.evaluate_many([[1, 2, 3]]) == [F.zero()] == [D.evaluate([1, 2, 3])]
+    # c.l^d + c'.l^d is one row of weight c + c'; l^2 and l^3 stay two rows
+    D = DiagonalCircuit.make(F, 2, [(3, 1, (2, 5), 4), (6, 1, (2, 5), 4)])
+    assert rows(D) == ([F.of(x) for x in (1, 2, 5)], (4,), [F.of(9)])
+    assert len([g for g in D.to_circuit().gates if g.kind == "pow"]) == 2  # the gate view keeps both
+    D = DiagonalCircuit.make(F, 2, [(3, 1, (2, 5), 3), (6, 1, (2, 5), 2)])
+    assert rows(D) == ([F.of(x) for x in (1, 2, 5, 1, 2, 5)], (2, 3), [F.of(6), F.of(3)])
 
 
 def test_grid_chunks_keep_every_block_within_the_bound(monkeypatch):

@@ -135,6 +135,21 @@ def test_enumerate_low_cone_counts_and_bound():
             assert got <= low_cone_count_bound(n, k) * (1 + 1e-9)
 
 
+def test_count_bound_holds_where_3n_is_below_log2_k():
+    # 264 points, n <= 8 and k <= 4096; read at n itself the formula fell
+    # below the count at 28 of them: n = 1 from k = 65, n = 2 from k = 1000
+    ks = sorted({2**j for j in range(1, 13)} | {2**j + 1 for j in range(1, 12)} | {3**j for j in range(1, 8)}
+                | {10, 65, 100, 101, 1000, 4095})
+    assert len(ks) == 33
+    for n in range(1, 9):
+        for k in ks:
+            got = factorization_low_cone_count(n, k)
+            if got <= 5000:
+                assert got == len(enumerate_low_cone(n, k))
+            assert got <= low_cone_count_bound(n, k) * (1 + 1e-9), (n, k)
+    assert low_cone_count_bound(1, 4096) == low_cone_count_bound(4, 4096) > factorization_low_cone_count(4, 4096)
+
+
 def test_leading_monomial_examples():
     p = MultiPoly.make(Q, 2, {(2, 0): 1, (1, 1): 1})
     assert leading_monomial(p) == (2, 0)
