@@ -116,13 +116,14 @@ class DiagonalCircuit:
 
 def rank_of_forms(circuit: DiagonalCircuit) -> tuple[int, tuple[int, ...]]:
     """Rank of the matrix of non-constant parts, plus the 1-based indices of
-    the first-encountered independent rows (matching the f_1..f_k naming)."""
+    the first-encountered independent rows (matching the f_1..f_k naming).
+    A repeated form is in the span already, so it is inserted only once."""
     red = RowReducer(circuit.field)
-    basis_rows = []
+    first: dict[tuple[Scalar, ...], int] = {}
     for i, t in enumerate(circuit.terms):
-        if red.insert(list(t.coeffs)):
-            basis_rows.append(i + 1)
-    return red.rank, tuple(basis_rows)
+        first.setdefault(t.coeffs, i + 1)
+    basis_rows = tuple(i for coeffs, i in first.items() if red.insert(list(coeffs)))
+    return red.rank, basis_rows
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,11 @@ class PsiMap:
 def build_psi(circuit: DiagonalCircuit) -> PsiMap:
     """Pivot-column selection: greedy elimination on the basis rows yields a
     column set J with the basis rows restricted to J invertible, so the
-    images of the basis forms stay linearly independent."""
+    images of the basis forms stay linearly independent.  Each distinct
+    form is inserted once, in order of first use: the pivots stay as they are."""
     red = RowReducer(circuit.field)
-    for t in circuit.terms:
-        red.insert(list(t.coeffs))
+    for coeffs in dict.fromkeys(t.coeffs for t in circuit.terms):
+        red.insert(list(coeffs))
     if red.rank == 0:
         raise RankZero("all forms are constant")
     return PsiMap(circuit.arity, tuple(sorted(red.pivots)))

@@ -1,9 +1,10 @@
 """Exact linear algebra kernels: incremental row reduction, rank, nullspaces.
 
 Everything here is deterministic and exact.  The incremental
-:class:`RowReducer` is the workhorse for span/rank/membership queries; the
-Bareiss routines handle integer matrices where fraction-free elimination
-keeps intermediate entries at minor-determinant size.
+:class:`RowReducer` is the workhorse for span/rank/membership queries and
+:func:`first_dependency` for lazily read columns over F_p; the Bareiss
+routines handle integer matrices where fraction-free elimination keeps
+intermediate entries at minor-determinant size.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,6 +73,8 @@ def nullspace_canonical(rows: Sequence[Sequence[Scalar]], field: Field, width: i
 
     Reduced-echelon convention: among the non-pivot (free) columns, the
     first is set to 1 and the rest to 0; pivot variables are solved exactly.
+    The row-wise twin of :func:`first_dependency` in the tests' reference
+    annihilator; the benchmark's tracer wraps it by name.
     """
     F = field
     red = RowReducer(F)
@@ -94,6 +97,44 @@ def nullspace_canonical(rows: Sequence[Sequence[Scalar]], field: Field, width: i
                 s = F.add(s, F.mul(row[j], x[j]))
         x[piv] = F.neg(s)  # pivot entry is normalized to 1
     return x
+
+
+def first_dependency(columns: Iterable[Sequence[int]], field: Field) -> list[int] | None:
+    """:func:`nullspace_canonical` of columns 0..j0 over F_p, for j0 the
+    first column in the span of those before it; None if there is none.
+
+    Columns are read lazily, none past j0, and may differ in length
+    (missing entries are zero).  Each is reduced against the earlier ones,
+    kept scaled to 1 at a pivot row, recording only the multipliers, which
+    are unwound at j0, last column first.  Entries are reduced mod p only
+    where read: each step adds less than p^2 to one.
+    """
+    p, height = field.p, 0
+    basis: list[tuple[int, list[int]]] = []  # (pivot row, column scaled to 1 there)
+    steps: list[tuple[list[int], int]] = []  # per entry: its multipliers, its pivot inverse
+    for col in columns:
+        height = max(height, len(col))
+        v = list(col) + [0] * (height - len(col))
+        mults = []
+        for r, b in basis:
+            c = v[r] % p
+            mults.append(c)
+            if c:
+                v[: len(b)] = [x - c * y for x, y in zip(v, b)]
+        r = next((i for i, x in enumerate(v) if x % p), None)
+        if r is None:
+            # col = sum m_k b_k, where b_k = inv_k (column k - sum_(i<k) m_ki b_i)
+            x = mults + [1]
+            for k in reversed(range(len(steps))):
+                m, inv = steps[k]
+                a = x[k] * inv % p
+                x[:k] = [y - a * c for y, c in zip(x, m)]
+                x[k] = -a % p
+            return x
+        inv = pow(v[r] % p, -1, p)
+        basis.append((r, [x * inv % p for x in v]))
+        steps.append((mults, inv))
+    return None
 
 
 # ----------------------------------------------------------------------

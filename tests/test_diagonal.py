@@ -8,6 +8,7 @@ from conepit.circuits import Oracle, dense_expand
 from conepit.conebasis import least_basis
 from conepit.diagonal import (
     DiagonalCircuit,
+    PsiMap,
     build_psi,
     diag_pit,
     diag_power_vectorpoly,
@@ -19,7 +20,7 @@ from conepit.diagonal import (
 from conepit.errors import CharTooSmall, RankZero
 from conepit.fields import Field
 from conepit.generators import random_diagonal
-from conepit.linalg import matrix_rank
+from conepit.linalg import RowReducer, matrix_rank
 from conepit.pit import NONZERO, ZERO, brute_force_pit
 from conepit.polys import MultiPoly, is_cone_closed, pd_space_dim
 from reference import poly_pow
@@ -68,6 +69,20 @@ def test_build_psi_keeps_basis_independent():
         reduced = psi.apply(D)
         rows = [list(reduced.terms[i - 1].coeffs) for i in basis_rows]
         assert matrix_rank(rows, FP) == r
+
+
+@pytest.mark.parametrize("field", [FP, Field.prime(7)], ids=lambda F: F.spec)
+def test_repeated_forms_leave_psi_and_rank_as_they_were(field):
+    """A forced-zero circuit has every form twice.  Inserting each distinct
+    form once gives the rank, basis rows and pivots of inserting them all."""
+    rng = random.Random(29)
+    for _ in range(30):
+        D = random_diagonal(rng, field, rng.randint(1, 5), rng.randint(2, 8), 3, force_zero=True)
+        red = RowReducer(field)
+        every = tuple(i + 1 for i, t in enumerate(D.terms) if red.insert(list(t.coeffs)))
+        assert rank_of_forms(D) == (red.rank, every)
+        if red.rank:
+            assert build_psi(D) == PsiMap(D.arity, tuple(sorted(red.pivots)))
 
 
 def test_diag_pit_examples():

@@ -148,22 +148,47 @@ def test_pinned_annihilators(spec, polys, rendered):
 TWIN_FIELDS = [Q, Field.prime(7), Field.prime(101), FP, Field.from_spec(P89)]
 
 
+def outcome(build, t):
+    """The rendered annihilator, or the VerificationFailed message."""
+    try:
+        return build(t).render()
+    except VerificationFailed as exc:
+        return f"VerificationFailed: {exc}"
+
+
 @pytest.mark.parametrize("field", TWIN_FIELDS, ids=lambda F: F.spec)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 1 << 32), arity=st.integers(2, 4), data=st.data())
 def test_prefix_solve_matches_the_full_system(field, seed, arity, data):
-    """The block-prefix solve gives the annihilator of one solve of the
-    whole system, or fails the same way."""
+    """The one-pass solve over F_p, and the block-prefix solve over Q, give
+    the annihilator of one solve of the whole system, or fail the same
+    way."""
     degree = data.draw(st.integers(1, {2: 5, 3: 3, 4: 2}[arity]))
     t = random_hsg(random.Random(seed), field, arity, degree)
+    assert outcome(build_annihilator, t) == outcome(reference_annihilator, t)
 
-    def outcome(build):
-        try:
-            return build(t).render()
-        except VerificationFailed as exc:
-            return f"VerificationFailed: {exc}"
 
-    assert outcome(build_annihilator) == outcome(reference_annihilator)
+SMALL_PRIMES = [Field.prime(2), Field.prime(3), Field.prime(7), Field.prime(101)]
+
+
+@pytest.mark.parametrize("field", SMALL_PRIMES, ids=lambda F: F.spec)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_pass_solve_with_constant_entries_matches_the_full_system(field, data):
+    """Over small primes, with one or more constant univariates, the
+    one-pass solve gives the annihilator of one solve of the whole
+    system, or fails the same way."""
+    arity = data.draw(st.integers(2, 3))
+    degree = {2: 3, 3: 2}[arity]
+    constant = data.draw(st.sets(st.integers(0, arity - 1), min_size=1, max_size=arity - 1))
+    coeff = st.integers(0, field.p - 1)
+    polys = [
+        data.draw(st.lists(coeff, min_size=1, max_size=1 if i in constant else degree + 1).filter(any))
+        for i in range(arity)
+    ]
+    assume(any(len(DensePoly.make(field, p).coeffs) > 1 for p in polys))
+    t = HsgTuple.make(field, [DensePoly.make(field, p) for p in polys])
+    assert outcome(build_annihilator, t) == outcome(reference_annihilator, t)
 
 
 @settings(max_examples=25, deadline=None)

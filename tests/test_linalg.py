@@ -1,7 +1,7 @@
 """Fraction-free elimination against its scalar twin, the integral kernel
 against the field kernel over Q, canonical kernel vectors of column
-prefixes, and the span-membership twin of tests/reference.py with its
-combination."""
+prefixes, the one-pass first dependency against them, and the
+span-membership twin of tests/reference.py with its combination."""
 
 import math
 import random
@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conepit.fields import Field
-from conepit.linalg import bareiss_echelon, integer_nullspace_canonical, matrix_rank, nullspace_canonical
+from conepit.linalg import (
+    bareiss_echelon,
+    first_dependency,
+    integer_nullspace_canonical,
+    matrix_rank,
+    nullspace_canonical,
+)
 from reference import in_span, scalar_bareiss_echelon
 
 Q = Field.rationals()
@@ -132,6 +138,74 @@ def test_column_prefix_keeps_the_canonical_kernel_vector(field, seed):
                 assert got is None
             else:
                 assert got + [0] * (width - k) == full
+
+
+DEPENDENCY_FIELDS = [Field.prime(2), Field.prime(7), Field.prime((1 << 31) - 1), Field.prime((1 << 61) - 1)]
+
+
+def ragged_columns(field, rng, width):
+    """Columns of lengths 0..6: fresh random vectors, zero columns, repeats
+    of an earlier column, or combinations of earlier ones, cut after their
+    last nonzero entry as an image's coefficients are."""
+    cols = []
+    for _ in range(width):
+        kind = rng.choice(("fresh", "fresh", "zero", "repeat", "combination"))
+        if kind == "repeat" and cols:
+            col = list(rng.choice(cols))
+        elif kind == "combination" and cols:
+            height = max(map(len, cols))
+            padded = [c + [field.zero()] * (height - len(c)) for c in cols]
+            col = combination(field, padded, [field.random(rng) for _ in cols], height)
+        elif kind == "zero":
+            col = [field.zero()] * rng.randint(0, 6)
+        else:
+            col = [field.random(rng) for _ in range(rng.randint(0, 6))]
+        while kind != "zero" and col and col[-1] == 0:
+            col.pop()
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("field", DEPENDENCY_FIELDS, ids=lambda F: F.spec)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32))
+def test_first_dependency_is_the_canonical_kernel_vector(field, seed):
+    """The one-pass solve gives the row-wise canonical vector of the whole
+    padded system, cut after its last nonzero entry j0, and reads no
+    column past j0."""
+    rng = random.Random(seed)
+    width = rng.randint(1, 8)
+    cols = ragged_columns(field, rng, width)
+    height = max(map(len, cols))
+    rows = [list(row) for row in zip(*(c + [field.zero()] * (height - len(c)) for c in cols))]
+    reads = 0
+
+    def lazily():
+        nonlocal reads
+        for col in cols:
+            reads += 1
+            yield col
+
+    got = first_dependency(lazily(), field)
+    full = nullspace_canonical(rows, field, width)
+    if full is None:
+        assert got is None and reads == width
+        return
+    j0 = max(j for j, x in enumerate(full) if x != 0)
+    assert got == full[: j0 + 1] and reads == j0 + 1
+    assert got == nullspace_canonical([row[: j0 + 1] for row in rows], field, j0 + 1)
+
+
+@pytest.mark.parametrize("field", DEPENDENCY_FIELDS, ids=lambda F: F.spec)
+def test_first_dependency_edge_columns(field):
+    one, neg = field.one(), field.neg(field.one())
+    assert first_dependency([[], [one]], field) == [one]
+    assert first_dependency([[0, 0, 0]], field) == [one]
+    # a repeat of column 0 behind an independent column, then a column
+    # that fails if it is read
+    assert first_dependency(iter([[one], [0, one], [one], None]), field) == [neg, 0, one]
+    assert first_dependency([[one], [0, 0, one], [0, one]], field) is None
+    assert first_dependency([], field) is None
 
 
 @pytest.mark.parametrize("field", SPAN_FIELDS, ids=lambda F: F.spec)
