@@ -21,7 +21,6 @@ cone-closed coefficient basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -82,38 +81,29 @@ class BasisReport:
 def is_basis_isolating(f: VectorPoly, w: Sequence[int]) -> BasisReport:
     """Check the two isolation conditions for the greedy least basis:
     pairwise distinct basis weights, and every non-basis coefficient in the
-    span of strictly lighter basis coefficients (solved exactly, with the
-    combination recorded).
+    span of strictly lighter basis coefficients (with the combination).
 
-    One elimination pass over the support, one weight class at a time.
-    Every member of a class is reduced against the rows admitted from
-    strictly lighter classes before any member of the class is admitted.
-    The k-th admitted row carries the unit vector e_k in extra columns, so
-    reducing [v | 0] leaves [v - sum c_k b_k | -c]: a member with no
-    residue is in the lighter span with combination c.  Both conditions
-    hold iff at most one member per class leaves a residue, and that
-    member is the class's basis monomial.
+    One :meth:`RowReducer.add` pass in scan order admits the greedy least
+    basis and gives every other member its unique combination over the
+    rows admitted before it: both conditions hold iff the admitted weights
+    are pairwise distinct and every combination uses strictly lighter rows
+    only, and the combinations are then the certificate.
     """
-    F = f.field
-    reducer = RowReducer(F)
+    reducer = RowReducer(f.field)
     basis: list[ExpVec] = []
     combos: dict[ExpVec, tuple[tuple[ExpVec, Scalar], ...]] = {}
-    for _, members in itertools.groupby(_scan_order(f, w), key=lambda e: weight_of(w, e)):
-        fresh = []
-        for e in members:
-            v = reducer.reduce(list(f.terms[e]) + [F.zero()] * min(f.dim, len(f.terms)))  # one per basis row
-            if any(v[: f.dim]):
-                fresh.append((e, v))
-            else:
-                combos[e] = tuple((b, F.neg(c)) for b, c in zip(basis, v[f.dim :]) if c != 0)
-        if len(fresh) > 1:
-            return BasisReport(tuple(least_basis(f, w)), False, None)
-        for e, v in fresh:
-            v[f.dim + len(basis)] = F.one()
-            reducer.insert(v)
+    isolating = True
+    for e in _scan_order(f, w):
+        we = weight_of(w, e)
+        combo = reducer.add(f.terms[e])
+        if combo is None:
+            isolating = isolating and not (basis and weight_of(w, basis[-1]) == we)
             basis.append(e)
-    certificate = {e: combos[e] for e in f.support() if e in combos}
-    return BasisReport(tuple(basis), True, certificate)
+        else:
+            combos[e] = tuple((b, c) for b, c in zip(basis, combo) if c != 0)
+            isolating = isolating and all(weight_of(w, b) < we for b, _ in combos[e])
+    certificate = {e: combos[e] for e in f.support() if e in combos} if isolating else None
+    return BasisReport(tuple(basis), isolating, certificate)
 
 
 # ----------------------------------------------------------------------

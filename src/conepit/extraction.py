@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import ArityMismatch, DuplicateNodes, TooLarge
 from .fields import Field, Scalar, clear_denominators
+from .linalg import RowReducer
 from .polys import ExpVec, cone_size
 
 if TYPE_CHECKING:
@@ -70,26 +71,19 @@ def require_within_guard(cone: int, total: int, degree: int) -> None:
 
 def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[Scalar]:
     """The unique weights a with sum_j a_j * nodes_j^k = [k == target]
-    for k = 0 .. len(nodes)-1, by exact elimination on the transposed
-    Vandermonde system.  Nodes must be pairwise distinct."""
+    for k = 0 .. len(nodes)-1: the combination that writes the unit vector
+    e_target over the node columns (nodes_j^k)_k.  Nodes must be pairwise
+    distinct in the field."""
     m = len(nodes)
+    nodes = [field.of(x) for x in nodes]
     if len(set(nodes)) != m:
         raise DuplicateNodes(f"interpolation nodes not distinct: {nodes}")
     if not 0 <= target < m:
         raise ValueError(f"target power {target} outside 0..{m - 1}")
-    F = field
-    # Augmented system M a = e_target with M[k][j] = nodes_j^k.
-    rows = [[F.pow(nodes[j], k) for j in range(m)] + [F.one() if k == target else F.zero()] for k in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = F.inv(rows[col][col])
-        rows[col] = [F.mul(inv, x) for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], rows[col])]
-    return [rows[j][m] for j in range(m)]
+    red = RowReducer(field)
+    for x in nodes:
+        red.insert([field.pow(x, k) for k in range(m)])
+    return red.add([field.one() if k == target else field.zero() for k in range(m)])
 
 
 #: The row tables of :func:`interpolation_rows` held in its cache hold at

@@ -286,7 +286,7 @@ class DensePoly:
             return DensePoly.zero(F)
         if F.p is not None:
             prod = np.convolve(np.array(self.coeffs, dtype=object), np.array(other.coeffs, dtype=object))
-            return DensePoly(F, tuple(v % F.p for v in prod))
+            return DensePoly(F, tuple((prod % F.p).tolist()))
         (na, da), (nb, db) = clear_denominators(self.coeffs), clear_denominators(other.coeffs)
         prod = np.convolve(np.array(na, dtype=object), np.array(nb, dtype=object))
         return DensePoly(F, tuple(Fraction(v, da * db) for v in prod))

@@ -1,10 +1,11 @@
 """Exact linear algebra kernels: incremental row reduction, rank, nullspaces.
 
 Everything here is deterministic and exact.  The incremental
-:class:`RowReducer` is the workhorse for span/rank/membership queries and
-:func:`first_dependency` for lazily read columns over F_p; the Bareiss
-routines handle integer matrices where fraction-free elimination keeps
-intermediate entries at minor-determinant size.
+:class:`RowReducer` is the one elimination over a field: rank, span
+membership with its combination (:meth:`RowReducer.add`), and the first
+dependency among lazily read columns (:func:`first_dependency`) all run
+on it; the Bareiss routines handle integer matrices where fraction-free
+elimination keeps intermediate entries at minor-determinant size.
 """
 
 from __future__ import annotations
@@ -20,45 +21,68 @@ from .fields import Field, Scalar, clear_denominators
 
 
 class RowReducer:
-    """Incremental Gaussian elimination over a field.
+    """Incremental Gaussian elimination over a field, the one in conepit.
 
-    Rows are inserted one by one; independent rows are kept in echelon form
-    with pivot entries normalized to 1.
+    Rows may differ in length (missing entries are zero).  Each independent
+    row is kept reduced against the earlier ones, scaled to 1 at its pivot
+    (its first nonzero entry), with the multipliers that reduced it and its
+    pivot inverse.  Over F_p entries are reduced mod p only where read: each
+    step adds less than p^2 to one.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.rows: list[list[Scalar]] = []
         self.pivots: list[int] = []
+        self._steps: list[tuple[list[Scalar], Scalar]] = []  # per row: its multipliers, its pivot inverse
+        self._width = 0
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def _reduce(self, vec: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+        p = self.field.p
+        v = list(vec)
+        v += [self.field.zero()] * (self._width - len(v))
+        mults = []
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv] if p is None else v[piv] % p
+            mults.append(c)
+            if c:
+                v[: len(row)] = [x - c * y for x, y in zip(v, row)]
+        return v, mults
+
     def reduce(self, vec: Sequence[Scalar]) -> list[Scalar]:
         """Residual of vec modulo the current span."""
-        F = self.field
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c == 0:
-                continue
-            for j in range(piv, len(v)):
-                if row[j] != 0:
-                    v[j] = F.sub(v[j], F.mul(c, row[j]))
-        return v
+        v, p = self._reduce(vec)[0], self.field.p
+        return v if p is None else [x % p for x in v]
+
+    def add(self, vec: Sequence[Scalar]) -> list[Scalar] | None:
+        """Insert vec and return None if it is independent of the span;
+        otherwise insert nothing and return the coefficients c with
+        vec = sum c_k r_k over the independent rows r_k as inserted."""
+        F, p = self.field, self.field.p
+        v, mults = self._reduce(vec)
+        piv = next((j for j, x in enumerate(v) if (x if p is None else x % p)), None)
+        if piv is None:
+            # vec = sum m_k b_k, where b_k = inv_k (r_k - sum_(i<k) m_ki b_i)
+            for k in reversed(range(len(mults))):
+                m, inv = self._steps[k]
+                a = F.mul(mults[k], inv)
+                mults[:k] = [y - a * c for y, c in zip(mults, m)]
+                mults[k] = a
+            return mults
+        inv = F.inv(v[piv] if p is None else v[piv] % p)
+        self.rows.append([x * inv for x in v] if p is None else [x * inv % p for x in v])
+        self.pivots.append(piv)
+        self._steps.append((mults, inv))
+        self._width = len(v)
+        return None
 
     def insert(self, vec: Sequence[Scalar]) -> bool:
         """Insert a row; returns True iff it was independent of the span."""
-        F = self.field
-        v = self.reduce(vec)
-        piv = next((j for j, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            return False
-        inv = F.inv(v[piv])
-        self.rows.append([F.mul(inv, x) for x in v])
-        self.pivots.append(piv)
-        return True
+        return self.add(vec) is None
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
@@ -86,54 +110,24 @@ def nullspace_canonical(rows: Sequence[Sequence[Scalar]], field: Field, width: i
         return None
     x = [F.zero()] * width
     x[free] = F.one()
-    # Back-substitute through the echelon rows in reverse pivot order.
-    order = sorted(range(len(red.rows)), key=lambda i: red.pivots[i], reverse=True)
-    for i in order:
-        row = red.rows[i]
-        piv = red.pivots[i]
-        s = F.zero()
-        for j in range(piv + 1, width):
-            if row[j] != 0 and x[j] != 0:
-                s = F.add(s, F.mul(row[j], x[j]))
-        x[piv] = F.neg(s)  # pivot entry is normalized to 1
+    # Back-substitute through the rows in reverse pivot order (pivot entries are 1).
+    for piv, row in sorted(zip(red.pivots, red.rows), reverse=True):
+        x[piv] = F.neg(sum(map(F.mul, row[piv + 1 :], x[piv + 1 :]), F.zero()))
     return x
 
 
-def first_dependency(columns: Iterable[Sequence[int]], field: Field) -> list[int] | None:
-    """:func:`nullspace_canonical` of columns 0..j0 over F_p, for j0 the
-    first column in the span of those before it; None if there is none.
+def first_dependency(columns: Iterable[Sequence[Scalar]], field: Field) -> list[Scalar] | None:
+    """:func:`nullspace_canonical` of columns 0..j0, for j0 the first column
+    in the span of those before it; None if there is none.
 
     Columns are read lazily, none past j0, and may differ in length
-    (missing entries are zero).  Each is reduced against the earlier ones,
-    kept scaled to 1 at a pivot row, recording only the multipliers, which
-    are unwound at j0, last column first.  Entries are reduced mod p only
-    where read: each step adds less than p^2 to one.
+    (missing entries are zero); the :meth:`RowReducer.add` combination of
+    column j0, negated, is the kernel vector with 1 at j0.
     """
-    p, height = field.p, 0
-    basis: list[tuple[int, list[int]]] = []  # (pivot row, column scaled to 1 there)
-    steps: list[tuple[list[int], int]] = []  # per entry: its multipliers, its pivot inverse
+    red = RowReducer(field)
     for col in columns:
-        height = max(height, len(col))
-        v = list(col) + [0] * (height - len(col))
-        mults = []
-        for r, b in basis:
-            c = v[r] % p
-            mults.append(c)
-            if c:
-                v[: len(b)] = [x - c * y for x, y in zip(v, b)]
-        r = next((i for i, x in enumerate(v) if x % p), None)
-        if r is None:
-            # col = sum m_k b_k, where b_k = inv_k (column k - sum_(i<k) m_ki b_i)
-            x = mults + [1]
-            for k in reversed(range(len(steps))):
-                m, inv = steps[k]
-                a = x[k] * inv % p
-                x[:k] = [y - a * c for y, c in zip(x, m)]
-                x[k] = -a % p
-            return x
-        inv = pow(v[r] % p, -1, p)
-        basis.append((r, [x * inv % p for x in v]))
-        steps.append((mults, inv))
+        if (combo := red.add(col)) is not None:
+            return [field.neg(c) for c in combo] + [field.one()]
     return None
 
 

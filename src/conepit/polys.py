@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, TooLarge, ZeroPolynomial
 from .fields import Field, Scalar
-from .linalg import RowReducer
+from .linalg import matrix_rank
 
 ExpVec = tuple[int, ...]
 
@@ -453,7 +453,4 @@ class VectorPoly:
 
 def coeff_rank(f: VectorPoly) -> int:
     """Rank over F of the coefficient matrix of f (0 for the zero polynomial)."""
-    red = RowReducer(f.field)
-    for e in f.support():
-        red.insert(list(f.terms[e]))
-    return red.rank
+    return matrix_rank([f.terms[e] for e in f.support()], f.field)

@@ -73,6 +73,17 @@ def test_is_basis_isolating_examples():
     assert is_basis_isolating(single, (0, 0)).isolating
 
 
+def test_dependency_on_a_same_weight_row_is_not_isolating():
+    """x1's coefficient is half of x2's, which the deg-lex tie-break admits
+    just before it at the same weight: x1 is in the span of the basis but
+    not of its strictly lighter part, so w is not isolating, and the
+    basis is still the greedy one."""
+    f = VectorPoly.make(Q, 2, 2, [((0, 0), (0, 1)), ((1, 0), (1, 0)), ((0, 1), (2, 0))])
+    rep = is_basis_isolating(f, (1, 1))
+    assert not rep.isolating and rep.certificate is None
+    assert rep.basis == tuple(least_basis(f, (1, 1))) == ((0, 0), (0, 1))
+
+
 @pytest.mark.parametrize("field", [FP, Field.prime(7), Q], ids=lambda F: F.spec)
 def test_certificates_rebuild_every_non_basis_coefficient(field):
     rng = random.Random(41)

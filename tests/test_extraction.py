@@ -52,6 +52,13 @@ def test_vandermonde_row_duplicate_nodes():
         vandermonde_row([Q.of(1), Q.of(1)], 0, Q)
 
 
+@pytest.mark.parametrize("nodes", [[0, 7], [1, 8, 2]], ids=["0=7", "1=8"])
+def test_vandermonde_row_nodes_equal_in_the_field(nodes):
+    """Nodes are compared as field elements: 7 is 0 and 8 is 1 in F_7."""
+    with pytest.raises(DuplicateNodes):
+        vandermonde_row(nodes, 0, Field.prime(7))
+
+
 def sum_square_oracle(field):
     b = CircuitBuilder(field, 2)
     s = b.add([(1, b.input(0)), (1, b.input(1))])

@@ -1,7 +1,8 @@
 """Fraction-free elimination against its scalar twin, the integral kernel
 against the field kernel over Q, canonical kernel vectors of column
-prefixes, the one-pass first dependency against them, and the
-span-membership twin of tests/reference.py with its combination."""
+prefixes, the one-pass first dependency against them, the span-membership
+twin of tests/reference.py with its combination, and the row reducer's
+combinations against that twin."""
 
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conepit.fields import Field
 from conepit.linalg import (
+    RowReducer,
     bareiss_echelon,
     first_dependency,
     integer_nullspace_canonical,
@@ -237,3 +239,53 @@ def test_in_span_rejects_non_members(field, seed):
     # a last coordinate that no basis row has is never in the span
     flat = [row[:-1] + [field.zero()] for row in basis]
     assert not in_span(vec[:-1] + [field.one()], flat, field)[0]
+
+
+REDUCER_FIELDS = [Q, Field.prime(2), Field.prime(7), Field.prime((1 << 61) - 1)]
+
+
+@st.composite
+def ragged_rows(draw):
+    """A field and up to 8 rows of lengths 0..5: fresh rows (over Q with
+    non-integral entries), zero rows, and repeats of earlier rows."""
+    field = draw(st.sampled_from(REDUCER_FIELDS))
+    entry = rationals if field.is_rational else st.integers(0, field.p - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat")))
+        if kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append([field.zero()] * draw(st.integers(0, 5)))
+        else:
+            rows.append(draw(st.lists(entry, max_size=5)))
+    return field, rows
+
+
+@SETTINGS
+@given(case=ragged_rows())
+def test_row_reducer_combination_is_the_span_twins(case):
+    """``add`` returns None exactly when the rank grows; otherwise its
+    combination over the rows as inserted rebuilds the row and equals
+    ``in_span``'s, and ``reduce`` leaves canonical residues."""
+    field, rows = case
+    width = max(map(len, rows), default=0)
+
+    def pad(v):
+        return list(v) + [field.zero()] * (width - len(v))
+
+    red, kept = RowReducer(field), []
+    for row in rows:
+        residual = red.reduce(row)
+        if field.p is not None:
+            assert all(0 <= x < field.p for x in residual)
+        rank = red.rank
+        combo = red.add(row)
+        assert (combo is None) == (red.rank == rank + 1) == any(residual)
+        ok, want = in_span(pad(row), [pad(k) for k in kept], field)
+        assert ok == (combo is not None)
+        if combo is None:
+            kept.append(row)
+        else:
+            assert combo == want
+            assert combination(field, [pad(k) for k in kept], combo, width) == pad(row)
