@@ -7,8 +7,7 @@ substitution:
 * :func:`build_annihilator` -- a nonzero polynomial g with g(f_1(y), ...,
   f_n(y)) identically zero, with controlled individual and total degree,
   found as the first linear dependency among the images of a fixed small
-  support, read lazily: over F_p in one pass up to that dependency, over
-  Q block by block up to the shortest total-degree prefix that has one.
+  support, read lazily in one pass up to that dependency.
 * :func:`greedy_design` -- bounded-pairwise-intersection set families by
   greedy selection over subsets in lexicographic order.
 * :func:`hard_map_substitution` -- plugs copies of one hard polynomial,
@@ -44,7 +43,7 @@ from .errors import (
     VerificationFailed,
 )
 from .fields import DensePoly, Field, Scalar, clear_denominators
-from .linalg import first_dependency, integer_nullspace_canonical
+from .linalg import first_dependency, first_integer_dependency
 from .polys import ExpVec, MultiPoly, deglex_key, exponents_of_degree
 
 DESIGN_GUARD = 10_000_000
@@ -184,16 +183,14 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     for j0 the first column in the span of the columns before it, it is 1
     at j0, zero after j0, and unique on the independent columns before j0.
     So every column prefix containing j0 has the same canonical vector,
-    and every shorter prefix has a trivial kernel.  Over F_p the columns
-    are therefore solved in one pass: each image is built and reduced
-    against the columns before it once, and the pass stops at j0.  Over Q
-    the system is solved by fraction-free elimination on growing prefixes
-    of the support, one total-degree block at a time, stopping at the
-    first prefix with a kernel; rows past the prefix's largest image
-    degree are zero and are left out.  Either way the support is read
-    lazily, and no further than j0 or that prefix.  Over Q the columns are
-    integers, the images scaled by products of the univariates'
-    denominators; the kernel vector is scaled back at the end.
+    and every shorter prefix has a trivial kernel.  The columns are
+    therefore solved in one pass: each image is built and reduced against
+    the columns before it once, and the pass stops at j0, so the support
+    is read lazily and no further.  Over F_p the reduction is
+    :func:`first_dependency`.  Over Q the columns are integers, the images
+    scaled by products of the univariates' denominators, reduced by the
+    column-lazy Bareiss elimination :func:`first_integer_dependency`; the
+    kernel vector is scaled back at the end.
     """
     n = t.arity
     if n < 2:
@@ -205,7 +202,7 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     delta = annihilator_delta(n, d)
     delta0 = d * n * delta + 1
 
-    vec = None
+    vectors, reread = itertools.tee(_smallest_vectors(n, delta, delta0))
     if F.is_rational:
         # Each univariate is integer numerators over one denominator D_i,
         # and the column of e is prod D_i^(e_i) times its image: the column
@@ -214,25 +211,18 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
         cleared = [clear_denominators(p.coeffs) for p in t.polys]
         nums = [np.array(c, dtype=object) for c, _ in cleared]
         integral: dict[ExpVec, np.ndarray] = {(0,) * n: np.array([1], dtype=object)}
-        support: list[ExpVec] = []
-        columns: list[tuple[int, ...]] = []
-        for _, block in itertools.groupby(_smallest_vectors(n, delta, delta0), key=sum):
-            support += block
-            for e in support[len(columns) :]:
-                if any(e):
-                    i = max(j for j, x in enumerate(e) if x > 0)
-                    integral[e] = np.convolve(integral[e[:i] + (e[i] - 1,) + e[i + 1 :]], nums[i])
-                columns.append(tuple(integral[e]))
-            height = max(map(len, columns))
-            rows = list(zip(*(c + (0,) * (height - len(c)) for c in columns)))
-            vec = integer_nullspace_canonical(rows, len(columns))
-            if vec is not None:
-                break
+
+        def column(e: ExpVec) -> list[int]:
+            if any(e):
+                i = max(j for j, x in enumerate(e) if x > 0)
+                integral[e] = np.convolve(integral[e[:i] + (e[i] - 1,) + e[i + 1 :]], nums[i])
+            return integral[e].tolist()
+
+        vec = first_integer_dependency(map(column, vectors))
     else:
         memo: dict[ExpVec, DensePoly] = {}
-        vectors, reread = itertools.tee(_smallest_vectors(n, delta, delta0))
         vec = first_dependency((t.monomial_images((e,), memo)[0].coeffs for e in vectors), F)
-        support = list(itertools.islice(reread, None if vec is None else len(vec)))
+    support = list(itertools.islice(reread, None if vec is None else len(vec)))
     if vec is None:
         if len(support) < delta0:
             raise VerificationFailed("support enumeration fell short of the guaranteed size")

@@ -4,8 +4,10 @@ Everything here is deterministic and exact.  The incremental
 :class:`RowReducer` is the one elimination over a field: rank, span
 membership with its combination (:meth:`RowReducer.add`), and the first
 dependency among lazily read columns (:func:`first_dependency`) all run
-on it; the Bareiss routines handle integer matrices where fraction-free
-elimination keeps intermediate entries at minor-determinant size.
+on it.  The Bareiss routines handle integer matrices, where fraction-free
+elimination keeps intermediate entries at minor-determinant size:
+:func:`first_integer_dependency` is the integer first dependency, one
+column at a time, and :func:`bareiss_echelon` eliminates a whole matrix.
 """
 
 from __future__ import annotations
@@ -181,7 +183,8 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
     Same free-variable convention as :func:`nullspace_canonical`; the result
     is scaled to integers with content 1 and a positive free entry.  Sign
     normalization is left to the caller.  Returns None when the kernel is
-    trivial.
+    trivial.  The row-wise twin of :func:`first_integer_dependency` in the
+    tests' reference annihilator; the benchmark's tracer wraps it by name.
     """
     # Scaling a row by the lcm of its denominators leaves the kernel as is.
     ech, piv_cols = bareiss_echelon(
@@ -189,14 +192,19 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
     )
     pivot_set = set(piv_cols)
     free = next((j for j in range(width) if j not in pivot_set), None)
-    if free is None:
-        return None
-    # Back-substitute in integers: x = num / den for one common den, which
-    # each pivot scales by its reduced pivot entry.  den itself is never
-    # needed, since the answer is the primitive multiple of num.
+    return None if free is None else _primitive_kernel_vector(ech, piv_cols, free, width)
+
+
+def _primitive_kernel_vector(ech: list[list[int]], piv_cols: list[int], free: int, width: int) -> list[int]:
+    """Back-substitute integer echelon rows (pivots ascending) with the free
+    column ``free`` set to 1 and the other free columns to 0, then divide
+    out the content."""
+    # x = num / den for one common den, which each pivot scales by its
+    # reduced pivot entry.  den itself is never needed, since the answer is
+    # the primitive multiple of num.
     num = [0] * width
     num[free] = 1
-    for row, piv in sorted(zip(ech, piv_cols), key=lambda t: t[1], reverse=True):
+    for row, piv in reversed(list(zip(ech, piv_cols))):
         s = sum(map(mul, row[piv + 1 :], num[piv + 1 :]))
         if s == 0:
             continue
@@ -209,3 +217,39 @@ def integer_nullspace_canonical(rows: Sequence[Sequence[Fraction | int]], width:
         num[piv] = -s
     g = math.gcd(*num)
     return [v // g for v in num]
+
+
+def first_integer_dependency(columns: Iterable[Sequence[int]]) -> list[int] | None:
+    """:func:`integer_nullspace_canonical` of integer columns 0..j0, for j0
+    the first column in the span of those before it; None if there is none.
+
+    Columns are read lazily, none past j0, and may differ in length
+    (missing entries are zero).  Each is replayed through the Bareiss steps
+    of the pivots before it: the pivot's row swap, then
+    v[i] <- (pivot * v[i] - mult_i * v[r]) // prev below its row r.  Its
+    entries in the pivot rows are then those :func:`bareiss_echelon` of the
+    whole prefix holds.  A row past the height of an earlier pivot's column
+    was zero in it and in every column before it, so that step only scales
+    the row (its multiplier is 0).
+    """
+    steps: list[tuple[int, int, int, list[int]]] = []  # per pivot: swap row, pivot, previous pivot, multipliers
+    upper: list[list[int]] = []  # per pivot column: its entries in the pivot rows up to its own
+    height = 0
+    for col in columns:
+        v = list(col)
+        height = max(height, len(v))
+        v += [0] * (height - len(v))
+        for k, (pr, piv, prev, mults) in enumerate(steps):
+            v[k], v[pr] = v[pr], v[k]
+            x, m = v[k], k + 1 + len(mults)
+            v[k + 1 : m] = [(piv * y - c * x) // prev for y, c in zip(v[k + 1 : m], mults)]
+            v[m:] = [piv * y // prev for y in v[m:]]
+        r = len(steps)
+        pr = next((i for i in range(r, height) if v[i]), None)
+        if pr is None:
+            ech = [[0] * k + [u[k] for u in upper[k:]] + [v[k]] for k in range(r)]
+            return _primitive_kernel_vector(ech, list(range(r)), r, r + 1)
+        v[r], v[pr] = v[pr], v[r]
+        steps.append((pr, v[r], steps[-1][1] if steps else 1, v[r + 1 :]))
+        upper.append(v[: r + 1])
+    return None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +389,19 @@ def test_precondition_errors(tmp_path):
     hsg = tmp_path / "one.json"
     hsg.write_text('{"field": "q", "degree": 1, "polys": [["0", "1"]]}')
     assert invoke(["annihilate", "--hsg", str(hsg)])[0] == 3
+
+
+TRANSCRIPT = json.loads((Path(__file__).parent / "cli_transcript.json").read_text())
+
+
+@pytest.mark.parametrize("case", TRANSCRIPT, ids=lambda c: f"{c['name']}{' json' if '--json' in c['argv'] else ''}")
+def test_transcript(tmp_path, case):
+    """stdout, exit code and first stderr line are the committed ones; the
+    document is written where the argument list says DOC."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(case["doc"]))
+    code, out, err = invoke([str(path) if a == "DOC" else a for a in case["argv"]])
+    assert (code, out, (err.splitlines() or [""])[0]) == (case["exit"], case["stdout"], case["stderr_first"])
 
 
 def test_deterministic_output(zero_circuit):

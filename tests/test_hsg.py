@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
-from conepit import hsg
+from conepit import hsg, linalg
 from conepit.errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -160,9 +160,8 @@ def outcome(build, t):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 1 << 32), arity=st.integers(2, 4), data=st.data())
 def test_prefix_solve_matches_the_full_system(field, seed, arity, data):
-    """The one-pass solve over F_p, and the block-prefix solve over Q, give
-    the annihilator of one solve of the whole system, or fail the same
-    way."""
+    """The one-pass solves over F_p and over Q give the annihilator of one
+    solve of the whole system, or fail the same way."""
     degree = data.draw(st.integers(1, {2: 5, 3: 3, 4: 2}[arity]))
     t = random_hsg(random.Random(seed), field, arity, degree)
     assert outcome(build_annihilator, t) == outcome(reference_annihilator, t)
@@ -171,17 +170,22 @@ def test_prefix_solve_matches_the_full_system(field, seed, arity, data):
 SMALL_PRIMES = [Field.prime(2), Field.prime(3), Field.prime(7), Field.prime(101)]
 
 
-@pytest.mark.parametrize("field", SMALL_PRIMES, ids=lambda F: F.spec)
+@pytest.mark.parametrize("field", SMALL_PRIMES + [Q], ids=lambda F: F.spec)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_one_pass_solve_with_constant_entries_matches_the_full_system(field, data):
-    """Over small primes, with one or more constant univariates, the
+    """Over small primes and Q, with one or more constant univariates, the
     one-pass solve gives the annihilator of one solve of the whole
-    system, or fails the same way."""
+    system, or fails the same way.  Over Q the constants are integral or
+    fractional, so the integer columns of e and of e + x_i for a constant
+    x_i are proportional, and equal for a constant of 1 or -1."""
     arity = data.draw(st.integers(2, 3))
     degree = {2: 3, 3: 2}[arity]
     constant = data.draw(st.sets(st.integers(0, arity - 1), min_size=1, max_size=arity - 1))
-    coeff = st.integers(0, field.p - 1)
+    if field.is_rational:
+        coeff = st.one_of(st.integers(-2, 2), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    else:
+        coeff = st.integers(0, field.p - 1)
     polys = [
         data.draw(st.lists(coeff, min_size=1, max_size=1 if i in constant else degree + 1).filter(any))
         for i in range(arity)
@@ -204,6 +208,28 @@ def test_rational_denominators_match_the_full_system(data):
     assume(max(map(len, polys)) > 1 and any(c.denominator != 1 for p in polys for c in p))
     t = HsgTuple.make(Q, [DensePoly.make(Q, p) for p in polys])
     assert build_annihilator(t).render() == reference_annihilator(t).render()
+
+
+def test_rational_solve_is_one_lazy_pass(monkeypatch):
+    """Over Q no whole-matrix elimination runs, and no column past the
+    first dependent one is built."""
+    t = HsgTuple.make(Q, [DensePoly.make(Q, ["1/2", 2, 3]), DensePoly.make(Q, [0, -1, 0, "4/3"])])
+    want = reference_annihilator(t).render()
+
+    def refuse(*args):
+        raise AssertionError("whole-matrix elimination on the one-pass path")
+
+    monkeypatch.setattr(linalg, "bareiss_echelon", refuse)
+    monkeypatch.setattr(linalg, "integer_nullspace_canonical", refuse)
+    reads, vecs = [], []
+
+    def counted(columns):
+        vecs.append(linalg.first_integer_dependency(c for c in columns if not reads.append(c)))
+        return vecs[-1]
+
+    monkeypatch.setattr(hsg, "first_integer_dependency", counted)
+    assert build_annihilator(t).render() == want
+    assert len(reads) == len(vecs[0]) == 10 < 2 * 3 * annihilator_delta(2, 3) + 1
 
 
 @pytest.mark.parametrize("field", [Q, FP], ids=lambda F: F.spec)

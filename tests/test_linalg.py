@@ -1,6 +1,7 @@
 """Fraction-free elimination against its scalar twin, the integral kernel
 against the field kernel over Q, canonical kernel vectors of column
-prefixes, the one-pass first dependency against them, the span-membership
+prefixes, the one-pass first dependencies over a field and over the
+integers against them, the span-membership
 twin of tests/reference.py with its combination, and the row reducer's
 combinations against that twin."""
 
@@ -17,6 +18,7 @@ from conepit.linalg import (
     RowReducer,
     bareiss_echelon,
     first_dependency,
+    first_integer_dependency,
     integer_nullspace_canonical,
     matrix_rank,
     nullspace_canonical,
@@ -208,6 +210,77 @@ def test_first_dependency_edge_columns(field):
     assert first_dependency(iter([[one], [0, one], [one], None]), field) == [neg, 0, one]
     assert first_dependency([[one], [0, 0, one], [0, one]], field) is None
     assert first_dependency([], field) is None
+
+
+def integer_columns(rng):
+    """Ragged integer columns: a run of 1 to 8 fresh ones, often with
+    leading zeros (which force row swaps) or taller than all before, then up
+    to 3 of those, zero or empty ones, repeats, or integer combinations of
+    the earlier ones."""
+    cols = []
+    lead = rng.randint(1, 8)
+    for j in range(lead + rng.randint(0, 3)):
+        kinds = ("fresh", "taller") if j < lead else ("fresh", "taller", "zero", "repeat", "combination")
+        kind = rng.choice(kinds)
+        height = max(map(len, cols), default=0)
+        if kind == "zero":
+            col = [0] * rng.randint(0, 6)
+        elif kind == "repeat":
+            col = list(rng.choice(cols))
+        elif kind == "combination":
+            col = [0] * height
+            for c in cols:
+                a = rng.randint(-3, 3)
+                col[: len(c)] = [x + a * y for x, y in zip(col, c)]
+        else:
+            size = rng.randint(height + 1, height + 3) if kind == "taller" else rng.randint(0, 6)
+            zeros, bound = rng.randint(0, size), rng.choice((1, 1, 1 << 40))
+            col = [0] * zeros + [rng.choice((0, rng.randint(-3, 3), rng.randint(-bound, bound))) for _ in range(size - zeros)]
+        cols.append(col)
+    return cols
+
+
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32))
+def test_first_integer_dependency_is_the_integer_kernel_of_the_prefix(seed):
+    """The column-lazy Bareiss solve gives the row-wise integral kernel
+    vector of the whole padded system, cut after its last nonzero entry j0,
+    which is that of the prefix through j0; it reads no column past j0."""
+    cols = integer_columns(random.Random(seed))
+    width = len(cols)
+    height = max(map(len, cols))
+    rows = [list(row) for row in zip(*(c + [0] * (height - len(c)) for c in cols))]
+    reads = 0
+
+    def lazily():
+        nonlocal reads
+        for col in cols:
+            reads += 1
+            yield col
+
+    got = first_integer_dependency(lazily())
+    full = integer_nullspace_canonical(rows, width)
+    if full is None:
+        assert got is None and reads == width
+        return
+    j0 = max(j for j, x in enumerate(full) if x != 0)
+    assert got == full[: j0 + 1] and reads == j0 + 1 and got[-1] > 0
+    assert got == integer_nullspace_canonical([row[: j0 + 1] for row in rows], j0 + 1)
+
+
+def test_first_integer_dependency_edge_columns():
+    assert first_integer_dependency([[], [1]]) == [1]
+    assert first_integer_dependency([[0, 0, 0]]) == [1]
+    assert first_integer_dependency([[2], [4]]) == [-2, 1]
+    assert first_integer_dependency([[4], [2]]) == [-1, 2]
+    # the leading zero of column 0 forces a swap, column 2 is c0 + 2 c1,
+    # and the column after it fails if it is read
+    assert first_integer_dependency(iter([[0, 2], [3, 1], [6, 4], None])) == [-1, -2, 1]
+    # a column taller than all before it is independent of them, and so is
+    # the one that only reaches its middle row, which column 0's step
+    # scales by its pivot 3 although column 0 has no entry there
+    assert first_integer_dependency([[3], [-1, 0, 1], [-1, 1]]) is None
+    assert first_integer_dependency([]) is None
 
 
 @pytest.mark.parametrize("field", SPAN_FIELDS, ids=lambda F: F.spec)
