@@ -205,6 +205,17 @@ def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple,
 _cached_query_set = functools.lru_cache(maxsize=1024)(_build_query_set)
 
 
+def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
+    """:func:`_build_query_set` of x^e at degree bound ``degree``, shared when
+    it has at most ``QUERY_CACHE_POINTS`` points; raises CharTooSmall for a
+    field with too few nodes, then TooLarge past the guard."""
+    field.require_size_over(degree, "coefficient extraction")
+    cone = cone_size(e)
+    require_within_guard(cone, sum(e), degree)
+    build = _cached_query_set if cone * (degree + 1) <= QUERY_CACHE_POINTS else _build_query_set
+    return build(field, e, degree)
+
+
 class FilteredOracle:
     """The per-variable filtered view of a base oracle for one target
     exponent: the query set of (field, e, d) and its combination."""
@@ -212,16 +223,10 @@ class FilteredOracle:
     def __init__(self, base: Oracle, e: ExpVec):
         if len(e) != base.arity:
             raise ArityMismatch(f"exponent arity {len(e)}, oracle arity {base.arity}")
-        F = base.field
-        d = base.degree
-        F.require_size_over(d, "coefficient extraction")
         self.base = base
         self.e = tuple(e)
-        self.field = F
-        cone = cone_size(self.e)
-        require_within_guard(cone, sum(self.e), d)
-        build = _cached_query_set if cone * (d + 1) <= QUERY_CACHE_POINTS else _build_query_set
-        self._queries, self._num, self._den = build(F, self.e, d)
+        self.field = base.field
+        self._queries, self._num, self._den = query_set(base.field, self.e, base.degree)
 
     def queries(self) -> tuple[tuple[tuple[Scalar, ...], ...], np.ndarray]:
         """The base points of this extraction, tau-major, and the weight of

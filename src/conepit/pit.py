@@ -6,10 +6,9 @@ Three testers over the same oracle interface:
   coefficient of every monomial of cone size at most k (in ascending
   deg-lex order, stopping at the first nonzero).  Complete whenever the
   oracle's polynomial has partial-derivative-space dimension at most k;
-  a Nonzero answer is always sound.  The extractions of one test share an
-  evaluation plan: one total-degree layer at a time, the points of every
-  monomial in the layer are gathered and those not evaluated earlier in
-  the test go to the oracle in one batch.  The query points are a hitting
+  a Nonzero answer is always sound.  The low cone is enumerated one
+  total-degree layer at a time, as the walk reaches it, and a layer's new
+  points go to the oracle in one batch.  The query points are a hitting
   set, so a Zero verdict needs only their values: coefficients are
   combined only from the first layer where a value read is nonzero.
 * :func:`brute_force_pit` -- ground truth by dense grid expansion.
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
 from .errors import BadParameters, VerificationFailed
-from .extraction import FilteredOracle, require_within_guard
+from .extraction import FilteredOracle, query_set, require_within_guard
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
 
@@ -65,49 +64,47 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     at most that dimension.  Nonzero verdicts carry the deg-lex-least
     low-cone witness and are sound unconditionally.
 
-    The monomials are walked one total-degree layer at a time.  The points
-    of every extraction in a layer that this test has not evaluated yet go
-    to ``oracle.eval_many`` in one batch, into a table; each extraction then
-    combines values read from the table, and the walk stops at the first
-    nonzero coefficient.  ``oracle.calls`` therefore grows by the distinct
-    points of the layers walked, while the verdict's ``oracle_calls`` is the
-    number of points the tested extractions requested,
-    cone_size(e) * (d + 1) each.
+    The walk takes one total-degree layer at a time, as
+    ``enumerate_low_cone(..., degree=t)`` builds it; the points of its
+    extractions not evaluated yet go to ``oracle.eval_many`` in one batch,
+    into a table.  Until a value read is nonzero every coefficient combines
+    zeros, so a layer reads only its points (``extraction.query_set``) and
+    counts its monomials as tested and its requests as read; then each
+    extraction combines values from the table, up to the first nonzero
+    coefficient.  ``oracle.calls`` grows by the distinct points of the layers
+    walked; ``oracle_calls`` counts the points the tested extractions
+    requested, cone_size(e) * (d + 1) each.
 
-    Zero phase: until a layer reads a nonzero value, each of its
-    coefficients combines zeros only, so the layer just counts its
-    monomials as tested and its requests as read.  The points evaluated,
-    ``oracle.calls`` and ``oracle_calls`` are as if every one was combined.
-
-    The first extraction, of the constant monomial, is checked against the
-    extraction guard before the walk, so a degree bound too high to extract
-    at raises TooLarge without enumerating a monomial.
+    Refusals, in order: the constant monomial's extraction past its guard
+    (before any monomial is enumerated), the low cone past
+    ``LOW_CONE_GUARD``, then a field too small for the first extraction.
     """
     require_within_guard(1, 0, oracle.degree)
-    monomials = enumerate_low_cone(oracle.arity, k, dcap=oracle.degree)
+    F, n, d = oracle.field, oracle.arity, oracle.degree
     table = _Table(oracle)
     values = table.values
     tested = 0
     seen_nonzero = False
-    for _, layer in itertools.groupby(monomials, key=sum):
-        extractions = [FilteredOracle(table, e) for e in layer]
-        fresh = dict.fromkeys(pt for x in extractions for pt in x.queries()[0] if pt not in values)
+    for t in range(max(0, min(d, k - 1)) + 1):
+        layer = enumerate_low_cone(n, k, dcap=d, degree=t)
+        extractions = [FilteredOracle(table, e) for e in layer] if seen_nonzero else ()
+        points = [x.queries()[0] for x in extractions] if seen_nonzero else [query_set(F, e, d)[0][0] for e in layer]
+        fresh = list(set(itertools.chain.from_iterable(points)).difference(values))
         if fresh:
-            read = oracle.eval_many(list(fresh))
+            read = oracle.eval_many(fresh)
             values.update(zip(fresh, read))
             seen_nonzero = seen_nonzero or any(read)
         if not seen_nonzero:
-            # every coefficient of the layer combines zeros only
-            tested += len(extractions)
-            table.calls += sum(len(x.queries()[0]) for x in extractions)
+            tested += len(layer)
+            table.calls += sum(map(len, points))
             continue
-        for x in extractions:
+        for x in extractions or (FilteredOracle(table, e) for e in layer):
             tested += 1
             c = x.coefficient()
             if c != 0:
-                _check_budget(tested, oracle.arity, k)
+                _check_budget(tested, n, k)
                 return PitVerdict(NONZERO, x.e, c, tested, table.calls)
-    _check_budget(tested, oracle.arity, k)
+    _check_budget(tested, n, k)
     return PitVerdict(ZERO, None, None, tested, table.calls)
 
 

@@ -17,6 +17,7 @@ submonomials are called cone-closed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -93,49 +94,67 @@ def is_cone_closed(monomials: Iterable[ExpVec]) -> bool:
     return True
 
 
-def enumerate_low_cone(n: int, k: int, dcap: int | None = None) -> list[ExpVec]:
-    """All arity-n exponent vectors with cone size <= k (and degree <= dcap).
-
-    Output is ascending deg-lex and duplicate-free.  The walk recurses over
-    the nonzero entries, each of which at least doubles the cone size, so
-    its depth is at most log2 k for any n.  Raises TooLarge when the output
-    would hold more than ``LOW_CONE_GUARD`` entries (n times its count).
-    """
+def enumerate_low_cone(n: int, k: int, dcap: int | None = None, *, degree: int | None = None) -> list[ExpVec]:
+    """All arity-n exponent vectors with cone size <= k (and degree <= dcap),
+    ascending deg-lex; with ``degree=t`` only layer t of that list, ascending
+    lex.  A layer is walked over its nonzero entries, at most log2 k deep for
+    any n, at a cost of about its output times that depth.  Whatever the
+    layer, raises TooLarge before building a vector when the whole list
+    would hold more than ``LOW_CONE_GUARD`` entries (n times its count)."""
     if n < 1 or k < 1:
         raise BadParameters("need n >= 1 and k >= 1")
     # a cone of size <= k bounds the degree by k - 1
-    cap = k - 1 if dcap is None else dcap
-    out: list[ExpVec] = []
+    cap = k - 1 if dcap is None else min(dcap, k - 1)
     if cap < 0:
-        return out
-    if n > LOW_CONE_GUARD:
-        raise _low_cone_too_large(n, k)
-    out.append((0,) * n)
-    _low_cone_walk([0] * n, 0, 1, 0, k, cap, out)
-    out.sort(key=deglex_key)
+        return []
+    if low_cone_count(n, k, cap, LOW_CONE_GUARD // n) > LOW_CONE_GUARD // n:
+        raise TooLarge(f"more than {LOW_CONE_GUARD} exponent entries at arity {n}, cone size {k}")
+    out: list[ExpVec] = [(0,) * n] if degree in (None, 0) else []
+    for t in range(1, cap + 1) if degree is None else [degree] if 0 < degree <= cap else []:
+        _low_cone_layer([0] * n, 0, 1, t, k, out)
     return out
 
 
-def _low_cone_too_large(n: int, k: int) -> TooLarge:
-    return TooLarge(f"more than {LOW_CONE_GUARD} exponent entries at arity {n}, cone size {k}")
-
-
-def _low_cone_walk(row: list[int], start: int, prod: int, deg: int, k: int, cap: int, out: list[ExpVec]) -> None:
-    """Append, depth first, every vector that extends row (of cone size
-    prod and degree deg) by nonzero entries past position start, within
-    cone size k and degree cap.  Module-level, so that no reference cycle
-    holds the output list after the call."""
-    for i in range(start, len(row)):
-        v = 1
-        while prod * (v + 1) <= k and deg + v <= cap:
-            row[i] = v
-            out.append(tuple(row))
-            if len(row) * len(out) > LOW_CONE_GUARD:
-                raise _low_cone_too_large(len(row), k)
-            if prod * (v + 1) * 2 <= k and deg + v < cap:  # a later entry may fit
-                _low_cone_walk(row, i + 1, prod * (v + 1), deg + v, k, cap, out)
+@functools.lru_cache(maxsize=256)
+def low_cone_count(n: int, k: int, cap: int, stop: int) -> int:
+    """The number of arity-n vectors of cone size <= k and degree <= cap, or a
+    number past ``stop`` once it passes that, from the multisets of nonzero
+    entries: the ways to append a largest entry are counted in closed form,
+    and only entries that leave room for another are walked on."""
+    total = 1  # the zero vector
+    stack = [(1, 0, 0, 0, 0, 1)]  # cone size, degree, entries, largest, its multiplicity, placements in n slots
+    while stack and total <= stop:
+        prod, deg, m, last, mult, ways = stack.pop()
+        hi = min(k // prod - 1, cap - deg)  # the largest entry that fits
+        new = ways * (n - m)  # the placements with an entry above last appended
+        rep = new // (mult + 1)  # ... with last once more
+        total += max(0, hi - last) * new + (rep if 0 < last <= hi else 0)
+        v = max(last, 1)
+        while m + 1 < n and total <= stop and prod * (v + 1) ** 2 <= k and deg + 2 * v <= cap:
+            stack.append((prod * (v + 1), deg + v, m + 1, v) + ((mult + 1, rep) if v == last else (1, new)))
             v += 1
-        row[i] = 0
+    return total
+
+
+def _low_cone_layer(row: list[int], start: int, prod: int, rem: int, k: int, out: list[ExpVec]) -> None:
+    """Append to out, ascending lex, each completion of row (zero from start
+    on, cone size prod <= k / (rem + 1)) by entries past start adding up to
+    rem >= 1: later first nonzero positions first, then smaller values v there;
+    v leaves room for rem - v iff prod * (v + 1) * (rem - v + 1) <= k, which
+    is symmetric in v and rem - v.  Module-level: no reference cycle."""
+    lo = 1
+    while lo < rem and prod * (lo + 1) * (rem - lo + 1) <= k:
+        lo += 1
+    values = range(1, rem + 1) if lo == rem else [*range(1, lo), *range(rem - lo + 1, rem + 1)]
+    last = len(row) - 1
+    for p in range(last, start - 1, -1):
+        for v in values if p < last else (rem,):
+            row[p] = v
+            if v < rem:
+                _low_cone_layer(row, p + 1, prod * (v + 1), rem - v, k, out)
+            else:
+                out.append(tuple(row))
+        row[p] = 0
 
 
 def low_cone_count_bound(n: int, k: int) -> float:
@@ -277,10 +296,8 @@ class MultiPoly:
         )
         return MultiPoly(F, self.arity, _accumulate(F, {}, products))
 
-    def mul_monomial(self, e: ExpVec, c: Scalar = None) -> "MultiPoly":
-        F = self.field
-        c = F.one() if c is None else c
-        return MultiPoly(F, self.arity, {tuple(a + b for a, b in zip(m, e)): F.mul(c, v) for m, v in self.terms.items()})
+    def mul_monomial(self, e: ExpVec) -> "MultiPoly":
+        return MultiPoly(self.field, self.arity, {tuple(a + b for a, b in zip(m, e)): v for m, v in self.terms.items()})
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.arity:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from conepit import hsg
+from conepit import hsg, polys
 from conepit.circuits import Circuit, CircuitBuilder, serialize
 from conepit.conebasis import BasisReport, least_basis, weight_of
-from conepit.errors import VerificationFailed
+from conepit.errors import BadParameters, TooLarge, VerificationFailed
 from conepit.extraction import vandermonde_row
 from conepit.errors import ArityMismatch
 from conepit.fields import DensePoly, Field, Scalar, square_and_multiply
@@ -56,6 +56,37 @@ def factorization_low_cone_count(n: int, k: int) -> int:
             ways *= comb(1 + n - 1, n - 1)
         total += ways
     return total
+
+
+def reference_enumerate_low_cone(n: int, k: int, dcap: int | None = None) -> list[ExpVec]:
+    """The whole low cone by one depth-first walk over nonzero entries,
+    then a deg-lex sort; raises TooLarge as soon as the vectors built hold
+    more than ``polys.LOW_CONE_GUARD`` entries (read at call time)."""
+    if n < 1 or k < 1:
+        raise BadParameters("need n >= 1 and k >= 1")
+    cap = k - 1 if dcap is None else dcap
+    if cap < 0:
+        return []
+    if n > polys.LOW_CONE_GUARD:
+        raise TooLarge("arity past the guard")
+    out = [(0,) * n]
+    _reference_low_cone_walk([0] * n, 0, 1, 0, k, cap, out)
+    out.sort(key=deglex_key)
+    return out
+
+
+def _reference_low_cone_walk(row, start, prod, deg, k, cap, out) -> None:
+    for i in range(start, len(row)):
+        v = 1
+        while prod * (v + 1) <= k and deg + v <= cap:
+            row[i] = v
+            out.append(tuple(row))
+            if len(row) * len(out) > polys.LOW_CONE_GUARD:
+                raise TooLarge("low cone past the guard")
+            if prod * (v + 1) * 2 <= k and deg + v < cap:
+                _reference_low_cone_walk(row, i + 1, prod * (v + 1), deg + v, k, cap, out)
+            v += 1
+        row[i] = 0
 
 
 def naive_is_cone_closed(monomials) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,23 @@ def test_cones_list_and_json():
     assert out.splitlines() == ["count=3", "1", "x1", "x1^2"]
     code, out, _ = invoke(["--json", "cones", "--n", "1", "--k", "3"])
     assert json.loads(out) == {"count": 3, "vectors": [[0], [1], [2]]}
+
+
+def test_huge_cone_size_is_refused_before_building():
+    # two variables and k = 10^13: the guard counts the cone and refuses
+    # before one vector is built; the alarm only detects a hang
+    def hang(signum, frame):
+        raise AssertionError("cones --n 2 --k 10^13 did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        code, out, err = invoke(["cones", "--n", "2", "--k", "10000000000000"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, out) == (3, "")
+    assert err == "error: more than 10000000 exponent entries at arity 2, cone size 10000000000000\n"
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conepit import pit
+from conepit import pit, polys
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
-from conepit.errors import BadParameters, TooLarge, VerificationFailed
+from conepit.errors import BadParameters, CharTooSmall, TooLarge, VerificationFailed
 from conepit.extraction import FilteredOracle, extract_coefficient
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal
@@ -278,9 +278,51 @@ def test_plan_prefetches_the_witness_layer_whole():
     assert oracle.calls == 3 + 5 * 2 > verdict.oracle_calls
 
 
+def test_layers_are_enumerated_on_demand_and_the_zero_phase_reads_points_only(monkeypatch):
+    real = pit.enumerate_low_cone
+    asked = []
+
+    def layer(n, k, dcap=None, *, degree=None):
+        asked.append(degree)
+        return real(n, k, dcap, degree=degree)
+
+    monkeypatch.setattr(pit, "enumerate_low_cone", layer)
+    # the constant term is the witness: only layer 0 is built
+    assert low_cone_pit(cube_oracle(FP), 4).render() == "NONZERO witness=1 coeff=1 tested=1 calls=4"
+    assert asked == [0]
+    # a zero polynomial walks layers 0 .. min(d, k - 1) = 0 .. 2 and combines
+    # no coefficient, so it builds no extraction
+    asked.clear()
+
+    def no_extraction(*args):
+        raise AssertionError("built an extraction in the zero phase")
+
+    monkeypatch.setattr(pit, "FilteredOracle", no_extraction)
+    oracle = zero_circuit_oracle(FP)
+    verdict = low_cone_pit(oracle, 8)
+    assert (verdict.outcome, verdict.monomials_tested, asked) == (ZERO, 6, [0, 1, 2])
+    # 45 points requested, 11 of them distinct (as when every layer was enumerated up front)
+    assert (verdict.oracle_calls, oracle.calls) == (45, 11)
+
+
+def test_refusals_keep_their_order(monkeypatch):
+    # x1^5 over F_5: the extraction needs a field of more than 5 elements,
+    # but a low cone past its guard is refused first
+    b = CircuitBuilder(Field.prime(5), 2)
+    oracle = Oracle(b.build(b.pow(b.input(0), 5)))
+    with pytest.raises(CharTooSmall):
+        low_cone_pit(oracle, 4)
+    monkeypatch.setattr(polys, "LOW_CONE_GUARD", 2 * 8 - 1)
+    with pytest.raises(TooLarge):
+        low_cone_pit(oracle, 4)
+    assert oracle.calls == 0
+
+
 def test_budget_overrun_is_verification_failure(monkeypatch):
     real = pit.enumerate_low_cone
-    monkeypatch.setattr(pit, "enumerate_low_cone", lambda n, k, dcap=None: [e for e in real(n, k, dcap) for _ in range(4)])
+    monkeypatch.setattr(
+        pit, "enumerate_low_cone", lambda n, k, dcap=None, *, degree=None: [e for e in real(n, k, dcap, degree=degree) for _ in range(4)]
+    )
     with pytest.raises(VerificationFailed, match="cone-count bound"):
         low_cone_pit(zero_circuit_oracle(FP), 1)
 
@@ -288,7 +330,7 @@ def test_budget_overrun_is_verification_failure(monkeypatch):
 def test_over_guard_degree_is_refused_before_enumerating(monkeypatch):
     # (d + 1)^2 > EXTRACTION_GUARD already for the constant monomial, so the
     # test must refuse before it walks the low cone
-    def walk(n, k, dcap=None):
+    def walk(n, k, dcap=None, *, degree=None):
         raise AssertionError("enumerated the low cone")
 
     monkeypatch.setattr(pit, "enumerate_low_cone", walk)

@@ -1,8 +1,12 @@
 import gc
 import itertools
 import random
+import signal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepit import polys
 from conepit.errors import ArityMismatch, BadParameters, TooLarge, ZeroPolynomial
@@ -20,11 +24,18 @@ from conepit.polys import (
     is_cone_closed,
     is_submonomial,
     leading_monomial,
+    low_cone_count,
     low_cone_count_bound,
     parse_monomial,
     pd_space_dim,
 )
-from reference import factorization_low_cone_count, grid_low_cone_count, naive_is_cone_closed, naive_pd_dim
+from reference import (
+    factorization_low_cone_count,
+    grid_low_cone_count,
+    naive_is_cone_closed,
+    naive_pd_dim,
+    reference_enumerate_low_cone,
+)
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -135,6 +146,75 @@ def test_enumerate_low_cone_counts_and_bound():
             assert got <= low_cone_count_bound(n, k) * (1 + 1e-9)
 
 
+def _refused(call) -> bool:
+    try:
+        call()
+    except TooLarge:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    k=st.integers(1, 33),
+    dcap=st.sampled_from([None, -1, 0, 1, 2, 3, 4, 5, 6]),
+    data=st.data(),
+)
+def test_enumerate_low_cone_matches_the_reference_walk(n, k, dcap, data):
+    want = reference_enumerate_low_cone(n, k, dcap)
+    assert enumerate_low_cone(n, k, dcap) == want
+    # each degree slice is that layer of the whole list, and nothing outside 0 .. cap
+    for t in range(-1, k + 1):
+        assert enumerate_low_cone(n, k, dcap, degree=t) == [e for e in want if sum(e) == t]
+    cap = k - 1 if dcap is None else min(dcap, k - 1)
+    if cap >= 0:
+        assert low_cone_count(n, k, cap, 10**9) == len(want)
+        if dcap is None:
+            assert len(want) == factorization_low_cone_count(n, k)
+        if k**n <= 20_000:
+            assert len(want) == grid_low_cone_count(n, k, dcap)
+    # TooLarge on exactly the guards that stop the reference walk, for the
+    # whole list and for any one layer of it
+    entries = n * len(want)
+    guard = data.draw(st.sampled_from([0, entries - 1, entries, entries + 1]) | st.integers(0, entries + n))
+    t = data.draw(st.integers(-1, k))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "LOW_CONE_GUARD", guard)
+        refused = _refused(lambda: reference_enumerate_low_cone(n, k, dcap))
+        assert _refused(lambda: enumerate_low_cone(n, k, dcap)) == refused
+        assert _refused(lambda: enumerate_low_cone(n, k, dcap, degree=t)) == refused
+        assert refused == (cap >= 0 and entries > guard)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 3000), stop=st.integers(0, 10**6))
+def test_low_cone_count_is_exact_up_to_its_stop(n, k, stop):
+    want = factorization_low_cone_count(n, k)
+    got = low_cone_count(n, k, k - 1, stop)
+    assert got == want if want <= stop else got > stop
+    assert low_cone_count(n, k, k - 1, 10**12) == want
+
+
+def test_huge_cone_is_refused_by_counting():
+    # 2 * (10^13 - 1) vectors of one nonzero entry alone pass the guard, so
+    # the count stops at once and no vector is built; the alarm only
+    # detects a hang
+    def hang(signum, frame):
+        raise AssertionError("enumerate_low_cone(2, 10**13) did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with pytest.raises(TooLarge, match="more than 10000000 exponent entries at arity 2, cone size 10000000000000"):
+            enumerate_low_cone(2, 10**13)
+        with pytest.raises(TooLarge):
+            enumerate_low_cone(2, 10**13, dcap=10**6, degree=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_count_bound_holds_where_3n_is_below_log2_k():
     # 264 points, n <= 8 and k <= 4096; read at n itself the formula fell
     # below the count at 28 of them: n = 1 from k = 65, n = 2 from k = 1000
@@ -148,6 +228,12 @@ def test_count_bound_holds_where_3n_is_below_log2_k():
                 assert got == len(enumerate_low_cone(n, k))
             assert got <= low_cone_count_bound(n, k) * (1 + 1e-9), (n, k)
     assert low_cone_count_bound(1, 4096) == low_cone_count_bound(4, 4096) > factorization_low_cone_count(4, 4096)
+
+
+def test_mul_monomial_shifts_exponents_and_keeps_coefficients():
+    p = MultiPoly.make(Q, 2, {(1, 0): Fraction(1, 3), (0, 2): -2})
+    assert p.mul_monomial((2, 1)) == MultiPoly.make(Q, 2, {(3, 1): Fraction(1, 3), (2, 3): -2})
+    assert MultiPoly.zero(FP, 3).mul_monomial((1, 1, 1)).is_zero
 
 
 def test_leading_monomial_examples():
