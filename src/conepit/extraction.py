@@ -25,6 +25,11 @@ so they are built once per key and shared: an LRU cache of 1024 query
 sets, each of at most ``QUERY_CACHE_POINTS`` points, so at most 2^18
 points in all; a larger extraction builds its own.  ``EXTRACTION_GUARD``
 refuses an extraction whose points or weight rows would not fit in memory.
+The low-cone test reads a whole total-degree layer of monomials at once:
+:func:`layer_points` gives the distinct points of the layer's query sets
+and how many points they request, checks the field and the guard once for
+the layer, and keeps both per (field, layer, d) in a table of at most 256
+layers of at most ``LAYER_CACHE_POINTS`` points, so at most 2^18 points.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
 int tuples), so the weight rows have a closed form, :func:`interpolation_row`;
@@ -212,8 +217,59 @@ def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.nda
     field.require_size_over(degree, "coefficient extraction")
     cone = cone_size(e)
     require_within_guard(cone, sum(e), degree)
+    return _query_set(field, e, cone, degree)
+
+
+def _query_set(field: Field, e: ExpVec, cone: int, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
     build = _cached_query_set if cone * (degree + 1) <= QUERY_CACHE_POINTS else _build_query_set
     return build(field, e, degree)
+
+
+#: The layer table of :func:`layer_points` keeps at most this many layers ...
+LAYER_CACHE_LAYERS = 256
+#: ... of at most this many distinct points each.
+LAYER_CACHE_POINTS = 1024
+
+# (field, layer, degree) -> (distinct points, requests, largest guarded cone)
+_layer_table: OrderedDict[tuple, tuple[frozenset, int, int]] = OrderedDict()
+
+
+def layer_points(field: Field, layer: tuple[ExpVec, ...], degree: int) -> tuple[frozenset, int]:
+    """The distinct base points of the extractions of every x^e in
+    ``layer`` at degree bound ``degree`` over ``field``, and how many points
+    they request in all, the sum of cone_size(e) * (d + 1).
+
+    Refuses as :func:`query_set` on each monomial of a nonempty layer in
+    turn would: CharTooSmall, then TooLarge at the first monomial past
+    ``EXTRACTION_GUARD`` (read at call time), with that monomial's message.
+    Both checks run once per layer; only past the guard are the monomials
+    checked one by one.  A layer of at most ``LAYER_CACHE_POINTS`` distinct
+    points is kept, up to ``LAYER_CACHE_LAYERS`` least recently used ones,
+    so at most 2^18 points; a larger layer is built per call.  The table
+    holds point tuples and counts, never an oracle's values."""
+    field.require_size_over(degree, "coefficient extraction")
+    key = (field, layer, degree)
+    entry = _layer_table.get(key)
+    if entry is None:
+        cones = [cone_size(e) for e in layer]
+        guarded = max((c for c, e in zip(cones, layer) if sum(e) <= degree), default=0)
+    else:
+        guarded = entry[2]
+    if guarded and max(guarded, degree + 1) * (degree + 1) > EXTRACTION_GUARD:
+        # the first monomial past the guard raises, with its own message
+        for e in layer:
+            query_set(field, e, degree)
+    if entry is None:
+        sets = [_query_set(field, e, c, degree)[0][0] for c, e in zip(cones, layer)]
+        entry = frozenset(itertools.chain.from_iterable(sets)), sum(map(len, sets)), guarded
+        if len(entry[0]) <= LAYER_CACHE_POINTS:
+            _layer_table[key] = entry
+            if len(_layer_table) > LAYER_CACHE_LAYERS:
+                _layer_table.popitem(last=False)
+    else:
+        _layer_table.move_to_end(key)
+    points, requests, _ = entry
+    return points, requests
 
 
 class FilteredOracle:

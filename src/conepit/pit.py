@@ -9,20 +9,22 @@ Three testers over the same oracle interface:
   a Nonzero answer is always sound.  The low cone is enumerated one
   total-degree layer at a time, as the walk reaches it, and a layer's new
   points go to the oracle in one batch.  The query points are a hitting
-  set, so a Zero verdict needs only their values: coefficients are
-  combined only from the first layer where a value read is nonzero.
+  set that depends only on (field, n, k, d), never on the oracle: each
+  layer's distinct points are built once and shared by every test of that
+  shape (``extraction.layer_points``).  A Zero verdict needs only their
+  values, so coefficients are combined only from the first layer where a
+  value read is nonzero.
 * :func:`brute_force_pit` -- ground truth by dense grid expansion.
 * :func:`sz_pit` -- seeded random evaluations, one-sided error.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
 from .errors import BadParameters, VerificationFailed
-from .extraction import FilteredOracle, query_set, require_within_guard
+from .extraction import FilteredOracle, layer_points, require_within_guard
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
 
@@ -65,15 +67,16 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     low-cone witness and are sound unconditionally.
 
     The walk takes one total-degree layer at a time, as
-    ``enumerate_low_cone(..., degree=t)`` builds it; the points of its
-    extractions not evaluated yet go to ``oracle.eval_many`` in one batch,
-    into a table.  Until a value read is nonzero every coefficient combines
-    zeros, so a layer reads only its points (``extraction.query_set``) and
-    counts its monomials as tested and its requests as read; then each
-    extraction combines values from the table, up to the first nonzero
-    coefficient.  ``oracle.calls`` grows by the distinct points of the layers
-    walked; ``oracle_calls`` counts the points the tested extractions
-    requested, cone_size(e) * (d + 1) each.
+    ``enumerate_low_cone(..., degree=t)`` builds it.  The distinct points of
+    the layer's extractions and their request count come from
+    ``extraction.layer_points``, shared across tests; the points not
+    evaluated yet go to ``oracle.eval_many`` in one batch, into a table.
+    Until a value read is nonzero every coefficient combines zeros, so a
+    layer counts its monomials as tested and its requests as read; then an
+    extraction is built for each monomial in turn and combines values from
+    the table, up to the first nonzero coefficient.  ``oracle.calls`` grows
+    by the distinct points of the layers walked; ``oracle_calls`` counts the
+    points the tested extractions requested, cone_size(e) * (d + 1) each.
 
     Refusals, in order: the constant monomial's extraction past its guard
     (before any monomial is enumerated), the low cone past
@@ -87,23 +90,22 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     seen_nonzero = False
     for t in range(max(0, min(d, k - 1)) + 1):
         layer = enumerate_low_cone(n, k, dcap=d, degree=t)
-        extractions = [FilteredOracle(table, e) for e in layer] if seen_nonzero else ()
-        points = [x.queries()[0] for x in extractions] if seen_nonzero else [query_set(F, e, d)[0][0] for e in layer]
-        fresh = list(set(itertools.chain.from_iterable(points)).difference(values))
+        points, requests = layer_points(F, tuple(layer), d)
+        fresh = list(points.difference(values))
         if fresh:
             read = oracle.eval_many(fresh)
             values.update(zip(fresh, read))
             seen_nonzero = seen_nonzero or any(read)
         if not seen_nonzero:
             tested += len(layer)
-            table.calls += sum(map(len, points))
+            table.calls += requests
             continue
-        for x in extractions or (FilteredOracle(table, e) for e in layer):
+        for e in layer:
             tested += 1
-            c = x.coefficient()
+            c = FilteredOracle(table, e).coefficient()
             if c != 0:
                 _check_budget(tested, n, k)
-                return PitVerdict(NONZERO, x.e, c, tested, table.calls)
+                return PitVerdict(NONZERO, e, c, tested, table.calls)
     _check_budget(tested, n, k)
     return PitVerdict(ZERO, None, None, tested, table.calls)
 

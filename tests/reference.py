@@ -15,10 +15,11 @@ from conepit import hsg, polys
 from conepit.circuits import Circuit, CircuitBuilder, serialize
 from conepit.conebasis import BasisReport, least_basis, weight_of
 from conepit.errors import BadParameters, TooLarge, VerificationFailed
-from conepit.extraction import vandermonde_row
+from conepit.extraction import extract_coefficient, vandermonde_row
 from conepit.errors import ArityMismatch
 from conepit.fields import DensePoly, Field, Scalar, square_and_multiply
 from conepit.linalg import RowReducer, integer_nullspace_canonical, nullspace_canonical
+from conepit.pit import NONZERO, ZERO, PitVerdict
 from conepit.polys import ExpVec, MultiPoly, VectorPoly, deglex_key
 
 
@@ -87,6 +88,20 @@ def _reference_low_cone_walk(row, start, prod, deg, k, cap, out) -> None:
                 _reference_low_cone_walk(row, i + 1, prod * (v + 1), deg + v, k, cap, out)
             v += 1
         row[i] = 0
+
+
+def reference_low_cone_pit(oracle, k: int) -> PitVerdict:
+    """The low-cone test as one independent ``extract_coefficient`` per
+    monomial of :func:`reference_enumerate_low_cone`, in deg-lex order, up
+    to the first nonzero coefficient: no layer, no shared points, no table."""
+    start = oracle.calls
+    tested = 0
+    for e in reference_enumerate_low_cone(oracle.arity, k, dcap=oracle.degree):
+        tested += 1
+        c = extract_coefficient(oracle, e)
+        if c != 0:
+            return PitVerdict(NONZERO, e, c, tested, oracle.calls - start)
+    return PitVerdict(ZERO, None, None, tested, oracle.calls - start)
 
 
 def naive_is_cone_closed(monomials) -> bool:

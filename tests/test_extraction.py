@@ -11,17 +11,21 @@ from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes, TooLarge
 from conepit.extraction import (
     EXTRACTION_GUARD,
+    LAYER_CACHE_POINTS,
     QUERY_CACHE_POINTS,
     FilteredOracle,
     extract_coefficient,
     interpolation_row,
     interpolation_rows,
+    layer_points,
+    query_set,
     vandermonde_row,
 )
 from conepit.fields import Field
 from conepit.generators import random_circuit
+from conepit.pit import low_cone_pit
 from conepit.polys import cone_size, enumerate_low_cone
-from reference import circuit_from_multipoly, reference_queries
+from reference import circuit_from_multipoly, reference_low_cone_pit, reference_queries
 from test_pit import PLAN_FIELDS
 
 Q = Field.rationals()
@@ -268,6 +272,41 @@ def test_large_extraction_is_exact_and_not_cached():
     assert x.queries() is not y.queries()
     assert extraction._cached_query_set.cache_info() == before
     assert x.coefficient() == dense_expand(Oracle(oracle.circuit)).coefficient(e)
+
+
+def test_large_layer_is_exact_and_not_kept():
+    # 3 x1^5 x2^5 at degree bound 30 and k = 36: the witness is in layer 10,
+    # whose extractions hold more distinct points than the layer table keeps
+    b = CircuitBuilder(FP, 2)
+    circuit = b.build(b.add([(3, b.mul([b.pow(b.input(0), 5), b.pow(b.input(1), 5)]))]))
+    layer = tuple(enumerate_low_cone(2, 36, 30, degree=10))
+    before = dict(extraction._layer_table)
+    points, requests = layer_points(FP, layer, 30)
+    assert len(points) > LAYER_CACHE_POINTS
+    assert dict(extraction._layer_table) == before
+    assert layer_points(FP, layer, 30)[0] is not points
+    verdict = low_cone_pit(Oracle(circuit, degree=30), 36)
+    assert verdict == reference_low_cone_pit(Oracle(circuit, degree=30), 36)
+    assert (verdict.witness, verdict.coefficient) == ((5, 5), 3)
+    # the walk keeps exactly the layers within the bound
+    for t in range(11):
+        walked = tuple(enumerate_low_cone(2, 36, 30, degree=t))
+        kept = (FP, walked, 30) in extraction._layer_table
+        assert kept == (len(layer_points(FP, walked, 30)[0]) <= LAYER_CACHE_POINTS)
+
+
+def test_layer_table_holds_points_and_counts_only():
+    # after tests over three fields, every entry is the union of its query
+    # sets' points, which depend on (field, e, d) alone, and their total size
+    rng = random.Random(61)
+    for field in (FP, Q, Field.prime(7)):
+        low_cone_pit(Oracle(random_circuit(rng, field, 3, 6, 4)), 8)
+    assert extraction._layer_table
+    for (field, layer, degree), (points, requests, cone) in extraction._layer_table.items():
+        sets = [query_set(field, e, degree)[0][0] for e in layer]
+        assert points == frozenset(pt for pts in sets for pt in pts)
+        assert requests == sum(map(len, sets)) and cone == max(map(cone_size, layer))
+        assert len(points) <= LAYER_CACHE_POINTS
 
 
 def test_extraction_guard(monkeypatch):

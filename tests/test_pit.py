@@ -2,15 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conepit import pit, polys
+from conepit import extraction, pit, polys
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit.errors import BadParameters, CharTooSmall, TooLarge, VerificationFailed
-from conepit.extraction import FilteredOracle, extract_coefficient
+from conepit.extraction import FilteredOracle, query_set
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal
-from conepit.pit import NONZERO, ZERO, PitVerdict, brute_force_pit, low_cone_pit, splitmix64, sz_pit
+from conepit.pit import NONZERO, ZERO, brute_force_pit, low_cone_pit, splitmix64, sz_pit
 from conepit.polys import deglex_key, enumerate_low_cone, low_cone_count_bound
+from reference import reference_enumerate_low_cone, reference_low_cone_pit, reference_queries
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -164,18 +167,6 @@ def test_tiny_arity_at_high_degree():
 # ----------------------------------------------------------------------
 
 PLAN_FIELDS = (FP, Field.prime((1 << 31) - 1), Field.prime(7), Field.prime((1 << 89) - 1), Q)
-
-
-def reference_low_cone_pit(oracle, k):
-    """low_cone_pit as one independent extract_coefficient per monomial."""
-    start = oracle.calls
-    tested = 0
-    for e in enumerate_low_cone(oracle.arity, k, dcap=oracle.degree):
-        tested += 1
-        c = extract_coefficient(oracle, e)
-        if c != 0:
-            return PitVerdict(NONZERO, e, c, tested, oracle.calls - start)
-    return PitVerdict(ZERO, None, None, tested, oracle.calls - start)
 
 
 def plan_instances(field, rng):
@@ -359,3 +350,86 @@ def test_the_table_over_q_holds_the_kernel_ints(monkeypatch):
     for table in tables:
         assert {type(x) for pt in table.values for x in pt} == {int}
         assert {type(v) for v in table.values.values()} == {int}
+
+
+# ----------------------------------------------------------------------
+# The layer table: shared points, the same verdicts and refusals
+# ----------------------------------------------------------------------
+
+
+def distinct_reference_points(field, monomials, degree):
+    """The distinct base points of the extractions of ``monomials``, by the
+    reference construction."""
+    return {pt for e in monomials for pt in reference_queries(field, e, degree)[0]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from((FP, Field.prime((1 << 31) - 1), Q)),
+    family=st.sampled_from(("circuit", "diagonal", "zero diagonal", "linear power")),
+    n=st.integers(1, 4),
+    k=st.sampled_from((1, 2, 4, 8, 16)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_low_cone_pit_matches_the_twin_with_the_layer_table_cold_and_warm(field, family, n, k, seed):
+    rng = random.Random(seed)
+    if family == "circuit":
+        circuit = random_circuit(rng, field, n, rng.randint(2, 8), 4)
+    elif family == "linear power":
+        # (a . x)^m: no constant term, so coefficients are combined from
+        # layer 0 on and the witness has degree m
+        b = CircuitBuilder(field, n)
+        form = b.add([(field.of(rng.randint(-3, 3)), b.input(i)) for i in range(n)])
+        circuit = b.build(b.pow(form, rng.randint(1, 4)))
+    else:
+        circuit = random_diagonal(rng, field, n, rng.randint(1, 4), 3, force_zero=family == "zero diagonal").to_circuit()
+    want = reference_low_cone_pit(Oracle(circuit), k)
+    # every layer up to the witness's degree is evaluated whole, each distinct point once
+    d = Oracle(circuit).degree
+    last = sum(want.witness) if want.outcome == NONZERO else d
+    walked = [e for e in reference_enumerate_low_cone(n, k, dcap=d) if sum(e) <= last]
+    evaluated = len(distinct_reference_points(field, walked, d))
+    extraction._layer_table.clear()
+    for _ in ("cold", "warm"):
+        oracle = Oracle(circuit)
+        got = low_cone_pit(oracle, k)
+        assert got == want and type(got.coefficient) is type(want.coefficient)
+        assert oracle.calls == evaluated
+
+
+def xy_oracle(field):
+    b = CircuitBuilder(field, 2)
+    return Oracle(b.build(b.mul([b.input(0), b.input(1)])))
+
+
+@pytest.mark.parametrize("make_oracle", [zero_circuit_oracle, xy_oracle], ids=["zero", "x1*x2"])
+def test_refusals_keep_their_messages_on_a_warm_layer_table(monkeypatch, make_oracle):
+    # degree 2 at k = 8 walks layers 0, 1 and 2, and the table keeps them;
+    # x1 x2 reads nonzero values from layer 0 on, so its refusals come from
+    # the phase that combines coefficients
+    want = low_cone_pit(make_oracle(FP), 8)
+    assert want == reference_low_cone_pit(make_oracle(FP), 8)
+    assert (FP, tuple(enumerate_low_cone(2, 8, 2, degree=2)), 2) in extraction._layer_table
+    # (d + 1)^2 = 9 for the constant monomial and 3 * 4 = 12 for x1 x2: a guard
+    # of 8 refuses up front, one of 11 refuses layer 2 at x1 x2, as the twin does
+    for guard in (8, 11):
+        monkeypatch.setattr(extraction, "EXTRACTION_GUARD", guard)
+        with pytest.raises(TooLarge) as expected:
+            reference_low_cone_pit(make_oracle(FP), 8)
+        oracle = make_oracle(FP)
+        with pytest.raises(TooLarge) as refused:
+            low_cone_pit(oracle, 8)
+        assert str(refused.value) == str(expected.value)
+    # layer 2 is refused before any of its points is evaluated
+    assert oracle.calls == len(distinct_reference_points(FP, [(0, 0), (0, 1), (1, 0)], 2))
+    monkeypatch.setattr(extraction, "EXTRACTION_GUARD", 12)
+    assert low_cone_pit(make_oracle(FP), 8) == want
+    # a field too small for the degree is refused at the first layer with the
+    # message of one extraction, and nothing is evaluated
+    F2 = Field.prime(2)
+    with pytest.raises(CharTooSmall) as expected:
+        query_set(F2, (0, 0), 2)
+    oracle = make_oracle(F2)
+    with pytest.raises(CharTooSmall) as refused:
+        low_cone_pit(oracle, 8)
+    assert str(refused.value) == str(expected.value) and oracle.calls == 0
