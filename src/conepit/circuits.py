@@ -29,8 +29,9 @@ Scalars travel as decimal strings so rationals stay exact.  ``parse`` and
 There is one vector evaluator: every circuit kind compiles itself, once,
 on first use, into a :class:`Program` of array steps (``lincomb``, ``mul``
 and ``pow`` kernel calls on blocks of rows, one point per column), which
-batches and grids run.  ``Circuit.evaluate`` walks the gates one scalar at
-a time and is the program's brute-force twin.
+batches and grids run; a batch's input block is a ``fastmod.PointBatch``.
+``Circuit.evaluate`` walks the gates one scalar at a time and is the
+program's brute-force twin.
 
 :class:`Oracle` is the evaluation-only view of a polynomial: a circuit and a
 degree bound, which testers may only evaluate, pointwise, in batches or on
@@ -61,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .extraction import interpolation_rows
-from .fastmod import SparseRows, kernel_for
+from .fastmod import PointBatch, SparseRows, kernel_for
 from .fields import Field, Scalar, clear_denominators
 from .polys import ExpVec, MultiPoly
 
@@ -161,7 +162,7 @@ class Circuit:
             vals[g.id] = v
         return vals[self.output]
 
-    def evaluate_many(self, points: Sequence[Sequence[Scalar]], scalars: bool = True) -> list[Scalar]:
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]] | PointBatch, scalars: bool = True) -> list[Scalar]:
         return self.program.evaluate_many(points, scalars)
 
     @cached_property
@@ -362,15 +363,17 @@ class Program:
                 vals[b] = None
         return vals[-1][0]
 
-    def evaluate_many(self, points: Sequence[Sequence[Scalar]], scalars: bool = True) -> list[Scalar]:
-        """The values at the points, by one run, as field scalars, or with
-        ``scalars=False`` as the kernel holds them (over Q ints if integral)."""
-        F, n, count = self.field, self.arity, len(points)
-        if any(len(pt) != n for pt in points):
-            raise ArityMismatch(f"points must have {n} coordinates")
-        kern = kernel_for(F)
-        coords = kern.array([v for pt in points for v in pt]).reshape(count, n).T
-        values = self.run(kern, np.concatenate([kern.full(count, 1)[None], coords])).tolist()
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]] | PointBatch, scalars: bool = True) -> list[Scalar]:
+        """The values at the points, a ``fastmod.PointBatch`` or a sequence
+        made into one, by one run, as field scalars, or with ``scalars=False``
+        as the kernel holds them (over Q ints if integral)."""
+        F = self.field
+        batch = points if type(points) is PointBatch else PointBatch(F, self.arity, points)
+        if batch.field != F:
+            raise FieldMismatch(f"points over {batch.field.spec}, program over {F.spec}")
+        if batch.arity != self.arity:
+            raise ArityMismatch(f"points must have {self.arity} coordinates, got {batch.arity}")
+        values = self.run(batch.kernel, batch.block).tolist()
         return values if F.p is not None or not scalars else [F.of(v) for v in values]
 
 
@@ -471,7 +474,7 @@ class Oracle:
         self.calls += 1
         return self.circuit.evaluate(point)
 
-    def eval_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    def eval_many(self, points: Sequence[Sequence[Scalar]] | PointBatch) -> list[Scalar]:
         """The values at the points as the kernel holds them: over Q an
         ``int`` for every integral value."""
         self.calls += len(points)

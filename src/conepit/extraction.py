@@ -26,10 +26,11 @@ sets, each of at most ``QUERY_CACHE_POINTS`` points, so at most 2^18
 points in all; a larger extraction builds its own.  ``EXTRACTION_GUARD``
 refuses an extraction whose points or weight rows would not fit in memory.
 The low-cone test reads a whole total-degree layer of monomials at once:
-:func:`layer_points` gives the distinct points of the layer's query sets
-and how many points they request, checks the field and the guard once for
-the layer, and keeps both per (field, layer, d) in a table of at most 256
-layers of at most ``LAYER_CACHE_POINTS`` points, so at most 2^18 points.
+:func:`layer_points` gives the layer's points that no lower layer requests,
+as a read-only ``fastmod.PointBatch`` ready for the evaluator, and how many
+points the layer requests, checks the field and the guard once for the
+layer, and keeps both per test shape (field, n, k, d, t) in a table of at
+most 256 layers of at most ``LAYER_CACHE_POINTS`` points, so at most 2^18.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
 int tuples), so the weight rows have a closed form, :func:`interpolation_row`;
@@ -45,11 +46,12 @@ import itertools
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Container, Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, DuplicateNodes, TooLarge
+from .fastmod import PointBatch
 from .fields import Field, Scalar, clear_denominators
 from .linalg import RowReducer
 from .polys import ExpVec, cone_size
@@ -227,28 +229,30 @@ def _query_set(field: Field, e: ExpVec, cone: int, degree: int) -> tuple[tuple[t
 
 #: The layer table of :func:`layer_points` keeps at most this many layers ...
 LAYER_CACHE_LAYERS = 256
-#: ... of at most this many distinct points each.
+#: ... of at most this many new points each.
 LAYER_CACHE_POINTS = 1024
 
-# (field, layer, degree) -> (distinct points, requests, largest guarded cone)
-_layer_table: OrderedDict[tuple, tuple[frozenset, int, int]] = OrderedDict()
+# (field, n, k, d, t) -> (layer t's new points, its requests, its largest guarded cone)
+_layer_table: OrderedDict[tuple, tuple[PointBatch, int, int]] = OrderedDict()
 
 
-def layer_points(field: Field, layer: tuple[ExpVec, ...], degree: int) -> tuple[frozenset, int]:
-    """The distinct base points of the extractions of every x^e in
-    ``layer`` at degree bound ``degree`` over ``field``, and how many points
-    they request in all, the sum of cone_size(e) * (d + 1).
+def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence[ExpVec], seen: Container[tuple]) -> tuple[PointBatch, int]:
+    """Layer t's extraction points that no layer below t requests, as a
+    read-only batch, and the layer's request count, the sum of
+    cone_size(e) * (d + 1) over x^e in ``layer``.
 
-    Refuses as :func:`query_set` on each monomial of a nonempty layer in
-    turn would: CharTooSmall, then TooLarge at the first monomial past
-    ``EXTRACTION_GUARD`` (read at call time), with that monomial's message.
-    Both checks run once per layer; only past the guard are the monomials
-    checked one by one.  A layer of at most ``LAYER_CACHE_POINTS`` distinct
-    points is kept, up to ``LAYER_CACHE_LAYERS`` least recently used ones,
-    so at most 2^18 points; a larger layer is built per call.  The table
-    holds point tuples and counts, never an oracle's values."""
+    ``shape`` is (n, k, d, t): ``layer`` is ``enumerate_low_cone(n, k, d,
+    degree=t)`` and ``seen`` holds the points of layers 0 .. t-1, read only
+    to build an entry.  Refuses as :func:`query_set` on each monomial in
+    turn would (CharTooSmall, then TooLarge at the first past
+    ``EXTRACTION_GUARD``, read at call time), both checks once per call.  A
+    layer of at most ``LAYER_CACHE_POINTS`` new points is kept per (field,
+    shape), up to ``LAYER_CACHE_LAYERS`` least recently used, so at most
+    2^18 points and never an oracle's values; a larger one is built per
+    call."""
+    degree = shape[2]
     field.require_size_over(degree, "coefficient extraction")
-    key = (field, layer, degree)
+    key = (field, *shape)
     entry = _layer_table.get(key)
     if entry is None:
         cones = [cone_size(e) for e in layer]
@@ -261,15 +265,15 @@ def layer_points(field: Field, layer: tuple[ExpVec, ...], degree: int) -> tuple[
             query_set(field, e, degree)
     if entry is None:
         sets = [_query_set(field, e, c, degree)[0][0] for c, e in zip(cones, layer)]
-        entry = frozenset(itertools.chain.from_iterable(sets)), sum(map(len, sets)), guarded
-        if len(entry[0]) <= LAYER_CACHE_POINTS:
+        fresh = [pt for pt in dict.fromkeys(itertools.chain.from_iterable(sets)) if pt not in seen]
+        entry = PointBatch(field, shape[0], fresh), sum(map(len, sets)), guarded
+        if len(fresh) <= LAYER_CACHE_POINTS:
             _layer_table[key] = entry
             if len(_layer_table) > LAYER_CACHE_LAYERS:
                 _layer_table.popitem(last=False)
     else:
         _layer_table.move_to_end(key)
-    points, requests, _ = entry
-    return points, requests
+    return entry[0], entry[1]
 
 
 class FilteredOracle:

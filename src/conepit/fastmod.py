@@ -30,7 +30,8 @@ Values enter through ``array`` and ``full``, weights as
 ``circuits.weight_matrix`` builds them.  Over a prime an exact ``int`` is
 reduced mod p directly, and anything else (numpy integers, ``Fraction``s)
 goes through ``Field.of``, so results equal those of the scalar path,
-``Circuit.evaluate``, on any integer or rational input.
+``Circuit.evaluate``, on any integer or rational input.  Points enter as a
+read-only :class:`PointBatch`, which a caller can keep and run again.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ArityMismatch
 from .fields import MERSENNE61, Field, Scalar, square_and_multiply
 
 _U = np.uint64
@@ -219,3 +221,25 @@ def kernel_for(field: Field):
     if field.p is not None and field.p < (1 << 31):
         return SmallPrimeKernel(field)
     return ObjectKernel(field)
+
+
+class PointBatch:
+    """Points as a program's block 0, [1; x_1; ...; x_n] in the layout of the
+    field's kernel, one point per column, built once: the arity is checked
+    and every coordinate reduced here, and the block is read-only, so a batch
+    can be kept and run again.  ``len()`` and iteration give the points."""
+
+    def __init__(self, field: Field, arity: int, points: Sequence[Sequence[Scalar]]):
+        self.field, self.arity, self.points = field, arity, tuple(points)
+        if any(len(pt) != arity for pt in self.points):
+            raise ArityMismatch(f"points must have {arity} coordinates")
+        self.kernel = kern = kernel_for(field)
+        coords = kern.array([v for pt in self.points for v in pt]).reshape(len(self.points), arity).T
+        self.block = np.concatenate([kern.full(len(self.points), 1)[None], coords])
+        self.block.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        return iter(self.points)

@@ -10,10 +10,10 @@ Three testers over the same oracle interface:
   total-degree layer at a time, as the walk reaches it, and a layer's new
   points go to the oracle in one batch.  The query points are a hitting
   set that depends only on (field, n, k, d), never on the oracle: each
-  layer's distinct points are built once and shared by every test of that
-  shape (``extraction.layer_points``).  A Zero verdict needs only their
-  values, so coefficients are combined only from the first layer where a
-  value read is nonzero.
+  layer's new points are built once per test shape, as the evaluator's
+  input block, and shared (``extraction.layer_points``).  A Zero verdict
+  needs only their values, so coefficients are combined only from the
+  first layer where a value read is nonzero.
 * :func:`brute_force_pit` -- ground truth by dense grid expansion.
 * :func:`sz_pit` -- seeded random evaluations, one-sided error.
 """
@@ -67,10 +67,10 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     low-cone witness and are sound unconditionally.
 
     The walk takes one total-degree layer at a time, as
-    ``enumerate_low_cone(..., degree=t)`` builds it.  The distinct points of
-    the layer's extractions and their request count come from
-    ``extraction.layer_points``, shared across tests; the points not
-    evaluated yet go to ``oracle.eval_many`` in one batch, into a table.
+    ``enumerate_low_cone(..., degree=t)`` builds it.  The layer's points
+    that no lower layer requested, a kept ``PointBatch``, and its request
+    count come from ``extraction.layer_points``, shared across tests of one
+    shape; the batch goes to ``oracle.eval_many`` whole, into a table.
     Until a value read is nonzero every coefficient combines zeros, so a
     layer counts its monomials as tested and its requests as read; then an
     extraction is built for each monomial in turn and combines values from
@@ -90,8 +90,7 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     seen_nonzero = False
     for t in range(max(0, min(d, k - 1)) + 1):
         layer = enumerate_low_cone(n, k, dcap=d, degree=t)
-        points, requests = layer_points(F, tuple(layer), d)
-        fresh = list(points.difference(values))
+        fresh, requests = layer_points(F, (n, k, d, t), layer, values)
         if fresh:
             read = oracle.eval_many(fresh)
             values.update(zip(fresh, read))

@@ -101,13 +101,13 @@ def enumerate_low_cone(n: int, k: int, dcap: int | None = None, *, degree: int |
     any n, at a cost of about its output times that depth.  Whatever the
     layer, raises TooLarge before building a vector when the whole list
     would hold more than ``LOW_CONE_GUARD`` entries (n times its count)."""
-    if n < 1 or k < 1:
-        raise BadParameters("need n >= 1 and k >= 1")
+    if n < 0 or k < 1:
+        raise BadParameters("need n >= 0 and k >= 1")
     # a cone of size <= k bounds the degree by k - 1
     cap = k - 1 if dcap is None else min(dcap, k - 1)
     if cap < 0:
         return []
-    if low_cone_count(n, k, cap, LOW_CONE_GUARD // n) > LOW_CONE_GUARD // n:
+    if n and low_cone_count(n, k, cap, LOW_CONE_GUARD // n) > LOW_CONE_GUARD // n:
         raise TooLarge(f"more than {LOW_CONE_GUARD} exponent entries at arity {n}, cone size {k}")
     out: list[ExpVec] = [(0,) * n] if degree in (None, 0) else []
     for t in range(1, cap + 1) if degree is None else [degree] if 0 < degree <= cap else []:

@@ -63,8 +63,8 @@ def reference_enumerate_low_cone(n: int, k: int, dcap: int | None = None) -> lis
     """The whole low cone by one depth-first walk over nonzero entries,
     then a deg-lex sort; raises TooLarge as soon as the vectors built hold
     more than ``polys.LOW_CONE_GUARD`` entries (read at call time)."""
-    if n < 1 or k < 1:
-        raise BadParameters("need n >= 1 and k >= 1")
+    if n < 0 or k < 1:
+        raise BadParameters("need n >= 0 and k >= 1")
     cap = k - 1 if dcap is None else dcap
     if cap < 0:
         return []
@@ -236,26 +236,44 @@ def schoolbook_mul(a: DensePoly, b: DensePoly) -> DensePoly:
     return DensePoly.make(F, out)
 
 
-def reference_queries(field: Field, e: ExpVec, degree: int) -> tuple[list[tuple[Scalar, ...]], list[Scalar]]:
-    """The base points of the extraction of x^e at degree bound ``degree``
-    and their weights, built one extraction at a time: per-variable stages
-    of nodes 0..e_i with the Vandermonde row of x_i^e_i (node 1 alone for
-    e_i = 0), then a tau stage over 0..degree, tau-major, x1's node slowest."""
+def reference_query_points(field: Field, e: ExpVec, degree: int) -> list[tuple[Scalar, ...]]:
+    """The base points of the extraction of x^e at degree bound ``degree``:
+    per-variable stages of nodes 0..e_i (node 1 alone for e_i = 0), then a
+    tau stage over 0..degree, tau-major, x1's node slowest."""
     F = field
-    points: list[tuple[Scalar, ...]] = []
-    weights: list[Scalar] = []
     if sum(e) > degree:
-        return points, weights
+        return []
     t_nodes = [F.of(j) for j in range(degree + 1)]
     stage_nodes = [[F.one()] if ei == 0 else t_nodes[: ei + 1] for ei in e]
+    return [pt for tau in t_nodes for pt in itertools.product(*([F.mul(a, tau) for a in ns] for ns in stage_nodes))]
+
+
+def reference_queries(field: Field, e: ExpVec, degree: int) -> tuple[list[tuple[Scalar, ...]], list[Scalar]]:
+    """:func:`reference_query_points` and their weights, built one
+    extraction at a time: the Vandermonde row of x_i^e_i per stage (weight
+    1 for e_i = 0), then that of tau^|e| over the tau stage."""
+    F = field
+    points = reference_query_points(field, e, degree)
+    if not points:
+        return points, []
+    t_nodes = [F.of(j) for j in range(degree + 1)]
     stage_weights = [[F.one()] if ei == 0 else vandermonde_row(t_nodes[: ei + 1], ei, F) for ei in e]
     combo_weights = [F.one()]
     for ws in stage_weights:
         combo_weights = [F.mul(w, x) for w in combo_weights for x in ws]
-    for tau, tw in zip(t_nodes, vandermonde_row(t_nodes, sum(e), F)):
-        points.extend(itertools.product(*([F.mul(a, tau) for a in ns] for ns in stage_nodes)))
-        weights.extend([F.mul(tw, w) for w in combo_weights])
+    weights = [F.mul(tw, w) for tw in vandermonde_row(t_nodes, sum(e), F) for w in combo_weights]
     return points, weights
+
+
+def reference_layer_points(field: Field, n: int, k: int, degree: int, t: int) -> tuple[set[tuple[Scalar, ...]], int]:
+    """The points that layer t of the arity-n low cone of cone size <= k at
+    degree bound ``degree`` requests and no layer below t does, and how many
+    points the layer requests in all, from the reference walk and query
+    points."""
+    sets = {e: reference_query_points(field, e, degree) for e in reference_enumerate_low_cone(n, k, degree) if sum(e) <= t}
+    below = {pt for e, pts in sets.items() if sum(e) < t for pt in pts}
+    layer = [pts for e, pts in sets.items() if sum(e) == t]
+    return {pt for pts in layer for pt in pts} - below, sum(map(len, layer))
 
 
 def reference_coefficient(circuit, e: ExpVec, degree: int) -> Scalar:

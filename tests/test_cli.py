@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conepit.circuits import CircuitBuilder
-from conepit.cli import run
+from conepit.cli import build_parser, run
+from conepit.pit import ZERO
 from conepit.fields import Field
 from reference import save_circuit
 
@@ -420,6 +422,24 @@ def test_transcript(tmp_path, case):
     path.write_text(json.dumps(case["doc"]))
     code, out, err = invoke([str(path) if a == "DOC" else a for a in case["argv"]])
     assert (code, out, (err.splitlines() or [""])[0]) == (case["exit"], case["stdout"], case["stderr_first"])
+
+
+def test_transcript_pins_every_command_in_both_modes():
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    pinned = {(next(a for a in case["argv"] if a in commands), "--json" in case["argv"]) for case in TRANSCRIPT}
+    assert pinned == {(command, as_json) for command in commands for as_json in (False, True)}
+
+
+@pytest.mark.parametrize("value, verdict", [("3", "NONZERO witness=1 coeff=3 tested=1 calls=1"), ("0", "ZERO")])
+def test_pit_answers_on_a_constant_of_arity_0(tmp_path, value, verdict):
+    # the low cone of arity 0 is the constant monomial alone; pit answers
+    # as bfpit does, for any k
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"field": "p:7", "arity": 0, "gates": [{"id": 0, "kind": "const", "value": value}], "output": 0}))
+    code = 0 if verdict == ZERO else 1
+    for argv in (["pit", "--k", "1"], ["pit", "--k", "5"], ["bfpit"]):
+        assert invoke(argv + ["--circuit", str(path)]) == (code, verdict + "\n", "")
+    assert invoke(["cones", "--n", "0", "--k", "1"])[0] == 2
 
 
 def test_deterministic_output(zero_circuit):

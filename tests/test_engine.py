@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Program, dense_expand, parse, serialize, weight_matrix
 from conepit.diagonal import DiagonalCircuit, build_psi, diag_pit, diagonal_from_json, diagonal_to_json
-from conepit.errors import ArityMismatch, CharTooSmall, RankZero
+from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, RankZero
 from conepit.extraction import extract_coefficient
-from conepit.fastmod import Mersenne61Kernel, ObjectKernel, SmallPrimeKernel, SparseRows, kernel_for
+from conepit.fastmod import Mersenne61Kernel, ObjectKernel, PointBatch, SmallPrimeKernel, SparseRows, kernel_for
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.hsg import fischer_rewrite
@@ -404,6 +404,66 @@ def test_programs_match_the_scalar_twin(field, seed, data, count):
     C = circuits[1]
     grid = [[v // 3 ** (n - 1 - i) % 3 for i in range(n)] for v in range(3**n)]
     assert Oracle(C).eval_grid(3).tolist() == [C.evaluate(pt) for pt in grid]
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+@SETTINGS
+@given(data=st.data())
+def test_a_point_batch_evaluates_as_its_points(field, data):
+    # one batch of off-canonical coordinates, built once, runs through a
+    # diagonal and a gate program as its raw points do, and its block stays
+    # as it was built
+    n = data.draw(st.integers(0, 3))
+    circuits = [data.draw(diagonal_circuits(field, n)), data.draw(gate_circuits(field, n))]
+    pts = data.draw(st.lists(st.lists(coordinates(field), min_size=n, max_size=n), min_size=1, max_size=6))
+    batch = PointBatch(field, n, pts)
+    block = batch.block.copy()
+    assert not batch.block.flags.writeable and len(batch) == len(pts) and list(batch) == pts
+    for C in circuits:
+        assert C.evaluate_many(batch) == C.evaluate_many(pts) == [C.evaluate(pt) for pt in pts]
+        assert Oracle(C, degree=4).eval_many(batch) == Oracle(C, degree=4).eval_many(pts)
+    assert batch.block.dtype == block.dtype and np.array_equal(batch.block, block)
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+def test_runs_leave_a_batch_block_as_built(field):
+    # every step kind reads block 0 through a view: a tuple pow out of
+    # order, a mul, a dense and a sparse lincomb; a step that wrote to its
+    # input would raise on the read-only block
+    whole = slice(None)
+    program = Program(field, 2, [
+        ("pow", ((0, whole),), (2, 1, 3)),
+        ("mul", ((0, whole),), np.array([[1, 2], [2, 1]], dtype=np.intp)),
+        ("lincomb", ((0, whole),), weight_matrix(field, [[1, 2, 3]])),
+        ("lincomb", ((0, slice(1, 3)),), weight_matrix(field, [[5, 6], [7]], [[0, 1], [1]])),
+        ("lincomb", tuple((b, whole) for b in (1, 2, 3, 4)), weight_matrix(field, [[1] * 8])),
+    ])
+    pts = [(3, -4), (Fraction(1, 2), 10**30), (np.int64(-7), np.uint64((1 << 64) - 1))]
+    F = field
+    # 1 + x1 + x2^3 + 2 x1 x2 + (1 + 2 x1 + 3 x2) + (5 x1 + 6 x2) + 7 x2
+    want = [F.add(F.add(F.of(2), F.mul(F.of(8), a)), F.add(F.mul(F.of(16), b), F.add(F.pow(b, 3), F.mul(F.of(2), F.mul(a, b)))))
+            for a, b in ((F.of(x), F.of(y)) for x, y in pts)]
+    batch = PointBatch(field, 2, pts)
+    block = batch.block.copy()
+    for _ in range(2):
+        assert program.evaluate_many(batch) == program.evaluate_many(pts) == want
+    assert np.array_equal(batch.block, block)
+
+
+def test_a_batch_of_another_arity_or_field_is_refused():
+    b = CircuitBuilder(M61, 2)
+    circuits = [b.build(b.mul([b.input(0), b.input(1)])), DiagonalCircuit.make(M61, 2, [(1, 0, (1, 1), 2)])]
+    for C in circuits:
+        with pytest.raises(ArityMismatch):
+            C.evaluate_many(PointBatch(M61, 3, [(1, 2, 3)]))
+        with pytest.raises(FieldMismatch):
+            C.evaluate_many(PointBatch(Field.prime(7), 2, [(1, 2)]))
+        with pytest.raises(FieldMismatch):
+            Oracle(C, degree=2).eval_many(PointBatch(Q, 2, [(1, 2)]))
+        with pytest.raises(ArityMismatch):
+            C.evaluate_many([(1, 2), (1,)])
+    with pytest.raises(ArityMismatch):
+        PointBatch(M61, 2, [(1, 2), (1, 2, 3)])
 
 
 def fischer_zero(rng: random.Random, field: Field, n: int) -> Circuit:

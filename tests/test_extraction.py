@@ -26,7 +26,7 @@ from conepit.generators import random_circuit
 from conepit.pit import low_cone_pit
 from conepit.polys import cone_size, enumerate_low_cone
 from reference import circuit_from_multipoly, reference_low_cone_pit, reference_queries
-from test_pit import PLAN_FIELDS
+from test_pit import PLAN_FIELDS, check_layer_table
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -275,38 +275,40 @@ def test_large_extraction_is_exact_and_not_cached():
 
 
 def test_large_layer_is_exact_and_not_kept():
-    # 3 x1^5 x2^5 at degree bound 30 and k = 36: the witness is in layer 10,
-    # whose extractions hold more distinct points than the layer table keeps
-    b = CircuitBuilder(FP, 2)
-    circuit = b.build(b.add([(3, b.mul([b.pow(b.input(0), 5), b.pow(b.input(1), 5)]))]))
-    layer = tuple(enumerate_low_cone(2, 36, 30, degree=10))
+    # 3 x1^2 x2^2 x3 in arity 4 at degree bound 20 and k = 36: the witness is
+    # in layer 5, whose extractions hold more new points than the layer
+    # table keeps
+    b = CircuitBuilder(FP, 4)
+    x = [b.input(i) for i in range(4)]
+    circuit = b.build(b.add([(3, b.mul([b.pow(x[0], 2), b.pow(x[1], 2), x[2]]))]))
+    layer = enumerate_low_cone(4, 36, 20, degree=5)
+    seen = {pt for t in range(5) for e in enumerate_low_cone(4, 36, 20, degree=t) for pt in query_set(FP, e, 20)[0][0]}
     before = dict(extraction._layer_table)
-    points, requests = layer_points(FP, layer, 30)
+    points, requests = layer_points(FP, (4, 36, 20, 5), layer, seen)
     assert len(points) > LAYER_CACHE_POINTS
     assert dict(extraction._layer_table) == before
-    assert layer_points(FP, layer, 30)[0] is not points
-    verdict = low_cone_pit(Oracle(circuit, degree=30), 36)
-    assert verdict == reference_low_cone_pit(Oracle(circuit, degree=30), 36)
-    assert (verdict.witness, verdict.coefficient) == ((5, 5), 3)
+    assert layer_points(FP, (4, 36, 20, 5), layer, seen)[0] is not points
+    verdict = low_cone_pit(Oracle(circuit, degree=20), 36)
+    assert verdict == reference_low_cone_pit(Oracle(circuit, degree=20), 36)
+    assert (verdict.witness, verdict.coefficient) == ((2, 2, 1, 0), 3)
     # the walk keeps exactly the layers within the bound
-    for t in range(11):
-        walked = tuple(enumerate_low_cone(2, 36, 30, degree=t))
-        kept = (FP, walked, 30) in extraction._layer_table
-        assert kept == (len(layer_points(FP, walked, 30)[0]) <= LAYER_CACHE_POINTS)
+    seen = set()
+    for t in range(6):
+        walked = enumerate_low_cone(4, 36, 20, degree=t)
+        kept = (FP, 4, 36, 20, t) in extraction._layer_table
+        assert kept == (len(layer_points(FP, (4, 36, 20, t), walked, seen)[0]) <= LAYER_CACHE_POINTS)
+        seen.update(pt for e in walked for pt in query_set(FP, e, 20)[0][0])
 
 
 def test_layer_table_holds_points_and_counts_only():
-    # after tests over three fields, every entry is the union of its query
-    # sets' points, which depend on (field, e, d) alone, and their total size
+    # after tests over three fields, every entry is layer t's points that no
+    # layer below t requests, which depend on (field, n, k, d, t) alone, as
+    # the twin builds them, and the layer's request count
     rng = random.Random(61)
     for field in (FP, Q, Field.prime(7)):
         low_cone_pit(Oracle(random_circuit(rng, field, 3, 6, 4)), 8)
     assert extraction._layer_table
-    for (field, layer, degree), (points, requests, cone) in extraction._layer_table.items():
-        sets = [query_set(field, e, degree)[0][0] for e in layer]
-        assert points == frozenset(pt for pts in sets for pt in pts)
-        assert requests == sum(map(len, sets)) and cone == max(map(cone_size, layer))
-        assert len(points) <= LAYER_CACHE_POINTS
+    check_layer_table()
 
 
 def test_extraction_guard(monkeypatch):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from conepit import extraction, pit, polys
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit.errors import BadParameters, CharTooSmall, TooLarge, VerificationFailed
-from conepit.extraction import FilteredOracle, query_set
+from conepit.extraction import LAYER_CACHE_POINTS, FilteredOracle, query_set
+from conepit.fastmod import PointBatch
 from conepit.fields import Field
 from conepit.generators import random_circuit, random_diagonal
 from conepit.pit import NONZERO, ZERO, brute_force_pit, low_cone_pit, splitmix64, sz_pit
-from conepit.polys import deglex_key, enumerate_low_cone, low_cone_count_bound
-from reference import reference_enumerate_low_cone, reference_low_cone_pit, reference_queries
+from conepit.polys import cone_size, deglex_key, enumerate_low_cone, low_cone_count_bound
+from reference import reference_enumerate_low_cone, reference_layer_points, reference_low_cone_pit, reference_queries
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -357,6 +358,22 @@ def test_the_table_over_q_holds_the_kernel_ints(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def check_layer_table(keys=None):
+    """Every kept entry of the layer table, or those of ``keys``, against the
+    twin: layer t's points that no layer below t requests, each once, as a
+    read-only batch over the entry's field and arity, the layer's request
+    count and its largest cone; no oracle value."""
+    table = extraction._layer_table
+    for key in list(table) if keys is None else [key for key in keys if key in table]:
+        field, n, k, d, t = key
+        batch, requests, cone = table[key]
+        new, want = reference_layer_points(field, n, k, d, t)
+        assert type(batch) is PointBatch and (batch.field, batch.arity) == (field, n)
+        assert len(set(batch)) == len(batch) <= LAYER_CACHE_POINTS and set(batch) == new
+        assert (requests, cone) == (want, max(map(cone_size, enumerate_low_cone(n, k, d, degree=t)), default=0))
+        assert not batch.block.flags.writeable
+
+
 def distinct_reference_points(field, monomials, degree):
     """The distinct base points of the extractions of ``monomials``, by the
     reference construction."""
@@ -395,6 +412,33 @@ def test_low_cone_pit_matches_the_twin_with_the_layer_table_cold_and_warm(field,
         got = low_cone_pit(oracle, k)
         assert got == want and type(got.coefficient) is type(want.coefficient)
         assert oracle.calls == evaluated
+    check_layer_table([(field, n, k, d, t) for t in range(last + 1)])
+
+
+@pytest.mark.parametrize("ks", [(5, 6), (6, 5)], ids=["5 then 6", "6 then 5"])
+def test_layer_table_keys_on_k(ks):
+    # at n = 2 and d = 4, layer 4 is {x1^4, x2^4} at k = 5 and at k = 6, but
+    # layer 3 adds x1^2 x2 and x1 x2^2 at k = 6, so a layer's new points
+    # depend on k; x1^4 + 2 x1^2 x2 has its witness in layer 3 at k = 6 and
+    # in layer 4 at k = 5, and the zero quartic walks every layer
+    assert enumerate_low_cone(2, 5, 4, degree=4) == enumerate_low_cone(2, 6, 4, degree=4)
+    assert enumerate_low_cone(2, 5, 4, degree=3) != enumerate_low_cone(2, 6, 4, degree=3)
+    b = CircuitBuilder(FP, 2)
+    x, y = b.input(0), b.input(1)
+    quartic = b.pow(b.add([(1, x), (1, y)]), 4)
+    circuits = [b.build(b.add([(1, b.pow(x, 4)), (2, b.mul([b.pow(x, 2), y]))])), b.build(b.add([(1, quartic), (-1, quartic)]))]
+    extraction._layer_table.clear()
+    for k in ks:
+        for circuit in circuits:
+            want = reference_low_cone_pit(Oracle(circuit), k)
+            last = sum(want.witness) if want.outcome == NONZERO else 4
+            walked = [e for e in reference_enumerate_low_cone(2, k, dcap=4) if sum(e) <= last]
+            for _ in ("cold", "warm"):
+                oracle = Oracle(circuit)
+                assert low_cone_pit(oracle, k) == want
+                assert oracle.calls == len(distinct_reference_points(FP, walked, 4))
+    assert set(extraction._layer_table) == {(FP, 2, k, 4, t) for k in ks for t in range(5)}
+    check_layer_table()
 
 
 def xy_oracle(field):
@@ -409,7 +453,7 @@ def test_refusals_keep_their_messages_on_a_warm_layer_table(monkeypatch, make_or
     # the phase that combines coefficients
     want = low_cone_pit(make_oracle(FP), 8)
     assert want == reference_low_cone_pit(make_oracle(FP), 8)
-    assert (FP, tuple(enumerate_low_cone(2, 8, 2, degree=2)), 2) in extraction._layer_table
+    assert (FP, 2, 8, 2, 2) in extraction._layer_table
     # (d + 1)^2 = 9 for the constant monomial and 3 * 4 = 12 for x1 x2: a guard
     # of 8 refuses up front, one of 11 refuses layer 2 at x1 x2, as the twin does
     for guard in (8, 11):

@@ -85,7 +85,11 @@ def test_enumerate_low_cone_examples():
     assert len(got) == 8
     assert set(got) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3)}
     assert enumerate_low_cone(3, 1) == [(0, 0, 0)]
-    for n, k in ((0, 4), (2, 0)):
+    # arity 0: the one empty vector, the constant monomial, in layer 0 only
+    for dcap in (None, 0, 3):
+        assert enumerate_low_cone(0, 4, dcap) == reference_enumerate_low_cone(0, 4, dcap) == [()]
+        assert enumerate_low_cone(0, 4, dcap, degree=0) == [()] and enumerate_low_cone(0, 4, dcap, degree=1) == []
+    for n, k in ((-1, 4), (2, 0), (0, 0)):
         with pytest.raises(BadParameters):
             enumerate_low_cone(n, k)
 
