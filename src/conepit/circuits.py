@@ -307,17 +307,18 @@ class CircuitBuilder:
 # ----------------------------------------------------------------------
 
 def weight_matrix(field: Field, rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[int]] | None = None):
-    """Field scalars as weights for ``lincomb``: a dense object matrix of
-    residues or integers, or, given the column of every weight, the same
-    ragged rows as :class:`SparseRows`.  Over Q, when a weight is not
-    integral, the pair (integer numerators in either form, one denominator
-    per row as an object column)."""
+    """Field scalars as weights for ``lincomb``, in the dtype of the field's
+    kernel: a dense matrix of residues or integers, or, given the column of
+    every weight, the same ragged rows as :class:`SparseRows`.  Over Q, when
+    a weight is not integral, the pair (integer numerators in either form,
+    one denominator per row as an object column)."""
     den = None
     if field.p is None:
         rows, dens = zip(*map(clear_denominators, rows))
         if set(dens) != {1}:
             den = np.array(dens, dtype=object)[:, None]
-    W = np.array(rows, dtype=object) if cols is None else SparseRows(cols, rows)
+    dtype = kernel_for(field).dtype
+    W = np.array(rows, dtype=dtype) if cols is None else SparseRows(cols, rows, dtype)
     return W if den is None else (W, den)
 
 
@@ -334,14 +335,20 @@ class Program:
     ``arg`` an index array of shape (fan-in, rows).  A run on N points holds
     arrays of at most ``width`` * N entries, read, gathered or written.  The
     last uses are found once, here: a run drops each block after the step
-    that reads it last."""
+    that reads it last.  Here too a tuple of equal exponents becomes one, and
+    an index array of consecutive rows a slice, which a run reads as a view,
+    not a copy; every block a run stores is read-only, as a batch's block 0
+    is, so a step that wrote into its input would raise."""
 
     def __init__(self, field: Field, arity: int, steps: Sequence[tuple]):
         self.field, self.arity = field, arity
         rows = [arity + 1]  # per block
         self.width = arity + 1
+        steps = [(op, tuple((b, _as_slice(r)) for b, r in srcs),
+                  arg[0] if op == "pow" and type(arg) is tuple and len(set(arg)) == 1 else arg)  # equal exponents: one
+                 for op, srcs, arg in steps]
         for op, srcs, arg in steps:
-            read = sum(np.arange(rows[b])[r].size for b, r in srcs)
+            read = sum(len(range(rows[b])[r]) if type(r) is slice else len(r) for b, r in srcs)
             W = arg[0] if type(arg) is tuple else arg  # a lincomb's weights may be (numerators, denominators)
             rows.append(len(W) if op == "lincomb" else len(arg[0]) if op == "mul" else read)
             gathered = arg.size if op == "mul" else W.cols.size if type(W) is SparseRows else 0
@@ -358,6 +365,7 @@ class Program:
         for op, srcs, arg, dead in self.steps:
             v = vals[srcs[0][0]][srcs[0][1]] if len(srcs) == 1 else np.concatenate([vals[b][r] for b, r in srcs])
             v = reduce(kern.mul, v[arg]) if op == "mul" else kern.lincomb(arg, v) if op == "lincomb" else kern.pow(v, arg)
+            v.setflags(write=False)
             vals.append(v)
             for b in dead:
                 vals[b] = None
@@ -378,6 +386,13 @@ class Program:
 
 
 _ONES = (0, 0)  # the row of ones, block 0's first
+
+
+def _as_slice(rows):
+    """An index array of consecutive rows as the slice of them; anything else as it is."""
+    if type(rows) is np.ndarray and rows.size and rows.tolist() == list(range(rows[0], rows[0] + rows.size)):
+        return slice(int(rows[0]), int(rows[0]) + rows.size)
+    return rows
 
 
 def _sources(refs: Sequence[tuple[int, int]]) -> tuple:
@@ -493,10 +508,11 @@ class Oracle:
         chunk = max(1, GRID_CHUNK // program.width)
         m = np.uint64(nodes_per_var)
         strides = [np.uint64(nodes_per_var ** (n - 1 - i)) for i in range(n)]
+        nodes = kern.array(range(nodes_per_var))  # reduced once, then gathered
         out = kern.full(count, 0)
         for start in range(0, count, chunk):
             idx = np.arange(start, min(start + chunk, count), dtype=np.uint64)
-            x = np.stack([kern.full(idx.size, 1)] + [kern.array(idx // s % m) for s in strides])
+            x = np.stack([kern.full(idx.size, 1)] + [nodes[idx // s % m] for s in strides])
             out[start : start + idx.size] = program.run(kern, x)
         return out
 
@@ -531,7 +547,7 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
     kern = kernel_for(F)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t;
     # over Q the rows are ints over d!, divided out once at the end.
-    rows = np.array(interpolation_rows(F, width, integral=F.p is None), dtype=object)
+    rows = np.array(interpolation_rows(F, width, integral=F.p is None), dtype=kern.dtype)
     den = math.factorial(d) if F.p is None else 1
     step = max(1, GRID_CHUNK // width)
     for axis in range(n):

@@ -124,7 +124,7 @@ def find_cone_closed(monomials: Iterable[ExpVec], n: int) -> list[ExpVec]:
     """
     B = {tuple(e) for e in monomials}
     if not B:
-        raise EmptyInput("find_cone_closed needs a nonempty set")
+        raise EmptyInput("the monomial set is empty; a cone-closed rewrite needs at least one monomial")
     for e in B:
         if len(e) != n:
             raise ArityMismatch(f"exponent {e} does not have arity {n}")
@@ -258,7 +258,7 @@ def cone_closed_basis_after_shift(f: VectorPoly, w: Sequence[int]) -> list[ExpVe
     A = find_cone_closed(report.basis, f.arity)
     shifted = shift_by_weight(f, w)
     expected = len(report.basis)
-    got = rank_over_ft(shifted.rows(A))
+    got = rank_over_ft(shifted.rows(A), "the polynomial shifted by t^w")
     if got != expected:
         raise VerificationFailed(f"shifted rows of A have rank {got}, expected {expected}")
     return A

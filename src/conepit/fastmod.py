@@ -11,20 +11,23 @@ Every field has one residue layout:
 * everything else (the rationals, 2^61 - 1 and other wide primes): object
   arrays of Python scalars with Python arithmetic elementwise (see
   :class:`ObjectKernel`), where one operation is a single numpy call
-  (``(a*b) % p``, ``pow(a, e, p)``).  F_{2^61-1} has a subclass of its own,
-  :class:`Mersenne61Kernel`.  Over Q an integral value is held as a Python
-  ``int`` and only a truly rational one as a ``Fraction``, so integer data
-  never builds a ``Fraction`` inside the engine; the engine's exits turn
-  values back into ``Fraction`` field scalars.
+  (``(a*b) % p``, ``pow(a, e, p)``, a square ``a*a % p``).  F_{2^61-1} has
+  a subclass of its own, :class:`Mersenne61Kernel`.  Over Q an integral
+  value is held as a Python ``int`` and only a truly rational one as a
+  ``Fraction``, so integer data never builds a ``Fraction`` inside the
+  engine; the engine's exits turn values back into ``Fraction`` field
+  scalars.
 
-``lincomb`` takes W dense, an object matrix, or sparse, :class:`SparseRows`,
-whose rows are summed by one ``np.add.reduceat`` over their (source row,
-weight) entries.  On object arrays it is one object dot or that sum and
-one reduction mod p (over Q, one exact division by each rational row's
-denominator).  A uint64 sum of products would overflow, so for p < 2^31
-the products are reduced first (a dense W: two uint64 dots with the 16-bit
-halves of V).  ``pow`` with one exponent per row multiplies rows up from
-lower powers, so a sum of low powers costs a few ``mul`` calls.
+``lincomb`` takes W dense, a matrix, or sparse, :class:`SparseRows`, whose
+rows are summed by one ``np.add.reduceat`` over their (source row, weight)
+entries, with weights in the kernel's ``dtype`` (uint64 for p < 2^31, made
+once by ``circuits.weight_matrix``; object weights cost a conversion per
+call).  On object arrays it is one object dot or that sum and one reduction
+mod p (over Q, one exact division by each rational row's denominator).  A
+uint64 sum of products would overflow, so for p < 2^31 the products are
+reduced first (a dense W: two uint64 dots with the 16-bit halves of V).
+``pow`` with one exponent per row multiplies rows up from lower powers, so
+a sum of low powers costs a few ``mul`` calls.
 
 Values enter through ``array`` and ``full``, weights as
 ``circuits.weight_matrix`` builds them.  Over a prime an exact ``int`` is
@@ -77,9 +80,9 @@ class SparseRows:
     Every row holds at least one entry (a zero row one zero weight), since
     ``np.add.reduceat`` reads an empty run as the entry at its start."""
 
-    def __init__(self, cols: Sequence[Sequence[int]], weights: Sequence[Sequence[Scalar]]):
+    def __init__(self, cols: Sequence[Sequence[int]], weights: Sequence[Sequence[Scalar]], dtype=object):
         self.cols = np.array([c for row in cols for c in row], dtype=np.intp)
-        self.weights = np.array([w for row in weights for w in row], dtype=object)[:, None]
+        self.weights = np.array([w for row in weights for w in row], dtype=dtype)[:, None]
         self.starts = np.cumsum([0] + [len(row) for row in cols[:-1]], dtype=np.intp)
 
     def __len__(self) -> int:
@@ -110,6 +113,7 @@ def _pow_rows(kern, a: np.ndarray, exps: tuple[int, ...]) -> np.ndarray:
 class SmallPrimeKernel:
     """mod p vector arithmetic for p < 2^31 (products fit in uint64)."""
 
+    dtype = np.uint64
     _S16 = _U(16)
     _LOW16 = _U(0xFFFF)
 
@@ -132,10 +136,10 @@ class SmallPrimeKernel:
 
     def lincomb(self, W: np.ndarray | SparseRows, V: np.ndarray) -> np.ndarray:
         if type(W) is SparseRows:  # products reduced, exact for rows of fewer than 2^33 entries
-            return np.add.reduceat(W.weights.astype(np.uint64) * V[W.cols] % self._p, W.starts) % self._p
+            return np.add.reduceat(W.weights.astype(_U, copy=False) * V[W.cols] % self._p, W.starts) % self._p
         # dense: two uint64 dots per 2^16 columns of W, with the 16-bit
         # halves of V: every product is below 2^47 and every sum below 2^63
-        Wu, out, step = W.astype(np.uint64), 0, 1 << 16
+        Wu, out, step = W.astype(_U, copy=False), 0, 1 << 16
         for c in range(0, W.shape[1] or 1, step):
             Wc, Vc = Wu[:, c : c + step], V[c : c + step]
             out = (out + (Wc.dot(Vc >> self._S16) % self._p << self._S16) + Wc.dot(Vc & self._LOW16)) % self._p
@@ -144,7 +148,7 @@ class SmallPrimeKernel:
     def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
         if type(e) is tuple:
             return _pow_rows(self, a, e)
-        return square_and_multiply(a, e, np.ones_like(a), self.mul)
+        return square_and_multiply(a, e, lambda: np.ones_like(a), self.mul)
 
 
 class ObjectKernel:
@@ -159,6 +163,7 @@ class ObjectKernel:
     exact division per entry, an ``int`` where it is integral.  The engine's
     exits turn values into ``Fraction`` field scalars."""
 
+    dtype = object
     _powmod = np.frompyfunc(pow, 3, 1)
     _exact_quotient = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 1)
 
@@ -200,7 +205,7 @@ class ObjectKernel:
     def pow(self, a: np.ndarray, e: int | tuple[int, ...]) -> np.ndarray:
         if type(e) is tuple:
             return _pow_rows(self, a, e)
-        return a**e if self.p is None else self._powmod(a, e, self.p)
+        return a**e if self.p is None else a * a % self.p if e == 2 else self._powmod(a, e, self.p)
 
 
 class Mersenne61Kernel(ObjectKernel):

@@ -196,15 +196,19 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[list[int], int]:
     return [v.numerator * (m // v.denominator) for v in values], m
 
 
-def square_and_multiply(base: T, e: int, one: T, mul: Callable[[T, T], T]) -> T:
-    """base^e for a natural e by binary exponentiation, where ``one`` is the
-    identity of the product ``mul``."""
-    out = one
-    while e:
-        if e & 1:
+def square_and_multiply(base: T, e: int, one: Callable[[], T], mul: Callable[[T, T], T]) -> T:
+    """base^e for a natural e by binary exponentiation from the top set bit:
+    ``e.bit_length() + popcount(e) - 2`` products for e >= 1.  ``one()``
+    builds the identity of ``mul`` and is called only for e = 0.  For e = 1
+    the result is ``base`` itself, so a caller that writes into the result
+    must copy it."""
+    if not e:
+        return one()
+    out = base
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, base)
-        base = mul(base, base)
-        e >>= 1
     return out
 
 
@@ -292,7 +296,7 @@ class DensePoly:
         return DensePoly(F, tuple(Fraction(v, da * db) for v in prod))
 
     def pow(self, e: int) -> "DensePoly":
-        return square_and_multiply(self, e, DensePoly.const(self.field, 1), DensePoly.mul)
+        return square_and_multiply(self, e, lambda: DensePoly.const(self.field, 1), DensePoly.mul)
 
     def eval(self, x: Scalar) -> Scalar:
         F = self.field
@@ -307,7 +311,7 @@ class DensePoly:
 # ----------------------------------------------------------------------
 
 
-def rank_over_ft(matrix: Sequence[Sequence[DensePoly]]) -> int:
+def rank_over_ft(matrix: Sequence[Sequence[DensePoly]], what: str = "a matrix over F(t)") -> int:
     """Rank of a DensePoly matrix viewed over the fraction field F(t).
 
     Deterministic: evaluates t at 0, 1, ..., D with
@@ -327,7 +331,7 @@ def rank_over_ft(matrix: Sequence[Sequence[DensePoly]]) -> int:
         return 0
     bound = min(len(rows), len(rows[0]))
     D = bound * max_deg
-    field.require_size_over(D, "rank_over_ft evaluation grid")
+    field.require_size_over(D, f"{what}, of degree {max_deg} in t,")
 
     from .linalg import matrix_rank
 

@@ -172,7 +172,7 @@ def subset_uniqueness_design_ok(subsets, n: int, d: int) -> bool:
 
 def poly_pow(p: MultiPoly, e: int) -> MultiPoly:
     """p^e by repeated squaring of sparse polynomials."""
-    return square_and_multiply(p, e, MultiPoly.const(p.field, p.arity, 1), MultiPoly.mul)
+    return square_and_multiply(p, e, lambda: MultiPoly.const(p.field, p.arity, 1), MultiPoly.mul)
 
 
 def compose(p: MultiPoly, images) -> MultiPoly:

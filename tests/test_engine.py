@@ -3,6 +3,7 @@ agrees with the scalar twin ``Circuit.evaluate`` on any integer input,
 numpy integers included, in the object and uint64 residue layouts and
 across grid chunks, and on rational input over Q and over every prime."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from conepit.diagonal import DiagonalCircuit, build_psi, diag_pit, diagonal_from
 from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, RankZero
 from conepit.extraction import extract_coefficient
 from conepit.fastmod import Mersenne61Kernel, ObjectKernel, PointBatch, SmallPrimeKernel, SparseRows, kernel_for
-from conepit.fields import Field
+from conepit.fields import DensePoly, Field, Scalar, square_and_multiply
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.hsg import fischer_rewrite
 from conepit.pit import brute_force_pit, low_cone_pit
@@ -643,11 +644,11 @@ def test_the_diagonal_program_collects_like_terms(field):
 
     # a forced-zero circuit: no term is left, the program is the sum 0
     D = random_diagonal(rng, F, 3, 6, 4, force_zero=True)
-    assert len(D.terms) == 6 and rows(D) == ([F.zero()] * 4, (0,), [F.zero()])
+    assert len(D.terms) == 6 and rows(D) == ([F.zero()] * 4, 0, [F.zero()])
     assert D.evaluate_many([[1, 2, 3]]) == [F.zero()] == [D.evaluate([1, 2, 3])]
     # c.l^d + c'.l^d is one row of weight c + c'; l^2 and l^3 stay two rows
     D = DiagonalCircuit.make(F, 2, [(3, 1, (2, 5), 4), (6, 1, (2, 5), 4)])
-    assert rows(D) == ([F.of(x) for x in (1, 2, 5)], (4,), [F.of(9)])
+    assert rows(D) == ([F.of(x) for x in (1, 2, 5)], 4, [F.of(9)])
     assert len([g for g in D.to_circuit().gates if g.kind == "pow"]) == 2  # the gate view keeps both
     D = DiagonalCircuit.make(F, 2, [(3, 1, (2, 5), 3), (6, 1, (2, 5), 2)])
     assert rows(D) == ([F.of(x) for x in (1, 2, 5, 1, 2, 5)], (2, 3), [F.of(6), F.of(3)])
@@ -715,3 +716,147 @@ def test_pow_with_one_exponent_per_row(field, count):
     got = kern.pow(a, exps).tolist()
     assert got == [[field.pow(field.of(v), e) for v in row] for row, e in zip(values, exps)]
     assert kern.pow(a[:0], ()).shape == (0, count)
+
+
+# -- per-call waste: powers with no extra product, sources as views, grid
+# nodes reduced once
+
+
+def test_square_and_multiply_is_pow_with_the_fewest_products():
+    # from the top set bit, base^e takes bit_length(e) + popcount(e) - 2
+    # products for e >= 1, and the identity is built for e = 0 alone
+    F = Field.prime(101)
+    kern = SmallPrimeKernel(Field.prime((1 << 31) - 1))
+    a = kern.array([0, 1, 2, kern.p - 1, 123456789])
+    x = DensePoly.make(F, [3, 1, 4])
+    for e in range(71):
+        products, ones = [], []
+        mul = lambda u, v: products.append(1) or F.mul(u, v)
+        assert square_and_multiply(7, e, lambda: ones.append(1) or 1, mul) == pow(7, e, F.p)
+        assert len(products) == (e.bit_length() + bin(e).count("1") - 2 if e else 0) and len(ones) == (e == 0)
+        power = DensePoly.const(F, 1)
+        for _ in range(e):
+            power = power.mul(x)
+        assert square_and_multiply(x, e, lambda: DensePoly.const(F, 1), DensePoly.mul) == x.pow(e) == power
+        got = square_and_multiply(a, e, lambda: np.ones_like(a), kern.mul)
+        assert got.dtype == np.uint64 and got.tolist() == [pow(v, e, kern.p) for v in a.tolist()]
+    # e = 1 is the base itself
+    assert square_and_multiply(a, 1, lambda: np.ones_like(a), kern.mul) is a
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS + [Field.prime((1 << 89) - 1)], ids=lambda F: F.spec)
+def test_one_exponent_is_the_field_power(field):
+    # a square (over a prime on object arrays, a * a % p) and its neighbours
+    kern = kernel_for(field)
+    rng = random.Random(2)
+    if field.p is None:
+        values = [0, 1, -1] + [Fraction(rng.randrange(-99, 99), rng.randrange(1, 9)) for _ in range(20)]
+    else:
+        values = [0, 1, field.p - 1] + [rng.randrange(field.p) for _ in range(20)]
+    a = kern.array(values)
+    for e in (2, 0, 1, 3, 4):
+        assert kern.pow(a, e).tolist() == [field.pow(field.of(v), e) for v in values]
+
+
+def scalar_run(program: Program, point) -> Scalar:
+    """The program's steps one field scalar at a time: its scalar twin."""
+    F = program.field
+    blocks = [[F.one()] + [F.of(x) for x in point]]
+    for op, srcs, arg, _ in program.steps:
+        v = [blocks[b][i] for b, r in srcs for i in np.arange(len(blocks[b]))[r].tolist()]
+        if op == "pow":
+            exps = arg if type(arg) is tuple else (arg,) * len(v)
+            out = [F.pow(x, e) for x, e in zip(v, exps)]
+        elif op == "mul":
+            out = [functools.reduce(F.mul, (v[i] for i in col)) for col in arg.T.tolist()]
+        elif type(arg) is SparseRows:
+            ends = arg.starts.tolist()[1:] + [len(arg.cols)]
+            entries = list(zip(arg.cols.tolist(), arg.weights[:, 0].tolist()))
+            out = [functools.reduce(F.add, (F.mul(F.of(w), v[c]) for c, w in entries[s:t]))
+                   for s, t in zip(arg.starts.tolist(), ends)]
+        else:
+            out = [functools.reduce(F.add, (F.mul(F.of(w), x) for w, x in zip(row, v))) for row in arg.tolist()]
+        blocks.append(out)
+    return blocks[-1][0]
+
+
+def views_program(field: Field) -> Program:
+    """Steps that read earlier blocks through consecutive rows and through
+    rows that are not: a dense lincomb, a tuple pow out of order, a mul of
+    two sources, a square (a tuple of one exponent), a pow by 1 and a sparse
+    lincomb of five sources."""
+    rows = lambda *r: np.array(r, dtype=np.intp)
+    return Program(field, 2, [
+        ("lincomb", ((0, rows(0, 1, 2)),), weight_matrix(field, [[1, 2, 3], [4, 0, 1], [0, 5, 6]])),
+        ("pow", ((1, rows(0, 1, 2)),), (3, 1, 2)),
+        ("mul", ((0, rows(1)), (2, rows(0, 2))), rows(0, 1, 2, 2).reshape(2, 2)),
+        ("pow", ((3, rows(1)),), (2,)),
+        ("pow", ((1, rows(2, 0)),), 1),
+        ("lincomb", ((1, rows(0, 2)), (2, rows(1, 2)), (3, rows(0, 1)), (4, rows(0)), (5, rows(0, 1))),
+         weight_matrix(field, [[1, 2, 3, 4, 5, 6], [7, 8]], [[0, 2, 4, 6, 7, 8], [1, 3]])),
+    ])
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+def test_consecutive_rows_are_read_as_views_of_read_only_blocks(field):
+    program = views_program(field)
+    kinds = [[type(r) for _, r in srcs] for _, srcs, _, _ in program.steps]
+    assert kinds == [[slice], [slice], [slice, np.ndarray], [slice], [np.ndarray], [np.ndarray, slice, slice, slice, slice]]
+    assert [arg for op, _, arg, _ in program.steps if op == "pow"] == [(3, 1, 2), 2, 1]
+    # the rows read in the last step, nine, are the widest array
+    assert program.width == 9
+    pts = [(3, -4), (Fraction(1, 2), 10**30), (np.int64(-7), np.uint64((1 << 64) - 1)), (0, 0)]
+    batch = PointBatch(field, 2, pts)
+    want = [scalar_run(program, pt) for pt in pts]
+    assert program.evaluate_many(batch) == program.evaluate_many(pts) == want
+
+    # every array a kernel call returns or reads is unchanged after the run
+    kern, seen = batch.kernel, []
+
+    class Recording:
+        def __getattr__(self, name):
+            def call(*args):
+                out = getattr(kern, name)(*args)
+                seen.extend((x, x.copy()) for x in (out, *args) if type(x) is np.ndarray)
+                return out
+            return call
+
+    out = program.run(Recording(), batch.block)
+    assert not out.flags.writeable and out.tolist() == program.run(kern, batch.block).tolist()
+    assert seen and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in seen)
+
+    # a step that wrote into the block it reads would raise, block 0 writeable or not
+    class Writing:
+        def __getattr__(self, name):
+            return getattr(kern, name)
+
+        def pow(self, a, e):
+            a[...] = kern.pow(a, e)
+            return a
+
+    with pytest.raises(ValueError):
+        program.run(Writing(), batch.block.copy())
+
+
+@pytest.mark.parametrize("field", PROGRAM_FIELDS, ids=lambda F: F.spec)
+def test_a_fischer_zero_program_reads_slices_and_one_exponent(field):
+    rng = random.Random(13)
+    for n in (2, 3, 5):
+        C = fischer_zero(rng, field, n)
+        srcs = [r for _, step, _, _ in C.program.steps for _, r in step]
+        assert any(type(r) is slice for r in srcs)
+        assert all(type(r) is slice or not (np.diff(r) == 1).all() for r in srcs)
+        # every pow squares all its rows: one exponent, not a tuple of them
+        assert [arg for op, _, arg, _ in C.program.steps if op == "pow"] == [2, 2]
+
+
+@pytest.mark.parametrize("field, m", [(Field.prime(2), 3), (Field.prime(7), 9), (M61, 4), (Q, 4)], ids=lambda x: str(x))
+def test_grid_nodes_are_the_reduced_nodes(field, m):
+    # nodes past p read as their residues, as the scalar twin reads them
+    rng = random.Random(m)
+    for C in (random_circuit(rng, field, 2, 6, 3), random_diagonal(rng, field, 3, 3, 2)):
+        n = C.arity
+        oracle = Oracle(C, degree=3)
+        grid = [[v // m ** (n - 1 - i) % m for i in range(n)] for v in range(m**n)]
+        assert oracle.eval_grid(m).tolist() == [C.evaluate([field.of(x) for x in pt]) for pt in grid]
+        assert oracle.calls == m**n
