@@ -114,16 +114,22 @@ class DiagonalCircuit:
 # ----------------------------------------------------------------------
 
 
-def rank_of_forms(circuit: DiagonalCircuit) -> tuple[int, tuple[int, ...]]:
-    """Rank of the matrix of non-constant parts, plus the 1-based indices of
-    the first-encountered independent rows (matching the f_1..f_k naming).
-    A repeated form is in the span already, so it is inserted only once."""
+def _eliminate_forms(circuit: DiagonalCircuit) -> tuple[tuple[int, ...], list[int]]:
+    """The 1-based indices of the first-encountered independent non-constant
+    parts and their pivot columns, from one elimination that inserts each
+    distinct form once, in order of first use."""
     red = RowReducer(circuit.field)
     first: dict[tuple[Scalar, ...], int] = {}
     for i, t in enumerate(circuit.terms):
         first.setdefault(t.coeffs, i + 1)
-    basis_rows = tuple(i for coeffs, i in first.items() if red.insert(list(coeffs)))
-    return red.rank, basis_rows
+    return tuple(i for coeffs, i in first.items() if red.insert(list(coeffs))), red.pivots
+
+
+def rank_of_forms(circuit: DiagonalCircuit) -> tuple[int, tuple[int, ...]]:
+    """Rank of the matrix of non-constant parts, plus the 1-based indices of
+    the first-encountered independent rows (matching the f_1..f_k naming)."""
+    basis_rows = _eliminate_forms(circuit)[0]
+    return len(basis_rows), basis_rows
 
 
 @dataclass(frozen=True)
@@ -151,14 +157,12 @@ class PsiMap:
 def build_psi(circuit: DiagonalCircuit) -> PsiMap:
     """Pivot-column selection: greedy elimination on the basis rows yields a
     column set J with the basis rows restricted to J invertible, so the
-    images of the basis forms stay linearly independent.  Each distinct
-    form is inserted once, in order of first use: the pivots stay as they are."""
-    red = RowReducer(circuit.field)
-    for coeffs in dict.fromkeys(t.coeffs for t in circuit.terms):
-        red.insert(list(coeffs))
-    if red.rank == 0:
+    images of the basis forms stay linearly independent.  The elimination
+    is :func:`rank_of_forms`'s."""
+    pivots = _eliminate_forms(circuit)[1]
+    if not pivots:
         raise RankZero("all forms are constant")
-    return PsiMap(circuit.arity, tuple(sorted(red.pivots)))
+    return PsiMap(circuit.arity, tuple(sorted(pivots)))
 
 
 def pd_dim_bound(circuit: DiagonalCircuit) -> int:

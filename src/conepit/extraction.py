@@ -21,16 +21,17 @@ The base oracle is queried exactly cone_size(e) * (d + 1) times per
 extraction.
 
 The points and weights depend only on (field, e, d), never on the oracle,
-so they are built once per key and shared: an LRU cache of 1024 query
-sets, each of at most ``QUERY_CACHE_POINTS`` points, so at most 2^18
-points in all; a larger extraction builds its own.  ``EXTRACTION_GUARD``
-refuses an extraction whose points or weight rows would not fit in memory.
-The low-cone test reads a whole total-degree layer of monomials at once:
-:func:`layer_points` gives the layer's points that no lower layer requests,
-as a read-only ``fastmod.PointBatch`` ready for the evaluator, and how many
-points the layer requests, checks the field and the guard once for the
-layer, and keeps both per test shape (field, n, k, d, t) in a table of at
-most 256 layers of at most ``LAYER_CACHE_POINTS`` points, so at most 2^18.
+so they are built once per key and shared, as are the weight rows and the
+low-cone test's layers: :func:`layer_points` gives a total-degree layer's
+points that no lower layer requests, as a read-only ``fastmod.PointBatch``
+ready for the evaluator, and the layer's request count, checking the field
+and the guard once per layer, per test shape (field, n, k, d, t).  One
+least recently used cache keeps them all, at most ``CACHE_ITEMS`` items of
+``CACHE_ENTRIES`` entries in all: a row of width m counts m, a table of
+rows m^2, a query set or a layer one per point.  An item of more than
+``CACHE_ENTRIES // 64`` is built per call and not kept, and none holds an
+oracle's values.  ``EXTRACTION_GUARD`` refuses an extraction whose points
+or weight rows would not fit in memory.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
 int tuples), so the weight rows have a closed form, :func:`interpolation_row`;
@@ -41,7 +42,6 @@ for arbitrary nodes and is their twin.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -59,8 +59,10 @@ from .polys import ExpVec, cone_size
 if TYPE_CHECKING:
     from .circuits import Oracle
 
-#: Query sets of at most this many points are cached and shared.
-QUERY_CACHE_POINTS = 256
+#: The cache keeps at most this many items ...
+CACHE_ITEMS = 4096
+#: ... of this many entries in all, and none of more than 1/64 of them.
+CACHE_ENTRIES = 1 << 18
 
 #: Largest max(cone_size(e), d + 1) * (d + 1) an extraction with |e| <= d
 #: may take on: it bounds both the points requested and the O(d^2) work of
@@ -93,10 +95,33 @@ def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[
     return red.add([field.one() if k == target else field.zero() for k in range(m)])
 
 
-#: The row tables of :func:`interpolation_rows` held in its cache hold at
-#: most this many rows together, as many as :func:`interpolation_row`'s
-#: cache; a wider table is built and not kept.
-ROW_CACHE_ROWS = 4096
+class _Cache:
+    """Least recently used items keyed by (kind, *arguments), each counted
+    as a number of entries; see the module docstring for the bound."""
+
+    def __init__(self) -> None:
+        self.items: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self.entries = 0
+
+    def get(self, key: tuple):
+        """The value kept under ``key``, now the most recently used, or None."""
+        hit = self.items.get(key)
+        if hit is not None:
+            self.items.move_to_end(key)
+            return hit[0]
+        return None
+
+    def put(self, key: tuple, value, entries: int):
+        """``value``, kept under ``key`` unless it is over the item cap."""
+        if entries <= CACHE_ENTRIES // 64:
+            self.items[key] = value, entries
+            self.entries += entries
+            while len(self.items) > CACHE_ITEMS or self.entries > CACHE_ENTRIES:
+                self.entries -= self.items.popitem(last=False)[1][1]
+        return value
+
+
+_cache = _Cache()
 
 
 def _lagrange_rows(field: Field, m: int, targets: Sequence[int], integral: bool = False) -> dict[int, tuple[Scalar, ...]]:
@@ -145,41 +170,34 @@ def _require_distinct_nodes(field: Field, m: int) -> None:
         raise DuplicateNodes(f"interpolation nodes 0..{m - 1} not distinct in F_{field.p}")
 
 
-_row_tables: OrderedDict[tuple, tuple[tuple[Scalar, ...], ...]] = OrderedDict()
-
-
 def interpolation_rows(field: Field, m: int, integral: bool = False) -> tuple[tuple[Scalar, ...], ...]:
     """Every :func:`interpolation_row` on the nodes 0 .. m-1: row t maps
     the values at the nodes to the coefficient of x^t; with ``integral``,
-    over Q, the rows times (m-1)!, all ints.  O(m^2) operations in all; the
-    least recently used tables are dropped to keep at most ``ROW_CACHE_ROWS``
-    rows."""
-    key = (field, m, True) if integral else (field, m)
-    table = _row_tables.get(key)
-    if table is not None:
-        _row_tables.move_to_end(key)
-        return table
-    _require_distinct_nodes(field, m)
-    rows = _lagrange_rows(field, m, range(m), integral)
-    table = tuple(rows[t] for t in range(m))
-    if m <= ROW_CACHE_ROWS:
-        _row_tables[key] = table
-        while sum(map(len, _row_tables.values())) > ROW_CACHE_ROWS:
-            _row_tables.popitem(last=False)
+    over Q, the rows times (m-1)!, all ints.  O(m^2) operations in all,
+    cached as m^2 entries, so a table wider than 64 is built and not kept."""
+    key = ("rows", field, m, integral)
+    table = _cache.get(key)
+    if table is None:
+        _require_distinct_nodes(field, m)
+        rows = _lagrange_rows(field, m, range(m), integral)
+        table = _cache.put(key, tuple(rows[t] for t in range(m)), m * m)
     return table
 
 
-@functools.lru_cache(maxsize=4096)
 def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     """:func:`vandermonde_row` on the nodes 0 .. m-1, in closed form and
-    cached: the weight of node j is the coefficient of x^target in the
-    Lagrange basis polynomial of j (see :func:`_lagrange_rows`).  The
-    division stops at the target row, so an extraction at a high degree
-    builds no whole table."""
-    _require_distinct_nodes(field, m)
-    if not 0 <= target < m:
-        raise ValueError(f"target power {target} outside 0..{m - 1}")
-    return _lagrange_rows(field, m, (target,))[target]
+    cached as m entries: the weight of node j is the coefficient of
+    x^target in the Lagrange basis polynomial of j (see
+    :func:`_lagrange_rows`).  The division stops at the target row, so an
+    extraction at a high degree builds no whole table."""
+    key = ("row", field, m, target)
+    row = _cache.get(key)
+    if row is None:
+        _require_distinct_nodes(field, m)
+        if not 0 <= target < m:
+            raise ValueError(f"target power {target} outside 0..{m - 1}")
+        row = _cache.put(key, _lagrange_rows(field, m, (target,))[target], m)
+    return row
 
 
 def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
@@ -209,31 +227,22 @@ def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple,
     return (tuple(points), out), num, den
 
 
-_cached_query_set = functools.lru_cache(maxsize=1024)(_build_query_set)
-
-
 def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
-    """:func:`_build_query_set` of x^e at degree bound ``degree``, shared when
-    it has at most ``QUERY_CACHE_POINTS`` points; raises CharTooSmall for a
-    field with too few nodes, then TooLarge past the guard."""
+    """:func:`_build_query_set` of x^e at degree bound ``degree``, cached as
+    one entry per point; raises CharTooSmall for a field with too few
+    nodes, then TooLarge past the guard."""
     field.require_size_over(degree, "coefficient extraction")
-    cone = cone_size(e)
-    require_within_guard(cone, sum(e), degree)
-    return _query_set(field, e, cone, degree)
+    require_within_guard(cone_size(e), sum(e), degree)
+    return _query_set(field, e, degree)
 
 
-def _query_set(field: Field, e: ExpVec, cone: int, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
-    build = _cached_query_set if cone * (degree + 1) <= QUERY_CACHE_POINTS else _build_query_set
-    return build(field, e, degree)
-
-
-#: The layer table of :func:`layer_points` keeps at most this many layers ...
-LAYER_CACHE_LAYERS = 256
-#: ... of at most this many new points each.
-LAYER_CACHE_POINTS = 1024
-
-# (field, n, k, d, t) -> (layer t's new points, its requests, its largest guarded cone)
-_layer_table: OrderedDict[tuple, tuple[PointBatch, int, int]] = OrderedDict()
+def _query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
+    key = ("query", field, e, degree)
+    entry = _cache.get(key)
+    if entry is None:
+        entry = _build_query_set(field, e, degree)
+        _cache.put(key, entry, len(entry[0][0]))
+    return entry
 
 
 def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence[ExpVec], seen: Container[tuple]) -> tuple[PointBatch, int]:
@@ -245,34 +254,21 @@ def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence
     degree=t)`` and ``seen`` holds the points of layers 0 .. t-1, read only
     to build an entry.  Refuses as :func:`query_set` on each monomial in
     turn would (CharTooSmall, then TooLarge at the first past
-    ``EXTRACTION_GUARD``, read at call time), both checks once per call.  A
-    layer of at most ``LAYER_CACHE_POINTS`` new points is kept per (field,
-    shape), up to ``LAYER_CACHE_LAYERS`` least recently used, so at most
-    2^18 points and never an oracle's values; a larger one is built per
-    call."""
+    ``EXTRACTION_GUARD``, read at call time), both checks once per call.
+    Cached per (field, shape) as one entry per new point, never a value."""
     degree = shape[2]
     field.require_size_over(degree, "coefficient extraction")
-    key = (field, *shape)
-    entry = _layer_table.get(key)
-    if entry is None:
-        cones = [cone_size(e) for e in layer]
-        guarded = max((c for c, e in zip(cones, layer) if sum(e) <= degree), default=0)
-    else:
-        guarded = entry[2]
+    key = ("layer", field, *shape)
+    entry = _cache.get(key)
+    guarded = entry[2] if entry is not None else max((cone_size(e) for e in layer if sum(e) <= degree), default=0)
     if guarded and max(guarded, degree + 1) * (degree + 1) > EXTRACTION_GUARD:
         # the first monomial past the guard raises, with its own message
         for e in layer:
             query_set(field, e, degree)
     if entry is None:
-        sets = [_query_set(field, e, c, degree)[0][0] for c, e in zip(cones, layer)]
+        sets = [_query_set(field, e, degree)[0][0] for e in layer]
         fresh = [pt for pt in dict.fromkeys(itertools.chain.from_iterable(sets)) if pt not in seen]
-        entry = PointBatch(field, shape[0], fresh), sum(map(len, sets)), guarded
-        if len(fresh) <= LAYER_CACHE_POINTS:
-            _layer_table[key] = entry
-            if len(_layer_table) > LAYER_CACHE_LAYERS:
-                _layer_table.popitem(last=False)
-    else:
-        _layer_table.move_to_end(key)
+        entry = _cache.put(key, (PointBatch(field, shape[0], fresh), sum(map(len, sets)), guarded), len(fresh))
     return entry[0], entry[1]
 
 
@@ -292,8 +288,7 @@ class FilteredOracle:
         """The base points of this extraction, tau-major, and the weight of
         each point's value in the coefficient, as a read-only object array:
         cone_size(e) * (d + 1) of each, or none when |e| exceeds the degree
-        bound.  Shared with every extraction of the same (field, e, d) when
-        there are at most ``QUERY_CACHE_POINTS`` points."""
+        bound.  Shared while the cache keeps them (see :func:`query_set`)."""
         return self._queries
 
     def combine(self, values: Sequence[Scalar]) -> Scalar:

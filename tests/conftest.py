@@ -3,7 +3,10 @@ import os
 import sys
 import warnings
 
+import pytest
 from hypothesis import settings
+
+from conepit import extraction
 
 # When a property fails, hypothesis's pytest plugin imports this module,
 # and through it libcst, which warns that mypy_extensions.TypedDict is
@@ -23,3 +26,17 @@ sys.path.insert(0, os.path.dirname(__file__))
 # so a pass or failure of the property tests repeats exactly.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """Swap an empty cache in for extraction's shared one, which comes back
+    after the test.  The fixture is the swap: each call puts in another
+    empty cache and returns it, so a property test can start every example
+    cold."""
+
+    def swap():
+        monkeypatch.setattr(extraction, "_cache", extraction._Cache())
+        return extraction._cache
+
+    return swap

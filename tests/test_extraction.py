@@ -10,9 +10,8 @@ from conepit import extraction
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes, TooLarge
 from conepit.extraction import (
+    CACHE_ENTRIES,
     EXTRACTION_GUARD,
-    LAYER_CACHE_POINTS,
-    QUERY_CACHE_POINTS,
     FilteredOracle,
     extract_coefficient,
     interpolation_row,
@@ -26,7 +25,7 @@ from conepit.generators import random_circuit
 from conepit.pit import low_cone_pit
 from conepit.polys import cone_size, enumerate_low_cone
 from reference import circuit_from_multipoly, reference_low_cone_pit, reference_queries
-from test_pit import PLAN_FIELDS, check_layer_table
+from test_pit import PLAN_FIELDS, check_cache, check_layer_table
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -178,26 +177,46 @@ def test_wide_interpolation_rows_invert_the_vandermonde_matrix(field):
             assert sum(w * powers[j][k] for j, w in enumerate(row)) % field.p == (k == t)
 
 
-def test_row_tables_keep_the_cache_bound(monkeypatch):
-    monkeypatch.setattr(extraction, "_row_tables", type(extraction._row_tables)())
-    monkeypatch.setattr(extraction, "ROW_CACHE_ROWS", 100)
-    for m in (40, 50, 30, 101):
+def test_row_tables_keep_the_cache_bound(fresh_cache, monkeypatch):
+    # items of at most 100 entries, so tables of width at most 10, and at
+    # most two of them; the least recently used goes first
+    cache = fresh_cache()
+    monkeypatch.setattr(extraction, "CACHE_ENTRIES", 6400)
+    monkeypatch.setattr(extraction, "CACHE_ITEMS", 2)
+    for m in (8, 9, 7, 11):
         table = interpolation_rows(FP, m)
-        assert table == tuple(interpolation_row(FP, m, t) for t in range(m))
-        assert sum(map(len, extraction._row_tables.values())) <= 100
-    assert list(extraction._row_tables) == [(FP, 50), (FP, 30)]
-    assert interpolation_rows(FP, 30) is extraction._row_tables[FP, 30]
+        assert [list(row) for row in table] == [vandermonde_row(range(m), t, FP) for t in range(m)]
+        check_cache(cache)
+    assert list(cache.items) == [("rows", FP, 9, False), ("rows", FP, 7, False)]
+    assert interpolation_rows(FP, 9) is cache.items["rows", FP, 9, False][0]
+    assert list(cache.items) == [("rows", FP, 7, False), ("rows", FP, 9, False)] and cache.entries == 49 + 81
+    assert interpolation_rows(FP, 11) is not interpolation_rows(FP, 11)
+    # 64 rows of width 100 fill the 6400 entries, and the 65th drops the
+    # least recently used
+    monkeypatch.setattr(extraction, "CACHE_ITEMS", 4096)
+    rows = [interpolation_row(FP, 100, t) for t in range(65)]
+    check_cache(cache)
+    assert list(cache.items) == [("row", FP, 100, t) for t in range(1, 65)]
+    assert interpolation_row(FP, 100, 64) is rows[64] and interpolation_row(FP, 100, 0) is not rows[0]
 
 
-def test_integral_rows_over_q_are_the_rows_times_the_factorial(monkeypatch):
+def test_a_table_over_the_item_cap_is_not_kept():
+    # 600^2 = 360,000 entries: more than the whole cache holds
+    table = interpolation_rows(FP, 600)
+    assert table[599] == interpolation_row(FP, 600, 599)
+    check_cache(extraction._cache)
+    assert not [key for key in extraction._cache.items if key[:3] == ("rows", FP, 600)]
+
+
+def test_integral_rows_over_q_are_the_rows_times_the_factorial(fresh_cache):
     # dense_expand's rows over Q: ints, each row (m-1)! times the Fraction
     # row, negative entries among them, cached apart from the Fraction table
-    monkeypatch.setattr(extraction, "_row_tables", type(extraction._row_tables)())
+    cache = fresh_cache()
     for m in (1, 2, 5, 23):
         ints = interpolation_rows(Q, m, integral=True)
         assert {type(w) for row in ints for w in row} == {int}
         assert [[w * math.factorial(m - 1) for w in row] for row in interpolation_rows(Q, m)] == [list(r) for r in ints]
-        assert interpolation_rows(Q, m, integral=True) is ints is extraction._row_tables[Q, m, True]
+        assert interpolation_rows(Q, m, integral=True) is ints is cache.items["rows", Q, m, True][0]
     assert min(interpolation_rows(Q, 5, integral=True)[1]) < 0
 
 
@@ -261,53 +280,55 @@ def test_query_points_over_q_are_ints():
         assert {type(w) for w in filtered._num} == {int} and [w * filtered._den for w in weights] == list(filtered._num)
 
 
-def test_large_extraction_is_exact_and_not_cached():
-    # (1 + x + 2y)^20: x^3 y^3 requests 16 * 21 points, over the cache bound
-    b = CircuitBuilder(FP, 2)
-    oracle = Oracle(b.build(b.pow(b.add([(1, b.const(1)), (1, b.input(0)), (2, b.input(1))]), 20)))
-    e = (3, 3)
-    assert cone_size(e) * (oracle.degree + 1) > QUERY_CACHE_POINTS
-    before = extraction._cached_query_set.cache_info()
+def test_large_extraction_is_exact_and_not_cached(fresh_cache):
+    # (1 + x + 2y + 3z)^20: x^6 y^6 z^6 requests 343 * 21 points, over the
+    # item cap; only its weight rows are kept
+    cache = fresh_cache()
+    b = CircuitBuilder(FP, 3)
+    oracle = Oracle(b.build(b.pow(b.add([(1, b.const(1))] + [(i + 1, b.input(i)) for i in range(3)]), 20)))
+    e = (6, 6, 6)
+    assert cone_size(e) * (oracle.degree + 1) > CACHE_ENTRIES // 64
     x, y = FilteredOracle(oracle, e), FilteredOracle(oracle, e)
     assert x.queries() is not y.queries()
-    assert extraction._cached_query_set.cache_info() == before
+    assert set(cache.items) == {("row", FP, 7, 6), ("row", FP, 21, 18)}
     assert x.coefficient() == dense_expand(Oracle(oracle.circuit)).coefficient(e)
 
 
-def test_large_layer_is_exact_and_not_kept():
-    # 3 x1^2 x2^2 x3 in arity 4 at degree bound 20 and k = 36: the witness is
-    # in layer 5, whose extractions hold more new points than the layer
-    # table keeps
-    b = CircuitBuilder(FP, 4)
-    x = [b.input(i) for i in range(4)]
+def test_large_layer_is_exact_and_not_kept(fresh_cache):
+    # 3 x1^2 x2^2 x3 in arity 6 at degree bound 20 and k = 36: the witness is
+    # in layer 5, whose extractions hold more new points than the item cap
+    cache = fresh_cache()
+    b = CircuitBuilder(FP, 6)
+    x = [b.input(i) for i in range(6)]
     circuit = b.build(b.add([(3, b.mul([b.pow(x[0], 2), b.pow(x[1], 2), x[2]]))]))
-    layer = enumerate_low_cone(4, 36, 20, degree=5)
-    seen = {pt for t in range(5) for e in enumerate_low_cone(4, 36, 20, degree=t) for pt in query_set(FP, e, 20)[0][0]}
-    before = dict(extraction._layer_table)
-    points, requests = layer_points(FP, (4, 36, 20, 5), layer, seen)
-    assert len(points) > LAYER_CACHE_POINTS
-    assert dict(extraction._layer_table) == before
-    assert layer_points(FP, (4, 36, 20, 5), layer, seen)[0] is not points
+    layer = enumerate_low_cone(6, 36, 20, degree=5)
+    seen = {pt for t in range(5) for e in enumerate_low_cone(6, 36, 20, degree=t) for pt in query_set(FP, e, 20)[0][0]}
+    points, requests = layer_points(FP, (6, 36, 20, 5), layer, seen)
+    assert len(points) > CACHE_ENTRIES // 64
+    assert not [key for key in cache.items if key[0] == "layer"]
+    assert layer_points(FP, (6, 36, 20, 5), layer, seen)[0] is not points
     verdict = low_cone_pit(Oracle(circuit, degree=20), 36)
     assert verdict == reference_low_cone_pit(Oracle(circuit, degree=20), 36)
-    assert (verdict.witness, verdict.coefficient) == ((2, 2, 1, 0), 3)
-    # the walk keeps exactly the layers within the bound
+    assert (verdict.witness, verdict.coefficient) == ((2, 2, 1, 0, 0, 0), 3)
+    # the walk keeps exactly the layers within the item cap
     seen = set()
     for t in range(6):
-        walked = enumerate_low_cone(4, 36, 20, degree=t)
-        kept = (FP, 4, 36, 20, t) in extraction._layer_table
-        assert kept == (len(layer_points(FP, (4, 36, 20, t), walked, seen)[0]) <= LAYER_CACHE_POINTS)
+        walked = enumerate_low_cone(6, 36, 20, degree=t)
+        kept = ("layer", FP, 6, 36, 20, t) in cache.items
+        assert kept == (len(layer_points(FP, (6, 36, 20, t), walked, seen)[0]) <= CACHE_ENTRIES // 64)
         seen.update(pt for e in walked for pt in query_set(FP, e, 20)[0][0])
+    check_cache(cache)
 
 
-def test_layer_table_holds_points_and_counts_only():
+def test_layer_table_holds_points_and_counts_only(fresh_cache):
     # after tests over three fields, every entry is layer t's points that no
     # layer below t requests, which depend on (field, n, k, d, t) alone, as
     # the twin builds them, and the layer's request count
+    fresh_cache()
     rng = random.Random(61)
     for field in (FP, Q, Field.prime(7)):
         low_cone_pit(Oracle(random_circuit(rng, field, 3, 6, 4)), 8)
-    assert extraction._layer_table
+    assert [key for key in extraction._cache.items if key[0] == "layer"]
     check_layer_table()
 
 

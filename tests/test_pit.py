@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conepit import extraction, pit, polys
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit.errors import BadParameters, CharTooSmall, TooLarge, VerificationFailed
-from conepit.extraction import LAYER_CACHE_POINTS, FilteredOracle, query_set
+from conepit.extraction import CACHE_ENTRIES, FilteredOracle, query_set
 from conepit.fastmod import PointBatch
 from conepit.fields import Field
-from conepit.generators import random_circuit, random_diagonal
+from conepit.generators import random_circuit, random_diagonal, random_diagonal_depth4
 from conepit.pit import NONZERO, ZERO, brute_force_pit, low_cone_pit, splitmix64, sz_pit
 from conepit.polys import cone_size, deglex_key, enumerate_low_cone, low_cone_count_bound
 from reference import reference_enumerate_low_cone, reference_layer_points, reference_low_cone_pit, reference_queries
@@ -358,20 +358,30 @@ def test_the_table_over_q_holds_the_kernel_ints(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def check_cache(cache):
+    """The cache's running total is the entries of the items it keeps, and
+    both stay within the bound."""
+    assert cache.entries == sum(entries for _, entries in cache.items.values()) <= extraction.CACHE_ENTRIES
+    assert len(cache.items) <= extraction.CACHE_ITEMS
+    assert all(entries <= extraction.CACHE_ENTRIES // 64 for _, entries in cache.items.values())
+
+
 def check_layer_table(keys=None):
-    """Every kept entry of the layer table, or those of ``keys``, against the
-    twin: layer t's points that no layer below t requests, each once, as a
-    read-only batch over the entry's field and arity, the layer's request
-    count and its largest cone; no oracle value."""
-    table = extraction._layer_table
+    """Every layer entry the extraction cache keeps, or those of ``keys``
+    (field, n, k, d, t), against the twin: layer t's points that no layer
+    below t requests, each once, as a read-only batch over the entry's field
+    and arity, counted as that many entries, the layer's request count and
+    its largest cone; no oracle value."""
+    table = {key[1:]: item for key, item in extraction._cache.items.items() if key[0] == "layer"}
     for key in list(table) if keys is None else [key for key in keys if key in table]:
         field, n, k, d, t = key
-        batch, requests, cone = table[key]
+        (batch, requests, cone), entries = table[key]
         new, want = reference_layer_points(field, n, k, d, t)
         assert type(batch) is PointBatch and (batch.field, batch.arity) == (field, n)
-        assert len(set(batch)) == len(batch) <= LAYER_CACHE_POINTS and set(batch) == new
+        assert len(set(batch)) == len(batch) == entries <= CACHE_ENTRIES // 64 and set(batch) == new
         assert (requests, cone) == (want, max(map(cone_size, enumerate_low_cone(n, k, d, degree=t)), default=0))
         assert not batch.block.flags.writeable
+    check_cache(extraction._cache)
 
 
 def distinct_reference_points(field, monomials, degree):
@@ -380,7 +390,7 @@ def distinct_reference_points(field, monomials, degree):
     return {pt for e in monomials for pt in reference_queries(field, e, degree)[0]}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     field=st.sampled_from((FP, Field.prime((1 << 31) - 1), Q)),
     family=st.sampled_from(("circuit", "diagonal", "zero diagonal", "linear power")),
@@ -388,7 +398,7 @@ def distinct_reference_points(field, monomials, degree):
     k=st.sampled_from((1, 2, 4, 8, 16)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_low_cone_pit_matches_the_twin_with_the_layer_table_cold_and_warm(field, family, n, k, seed):
+def test_low_cone_pit_matches_the_twin_with_the_layer_table_cold_and_warm(fresh_cache, field, family, n, k, seed):
     rng = random.Random(seed)
     if family == "circuit":
         circuit = random_circuit(rng, field, n, rng.randint(2, 8), 4)
@@ -406,7 +416,7 @@ def test_low_cone_pit_matches_the_twin_with_the_layer_table_cold_and_warm(field,
     last = sum(want.witness) if want.outcome == NONZERO else d
     walked = [e for e in reference_enumerate_low_cone(n, k, dcap=d) if sum(e) <= last]
     evaluated = len(distinct_reference_points(field, walked, d))
-    extraction._layer_table.clear()
+    fresh_cache()
     for _ in ("cold", "warm"):
         oracle = Oracle(circuit)
         got = low_cone_pit(oracle, k)
@@ -416,7 +426,7 @@ def test_low_cone_pit_matches_the_twin_with_the_layer_table_cold_and_warm(field,
 
 
 @pytest.mark.parametrize("ks", [(5, 6), (6, 5)], ids=["5 then 6", "6 then 5"])
-def test_layer_table_keys_on_k(ks):
+def test_layer_table_keys_on_k(fresh_cache, ks):
     # at n = 2 and d = 4, layer 4 is {x1^4, x2^4} at k = 5 and at k = 6, but
     # layer 3 adds x1^2 x2 and x1 x2^2 at k = 6, so a layer's new points
     # depend on k; x1^4 + 2 x1^2 x2 has its witness in layer 3 at k = 6 and
@@ -427,7 +437,7 @@ def test_layer_table_keys_on_k(ks):
     x, y = b.input(0), b.input(1)
     quartic = b.pow(b.add([(1, x), (1, y)]), 4)
     circuits = [b.build(b.add([(1, b.pow(x, 4)), (2, b.mul([b.pow(x, 2), y]))])), b.build(b.add([(1, quartic), (-1, quartic)]))]
-    extraction._layer_table.clear()
+    cache = fresh_cache()
     for k in ks:
         for circuit in circuits:
             want = reference_low_cone_pit(Oracle(circuit), k)
@@ -437,8 +447,35 @@ def test_layer_table_keys_on_k(ks):
                 oracle = Oracle(circuit)
                 assert low_cone_pit(oracle, k) == want
                 assert oracle.calls == len(distinct_reference_points(FP, walked, 4))
-    assert set(extraction._layer_table) == {(FP, 2, k, 4, t) for k in ks for t in range(5)}
+    assert {key for key in cache.items if key[0] == "layer"} == {("layer", FP, 2, k, 4, t) for k in ks for t in range(5)}
     check_layer_table()
+
+
+def test_a_second_pass_builds_nothing(fresh_cache, monkeypatch):
+    # the PIT benchmark's circuit families over its three fields, low-cone
+    # then brute force: the second pass finds every row, row table, query
+    # set and layer in the cache
+    fresh_cache()
+    rng = random.Random(26)
+    oracles = []
+    for field in (FP, Field.prime((1 << 31) - 1), Q):
+        for n in (2, 3):
+            oracles.append(Oracle(random_circuit(rng, field, n, 12, 5)))
+            oracles.append(Oracle(random_diagonal_depth4(rng, field, n, 2, 2, 2, 2)))
+            oracles.append(random_diagonal(rng, field, n, 4, 3, force_zero=True).as_oracle())
+            oracles.append(random_diagonal(rng, field, n, 3, 3).as_oracle())
+    builds = []
+    for name in ("_lagrange_rows", "_build_query_set", "PointBatch"):
+        build = getattr(extraction, name)
+        monkeypatch.setattr(extraction, name, lambda *args, _name=name, _build=build: builds.append(_name) or _build(*args))
+    passes, built = [], []
+    for _ in ("cold", "warm"):
+        builds.clear()
+        passes.append([(low_cone_pit(oracle, 16), brute_force_pit(oracle)) for oracle in oracles])
+        built.append(set(builds))
+    assert passes[1] == passes[0]
+    assert built == [{"_lagrange_rows", "_build_query_set", "PointBatch"}, set()]
+    assert {ZERO, NONZERO} <= {low.outcome for low, _ in passes[0]}
 
 
 def xy_oracle(field):
@@ -453,7 +490,7 @@ def test_refusals_keep_their_messages_on_a_warm_layer_table(monkeypatch, make_or
     # the phase that combines coefficients
     want = low_cone_pit(make_oracle(FP), 8)
     assert want == reference_low_cone_pit(make_oracle(FP), 8)
-    assert (FP, 2, 8, 2, 2) in extraction._layer_table
+    assert ("layer", FP, 2, 8, 2, 2) in extraction._cache.items
     # (d + 1)^2 = 9 for the constant monomial and 3 * 4 = 12 for x1 x2: a guard
     # of 8 refuses up front, one of 11 refuses layer 2 at x1 x2, as the twin does
     for guard in (8, 11):
