@@ -21,17 +21,17 @@ The base oracle is queried exactly cone_size(e) * (d + 1) times per
 extraction.
 
 The points and weights depend only on (field, e, d), never on the oracle,
-so they are built once per key and shared, as are the weight rows and the
-low-cone test's layers: :func:`layer_points` gives a total-degree layer's
-points that no lower layer requests, as a read-only ``fastmod.PointBatch``
-ready for the evaluator, and the layer's request count, checking the field
-and the guard once per layer, per test shape (field, n, k, d, t).  One
-least recently used cache keeps them all, at most ``CACHE_ITEMS`` items of
-``CACHE_ENTRIES`` entries in all: a row of width m counts m, a table of
-rows m^2, a query set or a layer one per point.  An item of more than
-``CACHE_ENTRIES // 64`` is built per call and not kept, and none holds an
-oracle's values.  ``EXTRACTION_GUARD`` refuses an extraction whose points
-or weight rows would not fit in memory.
+so they are built once per key and shared, as are the weight rows.  The
+low-cone test's layers hold points only: :func:`layer_points` gives a
+total-degree layer's points that no lower layer requests, as a read-only
+``fastmod.PointBatch`` for the evaluator, and its request count, per test
+shape (field, n, k, d, t), and builds no weight, so query sets exist only
+for coefficients a test combines.  One least recently used cache keeps
+them all, at most ``CACHE_ITEMS`` items of ``CACHE_ENTRIES`` entries in
+all: a row of width m counts m, a table m^2, a query set or a layer one
+per point.  An item of more than ``CACHE_ENTRIES // 64`` is built per call
+and not kept, and none holds an oracle's values.  ``EXTRACTION_GUARD``
+refuses an extraction whose points or weight rows would not fit in memory.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
 int tuples), so the weight rows have a closed form, :func:`interpolation_row`;
@@ -46,7 +46,7 @@ import itertools
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from typing import TYPE_CHECKING, Container, Sequence
+from typing import TYPE_CHECKING, Container, Iterator, Sequence
 
 import numpy as np
 
@@ -200,43 +200,42 @@ def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     return row
 
 
+def _base_points(field: Field, e: ExpVec, degree: int) -> Iterator[tuple[Scalar, ...]]:
+    """The base points of the extraction of x^e at degree bound d: tau * a
+    for tau in 0 .. d, tau-major, and a in the product of the stages' nodes
+    in itertools.product order, x1's node slowest; none when |e| > d."""
+    # a zero exponent's stage is the single node 1, with weight 1: the identity
+    stage_nodes = [(1,) if ei == 0 else range(ei + 1) for ei in e]
+    taus = range(degree + 1) if sum(e) <= degree else ()
+    return itertools.chain.from_iterable(itertools.product(*([field.mul(a, tau) for a in ns] for ns in stage_nodes)) for tau in taus)
+
+
 def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
     """:meth:`FilteredOracle.queries` of the extraction of x^e at degree
     bound d over ``field``, then the weights as numerators over one
     denominator (over F_p the residues over 1)."""
     F = field
-    points: list[tuple[Scalar, ...]] = []
     weights: list[Scalar] = []
     if sum(e) <= degree:
-        # Zero-exponent coordinates use the single node 1 with weight 1: the
-        # stage is the identity and contributes factor 1 to the cost.
-        t_nodes = range(degree + 1)
-        stage_nodes = [(1,) if ei == 0 else t_nodes[: ei + 1] for ei in e]
-        # itertools.product order over the stages: x1's node slowest
+        # in the order of the points: the tau row slowest, then x1's
         combo = [F.one()]
         for ei in e:
             if ei:
                 combo = [F.mul(w, x) for w in combo for x in interpolation_row(F, ei + 1, ei)]
-        for tau, tw in zip(t_nodes, interpolation_row(F, degree + 1, sum(e))):
-            points.extend(itertools.product(*([F.mul(a, tau) for a in ns] for ns in stage_nodes)))
-            weights.extend([F.mul(tw, w) for w in combo])
+        weights = [F.mul(tw, w) for tw in interpolation_row(F, degree + 1, sum(e)) for w in combo]
     nums, den = clear_denominators(weights) if F.p is None else (weights, 1)
     out = np.array(weights, dtype=object)
     num = np.array(nums, dtype=object) if F.p is None else out
     out.flags.writeable = num.flags.writeable = False
-    return (tuple(points), out), num, den
+    return (tuple(_base_points(F, e, degree)), out), num, den
 
 
 def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
-    """:func:`_build_query_set` of x^e at degree bound ``degree``, cached as
-    one entry per point; raises CharTooSmall for a field with too few
-    nodes, then TooLarge past the guard."""
+    """:func:`_build_query_set` of x^e at degree bound d, cached as one entry
+    per point and read only through :class:`FilteredOracle`; raises
+    CharTooSmall for a field of at most d elements, then TooLarge past the guard."""
     field.require_size_over(degree, "coefficient extraction")
     require_within_guard(cone_size(e), sum(e), degree)
-    return _query_set(field, e, degree)
-
-
-def _query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
     key = ("query", field, e, degree)
     entry = _cache.get(key)
     if entry is None:
@@ -248,7 +247,7 @@ def _query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.nd
 def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence[ExpVec], seen: Container[tuple]) -> tuple[PointBatch, int]:
     """Layer t's extraction points that no layer below t requests, as a
     read-only batch, and the layer's request count, the sum of
-    cone_size(e) * (d + 1) over x^e in ``layer``.
+    cone_size(e) * (d + 1) over x^e in ``layer``; no weight is built.
 
     ``shape`` is (n, k, d, t): ``layer`` is ``enumerate_low_cone(n, k, d,
     degree=t)`` and ``seen`` holds the points of layers 0 .. t-1, read only
@@ -264,11 +263,12 @@ def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence
     if guarded and max(guarded, degree + 1) * (degree + 1) > EXTRACTION_GUARD:
         # the first monomial past the guard raises, with its own message
         for e in layer:
-            query_set(field, e, degree)
+            require_within_guard(cone_size(e), sum(e), degree)
     if entry is None:
-        sets = [_query_set(field, e, degree)[0][0] for e in layer]
-        fresh = [pt for pt in dict.fromkeys(itertools.chain.from_iterable(sets)) if pt not in seen]
-        entry = _cache.put(key, (PointBatch(field, shape[0], fresh), sum(map(len, sets)), guarded), len(fresh))
+        requested = itertools.chain.from_iterable(_base_points(field, e, degree) for e in layer)
+        fresh = [pt for pt in dict.fromkeys(requested) if pt not in seen]
+        requests = sum(cone_size(e) for e in layer if sum(e) <= degree) * (degree + 1)
+        entry = _cache.put(key, (PointBatch(field, shape[0], fresh), requests, guarded), len(fresh))
     return entry[0], entry[1]
 
 
@@ -287,8 +287,8 @@ class FilteredOracle:
     def queries(self) -> tuple[tuple[tuple[Scalar, ...], ...], np.ndarray]:
         """The base points of this extraction, tau-major, and the weight of
         each point's value in the coefficient, as a read-only object array:
-        cone_size(e) * (d + 1) of each, or none when |e| exceeds the degree
-        bound.  Shared while the cache keeps them (see :func:`query_set`)."""
+        cone_size(e) * (d + 1) of each, or none when |e| > d.  Built for an
+        extraction alone, never a layer, and shared while the cache keeps them."""
         return self._queries
 
     def combine(self, values: Sequence[Scalar]) -> Scalar:

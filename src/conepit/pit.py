@@ -10,11 +10,11 @@ Three testers over the same oracle interface:
   total-degree layer at a time, as the walk reaches it, and a layer's new
   points go to the oracle in one batch.  The query points are a hitting
   set that depends only on (field, n, k, d), never on the oracle: each
-  layer's new points, the evaluator's input block, are kept per test shape
-  in extraction's one bounded cache (``extraction.layer_points``), which
-  also keeps the query sets and weight rows.  A Zero verdict
-  needs only their values, so coefficients are combined only from the
-  first layer where a value read is nonzero.
+  layer's new points, the evaluator's input block, are built from points
+  alone and kept per test shape in extraction's one bounded cache
+  (``extraction.layer_points``).  A Zero verdict needs only their values,
+  so coefficients, and with them query sets and weight rows, are built
+  only from the first layer where a value read is nonzero.
 * :func:`brute_force_pit` -- ground truth by dense grid expansion.
 * :func:`sz_pit` -- seeded random evaluations, one-sided error.
 """
@@ -70,12 +70,12 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     The walk takes one total-degree layer at a time, as
     ``enumerate_low_cone(..., degree=t)`` builds it.  The layer's points
     that no lower layer requested, a kept ``PointBatch``, and its request
-    count come from ``extraction.layer_points``, cached across tests of one
-    shape; the batch goes to ``oracle.eval_many`` whole, into a table.
+    count, from ``extraction.layer_points``, need no weight and are cached
+    per shape; the batch goes to ``oracle.eval_many`` whole, into a table.
     Until a value read is nonzero every coefficient combines zeros, so a
-    layer counts its monomials as tested and its requests as read; then an
-    extraction is built for each monomial in turn and combines values from
-    the table, up to the first nonzero coefficient.  ``oracle.calls`` grows
+    layer counts its monomials as tested and its requests as read and builds
+    no extraction; from there on one per monomial, in turn, combines values
+    from the table, up to the first nonzero coefficient.  ``oracle.calls`` grows
     by the distinct points of the layers walked; ``oracle_calls`` counts the
     points the tested extractions requested, cone_size(e) * (d + 1) each.
 

@@ -332,6 +332,19 @@ def test_layer_table_holds_points_and_counts_only(fresh_cache):
     check_layer_table()
 
 
+def test_a_layer_refused_at_a_later_monomial_builds_nothing(fresh_cache, monkeypatch):
+    # at n = 3, d = 4 and k = 9, a guard of 40 admits the layer's first
+    # monomials, x3^4 (5 * 5 = 25) and x2 x3^3 (8 * 5 = 40), and refuses
+    # x2^2 x3^2 (9 * 5 = 45) with its own message, before any weight is built
+    cache = fresh_cache()
+    monkeypatch.setattr(extraction, "EXTRACTION_GUARD", 40)
+    layer = enumerate_low_cone(3, 9, 4, degree=4)
+    assert layer[:3] == [(0, 0, 4), (0, 1, 3), (0, 2, 2)]
+    with pytest.raises(TooLarge, match="^extraction of a cone of size 9 at degree bound 4 exceeds the guard 40$"):
+        layer_points(FP, (3, 9, 4, 4), layer, set())
+    assert not cache.items
+
+
 def test_extraction_guard(monkeypatch):
     # (d + 1)^2 = 16 at d = 3, and cone_size * (d + 1) = 32 for x1 x2 x3
     monkeypatch.setattr(extraction, "EXTRACTION_GUARD", 16)

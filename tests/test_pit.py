@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conepit import extraction, pit, polys
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
+from conepit.diagonal import DiagonalCircuit, diag_pit
 from conepit.errors import BadParameters, CharTooSmall, TooLarge, VerificationFailed
 from conepit.extraction import CACHE_ENTRIES, FilteredOracle, query_set
 from conepit.fastmod import PointBatch
@@ -451,6 +452,16 @@ def test_layer_table_keys_on_k(fresh_cache, ks):
     check_layer_table()
 
 
+def record_builds(monkeypatch):
+    """Patch the builders of the extraction cache's items (weight rows,
+    query sets and layer batches) to record each call by name."""
+    builds = []
+    for name in ("_lagrange_rows", "_build_query_set", "PointBatch"):
+        build = getattr(extraction, name)
+        monkeypatch.setattr(extraction, name, lambda *args, _name=name, _build=build: builds.append(_name) or _build(*args))
+    return builds
+
+
 def test_a_second_pass_builds_nothing(fresh_cache, monkeypatch):
     # the PIT benchmark's circuit families over its three fields, low-cone
     # then brute force: the second pass finds every row, row table, query
@@ -464,10 +475,7 @@ def test_a_second_pass_builds_nothing(fresh_cache, monkeypatch):
             oracles.append(Oracle(random_diagonal_depth4(rng, field, n, 2, 2, 2, 2)))
             oracles.append(random_diagonal(rng, field, n, 4, 3, force_zero=True).as_oracle())
             oracles.append(random_diagonal(rng, field, n, 3, 3).as_oracle())
-    builds = []
-    for name in ("_lagrange_rows", "_build_query_set", "PointBatch"):
-        build = getattr(extraction, name)
-        monkeypatch.setattr(extraction, name, lambda *args, _name=name, _build=build: builds.append(_name) or _build(*args))
+    builds = record_builds(monkeypatch)
     passes, built = [], []
     for _ in ("cold", "warm"):
         builds.clear()
@@ -476,6 +484,67 @@ def test_a_second_pass_builds_nothing(fresh_cache, monkeypatch):
     assert passes[1] == passes[0]
     assert built == [{"_lagrange_rows", "_build_query_set", "PointBatch"}, set()]
     assert {ZERO, NONZERO} <= {low.outcome for low, _ in passes[0]}
+
+
+def test_a_zero_verdict_builds_points_only(fresh_cache, monkeypatch):
+    # a zero verdict reads nothing but the values at the layers' points, so
+    # no weight row and no query set is built, and the cache keeps layers
+    cache = fresh_cache()
+    builds = record_builds(monkeypatch)
+    D = random_diagonal(random.Random(27), Q, 3, 4, 3, force_zero=True)
+    for oracle, k in ((zero_circuit_oracle(FP), 8), (D.as_oracle(), 16)):
+        assert low_cone_pit(oracle, k).outcome == ZERO
+    assert set(builds) == {"PointBatch"}
+    assert {key[0] for key in cache.items} == {"layer"}
+    check_layer_table()
+
+
+def test_a_second_zero_diagonal_test_at_high_degree_builds_nothing(fresh_cache, monkeypatch):
+    # rank 3 at arity 3: three cancelling pairs of 16th powers, so k = 6 * 17
+    # = 102 and the walk takes all 17 layers, whose points fit the cache
+    # together when no query set's weights are kept beside them
+    cache = fresh_cache()
+    rng = random.Random(7)
+    terms = []
+    for _ in range(3):
+        c, const, coeffs = FP.random(rng), FP.random(rng), [FP.random(rng) for _ in range(3)]
+        terms += [(c, const, coeffs, 16), (FP.neg(c), const, coeffs, 16)]
+    D = DiagonalCircuit.make(FP, 3, terms)
+    builds = record_builds(monkeypatch)
+    assert diag_pit(D).render() == "ZERO"
+    assert builds == ["PointBatch"] * 17
+    assert set(cache.items) == {("layer", FP, 3, 102, 16, t) for t in range(17)}
+    builds.clear()
+    assert diag_pit(D).render() == "ZERO" and builds == []
+
+
+@pytest.mark.parametrize(
+    "field, n, d",
+    [(FP, 2, 12), (FP, 4, 8), (Field.prime(13), 2, 12), (Field.prime(13), 3, 10), (Q, 3, 9), (Q, 4, 8)],
+    ids=lambda x: x.spec if isinstance(x, Field) else str(x),
+)
+def test_high_degree_layers_match_the_twin(fresh_cache, field, n, d):
+    # degree bounds 8 to 12, where tau * a wraps mod 13 over F_13: a zero
+    # pair of d-th powers, alone and beside (a . x)^(d - 2), whose witness
+    # lies in layer d - 2
+    rng = random.Random(d * n)
+    b = CircuitBuilder(field, n)
+    linear = [(field.of(rng.randint(1, 3)), b.input(i)) for i in range(n)]
+    affine = b.add([(field.of(rng.randint(-3, 3)), b.const(1))] + linear)
+    pair = [(1, b.pow(affine, d)), (-1, b.pow(affine, d))]
+    circuits = [b.build(b.add(pair)), b.build(b.add(pair + [(1, b.pow(b.add(linear), d - 2))]))]
+    fresh_cache()
+    for circuit in circuits:
+        want = reference_low_cone_pit(Oracle(circuit), 12)
+        last = sum(want.witness) if want.outcome == NONZERO else d
+        walked = [e for e in reference_enumerate_low_cone(n, 12, dcap=d) if sum(e) <= last]
+        for _ in ("cold", "warm"):
+            oracle = Oracle(circuit)
+            got = low_cone_pit(oracle, 12)
+            assert got == want and type(got.coefficient) is type(want.coefficient)
+            assert oracle.calls == len(distinct_reference_points(field, walked, d))
+    assert want.outcome == NONZERO and sum(want.witness) == d - 2
+    check_layer_table([(field, n, 12, d, t) for t in range(d + 1)])
 
 
 def xy_oracle(field):
