@@ -72,7 +72,7 @@ DENSE_EXPAND_GUARD = 10_000_000
 #: entries, so a program's live arrays stay bounded whatever the grid size.
 GRID_CHUNK = 4096
 
-#: every gate kind and the fields it takes
+#: every gate kind and the fields it takes, in the order ``serialize`` writes them
 GATE_KINDS = {"input": ("var",), "const": ("value",), "add": ("children", "weights"), "mul": ("children",), "pow": ("children", "exp")}
 
 
@@ -574,23 +574,12 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
 
 
 def serialize(circuit: Circuit) -> str:
-    gates = []
-    for g in circuit.gates:
-        row: dict = {"id": g.id, "kind": g.kind}
-        if g.kind == "input":
-            row["var"] = g.var
-        elif g.kind == "const":
-            row["value"] = circuit.field.render(g.value)
-        elif g.kind == "add":
-            row["children"] = list(g.children)
-            if g.weights is not None:
-                row["weights"] = [circuit.field.render(w) for w in g.weights]
-        elif g.kind == "mul":
-            row["children"] = list(g.children)
-        else:
-            row["children"] = list(g.children)
-            row["exp"] = g.exp
-        gates.append(row)
+    render = circuit.field.render
+    encode = {"var": int, "value": render, "children": list, "weights": lambda ws: list(map(render, ws)), "exp": int}
+    gates = [
+        {"id": g.id, "kind": g.kind, **{f: encode[f](getattr(g, f)) for f in GATE_KINDS[g.kind] if getattr(g, f) is not None}}
+        for g in circuit.gates
+    ]
     doc = {"field": circuit.field.spec, "arity": circuit.arity, "gates": gates, "output": circuit.output}
     return json.dumps(doc, separators=(", ", ": "))
 

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Container, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, DuplicateNodes, TooLarge
+from .errors import ArityMismatch, BadParameters, DuplicateNodes, TooLarge
 from .fastmod import PointBatch
 from .fields import Field, Scalar, clear_denominators
 from .linalg import RowReducer
@@ -88,7 +88,7 @@ def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[
     if len(set(nodes)) != m:
         raise DuplicateNodes(f"interpolation nodes not distinct: {nodes}")
     if not 0 <= target < m:
-        raise ValueError(f"target power {target} outside 0..{m - 1}")
+        raise BadParameters(f"target power {target} outside 0..{m - 1}")
     red = RowReducer(field)
     for x in nodes:
         red.insert([field.pow(x, k) for k in range(m)])
@@ -195,7 +195,7 @@ def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     if row is None:
         _require_distinct_nodes(field, m)
         if not 0 <= target < m:
-            raise ValueError(f"target power {target} outside 0..{m - 1}")
+            raise BadParameters(f"target power {target} outside 0..{m - 1}")
         row = _cache.put(key, _lagrange_rows(field, m, (target,))[target], m)
     return row
 

@@ -29,17 +29,18 @@ reduced first (a dense W: two uint64 dots with the 16-bit halves of V).
 ``pow`` with one exponent per row multiplies rows up from lower powers, so
 a sum of low powers costs a few ``mul`` calls.
 
-Values enter through ``array`` and ``full``, weights as
-``circuits.weight_matrix`` builds them.  Over a prime an exact ``int`` is
-reduced mod p directly, and anything else (numpy integers, ``Fraction``s)
-goes through ``Field.of``, so results equal those of the scalar path,
-``Circuit.evaluate``, on any integer or rational input.  Points enter as a
-read-only :class:`PointBatch`, which a caller can keep and run again.
+Values enter through ``array`` and ``full`` of every kernel, each value
+by the one function ``_entry``, weights as ``circuits.weight_matrix``
+builds them.  An exact ``int`` is reduced directly, and anything else goes
+through ``Field.of``, as on the scalar path, ``Circuit.evaluate``: numpy
+integers, bools, ``Fraction``s and decimal strings are read exactly, and
+inexact values (floats, numpy floats, ``Decimal``) raise ``ValidationError``
+on both paths.  Points enter as a read-only :class:`PointBatch`, which a
+caller can keep and run again.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,27 +52,28 @@ from .fields import MERSENNE61, Field, Scalar, square_and_multiply
 _U = np.uint64
 
 
-def _residue_list(values: Sequence[Scalar], field: Field) -> list[int]:
-    """The values as Python-int residues of the prime field: an exact
-    ``int`` by ``%``, anything else (numpy integers, ``Fraction``s) by
-    ``Field.of``, as the scalar path reads it."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    p = field.p
-    return [v % p if type(v) is int else field.of(v) for v in values]
+def _entry(field: Field, v) -> Scalar:
+    """An outside value as the kernels hold it, the one way values enter
+    them: an exact ``int`` reduced directly, anything else read by
+    ``Field.of`` (which refuses inexact values), and an integral result
+    held as an ``int``, over Q too."""
+    if type(v) is int:
+        return v if field.p is None else v % field.p
+    v = field.of(v)
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 def _residues(values: Sequence[Scalar], field: Field) -> np.ndarray:
     """The values reduced mod p as a uint64 array.  Values that numpy
     reads as unsigned, or as signed and non-negative, convert directly;
-    anything else (negative, too wide for uint64, rational, or a mix numpy
-    would widen to float) goes through :func:`_residue_list`."""
+    anything else (negative, too wide for uint64, rational, a string, or a
+    mix numpy would widen to float) goes through :func:`_entry`."""
     arr = np.asarray(values)
     kind = arr.dtype.kind
     if kind == "u" or kind == "i" and (not arr.size or arr.min() >= 0):
         out = arr.astype(np.uint64, copy=False)
         return out % _U(field.p) if out.size and out.max() >= field.p else out
-    return np.array(_residue_list(values, field), dtype=np.uint64)
+    return np.array([_entry(field, v) for v in values], dtype=np.uint64)
 
 
 class SparseRows:
@@ -125,8 +127,8 @@ class SmallPrimeKernel:
     def array(self, values: Sequence[Scalar]) -> np.ndarray:
         return _residues(values, self.field)
 
-    def full(self, n: int, value: int) -> np.ndarray:
-        return np.full(n, value, dtype=np.uint64)
+    def full(self, n: int, value: Scalar) -> np.ndarray:
+        return np.full(n, _entry(self.field, value), dtype=np.uint64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self._p
@@ -171,24 +173,11 @@ class ObjectKernel:
         self.field = field
         self.p = field.p
 
-    def _entry(self, value) -> Scalar:
-        if self.p is not None:
-            return value % self.p if type(value) is int else self.field.of(value)
-        if type(value) is int:
-            return value
-        if isinstance(value, Fraction):
-            return value.numerator if value.denominator == 1 else value
-        return operator.index(value)
-
     def array(self, values: Sequence[Scalar]) -> np.ndarray:
-        if self.p is not None:
-            return np.array(_residue_list(values, self.field), dtype=object)
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        return np.array([self._entry(v) for v in values], dtype=object)
+        return np.array([_entry(self.field, v) for v in values], dtype=object)
 
     def full(self, n: int, value: Scalar) -> np.ndarray:
-        return np.full(n, self._entry(value), dtype=object)
+        return np.full(n, _entry(self.field, value), dtype=object)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b if self.p is None else (a + b) % self.p

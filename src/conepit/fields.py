@@ -7,6 +7,12 @@ arithmetic goes through a :class:`Field` object, keeping the hot paths free
 of wrapper objects; :meth:`DensePoly.mul` instead convolves whole
 coefficient sequences as numpy object arrays of Python integers.
 
+Outside values become field elements by :meth:`Field.of` alone, on the
+scalar path and (through ``fastmod``) the vector one: exact values only,
+an int (numpy integers and bools too), a ``Fraction`` or a decimal string.
+A float, a numpy float or a ``Decimal`` raises ``ValidationError``, since
+it may not be the number it reads as.
+
 The module also provides dense univariate polynomials (:class:`DensePoly`)
 over a field.  They serve two roles: polynomials in the shift variable ``t``
 and the univariate tuples fed to the hitting-set constructions.  On top of
@@ -125,24 +131,25 @@ class Field:
         return Fraction(1) if self.p is None else 1
 
     def of(self, x: int | Fraction | str) -> Scalar:
-        """Coerce an int (numpy integers too), Fraction, or decimal string
-        into canonical form."""
+        """The canonical element of an exact value: an int (numpy integers
+        and bools too), a Fraction, or a decimal string.  Anything else (a
+        float, a numpy float, a Decimal) raises ValidationError."""
         if type(x) is int:
             return Fraction(x) if self.p is None else x % self.p
-        if isinstance(x, np.integer):
+        if isinstance(x, (int, np.integer, np.bool_)):
             return self.of(int(x))
         if isinstance(x, str):
             try:
                 x = Fraction(x)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad scalar literal {x!r}") from exc
+        if not isinstance(x, Fraction):
+            raise ValidationError(f"scalar {x!r} is not exact: want an int, a Fraction or a decimal string")
         if self.p is None:
             return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return x.numerator % self.p
-            return x.numerator * self.inv(x.denominator % self.p) % self.p
-        return x % self.p
+        if x.denominator == 1:
+            return x.numerator % self.p
+        return x.numerator * self.inv(x.denominator % self.p) % self.p
 
     def render(self, x: Scalar) -> str:
         """Canonical decimal text; rationals print as ``n`` or ``n/d``."""
@@ -250,10 +257,6 @@ class DensePoly:
     @staticmethod
     def const(field: Field, c: int | Fraction | str) -> "DensePoly":
         return DensePoly.make(field, [c])
-
-    @staticmethod
-    def monomial(field: Field, c: int | Fraction | str, power: int) -> "DensePoly":
-        return DensePoly.make(field, [0] * power + [c])
 
     @property
     def is_zero(self) -> bool:

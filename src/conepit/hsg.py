@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fields import DensePoly, Field, Scalar, clear_denominators
 from .linalg import first_dependency, first_integer_dependency
-from .polys import ExpVec, MultiPoly, deglex_key, exponents_of_degree
+from .polys import ExpVec, MultiPoly, exponents_of_degree
 
 DESIGN_GUARD = 10_000_000
 
@@ -234,11 +234,8 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
         vec = [v * math.prod(D**x for (_, D), x in zip(cleared, e)) for e, v in zip(support, vec)]
         g = math.gcd(*vec)
         vec = [v // g for v in vec]
+    # over Q the entry at j0, the deg-lex-largest monomial kept, is positive
     coeffs = {e: F.of(c) for e, c in zip(support, vec) if c != 0}
-    if F.is_rational:
-        lead = max(coeffs, key=deglex_key)
-        if coeffs[lead] < 0:
-            coeffs = {e: F.neg(c) for e, c in coeffs.items()}
     g = MultiPoly(F, n, coeffs)
 
     target = delta * n

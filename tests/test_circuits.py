@@ -12,12 +12,14 @@ from conepit.circuits import (
     parse,
     serialize,
 )
+from conepit.diagonal import DiagonalCircuit
 from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
 from conepit.fastmod import kernel_for
-from conepit.fields import Field
+from conepit.fields import DensePoly, Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
+from conepit.hsg import HsgTuple
 from conepit.pit import NONZERO, ZERO, brute_force_pit
-from conepit.polys import MultiPoly
+from conepit.polys import MultiPoly, VectorPoly
 from reference import circuit_from_multipoly
 
 Q = Field.rationals()
@@ -288,6 +290,32 @@ def test_validation_errors():
         Circuit(Q, 1, (Gate(1, "input", var=0), Gate(0, "const", value=Q.of(1))), 0)
     with pytest.raises(ValidationError):
         Circuit(Q, 1, (Gate(0, "input", var=0),), 5)
+
+
+X0 = Gate(0, "input", var=0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Circuit(Q, 1, (Gate(0, "const"),), 0), ValidationError, "const without value"),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "add")), 1), ValidationError, "add needs at least one child"),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "mul")), 1), ValidationError, "mul needs at least one child"),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "add", children=(0, 0), weights=(Q.of(1),))), 1), ValidationError, "1 weights for 2 children"),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0, 0), exp=2)), 1), ValidationError, "pow needs one child"),
+        (lambda: DiagonalCircuit.make(Q, 2, [(1, 0, (1,), 2)]), ValidationError, "1 coefficients, arity is 2"),
+        (lambda: DiagonalCircuit.make(Q, 1, [(1, 0, (1,), -1)]), ValidationError, "exponent must be a natural number"),
+        (lambda: HsgTuple.make(Q, [DensePoly.make(Q, [0, 1]), DensePoly.zero(Q)]), ValidationError, "univariate 2 is the zero"),
+        (lambda: HsgTuple.make(Q, [DensePoly.make(FP, [0, 1])]), ValidationError, "univariate 1 is over p:"),
+        (lambda: HsgTuple.make(Q, [DensePoly.make(Q, [0, 0, 1])], degree=1), ValidationError, "declared degree 1 below actual degree 2"),
+        (lambda: MultiPoly.make(Q, 2, [((1, 0), 1), ((1,), 1)]), ArityMismatch, r"exponent \(1,\) has arity 1, expected 2"),
+        (lambda: VectorPoly.make(Q, 2, 1, [((1,), [1])]), ArityMismatch, "has arity 1, expected 2"),
+        (lambda: VectorPoly.make(Q, 1, 2, [((1,), [1])]), ArityMismatch, "coefficient vector of length 1, expected 2"),
+    ],
+)
+def test_constructors_refuse_malformed_parts(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -286,6 +286,11 @@ def test_usage_errors(tmp_path):
          '{"id": 1, "kind": "const", "value": "1", "children": [0]}], "output": 1}'),
         (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, '
          '{"id": 1, "kind": "mul", "children": [0], "weights": ["2"]}], "output": 1}'),
+        (["pit", "--k", "2", "--circuit"], "[1, 2]"),
+        (["pit", "--k", "2", "--circuit"], '{"field": "q", "arity": 1, "gates": [{"id": 0, "var": 0}], "output": 0}'),
+        (["derivdim", "--poly"], '{"field": "q", "arity": 2, "terms": [{"exp": [1, 0]}]}'),
+        (["cone-closed", "--set"], '{"arity": 2, "vectors": [[1, 0], [1, 0, 0]]}'),
+        (["derivdim", "--poly"], '{"field": "p:x", "arity": 1, "terms": [{"exp": [1], "coef": "1"}]}'),
     ],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, argv, text):
@@ -293,7 +298,7 @@ def test_malformed_documents_are_usage_errors(tmp_path, argv, text):
     path.write_text(text)
     code, out, err = invoke(argv + [str(path)])
     assert (code, out) == (2, "")
-    assert "Traceback" not in err and err.startswith("error: ")
+    assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 GATES = '[{"id": 0, "kind": "input", "var": 0}, {"id": 1, "kind": "pow", "children": [0], "exp": 2}]'

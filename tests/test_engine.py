@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conepit.circuits import GRID_CHUNK, Circuit, CircuitBuilder, Oracle, Program, dense_expand, parse, serialize, weight_matrix
 from conepit.diagonal import DiagonalCircuit, build_psi, diag_pit, diagonal_from_json, diagonal_to_json
-from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, RankZero
+from conepit.errors import ArityMismatch, CharTooSmall, ConepitError, FieldMismatch, RankZero, ValidationError
 from conepit.extraction import extract_coefficient
 from conepit.fastmod import Mersenne61Kernel, ObjectKernel, PointBatch, SmallPrimeKernel, SparseRows, kernel_for
 from conepit.fields import DensePoly, Field, Scalar, square_and_multiply
@@ -79,6 +79,42 @@ def test_rational_points_over_a_prime_read_as_field_elements(field, seed, data, 
     one = [C.evaluate(pt) for pt in drawn]
     assert one == [C.evaluate([field.of(x) for x in pt]) for pt in drawn]
     assert C.evaluate_many(pts) == [one[i % len(drawn)] for i in range(count)]
+
+
+def outcome(f):
+    """f's value, or the type of the package error it raised."""
+    try:
+        return f()
+    except ConepitError as exc:
+        return type(exc)
+
+
+def outside_values(field: Field):
+    """Values a caller may pass as coordinates: exact ones of every kind the
+    field reads (rationals invertible in it), and floats, which no path reads."""
+    invertible = st.fractions(max_denominator=1 << 70).filter(lambda x: field.p is None or x.denominator % field.p)
+    decimals = st.decimals(-(10**6), 10**6, places=3).filter(lambda x: field.p is None or Fraction(x).denominator % field.p)
+    floats = st.floats(width=64)
+    return st.one_of(
+        integers, numpy_integers, st.booleans(), st.booleans().map(np.bool_), invertible,
+        st.one_of(integers, invertible, decimals).map(str), floats, floats.map(np.float64),
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@SETTINGS
+@given(seed=st.integers(0, 1 << 32), data=st.data(), count=st.sampled_from([1, 257]))
+def test_both_paths_read_every_outside_value_alike(field, seed, data, count):
+    # each value enters through Field.of on both paths: equal values, or
+    # ValidationError on both exactly where a point holds a float
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    C = random_circuit(rng, field, n, rng.randint(1, 8), 4)
+    drawn = data.draw(st.lists(st.lists(outside_values(field), min_size=n, max_size=n), min_size=1, max_size=4))
+    for pt in drawn:
+        one = outcome(lambda: C.evaluate(pt))
+        assert one == outcome(lambda: C.evaluate_many([pt])[0]) == outcome(lambda: C.evaluate_many([pt] * count)[count - 1])
+        assert (one is ValidationError) == any(isinstance(x, float) for x in pt)
 
 
 def test_half_is_the_inverse_of_two():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conepit import extraction
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
-from conepit.errors import ArityMismatch, CharTooSmall, DuplicateNodes, TooLarge
+from conepit.errors import ArityMismatch, BadParameters, CharTooSmall, DuplicateNodes, TooLarge
 from conepit.extraction import (
     CACHE_ENTRIES,
     EXTRACTION_GUARD,
@@ -159,8 +159,11 @@ def test_interpolation_row_matches_vandermonde_row(field):
 def test_interpolation_row_guards():
     with pytest.raises(DuplicateNodes):
         interpolation_row(Field.prime(7), 8, 0)
-    with pytest.raises(ValueError):
-        interpolation_row(FP, 3, 3)
+    for target in (3, -1):
+        with pytest.raises(BadParameters, match=f"target power {target} outside 0..2"):
+            interpolation_row(FP, 3, target)
+        with pytest.raises(BadParameters, match=f"target power {target} outside 0..2"):
+            vandermonde_row(range(3), target, FP)
 
 
 @pytest.mark.parametrize("field", [FP, Field.prime(101)], ids=lambda F: F.spec)

@@ -101,6 +101,13 @@ def test_rank_over_ft_examples():
     assert rank_over_ft([[zero]]) == 0
 
 
+def test_rank_over_ft_of_empty_and_all_zero_matrices():
+    for field in (Q, F5):
+        zero = DensePoly.zero(field)
+        assert rank_over_ft([]) == rank_over_ft([[]]) == 0
+        assert rank_over_ft([[zero] * 3 for _ in range(2)]) == 0
+
+
 def test_rank_over_ft_mixed_fields():
     with pytest.raises(MixedFields):
         rank_over_ft([[DensePoly.const(Q, 1), DensePoly.const(F5, 1)]])

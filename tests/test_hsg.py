@@ -36,7 +36,7 @@ from conepit.hsg import (
     scatter_polynomial,
 )
 from conepit.pit import brute_force_pit
-from conepit.polys import MultiPoly
+from conepit.polys import MultiPoly, leading_monomial
 from reference import circuit_from_multipoly, kronecker_exponent_image, pairwise_design_ok, poly_pow, reference_annihilator
 
 Q = Field.rationals()
@@ -80,8 +80,6 @@ def test_annihilator_integrality_and_sign():
         check_annihilator(t, g)
         for c in g.terms.values():
             assert isinstance(c, Fraction) and c.denominator == 1
-        from conepit.polys import leading_monomial
-
         assert g.terms[leading_monomial(g)] > 0
 
 
@@ -208,6 +206,22 @@ def test_rational_denominators_match_the_full_system(data):
     assume(max(map(len, polys)) > 1 and any(c.denominator != 1 for p in polys for c in p))
     t = HsgTuple.make(Q, [DensePoly.make(Q, p) for p in polys])
     assert build_annihilator(t).render() == reference_annihilator(t).render()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_annihilators_over_q_lead_with_a_positive_coefficient(data):
+    """The support is read in ascending deg-lex order, so the first
+    dependent column holds the deg-lex-largest monomial kept, and its
+    kernel entry is 1 times positive factors: whatever the univariates'
+    signs, the leading coefficient is positive with no flip."""
+    arity = data.draw(st.integers(2, 3))
+    degree = {2: 3, 3: 2}[arity]
+    coeff = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    polys = [DensePoly.make(Q, data.draw(st.lists(coeff, min_size=1, max_size=degree + 1).filter(any))) for _ in range(arity)]
+    assume(max(p.degree() for p in polys) > 0)
+    g = build_annihilator(HsgTuple.make(Q, polys))
+    assert g.terms[leading_monomial(g)] > 0
 
 
 def test_rational_solve_is_one_lazy_pass(monkeypatch):
