@@ -86,6 +86,10 @@ class Gate:
     weights: tuple[Scalar, ...] | None = None
     exp: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.exp is not None:
+            object.__setattr__(self, "exp", natural(self.exp, f"gate {self.id}: exp", ValidationError))
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -122,8 +126,8 @@ class Circuit:
                 if g.kind == "add" and g.weights is not None and len(g.weights) != len(g.children):
                     raise ValidationError(f"gate {g.id}: {len(g.weights)} weights for {len(g.children)} children")
             elif g.kind == "pow":
-                if len(g.children) != 1 or g.exp is None or g.exp < 0:
-                    raise ValidationError(f"gate {g.id}: pow needs one child and exp >= 0")
+                if len(g.children) != 1 or g.exp is None:
+                    raise ValidationError(f"gate {g.id}: pow needs one child and an exp")
             seen.add(g.id)
         if self.output not in seen:
             raise ValidationError(f"output gate {self.output} does not exist")

@@ -5,11 +5,11 @@ sum c_i * (const_i + <coeffs_i, x>)^(d_i): its program is three array steps
 over the collected terms, L = A.[1; x], P = L^d row by row and c.P, with
 like terms (one form, one power) summed and those that cancel dropped; its
 gate view keeps every term and serves only the scalar twin ``evaluate``.
-Its rank is the linear rank of the non-constant parts; when that rank r is
-small the circuit can be compressed to r variables by a coordinate-selection
-substitution that keeps nonzeroness, which makes the low-cone identity test
-effective here: the partial-derivative space of a k-term diagonal circuit
-has dimension at most sum (d_i + 1).
+Its rank r is the linear rank of the non-constant parts.  ``diag_pit``
+selects the pivot columns of an inverse-free elimination, which keeps
+nonzeroness, collects like terms once on the r-variate forms and runs the
+low-cone test, effective here since the partial-derivative space of a
+k-term diagonal circuit has dimension at most sum (d_i + 1).
 
 JSON document format::
 
@@ -23,13 +23,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .circuits import Circuit, CircuitBuilder, Oracle, Program, weight_matrix
 from .documents import json_list, load_document, natural, scalar, scalar_list
 from .errors import RankZero, ValidationError
 from .fields import Field, Scalar
-from .linalg import RowReducer
 from .pit import NONZERO, ZERO, PitVerdict, low_cone_pit
 from .polys import ExpVec, VectorPoly, exponents_of_degree
 
@@ -55,9 +54,7 @@ class DiagonalCircuit:
             coeffs = tuple(field.of(x) for x in coeffs)
             if len(coeffs) != arity:
                 raise ValidationError(f"affine form has {len(coeffs)} coefficients, arity is {arity}")
-            if d < 0:
-                raise ValidationError("exponent must be a natural number")
-            rows.append(DiagonalTerm(field.of(c), field.of(const), coeffs, d))
+            rows.append(DiagonalTerm(field.of(c), field.of(const), coeffs, natural(d, "exponent", ValidationError)))
         return DiagonalCircuit(field, arity, tuple(rows))
 
     def degree(self) -> int:
@@ -72,24 +69,9 @@ class DiagonalCircuit:
 
     @cached_property
     def program(self) -> Program:
-        """Three steps, built from the terms on first use, with no gate:
-        L = A.[1; x] for A = [const | coeffs], P = L^d row by row, then
-        c.P.  Like terms are collected first, since c.l^d + c'.l^d =
-        (c + c').l^d: terms with one (const, coeffs, d) are one row whose c
-        is the field sum of theirs, and a row whose c sums to 0 is dropped.
-        The gate view keeps every term, so ``evaluate`` stays an independent
-        twin.  The rows are taken in ascending d, which is the order in
-        which ``pow`` raises rows most cheaply."""
-        F, whole = self.field, slice(None)
-        like: dict[tuple, Scalar] = {}  # (const, coeffs, d) -> the sum of its c
-        for t in self.terms:
-            like[t.const, t.coeffs, t.d] = F.add(like.get((t.const, t.coeffs, t.d), F.zero()), t.c)
-        zero = DiagonalTerm(F.zero(), F.zero(), (F.zero(),) * self.arity, 0)  # nothing left: the sum 0
-        terms = sorted((DiagonalTerm(c, *key) for key, c in like.items() if c != 0), key=lambda t: t.d) or [zero]
-        A = weight_matrix(F, [(t.const,) + t.coeffs for t in terms])
-        c = weight_matrix(F, [[t.c for t in terms]])
-        steps = [("lincomb", ((0, whole),), A), ("pow", ((1, whole),), tuple(t.d for t in terms))]
-        return Program(F, self.arity, steps + [("lincomb", ((2, whole),), c)])
+        """The program of :func:`_collected` terms, built on first use.  The
+        gate view keeps every term, so ``evaluate`` stays an independent twin."""
+        return _collected(self.field, self.arity, (((t.const, t.coeffs, t.d), t.c) for t in self.terms))[1]
 
     def as_oracle(self) -> Oracle:
         return Oracle(self, self.degree())
@@ -109,6 +91,24 @@ class DiagonalCircuit:
         return b.build(b.add(tops) if tops else b.const(0))
 
 
+def _collected(F: Field, arity: int, keyed: Iterable[tuple[tuple, Scalar]]) -> tuple[tuple[DiagonalTerm, ...], Program]:
+    """Like terms collected, since c.l^d + c'.l^d = (c + c').l^d: a term
+    per (const, coeffs, d) key whose c is the field sum of the key's, those
+    that sum to 0 dropped, in ascending d; and their program, three steps
+    with no gate: L = A.[1; x] for A = [const | coeffs], P = L^d row by row
+    and c.P.  Ascending d is the order in which ``pow`` raises rows most
+    cheaply."""
+    like: dict[tuple, Scalar] = {}
+    for key, c in keyed:
+        like[key] = F.add(like.get(key, F.zero()), c)
+    terms = tuple(sorted((DiagonalTerm(c, *key) for key, c in like.items() if c != 0), key=lambda t: t.d))
+    rows = terms or [DiagonalTerm(F.zero(), F.zero(), (F.zero(),) * arity, 0)]  # nothing left: the sum 0
+    A = weight_matrix(F, [(t.const,) + t.coeffs for t in rows])
+    c = weight_matrix(F, [[t.c for t in rows]])
+    steps = [("lincomb", ((0, slice(None)),), A), ("pow", ((1, slice(None)),), tuple(t.d for t in rows))]
+    return terms, Program(F, arity, steps + [("lincomb", ((2, slice(None)),), c)])
+
+
 # ----------------------------------------------------------------------
 # Rank and arity reduction
 # ----------------------------------------------------------------------
@@ -116,13 +116,29 @@ class DiagonalCircuit:
 
 def _eliminate_forms(circuit: DiagonalCircuit) -> tuple[tuple[int, ...], list[int]]:
     """The 1-based indices of the first-encountered independent non-constant
-    parts and their pivot columns, from one elimination that inserts each
-    distinct form once, in order of first use."""
-    red = RowReducer(circuit.field)
+    parts and their pivot columns (first nonzero entries).  Each distinct
+    form, in order of first use, is reduced against each kept row r with
+    pivot j by v <- r[j].v - v[j].r, which needs no inverse; over Q the kept
+    rows are scaled to 1 at the pivot.  A nonzero scaling moves no zero, so
+    the kept indices and pivots are ``linalg.RowReducer``'s: the pivots are
+    the leading positions of the row space.  It stops at rank = arity."""
+    p = circuit.field.p
     first: dict[tuple[Scalar, ...], int] = {}
     for i, t in enumerate(circuit.terms):
         first.setdefault(t.coeffs, i + 1)
-    return tuple(i for coeffs, i in first.items() if red.insert(list(coeffs))), red.pivots
+    rows: list[tuple[Sequence[Scalar], int, int]] = []  # (kept row, its pivot, its 1-based index)
+    for coeffs, i in first.items():
+        if len(rows) == circuit.arity:
+            break
+        v = coeffs
+        for r, j, _ in rows:
+            a, b = r[j], v[j]
+            if b:
+                v = [x - b * y for x, y in zip(v, r)] if p is None else [(a * x - b * y) % p for x, y in zip(v, r)]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is not None:
+            rows.append((v if p is not None else [x / v[piv] for x in v], piv, i))
+    return tuple(i for _, _, i in rows), [j for _, j, _ in rows]
 
 
 def rank_of_forms(circuit: DiagonalCircuit) -> tuple[int, tuple[int, ...]]:
@@ -140,25 +156,16 @@ class PsiMap:
     arity: int
     columns: tuple[int, ...]  # 0-based pivot columns, ascending
 
-    @property
-    def rank(self) -> int:
-        return len(self.columns)
-
     def apply(self, circuit: DiagonalCircuit) -> DiagonalCircuit:
         """The r-variate circuit C(Psi(x)); constants are untouched."""
-        sel = list(self.columns)
-        terms = [
-            DiagonalTerm(t.c, t.const, tuple(t.coeffs[j] for j in sel), t.d)
-            for t in circuit.terms
-        ]
-        return DiagonalCircuit(circuit.field, len(sel), tuple(terms))
+        terms = tuple(DiagonalTerm(t.c, t.const, tuple(t.coeffs[j] for j in self.columns), t.d) for t in circuit.terms)
+        return DiagonalCircuit(circuit.field, len(self.columns), terms)
 
 
 def build_psi(circuit: DiagonalCircuit) -> PsiMap:
-    """Pivot-column selection: greedy elimination on the basis rows yields a
-    column set J with the basis rows restricted to J invertible, so the
-    images of the basis forms stay linearly independent.  The elimination
-    is :func:`rank_of_forms`'s."""
+    """Selection of the pivot columns J of :func:`rank_of_forms`'s
+    elimination: the basis rows restricted to J are invertible, so the
+    images of the basis forms stay linearly independent."""
     pivots = _eliminate_forms(circuit)[1]
     if not pivots:
         raise RankZero("all forms are constant")
@@ -174,21 +181,23 @@ def pd_dim_bound(circuit: DiagonalCircuit) -> int:
 def diag_pit(circuit: DiagonalCircuit) -> PitVerdict:
     """Deterministic blackbox identity test for a diagonal circuit.
 
-    Compresses the circuit to its rank via the coordinate selection (which
-    preserves nonzeroness), then runs the low-cone test with the
-    sum-of-(d_i + 1) promise on the reduced oracle.  A Nonzero witness is an
-    exponent vector of the reduced, r-variate polynomial.
+    Compresses the circuit to its rank by the coordinate selection of
+    :func:`build_psi` (which preserves nonzeroness), with like terms of the
+    image, one (const, coeffs at the pivots, d), collected once into the
+    reduced circuit's rows.  The low-cone test with the sum-of-(d_i + 1)
+    promise runs on it under the input's degree bound, which stays when top
+    terms cancel.  A Nonzero witness is a monomial of the reduced circuit.
     """
-    circuit.field.require_size_over(circuit.degree(), "diagonal identity test")
-    try:
-        psi = build_psi(circuit)
-    except RankZero:
-        # Constant polynomial: evaluate once at the origin.
-        v = circuit.evaluate_many([[circuit.field.zero()] * circuit.arity])[0]
-        if v == 0:
-            return PitVerdict(ZERO, None, None, 1, 1)
-        return PitVerdict(NONZERO, (), v, 1, 1)
-    return low_cone_pit(psi.apply(circuit).as_oracle(), pd_dim_bound(circuit))
+    F = circuit.field
+    F.require_size_over(circuit.degree(), "diagonal identity test")
+    cols = sorted(_eliminate_forms(circuit)[1])
+    if not cols:  # a constant polynomial: evaluate once at the origin
+        v = circuit.evaluate_many([[F.zero()] * circuit.arity])[0]
+        return PitVerdict(ZERO, None, None, 1, 1) if v == 0 else PitVerdict(NONZERO, (), v, 1, 1)
+    rows, program = _collected(F, len(cols), (((t.const, tuple([t.coeffs[j] for j in cols]), t.d), t.c) for t in circuit.terms))
+    reduced = DiagonalCircuit(F, len(cols), rows)
+    reduced.__dict__["program"] = program  # its cached program: the rows are collected, not again
+    return low_cone_pit(Oracle(reduced, circuit.degree()), pd_dim_bound(circuit))
 
 
 # ----------------------------------------------------------------------
@@ -239,20 +248,9 @@ def diag_power_vectorpoly(field: Field, rows: Sequence[Sequence[Scalar]], d: int
 
 
 def diagonal_to_json(circuit: DiagonalCircuit) -> str:
-    doc = {
-        "field": circuit.field.spec,
-        "arity": circuit.arity,
-        "terms": [
-            {
-                "c": circuit.field.render(t.c),
-                "const": circuit.field.render(t.const),
-                "coeffs": [circuit.field.render(a) for a in t.coeffs],
-                "d": t.d,
-            }
-            for t in circuit.terms
-        ],
-    }
-    return json.dumps(doc, separators=(", ", ": "))
+    r = circuit.field.render
+    terms = [{"c": r(t.c), "const": r(t.const), "coeffs": list(map(r, t.coeffs)), "d": t.d} for t in circuit.terms]
+    return json.dumps({"field": circuit.field.spec, "arity": circuit.arity, "terms": terms}, separators=(", ", ": "))
 
 
 def diagonal_from_json(text: str) -> DiagonalCircuit:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, TypeVar
 
-from .errors import ParseError
+import numpy as np
+
+from .errors import ParseError, UsageError
 from .fields import Field
 from .polys import ExpVec, MultiPoly, VectorPoly
 
@@ -39,12 +41,12 @@ def load_document(text: str, build: Callable[[Any], T]) -> T:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
-def natural(value: Any, what: str) -> int:
-    """A JSON integer >= 0, else :class:`ParseError`: no float, no bool and
-    no string is read as one."""
-    if type(value) is not int or value < 0:
-        raise ParseError(f"{what} must be a natural number, got {json.dumps(value)}")
-    return value
+def natural(value: Any, what: str, error: type[UsageError] = ParseError) -> int:
+    """An integer >= 0, a numpy one too, as the int it equals, else ``error``
+    (a JSON value's :class:`ParseError`): no float, bool or string is one."""
+    if type(value) is not int and not isinstance(value, np.integer) or value < 0:
+        raise error(f"{what} must be a natural number, got {json.dumps(value, default=repr)}")
+    return int(value)
 
 
 def scalar(value: Any, what: str) -> int | str:

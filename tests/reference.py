@@ -12,14 +12,15 @@ import itertools
 from math import comb
 
 from conepit import hsg, polys
-from conepit.circuits import Circuit, CircuitBuilder, serialize
+from conepit.circuits import Circuit, CircuitBuilder, Oracle, serialize
 from conepit.conebasis import BasisReport, least_basis, weight_of
+from conepit.diagonal import DiagonalCircuit, PsiMap, pd_dim_bound
 from conepit.errors import BadParameters, TooLarge, VerificationFailed
 from conepit.extraction import extract_coefficient, vandermonde_row
 from conepit.errors import ArityMismatch
 from conepit.fields import DensePoly, Field, Scalar, square_and_multiply
 from conepit.linalg import RowReducer, integer_nullspace_canonical, nullspace_canonical
-from conepit.pit import NONZERO, ZERO, PitVerdict
+from conepit.pit import NONZERO, ZERO, PitVerdict, low_cone_pit
 from conepit.polys import ExpVec, MultiPoly, VectorPoly, deglex_key
 
 
@@ -102,6 +103,30 @@ def reference_low_cone_pit(oracle, k: int) -> PitVerdict:
         if c != 0:
             return PitVerdict(NONZERO, e, c, tested, oracle.calls - start)
     return PitVerdict(ZERO, None, None, tested, oracle.calls - start)
+
+
+def reference_psi(circuit: DiagonalCircuit) -> PsiMap | None:
+    """The coordinate selection onto the pivot columns of a ``RowReducer``
+    fed every term's form in turn, or None when every form is constant."""
+    red = RowReducer(circuit.field)
+    for t in circuit.terms:
+        red.insert(list(t.coeffs))
+    return PsiMap(circuit.arity, tuple(sorted(red.pivots))) if red.rank else None
+
+
+def reference_diag_pit(circuit: DiagonalCircuit) -> tuple[PitVerdict, Oracle | None]:
+    """``diag_pit`` by separate steps, none fused: :func:`reference_psi`,
+    ``PsiMap.apply`` term by term, the image's own program (which collects
+    like terms) and ``low_cone_pit`` under the input's degree bound.  A
+    rank-0 circuit is its constant, read once at the origin by the scalar
+    twin.  Returns the verdict and the oracle the test ran on, if any."""
+    circuit.field.require_size_over(circuit.degree(), "diagonal identity test")
+    psi = reference_psi(circuit)
+    if psi is None:
+        v = circuit.evaluate([circuit.field.zero()] * circuit.arity)
+        return (PitVerdict(ZERO, None, None, 1, 1) if v == 0 else PitVerdict(NONZERO, (), v, 1, 1)), None
+    oracle = Oracle(psi.apply(circuit), circuit.degree())
+    return low_cone_pit(oracle, pd_dim_bound(circuit)), oracle
 
 
 def naive_is_cone_closed(monomials) -> bool:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conepit import circuits
@@ -12,7 +13,7 @@ from conepit.circuits import (
     parse,
     serialize,
 )
-from conepit.diagonal import DiagonalCircuit
+from conepit.diagonal import DiagonalCircuit, diagonal_from_json, diagonal_to_json
 from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
 from conepit.fastmod import kernel_for
 from conepit.fields import DensePoly, Field
@@ -305,6 +306,14 @@ X0 = Gate(0, "input", var=0)
         (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0, 0), exp=2)), 1), ValidationError, "pow needs one child"),
         (lambda: DiagonalCircuit.make(Q, 2, [(1, 0, (1,), 2)]), ValidationError, "1 coefficients, arity is 2"),
         (lambda: DiagonalCircuit.make(Q, 1, [(1, 0, (1,), -1)]), ValidationError, "exponent must be a natural number"),
+        (lambda: DiagonalCircuit.make(Q, 1, [(1, 0, (1,), True)]), ValidationError, "exponent must be a natural number, got true"),
+        (lambda: DiagonalCircuit.make(Q, 1, [(1, 0, (1,), 2.5)]), ValidationError, "exponent must be a natural number, got 2.5"),
+        (lambda: DiagonalCircuit.make(Q, 1, [(1, 0, (1,), "2")]), ValidationError, 'exponent must be a natural number, got "2"'),
+        (lambda: DiagonalCircuit.make(Q, 1, [(1, 0, (1,), np.int64(-2))]), ValidationError, "exponent must be a natural number, got"),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp=2.5)), 1), ValidationError, "gate 1: exp must be a natural number, got 2.5"),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp="2")), 1), ValidationError, 'gate 1: exp must be a natural number, got "2"'),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp=True)), 1), ValidationError, "gate 1: exp must be a natural number, got true"),
+        (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp=-1)), 1), ValidationError, "gate 1: exp must be a natural number, got -1"),
         (lambda: HsgTuple.make(Q, [DensePoly.make(Q, [0, 1]), DensePoly.zero(Q)]), ValidationError, "univariate 2 is the zero"),
         (lambda: HsgTuple.make(Q, [DensePoly.make(FP, [0, 1])]), ValidationError, "univariate 1 is over p:"),
         (lambda: HsgTuple.make(Q, [DensePoly.make(Q, [0, 0, 1])], degree=1), ValidationError, "declared degree 1 below actual degree 2"),
@@ -316,6 +325,15 @@ X0 = Gate(0, "input", var=0)
 def test_constructors_refuse_malformed_parts(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_numpy_integer_exponents_are_read_as_the_ints_they_equal():
+    C = Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp=np.int64(3))), 1)
+    assert type(C.gates[1].exp) is int and C.evaluate([Q.of(2)]) == 8
+    assert parse(serialize(C)) == C
+    D = DiagonalCircuit.make(FP, 2, [(1, 0, (1, 2), np.uint8(2)), (3, 1, (0, 1), np.int32(0))])
+    assert [type(t.d) for t in D.terms] == [int, int]
+    assert diagonal_from_json(diagonal_to_json(D)) == D
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conepit import diagonal
 from conepit.circuits import Oracle, dense_expand
 from conepit.conebasis import least_basis
 from conepit.diagonal import (
@@ -23,10 +26,11 @@ from conepit.generators import random_diagonal
 from conepit.linalg import RowReducer, matrix_rank
 from conepit.pit import NONZERO, ZERO, brute_force_pit
 from conepit.polys import MultiPoly, is_cone_closed, pd_space_dim
-from reference import poly_pow
+from reference import poly_pow, reference_diag_pit
 
 Q = Field.rationals()
 FP = Field.default_prime()
+F2 = Field.prime(2)
 
 
 def test_rank_of_forms_examples():
@@ -71,13 +75,35 @@ def test_build_psi_keeps_basis_independent():
         assert matrix_rank(rows, FP) == r
 
 
-@pytest.mark.parametrize("field", [FP, Field.prime(7)], ids=lambda F: F.spec)
-def test_repeated_forms_leave_psi_and_rank_as_they_were(field):
-    """A forced-zero circuit has every form twice.  Inserting each distinct
-    form once gives the rank, basis rows and pivots of inserting them all."""
-    rng = random.Random(29)
+def _forms_dependent_only_mod_2(rng):
+    """Integer forms u, v and u + v + 2w, of rank 3 over Q and 2 mod 2."""
+    while True:
+        u, v, w = ([rng.randint(-3, 3) for _ in range(4)] for _ in range(3))
+        forms = [u, v, [a + b + 2 * c for a, b, c in zip(u, v, w)]]
+        if [matrix_rank([[F.of(x) for x in f] for f in forms], F) for F in (Q, F2)] == [3, 2]:
+            return forms
+
+
+def _circuits_with_repeated_forms(field, rng):
+    """30 forced-zero circuits, every form twice; over Q with fractional
+    forms, and over F_2 with forms that are dependent only mod 2 as well."""
+    out = []
     for _ in range(30):
+        if field.p == 2:
+            out.append(DiagonalCircuit.make(field, 4, [(1, rng.randint(0, 1), f, 1) for f in _forms_dependent_only_mod_2(rng) for _ in (0, 1)]))
+            continue
         D = random_diagonal(rng, field, rng.randint(1, 5), rng.randint(2, 8), 3, force_zero=True)
+        if field.p is None:  # a pair shares its denominator, so its form stays one
+            D = DiagonalCircuit.make(Q, D.arity, [(t.c, t.const, [a / (2 + i // 2) for a in t.coeffs], t.d) for i, t in enumerate(D.terms)])
+        out.append(D)
+    return out
+
+
+@pytest.mark.parametrize("field", [FP, Field.prime(7), Q, F2], ids=lambda F: F.spec)
+def test_repeated_forms_leave_psi_and_rank_as_they_were(field):
+    """Inserting each distinct form once, by the inverse-free elimination,
+    gives the rank, basis rows and pivots of a RowReducer fed every form."""
+    for D in _circuits_with_repeated_forms(field, random.Random(29)):
         red = RowReducer(field)
         every = tuple(i + 1 for i, t in enumerate(D.terms) if red.insert(list(t.coeffs)))
         assert rank_of_forms(D) == (red.rank, every)
@@ -104,6 +130,67 @@ def test_diag_pit_constant_instances():
     c = DiagonalCircuit.make(FP, 2, [(2, 3, (0, 0), 2)])
     v = diag_pit(c)
     assert v.outcome == NONZERO and v.coefficient == 18
+
+
+def _assert_diag_pit_matches_twin(D):
+    """``diag_pit`` against ``reference_diag_pit``: one verdict, rendering
+    and call count, an oracle under the input's degree, and a reduced
+    program equal to the unfused image's at random points."""
+    with mock.patch.object(diagonal, "low_cone_pit", wraps=diagonal.low_cone_pit) as spy:
+        verdict = diag_pit(D)
+    twin, twin_oracle = reference_diag_pit(D)
+    assert verdict == twin and verdict.render() == twin.render()  # outcome, witness, tested= and calls=
+    if twin_oracle is None:
+        assert not spy.called
+        return
+    oracle = spy.call_args.args[0]
+    assert (oracle.calls, oracle.degree, oracle.arity) == (twin_oracle.calls, D.degree(), twin_oracle.arity)
+    reduced, F, rng = oracle.circuit, D.field, random.Random(len(D.terms))
+    assert isinstance(reduced, DiagonalCircuit)
+    pts = [[F.random(rng) if F.p else Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(reduced.arity)] for _ in range(8)]
+    assert reduced.program.evaluate_many(pts) == build_psi(D).apply(D).program.evaluate_many(pts)
+    assert [reduced.evaluate(pt) for pt in pts] == reduced.program.evaluate_many(pts)
+
+
+F13 = Field.prime(13)
+TWIN_CASES = {
+    "repeated forms": DiagonalCircuit.make(FP, 3, [(2, 1, (1, 2, 3), 2), (5, 0, (1, 2, 3), 3), (1, 1, (1, 2, 3), 2), (4, 7, (0, 1, 1), 1)]),
+    "rank 0": DiagonalCircuit.make(Q, 2, [(Fraction(1, 2), 3, (0, 0), 2), (1, Fraction(-2, 3), (0, 0), 1)]),
+    "more variables than forms": DiagonalCircuit.make(F13, 6, [(3, 1, (1, 0, 2, 0, 5, 1), 2), (1, 0, (0, 4, 0, 0, 0, 7), 3)]),
+    "all terms cancel at degree 3": DiagonalCircuit.make(
+        Q, 2, [(Fraction(3, 4), 1, (Fraction(1, 2), 1), 3), (2, 0, (0, 1), 2), (Fraction(-3, 4), 1, (Fraction(1, 2), 1), 3), (-2, 0, (0, 1), 2)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TWIN_CASES)
+def test_diag_pit_matches_its_unfused_twin_on_named_cases(name):
+    _assert_diag_pit_matches_twin(TWIN_CASES[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    field=st.sampled_from([FP, F13, F2, Field.prime(3), Q]),
+    shape=st.tuples(st.integers(0, 6), st.integers(1, 4), st.integers(0, 7), st.integers(1, 4)),
+    cancel=st.booleans(),
+)
+def test_diag_pit_matches_its_unfused_twin(seed, field, shape, cancel):
+    """Random circuits drawing their forms from a small pool (so forms
+    repeat, some are 0, and arity may exceed the rank), over Q with
+    fractional values; with ``cancel`` every term meets its negation."""
+    rng = random.Random(seed)
+    arity, pool, count, top = shape
+    top = min(top, field.p - 1) if field.p else top
+
+    def value():
+        return field.random(rng) if field.p else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    forms = [[value() if rng.random() < 0.7 else 0 for _ in range(arity)] for _ in range(pool)]
+    terms = [(value(), value(), rng.choice(forms), rng.randint(0, top)) for _ in range(count)]
+    if cancel:
+        terms += [(field.neg(field.of(c)), const, form, d) for c, const, form, d in terms]
+    _assert_diag_pit_matches_twin(DiagonalCircuit.make(field, arity, terms))
 
 
 def test_diag_pit_matches_brute_force():
