@@ -473,14 +473,15 @@ class Oracle:
     The circuit is a gate circuit or another circuit kind with a
     ``program``.  A point goes through the circuit's scalar ``evaluate``,
     a batch through its ``evaluate_many`` and a grid through its program.
-    ``calls`` counts every evaluated point.
+    ``calls`` counts every evaluated point.  An explicit degree bound must
+    be a natural number (a numpy integer too), else ``ValidationError``.
     """
 
     def __init__(self, circuit, degree: int | None = None):
         self.circuit = circuit
         self.arity = circuit.arity
         self.field = circuit.field
-        self.degree = circuit.syntactic_degree() if degree is None else degree
+        self.degree = circuit.syntactic_degree() if degree is None else natural(degree, "degree bound", ValidationError)
         self.calls = 0
 
     @staticmethod
@@ -551,7 +552,7 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
     kern = kernel_for(F)
     # Row t maps the values at the nodes 0..d to the coefficient of x^t;
     # over Q the rows are ints over d!, divided out once at the end.
-    rows = np.array(interpolation_rows(F, width, integral=F.p is None), dtype=kern.dtype)
+    rows = np.array(interpolation_rows(F, width), dtype=kern.dtype)
     den = math.factorial(d) if F.p is None else 1
     step = max(1, GRID_CHUNK // width)
     for axis in range(n):

@@ -35,9 +35,11 @@ refuses an extraction whose points or weight rows would not fit in memory.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
 int tuples), so the weight rows have a closed form, :func:`interpolation_row`;
-all m rows of one width come from one O(m^2) pass, :func:`interpolation_rows`
-(over Q also as ints, the rows times (m-1)!); :func:`vandermonde_row` solves
-for arbitrary nodes and is their twin.
+all m rows of one width come from one O(m^2) pass, :func:`interpolation_rows`;
+:func:`vandermonde_row` solves for arbitrary nodes and is their twin.  Every
+row has one exact form: residues over F_p, and over Q the ints (m-1)! times
+the row, so a query set's weights over Q are products of integer rows over
+d! * prod e_i! and no ``Fraction`` is built before ``combine``'s division.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ from typing import TYPE_CHECKING, Container, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, BadParameters, DuplicateNodes, TooLarge
+from .documents import natural
+from .errors import ArityMismatch, BadParameters, DuplicateNodes, TooLarge, ValidationError
 from .fastmod import PointBatch
-from .fields import Field, Scalar, clear_denominators
+from .fields import Field, Scalar
 from .linalg import RowReducer
 from .polys import ExpVec, cone_size
 
@@ -124,7 +127,7 @@ class _Cache:
 _cache = _Cache()
 
 
-def _lagrange_rows(field: Field, m: int, targets: Sequence[int], integral: bool = False) -> dict[int, tuple[Scalar, ...]]:
+def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tuple[Scalar, ...]]:
     """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 for
     each of ``targets``, by target, from one synthetic division.
 
@@ -133,12 +136,13 @@ def _lagrange_rows(field: Field, m: int, targets: Sequence[int], integral: bool 
     where P'(j) = (-1)^(m-1-j) j! (m-1-j)!.  Dividing P by (x - j) for every
     j at once, from the top coefficient down, passes through the
     coefficient of every x^t in turn, so all m rows cost O(m^2) operations.
-    As (m-1)! / P'(j) is the signed binomial (-1)^(m-1-j) C(m-1, j), only
-    (m-1)! is inverted, and the rows times (m-1)! are integers; ``integral``
-    asks for those, over Q.  The division stops at the lowest target, and
-    only the rows asked for are scaled."""
-    F = field
-    p = F.p
+    As (m-1)! / P'(j) is the signed binomial (-1)^(m-1-j) C(m-1, j), the
+    rows times (m-1)! are integers: the rows over Q; over F_p only (m-1)!
+    is inverted, and m > p raises DuplicateNodes.  The division stops at
+    the lowest target, and only the rows asked for are scaled."""
+    F, p = field, field.p
+    if p is not None and m > p:
+        raise DuplicateNodes(f"interpolation nodes 0..{m - 1} not distinct in F_{p}")
     # c[k] is the coefficient of x^k in P, built one factor (x - i) at a time.
     c = np.zeros(m + 1, dtype=object)
     c[0] = 1
@@ -148,7 +152,7 @@ def _lagrange_rows(field: Field, m: int, targets: Sequence[int], integral: bool 
         if p is not None:
             c[: i + 2] %= p
     # (m-1)! is nonzero in F_p because p >= m
-    scale = 1 if integral else F.inv(F.of(math.factorial(m - 1)))
+    scale = 1 if p is None else F.inv(math.factorial(m - 1) % p)
     inv = np.array([F.mul((-1) ** (m - 1 - j) * math.comb(m - 1, j), scale) for j in range(m)], dtype=object)
     js = np.arange(m).astype(object)
     q = np.ones(m, dtype=object)  # the coefficient of x^(m-1) in P(x) / (x - j)
@@ -165,35 +169,28 @@ def _lagrange_rows(field: Field, m: int, targets: Sequence[int], integral: bool 
     return rows
 
 
-def _require_distinct_nodes(field: Field, m: int) -> None:
-    if field.p is not None and m > field.p:
-        raise DuplicateNodes(f"interpolation nodes 0..{m - 1} not distinct in F_{field.p}")
-
-
-def interpolation_rows(field: Field, m: int, integral: bool = False) -> tuple[tuple[Scalar, ...], ...]:
+def interpolation_rows(field: Field, m: int) -> tuple[tuple[Scalar, ...], ...]:
     """Every :func:`interpolation_row` on the nodes 0 .. m-1: row t maps
-    the values at the nodes to the coefficient of x^t; with ``integral``,
-    over Q, the rows times (m-1)!, all ints.  O(m^2) operations in all,
-    cached as m^2 entries, so a table wider than 64 is built and not kept."""
-    key = ("rows", field, m, integral)
+    the values at the nodes to the coefficient of x^t (over Q times (m-1)!).
+    O(m^2) operations in all, cached as m^2 entries, so a table wider than
+    64 is built and not kept."""
+    key = ("rows", field, m)
     table = _cache.get(key)
     if table is None:
-        _require_distinct_nodes(field, m)
-        rows = _lagrange_rows(field, m, range(m), integral)
+        rows = _lagrange_rows(field, m, range(m))
         table = _cache.put(key, tuple(rows[t] for t in range(m)), m * m)
     return table
 
 
 def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     """:func:`vandermonde_row` on the nodes 0 .. m-1, in closed form and
-    cached as m entries: the weight of node j is the coefficient of
-    x^target in the Lagrange basis polynomial of j (see
-    :func:`_lagrange_rows`).  The division stops at the target row, so an
-    extraction at a high degree builds no whole table."""
+    cached as m entries, over Q as the ints (m-1)! times that row: the
+    weight of node j is the coefficient of x^target in the Lagrange basis
+    polynomial of j (see :func:`_lagrange_rows`).  The division stops at the
+    target row, so an extraction at a high degree builds no whole table."""
     key = ("row", field, m, target)
     row = _cache.get(key)
     if row is None:
-        _require_distinct_nodes(field, m)
         if not 0 <= target < m:
             raise BadParameters(f"target power {target} outside 0..{m - 1}")
         row = _cache.put(key, _lagrange_rows(field, m, (target,))[target], m)
@@ -210,27 +207,23 @@ def _base_points(field: Field, e: ExpVec, degree: int) -> Iterator[tuple[Scalar,
     return itertools.chain.from_iterable(itertools.product(*([field.mul(a, tau) for a in ns] for ns in stage_nodes)) for tau in taus)
 
 
-def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
-    """:meth:`FilteredOracle.queries` of the extraction of x^e at degree
-    bound d over ``field``, then the weights as numerators over one
-    denominator (over F_p the residues over 1)."""
-    F = field
-    weights: list[Scalar] = []
+def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], int]:
+    """The points of :meth:`FilteredOracle.queries` of the extraction of x^e
+    at degree bound d over ``field`` and their weights as numerators over
+    one denominator: over Q the products of the integer rows over
+    d! * prod e_i!, over F_p the residues over 1."""
+    F, num, den = field, np.zeros(0, dtype=object), 1
     if sum(e) <= degree:
-        # in the order of the points: the tau row slowest, then x1's
-        combo = [F.one()]
-        for ei in e:
-            if ei:
-                combo = [F.mul(w, x) for w in combo for x in interpolation_row(F, ei + 1, ei)]
-        weights = [F.mul(tw, w) for tw in interpolation_row(F, degree + 1, sum(e)) for w in combo]
-    nums, den = clear_denominators(weights) if F.p is None else (weights, 1)
-    out = np.array(weights, dtype=object)
-    num = np.array(nums, dtype=object) if F.p is None else out
-    out.flags.writeable = num.flags.writeable = False
-    return (tuple(_base_points(F, e, degree)), out), num, den
+        # the rows' outer product, in the order of the points: tau's row slowest, then x1's
+        num = np.ones(1, dtype=object)
+        for m, t in [(degree + 1, sum(e))] + [(ei + 1, ei) for ei in e if ei]:
+            num = np.multiply.outer(num, np.array(interpolation_row(F, m, t), dtype=object)).ravel()
+        num, den = (num, math.factorial(degree) * math.prod(map(math.factorial, e))) if F.p is None else (num % F.p, 1)
+    num.flags.writeable = False
+    return (tuple(_base_points(F, e, degree)), num), den
 
 
-def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], np.ndarray, int]:
+def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], int]:
     """:func:`_build_query_set` of x^e at degree bound d, cached as one entry
     per point and read only through :class:`FilteredOracle`; raises
     CharTooSmall for a field of at most d elements, then TooLarge past the guard."""
@@ -279,16 +272,24 @@ class FilteredOracle:
     def __init__(self, base: Oracle, e: ExpVec):
         if len(e) != base.arity:
             raise ArityMismatch(f"exponent arity {len(e)}, oracle arity {base.arity}")
+        for x in e:
+            if type(x) is not int or x < 0:  # a numpy integer is read as its int; anything else is refused
+                e = [natural(v, f"exponent {tuple(e)} entry", ValidationError) for v in e]
+                break
         self.base = base
         self.e = tuple(e)
         self.field = base.field
-        self._queries, self._num, self._den = query_set(base.field, self.e, base.degree)
+        self._queries, self._den = query_set(base.field, self.e, base.degree)
+        self._num = self._queries[1]
 
     def queries(self) -> tuple[tuple[tuple[Scalar, ...], ...], np.ndarray]:
         """The base points of this extraction, tau-major, and the weight of
-        each point's value in the coefficient, as a read-only object array:
+        each point's value in the coefficient, as an object array:
         cone_size(e) * (d + 1) of each, or none when |e| > d.  Built for an
-        extraction alone, never a layer, and shared while the cache keeps them."""
+        extraction alone, never a layer; over F_p read-only and shared while
+        the cache keeps them, over Q ``Fraction`` weights built per call."""
+        if self.field.p is None:
+            return self._queries[0], np.array([Fraction(w, self._den) for w in self._num], dtype=object)
         return self._queries
 
     def combine(self, values: Sequence[Scalar]) -> Scalar:

@@ -29,13 +29,14 @@ reduced first (a dense W: two uint64 dots with the 16-bit halves of V).
 ``pow`` with one exponent per row multiplies rows up from lower powers, so
 a sum of low powers costs a few ``mul`` calls.
 
-Values enter through ``array`` and ``full`` of every kernel, each value
-by the one function ``_entry``, weights as ``circuits.weight_matrix``
-builds them.  An exact ``int`` is reduced directly, and anything else goes
-through ``Field.of``, as on the scalar path, ``Circuit.evaluate``: numpy
-integers, bools, ``Fraction``s and decimal strings are read exactly, and
-inexact values (floats, numpy floats, ``Decimal``) raise ``ValidationError``
-on both paths.  Points enter as a read-only :class:`PointBatch`, which a
+Values enter through ``array`` and ``full``, which every kernel takes from
+one base class, each value by the one function ``_entry`` into the kernel's
+``dtype``; weights enter as ``circuits.weight_matrix`` builds them.  An
+exact ``int`` is reduced directly, and anything else goes through
+``Field.of``, as on the scalar path, ``Circuit.evaluate``: numpy integers,
+bools, ``Fraction``s and decimal strings are read exactly, and inexact
+values (floats, numpy floats, ``Decimal``) raise ``ValidationError`` on
+both paths.  Points enter as a read-only :class:`PointBatch`, which a
 caller can keep and run again.
 """
 
@@ -61,19 +62,6 @@ def _entry(field: Field, v) -> Scalar:
         return v if field.p is None else v % field.p
     v = field.of(v)
     return v.numerator if type(v) is Fraction and v.denominator == 1 else v
-
-
-def _residues(values: Sequence[Scalar], field: Field) -> np.ndarray:
-    """The values reduced mod p as a uint64 array.  Values that numpy
-    reads as unsigned, or as signed and non-negative, convert directly;
-    anything else (negative, too wide for uint64, rational, a string, or a
-    mix numpy would widen to float) goes through :func:`_entry`."""
-    arr = np.asarray(values)
-    kind = arr.dtype.kind
-    if kind == "u" or kind == "i" and (not arr.size or arr.min() >= 0):
-        out = arr.astype(np.uint64, copy=False)
-        return out % _U(field.p) if out.size and out.max() >= field.p else out
-    return np.array([_entry(field, v) for v in values], dtype=np.uint64)
 
 
 class SparseRows:
@@ -112,7 +100,22 @@ def _pow_rows(kern, a: np.ndarray, exps: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-class SmallPrimeKernel:
+class _Kernel:
+    """What every kernel shares: its field, and values entering it, each
+    by :func:`_entry`, as arrays in its ``dtype``."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field.p
+
+    def array(self, values: Sequence[Scalar]) -> np.ndarray:
+        return np.array([_entry(self.field, v) for v in values], dtype=self.dtype)
+
+    def full(self, n: int, value: Scalar) -> np.ndarray:
+        return np.full(n, _entry(self.field, value), dtype=self.dtype)
+
+
+class SmallPrimeKernel(_Kernel):
     """mod p vector arithmetic for p < 2^31 (products fit in uint64)."""
 
     dtype = np.uint64
@@ -120,15 +123,8 @@ class SmallPrimeKernel:
     _LOW16 = _U(0xFFFF)
 
     def __init__(self, field: Field):
-        self.field = field
-        self.p = field.p
+        super().__init__(field)
         self._p = _U(field.p)
-
-    def array(self, values: Sequence[Scalar]) -> np.ndarray:
-        return _residues(values, self.field)
-
-    def full(self, n: int, value: Scalar) -> np.ndarray:
-        return np.full(n, _entry(self.field, value), dtype=np.uint64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self._p
@@ -153,7 +149,7 @@ class SmallPrimeKernel:
         return square_and_multiply(a, e, lambda: np.ones_like(a), self.mul)
 
 
-class ObjectKernel:
+class ObjectKernel(_Kernel):
     """Exact arithmetic elementwise on numpy object arrays: the rationals,
     and primes too wide for the uint64 kernel.
 
@@ -168,16 +164,6 @@ class ObjectKernel:
     dtype = object
     _powmod = np.frompyfunc(pow, 3, 1)
     _exact_quotient = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 1)
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.p = field.p
-
-    def array(self, values: Sequence[Scalar]) -> np.ndarray:
-        return np.array([_entry(self.field, v) for v in values], dtype=object)
-
-    def full(self, n: int, value: Scalar) -> np.ndarray:
-        return np.full(n, _entry(self.field, value), dtype=object)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b if self.p is None else (a + b) % self.p

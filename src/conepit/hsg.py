@@ -80,16 +80,13 @@ class HsgTuple:
     def arity(self) -> int:
         return len(self.polys)
 
-    def monomial_images(self, exps: Iterable[ExpVec], memo: dict[ExpVec, DensePoly] | None = None) -> list[DensePoly]:
+    def monomial_images(self, exps: Iterable[ExpVec]) -> list[DensePoly]:
         """prod f_i^(e_i) as a univariate in y, for each exponent vector.
 
         The images share a prefix memo: each power vector needed costs one
-        univariate multiplication by some f_i.  Passing the same ``memo``
-        dict to several calls shares it across them too.
+        univariate multiplication by some f_i.
         """
-        if memo is None:
-            memo = {}
-        memo.setdefault((0,) * self.arity, DensePoly.const(self.field, 1))
+        memo = {(0,) * self.arity: DensePoly.const(self.field, 1)}
         return [self._image(e, memo) for e in exps]
 
     def _image(self, e: ExpVec, memo: dict[ExpVec, DensePoly]) -> DensePoly:
@@ -203,25 +200,25 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     delta0 = d * n * delta + 1
 
     vectors, reread = itertools.tee(_smallest_vectors(n, delta, delta0))
+    # The column of e is its predecessor's (e minus one in its last nonzero
+    # entry i, earlier in deg-lex) times one factor: over F_p, images times
+    # f_i; over Q, where a column is its image times prod D_i^(e_i) for f_i
+    # integer numerators over D_i, convolved with the numerators of f_i.
     if F.is_rational:
-        # Each univariate is integer numerators over one denominator D_i,
-        # and the column of e is prod D_i^(e_i) times its image: the column
-        # of its predecessor (e minus one in its last nonzero entry, earlier
-        # in deg-lex) convolved with one numerator list.
         cleared = [clear_denominators(p.coeffs) for p in t.polys]
-        nums = [np.array(c, dtype=object) for c, _ in cleared]
-        integral: dict[ExpVec, np.ndarray] = {(0,) * n: np.array([1], dtype=object)}
-
-        def column(e: ExpVec) -> list[int]:
-            if any(e):
-                i = max(j for j, x in enumerate(e) if x > 0)
-                integral[e] = np.convolve(integral[e[:i] + (e[i] - 1,) + e[i + 1 :]], nums[i])
-            return integral[e].tolist()
-
-        vec = first_integer_dependency(map(column, vectors))
+        factors, times, one = [np.array(c, dtype=object) for c, _ in cleared], np.convolve, np.array([1], dtype=object)
     else:
-        memo: dict[ExpVec, DensePoly] = {}
-        vec = first_dependency((t.monomial_images((e,), memo)[0].coeffs for e in vectors), F)
+        factors, times, one = t.polys, DensePoly.mul, DensePoly.const(F, 1)
+    columns = {(0,) * n: one}
+
+    def column(e: ExpVec):
+        if any(e):
+            i = max(j for j, x in enumerate(e) if x > 0)
+            columns[e] = times(columns[e[:i] + (e[i] - 1,) + e[i + 1 :]], factors[i])
+        return columns[e]
+
+    cols = map(column, vectors)
+    vec = first_integer_dependency(c.tolist() for c in cols) if F.is_rational else first_dependency((c.coeffs for c in cols), F)
     support = list(itertools.islice(reread, None if vec is None else len(vec)))
     if vec is None:
         if len(support) < delta0:

@@ -79,10 +79,13 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     by the distinct points of the layers walked; ``oracle_calls`` counts the
     points the tested extractions requested, cone_size(e) * (d + 1) each.
 
-    Refusals, in order: the constant monomial's extraction past its guard
-    (before any monomial is enumerated), the low cone past
-    ``LOW_CONE_GUARD``, then a field too small for the first extraction.
+    Refusals, in order: a ``k`` that is not an ``int`` of at least 1, the
+    constant monomial's extraction past its guard (before any monomial is
+    enumerated), the low cone past ``LOW_CONE_GUARD``, then a field too
+    small for the first extraction.
     """
+    if type(k) is not int or k < 1:
+        raise BadParameters(f"cone-size budget k must be an int >= 1, got {k!r}")
     require_within_guard(1, 0, oracle.degree)
     F, n, d = oracle.field, oracle.arity, oracle.degree
     table = _Table(oracle)

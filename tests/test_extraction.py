@@ -2,13 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conepit import extraction
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
-from conepit.errors import ArityMismatch, BadParameters, CharTooSmall, DuplicateNodes, TooLarge
+from conepit.errors import ArityMismatch, BadParameters, CharTooSmall, DuplicateNodes, TooLarge, ValidationError
 from conepit.extraction import (
     CACHE_ENTRIES,
     EXTRACTION_GUARD,
@@ -73,6 +74,24 @@ def test_extract_coefficient_examples():
     assert extract_coefficient(sum_square_oracle(Q), (2, 0)) == 1
     assert extract_coefficient(sum_square_oracle(FP), (0, 2)) == 1
     assert extract_coefficient(sum_square_oracle(Q), (0, 0)) == 0
+
+
+@pytest.mark.parametrize("e", [(-1, 0), (1.0, 1), (True, 1), (1, "1"), (0, None)], ids=str)
+def test_a_non_natural_exponent_entry_is_refused(e):
+    # -1 once fell through to an interpolation row's "target power -1"
+    # refusal, 1.0 to a bare TypeError, and True read as 1
+    oracle = sum_square_oracle(FP)
+    with pytest.raises(ValidationError, match=r"^exponent \(.*\) entry must be a natural number, got "):
+        extract_coefficient(oracle, e)
+    assert oracle.calls == 0
+
+
+def test_numpy_integer_exponents_are_the_ints_they_equal():
+    o = sum_square_oracle(Q)
+    for e in [(np.int64(1), np.uint8(1)), (np.int32(2), 0)]:
+        filtered = FilteredOracle(o, e)
+        assert {type(x) for x in filtered.e} == {int}
+        assert filtered.coefficient() == extract_coefficient(o, tuple(map(int, e)))
 
 
 def test_extract_arity_and_char_guards():
@@ -148,12 +167,14 @@ def test_deterministic_results():
 
 @pytest.mark.parametrize("field", PLAN_FIELDS, ids=lambda F: F.spec)
 def test_interpolation_row_matches_vandermonde_row(field):
+    # over F_p the residues of the twin's row; over Q the ints (m-1)! times it
     for m in range(1, min(13, field.p or 13) + 1):
+        scale = math.factorial(m - 1) if field.p is None else 1
         for t in range(m):
             got = interpolation_row(field, m, t)
             want = vandermonde_row(range(m), t, field)
-            assert list(got) == want
-            assert [type(x) for x in got] == [type(x) for x in want]
+            assert list(got) == [scale * w for w in want]
+            assert {type(x) for x in got} == {int}
 
 
 def test_interpolation_row_guards():
@@ -190,9 +211,9 @@ def test_row_tables_keep_the_cache_bound(fresh_cache, monkeypatch):
         table = interpolation_rows(FP, m)
         assert [list(row) for row in table] == [vandermonde_row(range(m), t, FP) for t in range(m)]
         check_cache(cache)
-    assert list(cache.items) == [("rows", FP, 9, False), ("rows", FP, 7, False)]
-    assert interpolation_rows(FP, 9) is cache.items["rows", FP, 9, False][0]
-    assert list(cache.items) == [("rows", FP, 7, False), ("rows", FP, 9, False)] and cache.entries == 49 + 81
+    assert list(cache.items) == [("rows", FP, 9), ("rows", FP, 7)]
+    assert interpolation_rows(FP, 9) is cache.items["rows", FP, 9][0]
+    assert list(cache.items) == [("rows", FP, 7), ("rows", FP, 9)] and cache.entries == 49 + 81
     assert interpolation_rows(FP, 11) is not interpolation_rows(FP, 11)
     # 64 rows of width 100 fill the 6400 entries, and the 65th drops the
     # least recently used
@@ -212,15 +233,15 @@ def test_a_table_over_the_item_cap_is_not_kept():
 
 
 def test_integral_rows_over_q_are_the_rows_times_the_factorial(fresh_cache):
-    # dense_expand's rows over Q: ints, each row (m-1)! times the Fraction
-    # row, negative entries among them, cached apart from the Fraction table
+    # the one form of the rows over Q: ints, each row (m-1)! times the
+    # twin's Fraction row, negative entries among them, one table per width
     cache = fresh_cache()
     for m in (1, 2, 5, 23):
-        ints = interpolation_rows(Q, m, integral=True)
+        ints = interpolation_rows(Q, m)
         assert {type(w) for row in ints for w in row} == {int}
-        assert [[w * math.factorial(m - 1) for w in row] for row in interpolation_rows(Q, m)] == [list(r) for r in ints]
-        assert interpolation_rows(Q, m, integral=True) is ints is cache.items["rows", Q, m, True][0]
-    assert min(interpolation_rows(Q, 5, integral=True)[1]) < 0
+        assert [[w * math.factorial(m - 1) for w in vandermonde_row(range(m), t, Q)] for t in range(m)] == [list(r) for r in ints]
+        assert interpolation_rows(Q, m) is ints is cache.items["rows", Q, m][0]
+    assert min(interpolation_rows(Q, 5)[1]) < 0
 
 
 def blank_oracle(field, n, degree):
@@ -281,6 +302,23 @@ def test_query_points_over_q_are_ints():
         assert {type(w) for w in weights} == {Fraction}
         # combine reads the weights as integers over one denominator
         assert {type(w) for w in filtered._num} == {int} and [w * filtered._den for w in weights] == list(filtered._num)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3), st.integers(0, 9))
+def test_query_sets_over_q_are_integer_rows_over_one_denominator(fresh_cache, e, degree):
+    # the numerators are den times the twin's weights, den is d! prod e_i!,
+    # and the kept entry holds ints and points only, no Fraction
+    cache = fresh_cache()
+    e = tuple(e)
+    (points, num), den = query_set(Q, e, degree)
+    ref_points, ref_weights = reference_queries(Q, e, degree)
+    assert list(points) == ref_points and list(num) == [w * den for w in ref_weights]
+    if sum(e) <= degree:
+        assert den == math.factorial(degree) * math.prod(map(math.factorial, e))
+    (kept_points, kept_num), kept_den = cache.items["query", Q, e, degree][0]
+    assert kept_points is points and kept_num is num and kept_den == den
+    assert {type(x) for x in (*num, den, *(c for pt in points for c in pt))} <= {int}
 
 
 def test_large_extraction_is_exact_and_not_cached(fresh_cache):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conepit import extraction, pit, polys
 from conepit.circuits import CircuitBuilder, Oracle, dense_expand
 from conepit.diagonal import DiagonalCircuit, diag_pit
-from conepit.errors import BadParameters, CharTooSmall, TooLarge, VerificationFailed
+from conepit.errors import BadParameters, CharTooSmall, TooLarge, ValidationError, VerificationFailed
 from conepit.extraction import CACHE_ENTRIES, FilteredOracle, query_set
 from conepit.fastmod import PointBatch
 from conepit.fields import Field
@@ -146,6 +147,41 @@ def test_sz_pit_needs_a_trial(trials):
     b = CircuitBuilder(FP, 1)
     with pytest.raises(BadParameters):
         sz_pit(Oracle(b.build(b.const(1))), trials, 1)
+
+
+def x_plus_one(field=FP):
+    b = CircuitBuilder(field, 1)
+    return b.build(b.add([(1, b.input(0)), (1, b.const(1))]))
+
+
+@pytest.mark.parametrize("degree", [-1, 1.5, True, "2"], ids=["-1", "1.5", "True", "'2'"])
+@pytest.mark.parametrize(
+    "tester",
+    [lambda o: low_cone_pit(o, 3), brute_force_pit, lambda o: sz_pit(o, 4, 1), dense_expand],
+    ids=["low_cone_pit", "brute_force_pit", "sz_pit", "dense_expand"],
+)
+def test_a_malformed_degree_bound_is_refused_before_any_tester_runs(tester, degree):
+    # x + 1 is nonzero: a degree bound of -1 read as given made every tester
+    # answer ZERO (and dense_expand the zero polynomial)
+    with pytest.raises(ValidationError, match="^degree bound must be a natural number, got "):
+        tester(Oracle(x_plus_one(), degree))
+
+
+def test_a_numpy_integer_degree_bound_is_the_int_it_equals():
+    for degree in (np.int64(3), np.uint8(3)):
+        oracle = Oracle(x_plus_one(), degree)
+        assert type(oracle.degree) is int and oracle.degree == 3
+        assert low_cone_pit(oracle, 3) == low_cone_pit(Oracle(x_plus_one(), 3), 3)
+        assert brute_force_pit(Oracle(x_plus_one(), degree)) == brute_force_pit(Oracle(x_plus_one(), 3))
+    assert low_cone_pit(Oracle(x_plus_one(), 0), 3).render() == "NONZERO witness=1 coeff=1 tested=1 calls=1"
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, True, "3", None])
+def test_low_cone_pit_needs_an_int_budget_of_at_least_one(k):
+    oracle = Oracle(x_plus_one())
+    with pytest.raises(BadParameters, match="^cone-size budget k must be an int >= 1, got "):
+        low_cone_pit(oracle, k)
+    assert oracle.calls == 0
 
 
 def test_verdict_rendering():
