@@ -22,13 +22,14 @@ cone-closed coefficient basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
+from . import polys
 from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, TooLarge, VerificationFailed, ZeroPolynomial
 from .fields import DensePoly, Field, Scalar, rank_over_ft
 from .linalg import RowReducer
-from .polys import LOW_CONE_GUARD, ExpVec, VectorPoly, cone_size, deglex_key, submonomials
+from .polys import ExpVec, VectorPoly, cone_size, deglex_key, submonomials
 
 Weights = tuple[int, ...]
 
@@ -46,22 +47,15 @@ def kronecker_weights(n: int, d: int) -> Weights:
     return tuple((d + 1) ** i for i in range(n))
 
 
-def _scan_order(f: VectorPoly, w: Sequence[int]) -> list[ExpVec]:
-    """The support in increasing weight with deg-lex tie-break."""
-    if f.is_zero:
-        raise ZeroPolynomial("least_basis of the zero polynomial")
-    return sorted(f.terms, key=lambda e: (weight_of(w, e), deglex_key(e)))
-
-
 def least_basis(f: VectorPoly, w: Sequence[int]) -> list[ExpVec]:
     """Greedy basis of the coefficient span of f, scanning the support in
-    increasing weight with deg-lex tie-break.
+    increasing weight with deg-lex tie-break: the basis of
+    :func:`is_basis_isolating`.
 
     When w is basis isolating this is the unique least basis; otherwise it
     is the greedy-canonical basis for the induced order.
     """
-    reducer = RowReducer(f.field)
-    return [e for e in _scan_order(f, w) if reducer.insert(list(f.terms[e]))]
+    return list(is_basis_isolating(f, w).basis)
 
 
 @dataclass(frozen=True)
@@ -89,11 +83,13 @@ def is_basis_isolating(f: VectorPoly, w: Sequence[int]) -> BasisReport:
     are pairwise distinct and every combination uses strictly lighter rows
     only, and the combinations are then the certificate.
     """
+    if f.is_zero:
+        raise ZeroPolynomial("least_basis of the zero polynomial")
     reducer = RowReducer(f.field)
     basis: list[ExpVec] = []
     combos: dict[ExpVec, tuple[tuple[ExpVec, Scalar], ...]] = {}
     isolating = True
-    for e in _scan_order(f, w):
+    for e in sorted(f.terms, key=lambda e: (weight_of(w, e), deglex_key(e))):
         we = weight_of(w, e)
         combo = reducer.add(f.terms[e])
         if combo is None:
@@ -146,6 +142,12 @@ def _fcc(B: set[ExpVec], n: int) -> set[ExpVec]:
     return A
 
 
+def _transfer_entry(a: ExpVec, b: ExpVec) -> int:
+    """T[a][b] = prod_i C(b_i, a_i), which vanishes unless a is a
+    submonomial of b."""
+    return prod(map(comb, b, a))
+
+
 def transfer_submatrix(A: Iterable[ExpVec], B: Iterable[ExpVec]) -> list[list[int]]:
     """Integer matrix with rows indexed by A and columns by B (both in
     ascending deg-lex order); entry = prod_i C(b_i, a_i), which vanishes
@@ -155,18 +157,7 @@ def transfer_submatrix(A: Iterable[ExpVec], B: Iterable[ExpVec]) -> list[list[in
     arities = {len(e) for e in rows} | {len(e) for e in cols}
     if len(arities) > 1:
         raise ArityMismatch(f"mixed arities {sorted(arities)}")
-    out = []
-    for a in rows:
-        row = []
-        for b in cols:
-            v = 1
-            for ai, bi in zip(a, b):
-                v *= comb(bi, ai)
-                if v == 0:
-                    break
-            row.append(v)
-        out.append(row)
-    return out
+    return [[_transfer_entry(a, b) for b in cols] for a in rows]
 
 
 # ----------------------------------------------------------------------
@@ -202,43 +193,26 @@ def shift_by_weight(f: VectorPoly, w: Sequence[int]) -> ShiftedVectorPoly:
         raise BadParameters(f"shift weights must be non-negative, got {tuple(w)}")
     # each support monomial b adds at most dim coefficients of length
     # w(b) + 1 to each of its cone_size(b) submonomials: count before building
-    if f.dim * sum(cone_size(b) * (weight_of(w, b) + 1) for b in f.terms) > LOW_CONE_GUARD:
-        raise TooLarge(f"shifting by t^w builds more than {LOW_CONE_GUARD} coefficients")
+    if f.dim * sum(cone_size(b) * (weight_of(w, b) + 1) for b in f.terms) > polys.LOW_CONE_GUARD:
+        raise TooLarge(f"shifting by t^w builds more than {polys.LOW_CONE_GUARD} coefficients")
     F = f.field
-    acc: dict[ExpVec, list[dict[int, Scalar]]] = {}
-    for b in f.terms:
-        vec = f.terms[b]
+    acc: dict[ExpVec, list[list[Scalar]]] = {}
+    for b, vec in f.terms.items():
         wb = weight_of(w, b)
         for a in submonomials(b):
-            binom = 1
-            for ai, bi in zip(a, b):
-                binom *= comb(bi, ai)
-            c = F.of(binom)
+            c = F.of(_transfer_entry(a, b))
             if c == 0:
                 continue
             power = wb - weight_of(w, a)
-            slot = acc.setdefault(a, [dict() for _ in range(f.dim)])
-            for t in range(f.dim):
-                if vec[t] == 0:
-                    continue
-                cur = slot[t]
-                v = F.add(cur.get(power, F.zero()), F.mul(c, vec[t]))
-                if v == 0:
-                    cur.pop(power, None)
-                else:
-                    cur[power] = v
+            for coeffs, v in zip(acc.setdefault(a, [[] for _ in vec]), vec):
+                if v != 0:
+                    coeffs.extend([F.zero()] * (power + 1 - len(coeffs)))
+                    coeffs[power] = F.add(coeffs[power], F.mul(c, v))
     terms: dict[ExpVec, tuple[DensePoly, ...]] = {}
     for a, slots in acc.items():
-        polys = []
-        for cur in slots:
-            if cur:
-                size = max(cur) + 1
-                coeffs = [cur.get(i, F.zero()) for i in range(size)]
-                polys.append(DensePoly.make(F, coeffs))
-            else:
-                polys.append(DensePoly.zero(F))
-        if any(not p.is_zero for p in polys):
-            terms[a] = tuple(polys)
+        shifted = tuple(DensePoly.make(F, coeffs) for coeffs in slots)
+        if any(not p.is_zero for p in shifted):
+            terms[a] = shifted
     return ShiftedVectorPoly(F, f.arity, f.dim, terms)
 
 

@@ -19,7 +19,7 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from .errors import ParseError, UsageError
+from .errors import ConepitError, ParseError
 from .fields import Field
 from .polys import ExpVec, MultiPoly, VectorPoly
 
@@ -41,7 +41,7 @@ def load_document(text: str, build: Callable[[Any], T]) -> T:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
-def natural(value: Any, what: str, error: type[UsageError] = ParseError) -> int:
+def natural(value: Any, what: str, error: type[ConepitError] = ParseError) -> int:
     """An integer >= 0, a numpy one too, as the int it equals, else ``error``
     (a JSON value's :class:`ParseError`): no float, bool or string is one."""
     if type(value) is not int and not isinstance(value, np.integer) or value < 0:

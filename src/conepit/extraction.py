@@ -214,11 +214,15 @@ def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple,
     d! * prod e_i!, over F_p the residues over 1."""
     F, num, den = field, np.zeros(0, dtype=object), 1
     if sum(e) <= degree:
-        # the rows' outer product, in the order of the points: tau's row slowest, then x1's
+        # the rows' outer product, in the order of the points: tau's row slowest,
+        # then x1's; over F_p reduced after each stage, so no product passes p^2
         num = np.ones(1, dtype=object)
         for m, t in [(degree + 1, sum(e))] + [(ei + 1, ei) for ei in e if ei]:
             num = np.multiply.outer(num, np.array(interpolation_row(F, m, t), dtype=object)).ravel()
-        num, den = (num, math.factorial(degree) * math.prod(map(math.factorial, e))) if F.p is None else (num % F.p, 1)
+            if F.p is not None:
+                num %= F.p
+        if F.p is None:
+            den = math.factorial(degree) * math.prod(map(math.factorial, e))
     num.flags.writeable = False
     return (tuple(_base_points(F, e, degree)), num), den
 

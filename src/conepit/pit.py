@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
+from .documents import natural
 from .errors import BadParameters, VerificationFailed
 from .extraction import FilteredOracle, layer_points, require_within_guard
 from .fields import MERSENNE61, Scalar
@@ -169,9 +170,12 @@ def sz_pit(oracle: Oracle, trials: int, seed: int) -> PitVerdict:
     with probability at most (d / field size) per trial.
 
     Points come from a splitmix64 stream reduced into the field, consumed
-    point-major then coordinate-minor, so runs are reproducible.  Fewer than
-    one trial raises BadParameters rather than answer Zero untested.
+    point-major then coordinate-minor, so runs are reproducible.  A
+    ``trials`` or ``seed`` that is not a natural number (an int >= 0, a numpy
+    integer too; no float, bool or string) raises BadParameters, and so does
+    fewer than one trial rather than answer Zero untested.
     """
+    trials, seed = natural(trials, "trials", BadParameters), natural(seed, "seed", BadParameters)
     if trials < 1:
         raise BadParameters(f"need at least one trial, got {trials}")
     F = oracle.field

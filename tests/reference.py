@@ -13,7 +13,7 @@ from math import comb
 
 from conepit import hsg, polys
 from conepit.circuits import Circuit, CircuitBuilder, Oracle, serialize
-from conepit.conebasis import BasisReport, least_basis, weight_of
+from conepit.conebasis import BasisReport, weight_of
 from conepit.diagonal import DiagonalCircuit, PsiMap, pd_dim_bound
 from conepit.errors import BadParameters, TooLarge, VerificationFailed
 from conepit.extraction import extract_coefficient, vandermonde_row
@@ -414,12 +414,21 @@ def in_span(vec, basis, field: Field) -> tuple[bool, list[Scalar]]:
     return all(x == 0 for x in out[:n]), [F.neg(x) for x in out[n:]]
 
 
+def reference_least_basis(f: VectorPoly, w) -> list[ExpVec]:
+    """The greedy least basis by its definition: scan the support in
+    increasing (weight, deg-lex) order and admit each monomial whose
+    coefficient vector :meth:`RowReducer.insert` finds independent."""
+    reducer = RowReducer(f.field)
+    order = sorted(f.terms, key=lambda e: (weight_of(w, e), deglex_key(e)))
+    return [e for e in order if reducer.insert(list(f.terms[e]))]
+
+
 def reference_is_basis_isolating(f: VectorPoly, w) -> BasisReport:
     """:func:`conepit.conebasis.is_basis_isolating` by its definition: the
     greedy least basis, a check that its weights are pairwise distinct, then
     one fresh :func:`in_span` solve per non-basis monomial against the
     strictly lighter basis monomials."""
-    basis = least_basis(f, w)
+    basis = reference_least_basis(f, w)
     weights = [weight_of(w, e) for e in basis]
     if len(set(weights)) != len(weights):
         return BasisReport(tuple(basis), False, None)

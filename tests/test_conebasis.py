@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import log2
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conepit import conebasis
+from conepit import polys
 from conepit.conebasis import (
     cone_closed_basis_after_shift,
     find_cone_closed,
@@ -121,6 +122,7 @@ def test_one_pass_isolation_matches_the_twin(field, seed, weights):
     }[weights]
     got, want = is_basis_isolating(f, w), reference_is_basis_isolating(f, w)
     assert (got.basis, got.isolating) == (want.basis, want.isolating)
+    assert tuple(least_basis(f, w)) == want.basis
     if want.isolating:
         assert list(got.certificate.items()) == list(want.certificate.items())
     else:
@@ -222,9 +224,9 @@ def test_shift_rejects_negative_weights():
 def test_shift_guard_counts_before_it_builds(monkeypatch):
     # x1^2 with weight 1 over dim 1: cone 3 times length 3 is 9 coefficients
     f = VectorPoly.make(Q, 1, 1, [((2,), (1,))])
-    monkeypatch.setattr(conebasis, "LOW_CONE_GUARD", 9)
+    monkeypatch.setattr(polys, "LOW_CONE_GUARD", 9)
     assert shift_by_weight(f, (1,)).coefficient((0,))[0].coeffs == (0, 0, 1)
-    monkeypatch.setattr(conebasis, "LOW_CONE_GUARD", 8)
+    monkeypatch.setattr(polys, "LOW_CONE_GUARD", 8)
     with pytest.raises(TooLarge):
         shift_by_weight(f, (1,))
     with pytest.raises(TooLarge):
@@ -232,27 +234,33 @@ def test_shift_guard_counts_before_it_builds(monkeypatch):
 
 
 def test_shift_matches_symbolic_substitution():
-    rng = random.Random(61)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        k = rng.randint(1, 3)
-        f = random_vectorpoly(rng, Q, n, k, 3, 4)
-        if f.is_zero:
-            continue
-        w = tuple(rng.randint(0, 4) for _ in range(n))
-        sh = shift_by_weight(f, w)
-        truth = symbolic_shift_coefficients(f, w)
-        monos = set(sh.terms) | set(truth)
-        for e in monos:
-            got = sh.coefficient(e)
-            want = truth.get(e, [dict() for _ in range(k)])
-            for t in range(k):
-                want_poly = want[t]
-                max_pow = max(want_poly, default=-1)
-                coeffs = tuple(want_poly.get(i, Fraction(0)) for i in range(max_pow + 1))
-                while coeffs and coeffs[-1] == 0:
-                    coeffs = coeffs[:-1]
-                assert got[t].coeffs == coeffs
+    """Over F_2, F_3 and F_13 the binomials C(b, a) vanish and the collected
+    coefficients cancel mod p; weights of 0 put every term at t^0."""
+    for field, weights in itertools.product([Q, FP, Field.prime(2), Field.prime(3), Field.prime(13)], ["random", "kronecker", "zero"]):
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            k = rng.randint(1, 3)
+            d = rng.randint(1, 4)
+            f = random_vectorpoly(rng, field, n, k, d, rng.randint(1, 6))
+            if f.is_zero:
+                continue
+            w = {
+                "random": tuple(rng.randint(0, 4) for _ in range(n)),
+                "kronecker": kronecker_weights(n, d),
+                "zero": (0,) * n,
+            }[weights]
+            sh = shift_by_weight(f, w)
+            truth = symbolic_shift_coefficients(f, w)
+            for e in set(sh.terms) | set(truth):
+                got = sh.coefficient(e)
+                want = truth.get(e, [dict() for _ in range(k)])
+                for t in range(k):
+                    coeffs = tuple(want[t].get(i, field.zero()) for i in range(max(want[t], default=-1) + 1))
+                    while coeffs and coeffs[-1] == 0:
+                        coeffs = coeffs[:-1]
+                    assert got[t].coeffs == coeffs, (field.spec, weights, f, w, e)
+            assert all(any(not p.is_zero for p in ps) for ps in sh.terms.values())
 
 
 def test_cone_closed_basis_after_shift_examples():

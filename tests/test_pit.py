@@ -176,6 +176,23 @@ def test_a_numpy_integer_degree_bound_is_the_int_it_equals():
     assert low_cone_pit(Oracle(x_plus_one(), 0), 3).render() == "NONZERO witness=1 coeff=1 tested=1 calls=1"
 
 
+@pytest.mark.parametrize(
+    "trials, seed",
+    [(2.5, 1), (True, 1), ("2", 1), (None, 1), (1, 1.5), (1, "1"), (1, None), (1, True), (1, -1)],
+)
+def test_sz_pit_reads_trials_and_seed_as_natural_numbers(trials, seed):
+    # 2.5 and the seeds 1.5, "1" and None used to raise bare TypeErrors, and
+    # True ran one trial
+    oracle = Oracle(x_plus_one())
+    with pytest.raises(BadParameters, match="^(trials|seed) must be a natural number, got "):
+        sz_pit(oracle, trials, seed)
+    assert oracle.calls == 0
+
+
+def test_sz_pit_reads_numpy_integers_as_the_ints_they_equal():
+    assert sz_pit(Oracle(x_plus_one()), np.int64(3), np.uint8(5)) == sz_pit(Oracle(x_plus_one()), 3, 5)
+
+
 @pytest.mark.parametrize("k", [0, -1, 2.5, True, "3", None])
 def test_low_cone_pit_needs_an_int_budget_of_at_least_one(k):
     oracle = Oracle(x_plus_one())
