@@ -65,6 +65,12 @@ def int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def natural_int(text: str) -> int:
+    """argparse type: one non-negative integer."""
+    (value,) = int_list(text)
+    return value
+
+
 def _format_set(vectors) -> str:
     return "{" + ",".join("(" + ",".join(str(x) for x in v) + ")" for v in vectors) + "}"
 
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("szpit", help="randomized identity test by seeded point evaluation")
     p.add_argument("--circuit", required=True)
     p.add_argument("--trials", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=natural_int, required=True)
     p.add_argument("--field")
     p.set_defaults(fn=cmd_szpit)
 

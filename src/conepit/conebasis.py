@@ -26,6 +26,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import polys
+from .documents import natural
 from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, TooLarge, VerificationFailed, ZeroPolynomial
 from .fields import DensePoly, Field, Scalar, rank_over_ft
 from .linalg import RowReducer
@@ -39,6 +40,13 @@ def weight_of(w: Sequence[int], e: ExpVec) -> int:
     if len(w) != len(e):
         raise ArityMismatch(f"weight vector length {len(w)}, exponent arity {len(e)}")
     return sum(a * b for a, b in zip(e, w))
+
+
+def _weights(w: Sequence[int]) -> Weights:
+    """Each weight read by ``documents.natural`` (an int >= 0 as it is),
+    else BadParameters; the entry points read them once, so
+    :func:`weight_of` need not."""
+    return tuple([x if type(x) is int and x >= 0 else natural(x, "weight", BadParameters) for x in w])
 
 
 def kronecker_weights(n: int, d: int) -> Weights:
@@ -83,6 +91,7 @@ def is_basis_isolating(f: VectorPoly, w: Sequence[int]) -> BasisReport:
     are pairwise distinct and every combination uses strictly lighter rows
     only, and the combinations are then the certificate.
     """
+    w = _weights(w)
     if f.is_zero:
         raise ZeroPolynomial("least_basis of the zero polynomial")
     reducer = RowReducer(f.field)
@@ -187,10 +196,10 @@ def shift_by_weight(f: VectorPoly, w: Sequence[int]) -> ShiftedVectorPoly:
     the new coefficient of x^a collects C(b, a) * t^(w(b) - w(a)) times the
     old coefficient of x^b over all supermonomials b in the support.
 
-    The weights must be non-negative: the coefficients are polynomials in t.
+    The weights must be natural numbers: the coefficients are polynomials
+    in t.
     """
-    if any(x < 0 for x in w):
-        raise BadParameters(f"shift weights must be non-negative, got {tuple(w)}")
+    w = _weights(w)
     # each support monomial b adds at most dim coefficients of length
     # w(b) + 1 to each of its cone_size(b) submonomials: count before building
     if f.dim * sum(cone_size(b) * (weight_of(w, b) + 1) for b in f.terms) > polys.LOW_CONE_GUARD:
@@ -226,6 +235,7 @@ def cone_closed_basis_after_shift(f: VectorPoly, w: Sequence[int]) -> list[ExpVe
     F(t) against the coefficient rank of f.  Verification failure signals a
     bug or a violated precondition, never an expected outcome.
     """
+    w = _weights(w)
     report = is_basis_isolating(f, w)
     if not report.isolating:
         raise NotIsolating("weight assignment is not basis isolating for this polynomial")

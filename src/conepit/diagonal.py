@@ -7,9 +7,10 @@ like terms (one form, one power) summed and those that cancel dropped; its
 gate view keeps every term and serves only the scalar twin ``evaluate``.
 Its rank r is the linear rank of the non-constant parts.  ``diag_pit``
 selects the pivot columns of an inverse-free elimination, which keeps
-nonzeroness, collects like terms once on the r-variate forms and runs the
-low-cone test, effective here since the partial-derivative space of a
-k-term diagonal circuit has dimension at most sum (d_i + 1).
+nonzeroness, and runs the low-cone test on the r-variate image under that
+selection, ``PsiMap.apply``, whose program collects like terms once:
+effective here since the partial-derivative space of a k-term diagonal
+circuit has dimension at most sum (d_i + 1).
 
 JSON document format::
 
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from math import factorial, prod
+from typing import NamedTuple, Sequence
 
 from .circuits import Circuit, CircuitBuilder, Oracle, Program, weight_matrix
 from .documents import json_list, load_document, natural, scalar, scalar_list
@@ -33,8 +34,9 @@ from .pit import NONZERO, ZERO, PitVerdict, low_cone_pit
 from .polys import ExpVec, VectorPoly, exponents_of_degree
 
 
-@dataclass(frozen=True)
-class DiagonalTerm:
+class DiagonalTerm(NamedTuple):
+    """One term c * (const + <coeffs, x>)^d."""
+
     c: Scalar
     const: Scalar
     coeffs: tuple[Scalar, ...]
@@ -69,9 +71,22 @@ class DiagonalCircuit:
 
     @cached_property
     def program(self) -> Program:
-        """The program of :func:`_collected` terms, built on first use.  The
-        gate view keeps every term, so ``evaluate`` stays an independent twin."""
-        return _collected(self.field, self.arity, (((t.const, t.coeffs, t.d), t.c) for t in self.terms))[1]
+        """The program of the collected terms, built on first use: like
+        terms summed, since c.l^d + c'.l^d = (c + c').l^d, one row per
+        (const, coeffs, d) whose c is the field sum of its terms', those
+        that sum to 0 dropped, in ascending d, the order in which ``pow``
+        raises rows most cheaply.  Three steps with no gate: L = A.[1; x]
+        for A = [const | coeffs], P = L^d row by row and c.P.  The gate
+        view keeps every term, so ``evaluate`` stays an independent twin."""
+        F, like = self.field, {}
+        for t in self.terms:
+            key = (t.d, t.const, *t.coeffs)
+            like[key] = F.add(like.get(key, F.zero()), t.c)
+        # rows (d, const, *coeffs, c); with nothing left, the sum 0
+        rows = sorted(((*key, c) for key, c in like.items() if c != 0), key=lambda row: row[0]) or [(0,) + (F.zero(),) * (self.arity + 2)]
+        A, c = weight_matrix(F, [row[1:-1] for row in rows]), weight_matrix(F, [[row[-1] for row in rows]])
+        steps = [("lincomb", ((0, slice(None)),), A), ("pow", ((1, slice(None)),), tuple(row[0] for row in rows))]
+        return Program(F, self.arity, steps + [("lincomb", ((2, slice(None)),), c)])
 
     def as_oracle(self) -> Oracle:
         return Oracle(self, self.degree())
@@ -89,24 +104,6 @@ class DiagonalCircuit:
             parts = [(1, b.const(t.const))] + [(a, b.input(i)) for i, a in enumerate(t.coeffs) if a != 0]
             tops.append((t.c, b.pow(b.add(parts), t.d)))
         return b.build(b.add(tops) if tops else b.const(0))
-
-
-def _collected(F: Field, arity: int, keyed: Iterable[tuple[tuple, Scalar]]) -> tuple[tuple[DiagonalTerm, ...], Program]:
-    """Like terms collected, since c.l^d + c'.l^d = (c + c').l^d: a term
-    per (const, coeffs, d) key whose c is the field sum of the key's, those
-    that sum to 0 dropped, in ascending d; and their program, three steps
-    with no gate: L = A.[1; x] for A = [const | coeffs], P = L^d row by row
-    and c.P.  Ascending d is the order in which ``pow`` raises rows most
-    cheaply."""
-    like: dict[tuple, Scalar] = {}
-    for key, c in keyed:
-        like[key] = F.add(like.get(key, F.zero()), c)
-    terms = tuple(sorted((DiagonalTerm(c, *key) for key, c in like.items() if c != 0), key=lambda t: t.d))
-    rows = terms or [DiagonalTerm(F.zero(), F.zero(), (F.zero(),) * arity, 0)]  # nothing left: the sum 0
-    A = weight_matrix(F, [(t.const,) + t.coeffs for t in rows])
-    c = weight_matrix(F, [[t.c for t in rows]])
-    steps = [("lincomb", ((0, slice(None)),), A), ("pow", ((1, slice(None)),), tuple(t.d for t in rows))]
-    return terms, Program(F, arity, steps + [("lincomb", ((2, slice(None)),), c)])
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +155,7 @@ class PsiMap:
 
     def apply(self, circuit: DiagonalCircuit) -> DiagonalCircuit:
         """The r-variate circuit C(Psi(x)); constants are untouched."""
-        terms = tuple(DiagonalTerm(t.c, t.const, tuple(t.coeffs[j] for j in self.columns), t.d) for t in circuit.terms)
+        terms = tuple([DiagonalTerm(t.c, t.const, tuple([t.coeffs[j] for j in self.columns]), t.d) for t in circuit.terms])
         return DiagonalCircuit(circuit.field, len(self.columns), terms)
 
 
@@ -182,11 +179,13 @@ def diag_pit(circuit: DiagonalCircuit) -> PitVerdict:
     """Deterministic blackbox identity test for a diagonal circuit.
 
     Compresses the circuit to its rank by the coordinate selection of
-    :func:`build_psi` (which preserves nonzeroness), with like terms of the
-    image, one (const, coeffs at the pivots, d), collected once into the
-    reduced circuit's rows.  The low-cone test with the sum-of-(d_i + 1)
-    promise runs on it under the input's degree bound, which stays when top
-    terms cancel.  A Nonzero witness is a monomial of the reduced circuit.
+    :func:`build_psi` (which preserves nonzeroness): the reduced circuit is
+    its :meth:`PsiMap.apply` image, whose program collects the like terms,
+    one (const, coeffs at the pivots, d), the first time it is run.  The
+    low-cone test with the sum-of-(d_i + 1) promise runs on it under the
+    input's degree bound, which stays when top terms cancel.  A Nonzero
+    witness is a monomial of the reduced circuit.  A circuit of rank 0 is
+    its constant, read once at the origin.
     """
     F = circuit.field
     F.require_size_over(circuit.degree(), "diagonal identity test")
@@ -194,9 +193,7 @@ def diag_pit(circuit: DiagonalCircuit) -> PitVerdict:
     if not cols:  # a constant polynomial: evaluate once at the origin
         v = circuit.evaluate_many([[F.zero()] * circuit.arity])[0]
         return PitVerdict(ZERO, None, None, 1, 1) if v == 0 else PitVerdict(NONZERO, (), v, 1, 1)
-    rows, program = _collected(F, len(cols), (((t.const, tuple([t.coeffs[j] for j in cols]), t.d), t.c) for t in circuit.terms))
-    reduced = DiagonalCircuit(F, len(cols), rows)
-    reduced.__dict__["program"] = program  # its cached program: the rows are collected, not again
+    reduced = PsiMap(circuit.arity, tuple(cols)).apply(circuit)
     return low_cone_pit(Oracle(reduced, circuit.degree()), pd_dim_bound(circuit))
 
 
@@ -219,26 +216,10 @@ def diag_power_vectorpoly(field: Field, rows: Sequence[Sequence[Scalar]], d: int
             raise ValidationError("rows must share one length")
 
     items: list[tuple[ExpVec, list[Scalar]]] = []
-
-    def multinomial(e: ExpVec) -> int:
-        out = 1
-        left = d
-        for x in e:
-            out *= comb(left, x)
-            left -= x
-        return out
-
     for total in range(d + 1):
         for e in exponents_of_degree([d] * n, total):
-            m = field.of(multinomial(e))
-            vec = []
-            for t in range(k):
-                v = m
-                for j, x in enumerate(e):
-                    if x:
-                        v = field.mul(v, field.pow(mat[t][j], x))
-                vec.append(v)
-            items.append((e, vec))
+            m = field.of(factorial(d) // (factorial(d - total) * prod(map(factorial, e))))
+            items.append((e, [reduce(field.mul, (field.pow(a, x) for a, x in zip(row, e) if x), m) for row in mat]))
     return VectorPoly.make(field, n, k, items)
 
 

@@ -28,18 +28,21 @@ total-degree layer's points that no lower layer requests, as a read-only
 shape (field, n, k, d, t), and builds no weight, so query sets exist only
 for coefficients a test combines.  One least recently used cache keeps
 them all, at most ``CACHE_ITEMS`` items of ``CACHE_ENTRIES`` entries in
-all: a row of width m counts m, a table m^2, a query set or a layer one
-per point.  An item of more than ``CACHE_ENTRIES // 64`` is built per call
-and not kept, and none holds an oracle's values.  ``EXTRACTION_GUARD``
-refuses an extraction whose points or weight rows would not fit in memory.
+all: a row of width m counts m, a query set or a layer one per point.  An
+item of more than ``CACHE_ENTRIES // 64`` is built per call and not kept,
+and none holds an oracle's values.  ``EXTRACTION_GUARD`` refuses an
+extraction whose points or weight rows would not fit in memory.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
-int tuples), so the weight rows have a closed form, :func:`interpolation_row`;
-all m rows of one width come from one O(m^2) pass, :func:`interpolation_rows`;
-:func:`vandermonde_row` solves for arbitrary nodes and is their twin.  Every
-row has one exact form: residues over F_p, and over Q the ints (m-1)! times
-the row, so a query set's weights over Q are products of integer rows over
-d! * prod e_i! and no ``Fraction`` is built before ``combine``'s division.
+int tuples), so the weight rows have a closed form, :func:`interpolation_row`,
+each kept under its own key: one synthetic division from row m-1 down to
+the target keeps every row it passes, and :func:`interpolation_rows`, all
+m rows of one width as ``dense_expand`` reads them, is those same rows,
+built in one O(m^2) pass when one is missing.  :func:`vandermonde_row`
+solves for arbitrary nodes and is their twin.  Every row has one exact
+form: residues over F_p, and over Q the ints (m-1)! times the row, so a
+query set's weights over Q are products of integer rows over d! * prod
+e_i! and no ``Fraction`` is built before ``combine``'s division.
 """
 
 from __future__ import annotations
@@ -90,12 +93,21 @@ def vandermonde_row(nodes: Sequence[Scalar], target: int, field: Field) -> list[
     nodes = [field.of(x) for x in nodes]
     if len(set(nodes)) != m:
         raise DuplicateNodes(f"interpolation nodes not distinct: {nodes}")
-    if not 0 <= target < m:
-        raise BadParameters(f"target power {target} outside 0..{m - 1}")
+    target = _target_power(target, m)
     red = RowReducer(field)
     for x in nodes:
         red.insert([field.pow(x, k) for k in range(m)])
     return red.add([field.one() if k == target else field.zero() for k in range(m)])
+
+
+def _target_power(target: int, m: int) -> int:
+    """``target`` read by :func:`natural`, which must lie in 0 .. m-1, else
+    BadParameters; an int is taken as it is, so a negative one is reported
+    as outside that range."""
+    target = target if type(target) is int else natural(target, "target power", BadParameters)
+    if not 0 <= target < m:
+        raise BadParameters(f"target power {target} outside 0..{m - 1}")
+    return target
 
 
 class _Cache:
@@ -127,9 +139,10 @@ class _Cache:
 _cache = _Cache()
 
 
-def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tuple[Scalar, ...]]:
-    """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 for
-    each of ``targets``, by target, from one synthetic division.
+def _lagrange_rows(field: Field, m: int, lowest: int) -> list[tuple[Scalar, ...]]:
+    """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 for the
+    targets lowest .. m-1, in that order, from one synthetic division, each
+    kept in the cache under its own key (one already kept is used as it is).
 
     With P(x) = prod_{i<m} (x - i), the weight of node j in row t is the
     coefficient of x^t in the Lagrange basis polynomial P(x) / ((x - j) P'(j)),
@@ -138,8 +151,7 @@ def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tu
     coefficient of every x^t in turn, so all m rows cost O(m^2) operations.
     As (m-1)! / P'(j) is the signed binomial (-1)^(m-1-j) C(m-1, j), the
     rows times (m-1)! are integers: the rows over Q; over F_p only (m-1)!
-    is inverted, and m > p raises DuplicateNodes.  The division stops at
-    the lowest target, and only the rows asked for are scaled."""
+    is inverted, and m > p raises DuplicateNodes."""
     F, p = field, field.p
     if p is not None and m > p:
         raise DuplicateNodes(f"interpolation nodes 0..{m - 1} not distinct in F_{p}")
@@ -156,30 +168,21 @@ def _lagrange_rows(field: Field, m: int, targets: Sequence[int]) -> dict[int, tu
     inv = np.array([F.mul((-1) ** (m - 1 - j) * math.comb(m - 1, j), scale) for j in range(m)], dtype=object)
     js = np.arange(m).astype(object)
     q = np.ones(m, dtype=object)  # the coefficient of x^(m-1) in P(x) / (x - j)
-    lowest = min(targets)
-    rows = {}
+    rows = []
     for t in range(m - 1, lowest - 1, -1):
-        if t in targets:
-            row = q * inv
-            rows[t] = tuple((row if p is None else row % p).tolist())
+        key = ("row", F, m, t)
+        rows.append(_cache.get(key) or _cache.put(key, tuple((q * inv if p is None else q * inv % p).tolist()), m))
         if t > lowest:
-            q = c[t] + js * q
-            if p is not None:
-                q %= p
-    return rows
+            q = c[t] + js * q if p is None else (c[t] + js * q) % p
+    return rows[::-1]
 
 
 def interpolation_rows(field: Field, m: int) -> tuple[tuple[Scalar, ...], ...]:
     """Every :func:`interpolation_row` on the nodes 0 .. m-1: row t maps
     the values at the nodes to the coefficient of x^t (over Q times (m-1)!).
-    O(m^2) operations in all, cached as m^2 entries, so a table wider than
-    64 is built and not kept."""
-    key = ("rows", field, m)
-    table = _cache.get(key)
-    if table is None:
-        rows = _lagrange_rows(field, m, range(m))
-        table = _cache.put(key, tuple(rows[t] for t in range(m)), m * m)
-    return table
+    The cached rows, or one O(m^2) division when one is missing."""
+    rows = [_cache.get(("row", field, m, t)) for t in range(m)]
+    return tuple(_lagrange_rows(field, m, 0) if None in rows else rows)
 
 
 def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
@@ -187,14 +190,10 @@ def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     cached as m entries, over Q as the ints (m-1)! times that row: the
     weight of node j is the coefficient of x^target in the Lagrange basis
     polynomial of j (see :func:`_lagrange_rows`).  The division stops at the
-    target row, so an extraction at a high degree builds no whole table."""
-    key = ("row", field, m, target)
-    row = _cache.get(key)
-    if row is None:
-        if not 0 <= target < m:
-            raise BadParameters(f"target power {target} outside 0..{m - 1}")
-        row = _cache.put(key, _lagrange_rows(field, m, (target,))[target], m)
-    return row
+    target row, so an extraction at a high degree builds no whole table,
+    and keeps every row it passes.  Only a row not kept reads ``target``
+    as a natural number, so the hit costs one lookup."""
+    return _cache.get(("row", field, m, target)) or _lagrange_rows(field, m, _target_power(target, m))[0]
 
 
 def _base_points(field: Field, e: ExpVec, degree: int) -> Iterator[tuple[Scalar, ...]]:

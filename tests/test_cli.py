@@ -399,6 +399,7 @@ def test_scalars_may_be_json_integers(tmp_path):
         ["shift-basis", "--vectorpoly", "{vp}", "--weights", "-1,2"],
         ["szpit", "--circuit", "{square}", "--trials", "1", "--seed=--"],
         ["pit", "--circuit=--", "--k", "2"],
+        ["szpit", "--circuit", "{square}", "--trials", "1", "--seed", "-1"],
     ],
 )
 def test_bad_arguments_are_usage_errors(tmp_path, square_circuit, argv):

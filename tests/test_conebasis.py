@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import log2
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -219,6 +220,17 @@ def test_shift_rejects_negative_weights():
     with pytest.raises(BadParameters):
         cone_closed_basis_after_shift(f, (2, -1))
     assert shift_by_weight(f, (0, 2)).coefficient((0, 0))[0].coeffs == (1, 0, 1)  # 1 + t^2
+
+
+@pytest.mark.parametrize("w", [(1.5, 2), ("1", 2), (True, 2), (None, 2), (1, -1)])
+def test_weights_are_natural_numbers(w):
+    # read once at each entry point, as documents.natural reads them; a
+    # float, string or bool used to raise TypeError or be read as an int
+    f = example_f()
+    for entry in (least_basis, is_basis_isolating, shift_by_weight, cone_closed_basis_after_shift):
+        with pytest.raises(BadParameters, match="^weight must be a natural number, got "):
+            entry(f, w)
+    assert is_basis_isolating(f, (np.int64(1), np.int64(2))) == is_basis_isolating(f, (1, 2))
 
 
 def test_shift_guard_counts_before_it_builds(monkeypatch):

@@ -26,7 +26,7 @@ from conepit.generators import random_diagonal
 from conepit.linalg import RowReducer, matrix_rank
 from conepit.pit import NONZERO, ZERO, brute_force_pit
 from conepit.polys import MultiPoly, is_cone_closed, pd_space_dim
-from reference import poly_pow, reference_diag_pit
+from reference import poly_pow, reference_diag_pit, reference_psi
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -135,7 +135,8 @@ def test_diag_pit_constant_instances():
 def _assert_diag_pit_matches_twin(D):
     """``diag_pit`` against ``reference_diag_pit``: one verdict, rendering
     and call count, an oracle under the input's degree, and a reduced
-    program equal to the unfused image's at random points."""
+    program equal at random points to the image under ``reference_psi``,
+    whose pivots come from ``RowReducer``."""
     with mock.patch.object(diagonal, "low_cone_pit", wraps=diagonal.low_cone_pit) as spy:
         verdict = diag_pit(D)
     twin, twin_oracle = reference_diag_pit(D)
@@ -148,7 +149,7 @@ def _assert_diag_pit_matches_twin(D):
     reduced, F, rng = oracle.circuit, D.field, random.Random(len(D.terms))
     assert isinstance(reduced, DiagonalCircuit)
     pts = [[F.random(rng) if F.p else Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(reduced.arity)] for _ in range(8)]
-    assert reduced.program.evaluate_many(pts) == build_psi(D).apply(D).program.evaluate_many(pts)
+    assert reduced.program.evaluate_many(pts) == reference_psi(D).apply(D).program.evaluate_many(pts)
     assert [reduced.evaluate(pt) for pt in pts] == reduced.program.evaluate_many(pts)
 
 

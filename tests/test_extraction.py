@@ -202,46 +202,94 @@ def test_wide_interpolation_rows_invert_the_vandermonde_matrix(field):
 
 
 def test_row_tables_keep_the_cache_bound(fresh_cache, monkeypatch):
-    # items of at most 100 entries, so tables of width at most 10, and at
-    # most two of them; the least recently used goes first
+    # items of at most 100 entries, and at most 16 of them: a table is its
+    # rows, each kept under its own key, stored from the top row down, and
+    # the least recently used goes first
     cache = fresh_cache()
     monkeypatch.setattr(extraction, "CACHE_ENTRIES", 6400)
-    monkeypatch.setattr(extraction, "CACHE_ITEMS", 2)
-    for m in (8, 9, 7, 11):
+    monkeypatch.setattr(extraction, "CACHE_ITEMS", 16)
+    for m in (8, 9, 7):
         table = interpolation_rows(FP, m)
         assert [list(row) for row in table] == [vandermonde_row(range(m), t, FP) for t in range(m)]
         check_cache(cache)
-    assert list(cache.items) == [("rows", FP, 9), ("rows", FP, 7)]
-    assert interpolation_rows(FP, 9) is cache.items["rows", FP, 9][0]
-    assert list(cache.items) == [("rows", FP, 7), ("rows", FP, 9)] and cache.entries == 49 + 81
-    assert interpolation_rows(FP, 11) is not interpolation_rows(FP, 11)
-    # 64 rows of width 100 fill the 6400 entries, and the 65th drops the
-    # least recently used
+    assert list(cache.items) == [("row", FP, 9, t) for t in range(8, -1, -1)] + [("row", FP, 7, t) for t in range(6, -1, -1)]
+    table = interpolation_rows(FP, 9)
+    assert all(row is cache.items["row", FP, 9, t][0] for t, row in enumerate(table))
+    assert list(cache.items) == [("row", FP, 7, t) for t in range(6, -1, -1)] + [("row", FP, 9, t) for t in range(9)]
+    assert cache.entries == 49 + 81
+    # a row over the item cap is built per call and not kept
+    assert interpolation_row(FP, 101, 100) is not interpolation_row(FP, 101, 100)
+    assert not [key for key in cache.items if key[2] == 101]
+    # 64 rows of width 100 fill the 6400 entries: the division down to row
+    # 35 passes 65 rows and drops the least recently used, the top one
+    cache = fresh_cache()
     monkeypatch.setattr(extraction, "CACHE_ITEMS", 4096)
-    rows = [interpolation_row(FP, 100, t) for t in range(65)]
+    row = interpolation_row(FP, 100, 35)
     check_cache(cache)
-    assert list(cache.items) == [("row", FP, 100, t) for t in range(1, 65)]
-    assert interpolation_row(FP, 100, 64) is rows[64] and interpolation_row(FP, 100, 0) is not rows[0]
+    assert list(cache.items) == [("row", FP, 100, t) for t in range(98, 34, -1)] and cache.entries == 6400
+    # the dropped top row is built again, and drops the next least recently used
+    assert interpolation_row(FP, 100, 35) is row and interpolation_row(FP, 100, 99) is cache.items["row", FP, 100, 99][0]
+    assert list(cache.items) == [("row", FP, 100, t) for t in range(97, 34, -1)] + [("row", FP, 100, 99)]
 
 
-def test_a_table_over_the_item_cap_is_not_kept():
-    # 600^2 = 360,000 entries: more than the whole cache holds
+def test_a_table_over_the_item_cap_is_not_kept(fresh_cache):
+    # 600 rows of width 600 are 360,000 entries, more than the whole cache
+    # holds: the table is built in one pass and only its lowest rows, the
+    # last the division passes, are kept
+    cache = fresh_cache()
     table = interpolation_rows(FP, 600)
+    check_cache(cache)
+    kept = CACHE_ENTRIES // 600
+    assert list(cache.items) == [("row", FP, 600, t) for t in range(kept - 1, -1, -1)]
+    assert all(table[t] is cache.items["row", FP, 600, t][0] for t in range(kept))
     assert table[599] == interpolation_row(FP, 600, 599)
-    check_cache(extraction._cache)
-    assert not [key for key in extraction._cache.items if key[:3] == ("rows", FP, 600)]
+    check_cache(cache)
 
 
 def test_integral_rows_over_q_are_the_rows_times_the_factorial(fresh_cache):
     # the one form of the rows over Q: ints, each row (m-1)! times the
-    # twin's Fraction row, negative entries among them, one table per width
+    # twin's Fraction row, negative entries among them, one item per row
     cache = fresh_cache()
     for m in (1, 2, 5, 23):
         ints = interpolation_rows(Q, m)
         assert {type(w) for row in ints for w in row} == {int}
         assert [[w * math.factorial(m - 1) for w in vandermonde_row(range(m), t, Q)] for t in range(m)] == [list(r) for r in ints]
-        assert interpolation_rows(Q, m) is ints is cache.items["rows", Q, m][0]
+        assert all(a is b is cache.items["row", Q, m, t][0] for t, (a, b) in enumerate(zip(interpolation_rows(Q, m), ints)))
     assert min(interpolation_rows(Q, 5)[1]) < 0
+
+
+@pytest.mark.parametrize("target", [1.5, "1", None, True])
+def test_a_target_power_is_a_natural_number(fresh_cache, target):
+    # read as documents.natural reads it, on a row not yet kept; a numpy
+    # integer is the int it equals
+    fresh_cache()
+    with pytest.raises(BadParameters, match="^target power must be a natural number, got "):
+        vandermonde_row([0, 1, 2], target, FP)
+    with pytest.raises(BadParameters, match="^target power must be a natural number, got "):
+        interpolation_row(FP, 3, target)
+    assert vandermonde_row([0, 1, 2], np.int64(1), FP) == vandermonde_row([0, 1, 2], 1, FP)
+    assert interpolation_row(Q, 4, np.int64(2)) == interpolation_row(Q, 4, 2)
+
+
+def test_dense_expand_and_an_extraction_share_their_rows(fresh_cache, monkeypatch):
+    # (1 + x + 2y)^3 at width 4: the extraction of xy passes rows 3 and 2
+    # of width 4 and row 1 of width 2, dense_expand reads the whole width-4
+    # table; in either order each row is kept once, and a division runs
+    # only for rows not yet kept
+    b = CircuitBuilder(FP, 2)
+    circuit = b.build(b.pow(b.add([(1, b.const(1)), (1, b.input(0)), (2, b.input(1))]), 3))
+    kept = [("row", FP, 4, t) for t in range(4)] + [("row", FP, 2, 1)]
+    divisions, build = {}, extraction._lagrange_rows
+    for order in (("extract", "expand"), ("expand", "extract")):
+        cache = fresh_cache()
+        divisions[order] = calls = []
+        monkeypatch.setattr(extraction, "_lagrange_rows", lambda *args: calls.append(args[1:]) or build(*args))
+        got = {step: extract_coefficient(Oracle(circuit), (1, 1)) if step == "extract" else dense_expand(Oracle(circuit)) for step in order}
+        assert got["expand"].coefficient((1, 1)) == got["extract"] == 12
+        rows = {key: entries for key, (_, entries) in cache.items.items() if key[0] == "row"}
+        assert sorted(rows, key=kept.index) == kept and sum(rows.values()) == 4 * 4 + 2
+        check_cache(cache)
+    assert divisions == {("extract", "expand"): [(4, 2), (2, 1), (4, 0)], ("expand", "extract"): [(4, 0), (2, 1)]}
 
 
 def blank_oracle(field, n, degree):
@@ -323,7 +371,8 @@ def test_query_sets_over_q_are_integer_rows_over_one_denominator(fresh_cache, e,
 
 def test_large_extraction_is_exact_and_not_cached(fresh_cache):
     # (1 + x + 2y + 3z)^20: x^6 y^6 z^6 requests 343 * 21 points, over the
-    # item cap; only its weight rows are kept
+    # item cap; only its weight rows are kept, and every row the divisions
+    # down to them pass
     cache = fresh_cache()
     b = CircuitBuilder(FP, 3)
     oracle = Oracle(b.build(b.pow(b.add([(1, b.const(1))] + [(i + 1, b.input(i)) for i in range(3)]), 20)))
@@ -331,7 +380,7 @@ def test_large_extraction_is_exact_and_not_cached(fresh_cache):
     assert cone_size(e) * (oracle.degree + 1) > CACHE_ENTRIES // 64
     x, y = FilteredOracle(oracle, e), FilteredOracle(oracle, e)
     assert x.queries() is not y.queries()
-    assert set(cache.items) == {("row", FP, 7, 6), ("row", FP, 21, 18)}
+    assert set(cache.items) == {("row", FP, 7, 6)} | {("row", FP, 21, t) for t in (18, 19, 20)}
     assert x.coefficient() == dense_expand(Oracle(oracle.circuit)).coefficient(e)
 
 

@@ -517,8 +517,8 @@ def record_builds(monkeypatch):
 
 def test_a_second_pass_builds_nothing(fresh_cache, monkeypatch):
     # the PIT benchmark's circuit families over its three fields, low-cone
-    # then brute force: the second pass finds every row, row table, query
-    # set and layer in the cache
+    # then brute force: the second pass finds every row, query set and
+    # layer in the cache
     fresh_cache()
     rng = random.Random(26)
     oracles = []
