@@ -43,10 +43,9 @@ def weight_of(w: Sequence[int], e: ExpVec) -> int:
 
 
 def _weights(w: Sequence[int]) -> Weights:
-    """Each weight read by ``documents.natural`` (an int >= 0 as it is),
-    else BadParameters; the entry points read them once, so
-    :func:`weight_of` need not."""
-    return tuple([x if type(x) is int and x >= 0 else natural(x, "weight", BadParameters) for x in w])
+    """Each weight read by ``documents.natural``, else BadParameters; the
+    entry points read them once, so :func:`weight_of` need not."""
+    return tuple(natural(x, "weight", BadParameters) for x in w)
 
 
 def kronecker_weights(n: int, d: int) -> Weights:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from math import factorial, prod
+from functools import cached_property
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .circuits import Circuit, CircuitBuilder, Oracle, Program, weight_matrix
@@ -80,12 +80,14 @@ class DiagonalCircuit:
         view keeps every term, so ``evaluate`` stays an independent twin."""
         F, like = self.field, {}
         for t in self.terms:
-            key = (t.d, t.const, *t.coeffs)
+            key = (t.d, t.const, t.coeffs)
             like[key] = F.add(like.get(key, F.zero()), t.c)
-        # rows (d, const, *coeffs, c); with nothing left, the sum 0
-        rows = sorted(((*key, c) for key, c in like.items() if c != 0), key=lambda row: row[0]) or [(0,) + (F.zero(),) * (self.arity + 2)]
-        A, c = weight_matrix(F, [row[1:-1] for row in rows]), weight_matrix(F, [[row[-1] for row in rows]])
-        steps = [("lincomb", ((0, slice(None)),), A), ("pow", ((1, slice(None)),), tuple(row[0] for row in rows))]
+        rows = sorted((key + (c,) for key, c in like.items() if c != 0), key=lambda row: row[0])
+        if not rows:  # nothing left: the sum 0
+            rows = [(0, F.zero(), (F.zero(),) * self.arity, F.zero())]
+        A = weight_matrix(F, [(const,) + coeffs for _, const, coeffs, _ in rows])
+        c = weight_matrix(F, [[c for *_, c in rows]])
+        steps = [("lincomb", ((0, slice(None)),), A), ("pow", ((1, slice(None)),), tuple(d for d, *_ in rows))]
         return Program(F, self.arity, steps + [("lincomb", ((2, slice(None)),), c)])
 
     def as_oracle(self) -> Oracle:
@@ -216,10 +218,26 @@ def diag_power_vectorpoly(field: Field, rows: Sequence[Sequence[Scalar]], d: int
             raise ValidationError("rows must share one length")
 
     items: list[tuple[ExpVec, list[Scalar]]] = []
+
+    def multinomial(e: ExpVec) -> int:
+        out = 1
+        left = d
+        for x in e:
+            out *= comb(left, x)
+            left -= x
+        return out
+
     for total in range(d + 1):
         for e in exponents_of_degree([d] * n, total):
-            m = field.of(factorial(d) // (factorial(d - total) * prod(map(factorial, e))))
-            items.append((e, [reduce(field.mul, (field.pow(a, x) for a, x in zip(row, e) if x), m) for row in mat]))
+            m = field.of(multinomial(e))
+            vec = []
+            for t in range(k):
+                v = m
+                for j, x in enumerate(e):
+                    if x:
+                        v = field.mul(v, field.pow(mat[t][j], x))
+                vec.append(v)
+            items.append((e, vec))
     return VectorPoly.make(field, n, k, items)
 
 

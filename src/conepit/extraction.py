@@ -30,19 +30,19 @@ for coefficients a test combines.  One least recently used cache keeps
 them all, at most ``CACHE_ITEMS`` items of ``CACHE_ENTRIES`` entries in
 all: a row of width m counts m, a query set or a layer one per point.  An
 item of more than ``CACHE_ENTRIES // 64`` is built per call and not kept,
-and none holds an oracle's values.  ``EXTRACTION_GUARD`` refuses an
+nor is any row but the one asked for of a division whose rows come to
+more, and none holds an oracle's values.  ``EXTRACTION_GUARD`` refuses an
 extraction whose points or weight rows would not fit in memory.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
 int tuples), so the weight rows have a closed form, :func:`interpolation_row`,
-each kept under its own key: one synthetic division from row m-1 down to
-the target keeps every row it passes, and :func:`interpolation_rows`, all
-m rows of one width as ``dense_expand`` reads them, is those same rows,
-built in one O(m^2) pass when one is missing.  :func:`vandermonde_row`
-solves for arbitrary nodes and is their twin.  Every row has one exact
-form: residues over F_p, and over Q the ints (m-1)! times the row, so a
-query set's weights over Q are products of integer rows over d! * prod
-e_i! and no ``Fraction`` is built before ``combine``'s division.
+each kept under its own key by the one division that passes it; the table
+of one width that ``dense_expand`` reads, :func:`interpolation_rows`, is
+those same rows; :func:`vandermonde_row` solves for arbitrary nodes and is
+their twin.  Every row has one exact form: residues over F_p, and over Q
+the ints (m-1)! times the row, so a query set's weights over Q are products
+of integer rows over d! * prod e_i! and no ``Fraction`` is built before
+``combine``'s division.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def _target_power(target: int, m: int) -> int:
     """``target`` read by :func:`natural`, which must lie in 0 .. m-1, else
     BadParameters; an int is taken as it is, so a negative one is reported
     as outside that range."""
-    target = target if type(target) is int else natural(target, "target power", BadParameters)
+    if type(target) is not int:
+        target = natural(target, "target power", BadParameters)
     if not 0 <= target < m:
         raise BadParameters(f"target power {target} outside 0..{m - 1}")
     return target
@@ -127,8 +128,9 @@ class _Cache:
         return None
 
     def put(self, key: tuple, value, entries: int):
-        """``value``, kept under ``key`` unless it is over the item cap."""
-        if entries <= CACHE_ENTRIES // 64:
+        """``value``, kept under ``key`` unless it is over the item cap or
+        ``key`` is kept already."""
+        if entries <= CACHE_ENTRIES // 64 and key not in self.items:
             self.items[key] = value, entries
             self.entries += entries
             while len(self.items) > CACHE_ITEMS or self.entries > CACHE_ENTRIES:
@@ -141,8 +143,7 @@ _cache = _Cache()
 
 def _lagrange_rows(field: Field, m: int, lowest: int) -> list[tuple[Scalar, ...]]:
     """The rows of :func:`interpolation_row` on the nodes 0 .. m-1 for the
-    targets lowest .. m-1, in that order, from one synthetic division, each
-    kept in the cache under its own key (one already kept is used as it is).
+    targets lowest .. m-1, in that order, from one synthetic division.
 
     With P(x) = prod_{i<m} (x - i), the weight of node j in row t is the
     coefficient of x^t in the Lagrange basis polynomial P(x) / ((x - j) P'(j)),
@@ -170,19 +171,25 @@ def _lagrange_rows(field: Field, m: int, lowest: int) -> list[tuple[Scalar, ...]
     q = np.ones(m, dtype=object)  # the coefficient of x^(m-1) in P(x) / (x - j)
     rows = []
     for t in range(m - 1, lowest - 1, -1):
-        key = ("row", F, m, t)
-        rows.append(_cache.get(key) or _cache.put(key, tuple((q * inv if p is None else q * inv % p).tolist()), m))
+        row = q * inv
+        rows.append(tuple((row if p is None else row % p).tolist()))
         if t > lowest:
-            q = c[t] + js * q if p is None else (c[t] + js * q) % p
+            q = c[t] + js * q
+            if p is not None:
+                q %= p
     return rows[::-1]
 
 
 def interpolation_rows(field: Field, m: int) -> tuple[tuple[Scalar, ...], ...]:
     """Every :func:`interpolation_row` on the nodes 0 .. m-1: row t maps
     the values at the nodes to the coefficient of x^t (over Q times (m-1)!).
-    The cached rows, or one O(m^2) division when one is missing."""
-    rows = [_cache.get(("row", field, m, t)) for t in range(m)]
-    return tuple(_lagrange_rows(field, m, 0) if None in rows else rows)
+    The rows are those :func:`interpolation_row` keeps, so a missing row 0
+    costs one O(m^2) division that keeps them all; a table of more than
+    ``CACHE_ENTRIES // 64`` entries is built per call and none of its rows
+    is kept."""
+    if m * m > CACHE_ENTRIES // 64:
+        return tuple(_lagrange_rows(field, m, 0))
+    return tuple([interpolation_row(field, m, t) for t in range(m)])
 
 
 def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
@@ -190,10 +197,20 @@ def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     cached as m entries, over Q as the ints (m-1)! times that row: the
     weight of node j is the coefficient of x^target in the Lagrange basis
     polynomial of j (see :func:`_lagrange_rows`).  The division stops at the
-    target row, so an extraction at a high degree builds no whole table,
-    and keeps every row it passes.  Only a row not kept reads ``target``
-    as a natural number, so the hit costs one lookup."""
-    return _cache.get(("row", field, m, target)) or _lagrange_rows(field, m, _target_power(target, m))[0]
+    target row, so an extraction at a high degree builds no whole table.
+    It keeps every row it passes that is not kept yet, unless they come to
+    more than ``CACHE_ENTRIES // 64`` entries in all, when it keeps the
+    target row alone."""
+    target = _target_power(target, m)
+    row = _cache.get(("row", field, m, target))
+    if row is None:
+        rows = _lagrange_rows(field, m, target)
+        if (m - target) * m > CACHE_ENTRIES // 64:
+            rows = rows[:1]
+        for t, new in enumerate(rows, target):
+            _cache.put(("row", field, m, t), new, m)
+        row = rows[0]
+    return row
 
 
 def _base_points(field: Field, e: ExpVec, degree: int) -> Iterator[tuple[Scalar, ...]]:

@@ -202,48 +202,40 @@ def test_wide_interpolation_rows_invert_the_vandermonde_matrix(field):
 
 
 def test_row_tables_keep_the_cache_bound(fresh_cache, monkeypatch):
-    # items of at most 100 entries, and at most 16 of them: a table is its
-    # rows, each kept under its own key, stored from the top row down, and
-    # the least recently used goes first
+    # items of at most 100 entries, so tables of width at most 10, and at
+    # most 16 of them, the rows of two tables of widths 9 and 7: a table is
+    # its rows, each under its own key, and the least recently used goes first
     cache = fresh_cache()
     monkeypatch.setattr(extraction, "CACHE_ENTRIES", 6400)
     monkeypatch.setattr(extraction, "CACHE_ITEMS", 16)
-    for m in (8, 9, 7):
+    for m in (8, 9, 7, 11):
         table = interpolation_rows(FP, m)
         assert [list(row) for row in table] == [vandermonde_row(range(m), t, FP) for t in range(m)]
         check_cache(cache)
-    assert list(cache.items) == [("row", FP, 9, t) for t in range(8, -1, -1)] + [("row", FP, 7, t) for t in range(6, -1, -1)]
-    table = interpolation_rows(FP, 9)
-    assert all(row is cache.items["row", FP, 9, t][0] for t, row in enumerate(table))
-    assert list(cache.items) == [("row", FP, 7, t) for t in range(6, -1, -1)] + [("row", FP, 9, t) for t in range(9)]
-    assert cache.entries == 49 + 81
-    # a row over the item cap is built per call and not kept
-    assert interpolation_row(FP, 101, 100) is not interpolation_row(FP, 101, 100)
-    assert not [key for key in cache.items if key[2] == 101]
-    # 64 rows of width 100 fill the 6400 entries: the division down to row
-    # 35 passes 65 rows and drops the least recently used, the top one
-    cache = fresh_cache()
+    nine, seven = [("row", FP, 9, t) for t in range(9)], [("row", FP, 7, t) for t in range(7)]
+    assert list(cache.items) == nine + seven
+    assert all(row is cache.items["row", FP, 9, t][0] for t, row in enumerate(interpolation_rows(FP, 9)))
+    assert list(cache.items) == seven + nine and cache.entries == 49 + 81
+    assert interpolation_rows(FP, 11)[0] is not interpolation_rows(FP, 11)[0]
+    assert list(cache.items) == seven + nine
+    # 64 rows of width 100 fill the 6400 entries, and the 65th drops the
+    # least recently used; each division passes more than 100 entries of
+    # rows, so it keeps its target row alone
     monkeypatch.setattr(extraction, "CACHE_ITEMS", 4096)
-    row = interpolation_row(FP, 100, 35)
+    rows = [interpolation_row(FP, 100, t) for t in range(65)]
     check_cache(cache)
-    assert list(cache.items) == [("row", FP, 100, t) for t in range(98, 34, -1)] and cache.entries == 6400
-    # the dropped top row is built again, and drops the next least recently used
-    assert interpolation_row(FP, 100, 35) is row and interpolation_row(FP, 100, 99) is cache.items["row", FP, 100, 99][0]
-    assert list(cache.items) == [("row", FP, 100, t) for t in range(97, 34, -1)] + [("row", FP, 100, 99)]
+    assert list(cache.items) == [("row", FP, 100, t) for t in range(1, 65)]
+    assert interpolation_row(FP, 100, 64) is rows[64] and interpolation_row(FP, 100, 0) is not rows[0]
 
 
 def test_a_table_over_the_item_cap_is_not_kept(fresh_cache):
-    # 600 rows of width 600 are 360,000 entries, more than the whole cache
-    # holds: the table is built in one pass and only its lowest rows, the
-    # last the division passes, are kept
+    # 600^2 = 360,000 entries: more than the whole cache holds, so none of
+    # the table's rows is kept, and a lone row of width 600 is
     cache = fresh_cache()
     table = interpolation_rows(FP, 600)
-    check_cache(cache)
-    kept = CACHE_ENTRIES // 600
-    assert list(cache.items) == [("row", FP, 600, t) for t in range(kept - 1, -1, -1)]
-    assert all(table[t] is cache.items["row", FP, 600, t][0] for t in range(kept))
     assert table[599] == interpolation_row(FP, 600, 599)
     check_cache(cache)
+    assert [key for key in cache.items if key[:3] == ("row", FP, 600)] == [("row", FP, 600, 599)]
 
 
 def test_integral_rows_over_q_are_the_rows_times_the_factorial(fresh_cache):
@@ -258,10 +250,10 @@ def test_integral_rows_over_q_are_the_rows_times_the_factorial(fresh_cache):
     assert min(interpolation_rows(Q, 5)[1]) < 0
 
 
-@pytest.mark.parametrize("target", [1.5, "1", None, True])
+@pytest.mark.parametrize("target", [1.5, 1.0, "1", None, True])
 def test_a_target_power_is_a_natural_number(fresh_cache, target):
-    # read as documents.natural reads it, on a row not yet kept; a numpy
-    # integer is the int it equals
+    # read as documents.natural reads it, whether or not the row is kept; a
+    # numpy integer is the int it equals
     fresh_cache()
     with pytest.raises(BadParameters, match="^target power must be a natural number, got "):
         vandermonde_row([0, 1, 2], target, FP)
@@ -269,6 +261,11 @@ def test_a_target_power_is_a_natural_number(fresh_cache, target):
         interpolation_row(FP, 3, target)
     assert vandermonde_row([0, 1, 2], np.int64(1), FP) == vandermonde_row([0, 1, 2], 1, FP)
     assert interpolation_row(Q, 4, np.int64(2)) == interpolation_row(Q, 4, 2)
+    # with row 1 kept, a target whose key equals its key (True, 1.0) is
+    # still refused: the answer does not depend on the cache
+    assert interpolation_row(FP, 3, 1) == tuple(vandermonde_row([0, 1, 2], 1, FP))
+    with pytest.raises(BadParameters, match="^target power must be a natural number, got "):
+        interpolation_row(FP, 3, target)
 
 
 def test_dense_expand_and_an_extraction_share_their_rows(fresh_cache, monkeypatch):
