@@ -504,8 +504,10 @@ class Oracle:
         """Values on the grid {0..m-1}^n in row-major order (x1 slowest), by
         the circuit's program, in chunks that keep every block within
         ``GRID_CHUNK`` entries.  The result is the kernel array: over Q it
-        holds an ``int`` for every integral value."""
+        holds an ``int`` for every integral value.  ``nodes_per_var`` is read
+        by ``documents.natural``, else ValidationError."""
         n = self.arity
+        nodes_per_var = natural(nodes_per_var, "nodes per variable", ValidationError)
         count = nodes_per_var ** n
         self.calls += count
         kern = kernel_for(self.field)
@@ -578,15 +580,19 @@ def dense_expand(oracle: Oracle) -> MultiPoly:
 # ----------------------------------------------------------------------
 
 
-def serialize(circuit: Circuit) -> str:
+def circuit_to_document(circuit: Circuit) -> dict:
+    """The circuit's JSON document as a dict, which :func:`serialize` writes."""
     render = circuit.field.render
     encode = {"var": int, "value": render, "children": list, "weights": lambda ws: list(map(render, ws)), "exp": int}
     gates = [
         {"id": g.id, "kind": g.kind, **{f: encode[f](getattr(g, f)) for f in GATE_KINDS[g.kind] if getattr(g, f) is not None}}
         for g in circuit.gates
     ]
-    doc = {"field": circuit.field.spec, "arity": circuit.arity, "gates": gates, "output": circuit.output}
-    return json.dumps(doc, separators=(", ", ": "))
+    return {"field": circuit.field.spec, "arity": circuit.arity, "gates": gates, "output": circuit.output}
+
+
+def serialize(circuit: Circuit) -> str:
+    return json.dumps(circuit_to_document(circuit))
 
 
 def parse(text: str) -> Circuit:

@@ -10,6 +10,9 @@ seeds, with every scalar printed in canonical decimal.  Exit codes:
 
 Diagnostics go to stderr only; stdout carries the result.  ``--json``
 switches any subcommand to a machine-readable mirror of the same data.
+Each ``cmd_*`` returns its result as ``(object, text, exit code)``, and
+:func:`run` alone writes it: the object as one JSON line under ``--json``,
+else the text, and nothing when the text is empty.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import sys
 
 from . import documents
-from .circuits import Oracle, load_circuit, serialize
+from .circuits import Oracle, circuit_to_document, load_circuit
 from .conebasis import cone_closed_basis_after_shift, find_cone_closed, transfer_submatrix
 from .diagonal import diag_pit, diagonal_from_json
 from .errors import ConepitError, UsageError
@@ -36,6 +39,8 @@ from .polys import (
     pd_space_dim,
 )
 
+Result = tuple[object, str, int]  # see the module docstring
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -44,7 +49,7 @@ def _read(path: str) -> str:
 
 def _circuit_oracle(args) -> Oracle:
     circuit = load_circuit(args.circuit)
-    if getattr(args, "field", None):
+    if args.field:
         circuit = circuit.with_field(Field.from_spec(args.field))
     return Oracle(circuit)
 
@@ -75,131 +80,93 @@ def _format_set(vectors) -> str:
     return "{" + ",".join("(" + ",".join(str(x) for x in v) + ")" for v in vectors) + "}"
 
 
-def _verdict_json(verdict) -> dict:
-    out = {"verdict": verdict.outcome, "tested": verdict.monomials_tested, "calls": verdict.oracle_calls}
+def _verdict(verdict) -> Result:
+    """A verdict's result, which exits 1 for NONZERO."""
+    obj = {"verdict": verdict.outcome, "tested": verdict.monomials_tested, "calls": verdict.oracle_calls}
     if verdict.witness is not None:
-        out["witness"] = format_monomial(verdict.witness)
+        obj["witness"] = format_monomial(verdict.witness)
     if verdict.coefficient is not None:
-        out["coeff"] = str(verdict.coefficient)
-    return out
+        obj["coeff"] = str(verdict.coefficient)
+    return obj, verdict.render(), 0 if verdict.is_zero else 1
 
 
-def _emit_basis(A, rank: int, as_json: bool) -> int:
+def _basis(A, rank: int) -> Result:
     closed = is_cone_closed(A)
-    if as_json:
-        print(json.dumps({"A": [list(v) for v in A], "rank": rank, "cone_closed": closed}))
-    else:
-        print(f"A={_format_set(A)} rank={rank} cone_closed={'true' if closed else 'false'}")
-    return 0
+    obj = {"A": [list(v) for v in A], "rank": rank, "cone_closed": closed}
+    return obj, f"A={_format_set(A)} rank={rank} cone_closed={'true' if closed else 'false'}", 0
 
 
-def _emit_verdict(verdict, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(_verdict_json(verdict)))
-    else:
-        print(verdict.render())
-    return 0 if verdict.is_zero else 1
+def cmd_pit(args) -> Result:
+    return _verdict(low_cone_pit(_circuit_oracle(args), args.k))
 
 
-def cmd_pit(args) -> int:
-    return _emit_verdict(low_cone_pit(_circuit_oracle(args), args.k), args.json)
+def cmd_bfpit(args) -> Result:
+    return _verdict(brute_force_pit(_circuit_oracle(args)))
 
 
-def cmd_bfpit(args) -> int:
-    return _emit_verdict(brute_force_pit(_circuit_oracle(args)), args.json)
+def cmd_szpit(args) -> Result:
+    return _verdict(sz_pit(_circuit_oracle(args), args.trials, args.seed))
 
 
-def cmd_szpit(args) -> int:
-    return _emit_verdict(sz_pit(_circuit_oracle(args), args.trials, args.seed), args.json)
-
-
-def cmd_coef(args) -> int:
+def cmd_coef(args) -> Result:
     oracle = _circuit_oracle(args)
     e = parse_monomial(args.monomial, oracle.arity)
     c = extract_coefficient(oracle, e)
-    if args.json:
-        print(json.dumps({"monomial": format_monomial(e), "coefficient": str(c)}))
-    else:
-        print(oracle.field.render(c))
-    return 0
+    return {"monomial": format_monomial(e), "coefficient": str(c)}, oracle.field.render(c), 0
 
 
-def cmd_cones(args) -> int:
+def cmd_cones(args) -> Result:
     vectors = enumerate_low_cone(args.n, args.k, args.dcap)
-    if args.json:
-        print(json.dumps({"count": len(vectors), "vectors": [list(v) for v in vectors]}))
-        return 0
-    print(f"count={len(vectors)}")
-    if args.list:
-        for v in vectors:
-            print(format_monomial(v))
-    return 0
+    lines = [f"count={len(vectors)}"] + ([format_monomial(v) for v in vectors] if args.list else [])
+    return {"count": len(vectors), "vectors": [list(v) for v in vectors]}, "\n".join(lines), 0
 
 
-def cmd_cone_closed(args) -> int:
+def cmd_cone_closed(args) -> Result:
     arity, vectors = documents.monomial_set_from_json(_read(args.set))
     A = find_cone_closed(vectors, arity)
     T = transfer_submatrix(A, vectors)
-    return _emit_basis(A, len(bareiss_echelon(T)[0]) if T else 0, args.json)
+    return _basis(A, len(bareiss_echelon(T)[0]) if T else 0)
 
 
-def cmd_annihilate(args) -> int:
+def cmd_annihilate(args) -> Result:
     t = hsg_from_json(_read(args.hsg))
     g = build_annihilator(t)
-    if args.json:
-        print(json.dumps({"g": documents.multipoly_to_obj(g), "degree": g.degree()}))
-    else:
-        print(f"degree={g.degree()} g={g.render()}")
-    return 0
+    return {"g": documents.multipoly_to_obj(g), "degree": g.degree()}, f"degree={g.degree()} g={g.render()}", 0
 
 
-def cmd_design(args) -> int:
+def cmd_design(args) -> Result:
     fam = greedy_design(args.l, args.n, args.d)
-    if args.json:
-        print(json.dumps({"count": len(fam.subsets), "subsets": [[i + 1 for i in s] for s in fam.subsets]}))
-    else:
-        text = fam.render()
-        if text:
-            print(text)
-    return 0
+    return {"count": len(fam.subsets), "subsets": [[i + 1 for i in s] for s in fam.subsets]}, fam.render(), 0
 
 
-def cmd_fischer(args) -> int:
+def cmd_fischer(args) -> Result:
     groups = documents.product_terms_from_json(_read(args.terms))
     pairs = fischer_rewrite(groups)
-    if args.json:
-        print(json.dumps([{"c": str(c), "h": documents.multipoly_to_obj(h)} for c, h in pairs]))
-    else:
-        for c, h in pairs:
-            print(f"c={c} h={h.render()}")
-    return 0
+    obj = [{"c": str(c), "h": documents.multipoly_to_obj(h)} for c, h in pairs]
+    return obj, "\n".join(f"c={c} h={h.render()}" for c, h in pairs), 0
 
 
-def cmd_kron(args) -> int:
+def cmd_kron(args) -> Result:
     circuit = load_circuit(args.circuit)
-    print(serialize(local_kronecker(circuit, args.block)))
-    return 0
+    doc = circuit_to_document(local_kronecker(circuit, args.block))
+    return doc, json.dumps(doc), 0
 
 
-def cmd_shift_basis(args) -> int:
+def cmd_shift_basis(args) -> Result:
     f = documents.vectorpoly_from_json(_read(args.vectorpoly))
     A = cone_closed_basis_after_shift(f, args.weights)
-    return _emit_basis(A, len(A), args.json)
+    return _basis(A, len(A))
 
 
-def cmd_diag_pit(args) -> int:
+def cmd_diag_pit(args) -> Result:
     circuit = diagonal_from_json(_read(args.diag))
-    return _emit_verdict(diag_pit(circuit), args.json)
+    return _verdict(diag_pit(circuit))
 
 
-def cmd_derivdim(args) -> int:
+def cmd_derivdim(args) -> Result:
     poly = documents.multipoly_from_json(_read(args.poly))
     dim = pd_space_dim(poly)
-    if args.json:
-        print(json.dumps({"dim": dim}))
-    else:
-        print(f"dim={dim}")
-    return 0
+    return {"dim": dim}, f"dim={dim}", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,31 +181,28 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return subparsers.add_parser(name, parents=[shared], **kw)
+    # the circuit commands' oracle, as _circuit_oracle reads it
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--circuit", required=True, help="circuit JSON file")
+    oracle.add_argument("--field", help="override the circuit's field spec")
 
-    p = add_parser("pit", help="low-cone blackbox identity test of a circuit oracle")
-    p.add_argument("--circuit", required=True, help="circuit JSON file")
+    def add_parser(name, *parents, **kw):
+        return subparsers.add_parser(name, parents=[shared, *parents], **kw)
+
+    p = add_parser("pit", oracle, help="low-cone blackbox identity test of a circuit oracle")
     p.add_argument("--k", type=positive_int, required=True, help="cone-size budget (partial-derivative dimension promise)")
-    p.add_argument("--field", help="override the circuit's field spec")
     p.set_defaults(fn=cmd_pit)
 
-    p = add_parser("bfpit", help="ground-truth identity test by dense grid expansion")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--field")
+    p = add_parser("bfpit", oracle, help="ground-truth identity test by dense grid expansion")
     p.set_defaults(fn=cmd_bfpit)
 
-    p = add_parser("szpit", help="randomized identity test by seeded point evaluation")
-    p.add_argument("--circuit", required=True)
+    p = add_parser("szpit", oracle, help="randomized identity test by seeded point evaluation")
     p.add_argument("--trials", type=positive_int, required=True)
     p.add_argument("--seed", type=natural_int, required=True)
-    p.add_argument("--field")
     p.set_defaults(fn=cmd_szpit)
 
-    p = add_parser("coef", help="blackbox extraction of one monomial coefficient")
-    p.add_argument("--circuit", required=True)
+    p = add_parser("coef", oracle, help="blackbox extraction of one monomial coefficient")
     p.add_argument("--monomial", required=True, help="monomial text, e.g. x1^2*x3")
-    p.add_argument("--field")
     p.set_defaults(fn=cmd_coef)
 
     p = add_parser("cones", help="enumerate monomials of bounded cone size")
@@ -298,7 +262,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        obj, text, code = args.fn(args)
+        out = json.dumps(obj) if args.json else text
+        if out:
+            print(out)
+        return code
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

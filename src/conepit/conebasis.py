@@ -50,7 +50,9 @@ def _weights(w: Sequence[int]) -> Weights:
 
 def kronecker_weights(n: int, d: int) -> Weights:
     """w_i = (d+1)^(i-1): injective on exponent vectors of degree <= d,
-    hence basis isolating for every polynomial of degree <= d."""
+    hence basis isolating for every polynomial of degree <= d.  Both are
+    read by ``documents.natural``, else BadParameters."""
+    n, d = natural(n, "arity", BadParameters), natural(d, "degree", BadParameters)
     return tuple((d + 1) ** i for i in range(n))
 
 
@@ -159,9 +161,12 @@ def _transfer_entry(a: ExpVec, b: ExpVec) -> int:
 def transfer_submatrix(A: Iterable[ExpVec], B: Iterable[ExpVec]) -> list[list[int]]:
     """Integer matrix with rows indexed by A and columns by B (both in
     ascending deg-lex order); entry = prod_i C(b_i, a_i), which vanishes
-    unless a is a submonomial of b."""
-    rows = sorted({tuple(e) for e in A}, key=deglex_key)
-    cols = sorted({tuple(e) for e in B}, key=deglex_key)
+    unless a is a submonomial of b.  Exponents are read by
+    ``documents.natural``, else BadParameters."""
+    def read(vectors):
+        return sorted({tuple(natural(x, "exponent", BadParameters) for x in e) for e in vectors}, key=deglex_key)
+
+    rows, cols = read(A), read(B)
     arities = {len(e) for e in rows} | {len(e) for e in cols}
     if len(arities) > 1:
         raise ArityMismatch(f"mixed arities {sorted(arities)}")

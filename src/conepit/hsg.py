@@ -272,8 +272,11 @@ def greedy_design(base_size: int, subset_size: int, intersection_bound: int) -> 
     its (d+1)-subsets occurs inside any admitted set, so admission testing
     hashes (d+1)-subsets instead of scanning all admitted sets.  Whenever
     base_size > 10 * n^2 / d the admitted count reaches at least 2^(d/10).
+    A size that is not an int is read by ``documents.natural``, else
+    BadParameters.
     """
-    l, n, d = base_size, subset_size, intersection_bound
+    sizes = {"base size": base_size, "subset size": subset_size, "intersection bound": intersection_bound}
+    l, n, d = (x if type(x) is int else natural(x, what, BadParameters) for what, x in sizes.items())
     if not (l > n > d >= 1):
         raise BadParameters(f"need base > subset > intersection >= 1, got ({l}, {n}, {d})")
     if comb(l, n) > DESIGN_GUARD:
@@ -370,7 +373,11 @@ def local_kronecker(circuit: Circuit, block: int) -> Circuit:
     y_j^(2^i) (i = 1..block), so each block of ``block`` variables collapses
     into one.  A trailing partial block is padded implicitly.  Distinct
     multilinear monomials keep distinct images because the exponents
-    2, 4, ..., 2^block have distinct subset sums within each block."""
+    2, 4, ..., 2^block have distinct subset sums within each block.  A
+    block that is not an int is read by ``documents.natural``, else
+    BadParameters."""
+    if type(block) is not int:
+        block = natural(block, "block size", BadParameters)
     if block < 1:
         raise BadParameters("block size must be at least 1")
     n = circuit.arity

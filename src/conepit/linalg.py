@@ -1,11 +1,17 @@
 """Exact linear algebra kernels: incremental row reduction, rank, nullspaces.
 
 Everything here is deterministic and exact.  The incremental
-:class:`RowReducer` is the one elimination over a field: rank, span
-membership with its combination (:meth:`RowReducer.add`), and the first
-dependency among lazily read columns (:func:`first_dependency`) all run
-on it.  The Bareiss routines handle integer matrices, where fraction-free
-elimination keeps intermediate entries at minor-determinant size:
+:class:`RowReducer` is the one general elimination over a field: rank,
+span membership with its combination (:meth:`RowReducer.add`), and the
+first dependency among lazily read columns (:func:`first_dependency`) all
+run on it.  Two narrower eliminations stay beside it, each for a shape it
+does not fit: ``diagonal._eliminate_forms`` wants only the pivots of a few
+short forms, so it keeps no multipliers and takes no inverse (2-3x faster
+than this class at arities 4-7); ``polys.PolySpan`` reduces sparse
+polynomials by leading monomial, so ``pd_space_dim`` never lays its
+derivatives out as dense rows over the cones of the support.  The Bareiss
+routines handle integer matrices, where fraction-free elimination keeps
+intermediate entries at minor-determinant size:
 :func:`first_integer_dependency` is the integer first dependency, one
 column at a time, and :func:`bareiss_echelon` eliminates a whole matrix.
 """
@@ -23,7 +29,8 @@ from .fields import Field, Scalar, clear_denominators
 
 
 class RowReducer:
-    """Incremental Gaussian elimination over a field, the one in conepit.
+    """Incremental Gaussian elimination over a field, the general one in
+    conepit (see the module docstring for the two narrower ones).
 
     Rows may differ in length (missing entries are zero).  Each independent
     row is kept reduced against the earlier ones, scaled to 1 at its pivot

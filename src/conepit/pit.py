@@ -25,13 +25,15 @@ from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
 from .documents import natural
-from .errors import BadParameters, VerificationFailed
+from .errors import BadParameters, TooLarge, VerificationFailed
 from .extraction import FilteredOracle, layer_points, require_within_guard
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
 
 ZERO = "ZERO"
 NONZERO = "NONZERO"
+#: the most trials :func:`sz_pit` runs, one oracle evaluation each
+TRIALS_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -173,11 +175,14 @@ def sz_pit(oracle: Oracle, trials: int, seed: int) -> PitVerdict:
     point-major then coordinate-minor, so runs are reproducible.  A
     ``trials`` or ``seed`` that is not a natural number (an int >= 0, a numpy
     integer too; no float, bool or string) raises BadParameters, and so does
-    fewer than one trial rather than answer Zero untested.
+    fewer than one trial rather than answer Zero untested.  More than
+    ``TRIALS_GUARD`` trials raise TooLarge.
     """
     trials, seed = natural(trials, "trials", BadParameters), natural(seed, "seed", BadParameters)
     if trials < 1:
         raise BadParameters(f"need at least one trial, got {trials}")
+    if trials > TRIALS_GUARD:
+        raise TooLarge(f"{trials} trials exceed the guard {TRIALS_GUARD}")
     F = oracle.field
     modulus = F.p if F.p is not None else MERSENNE61
     stream = splitmix64(seed)

@@ -546,13 +546,11 @@ def documents(tmp_path_factory):
     return valid, every
 
 
-@settings(max_examples=250, deadline=None)
-@given(data=st.data())
-def test_cli_fuzz(documents, data):
-    valid, every = documents
+def draw_command(data, valid, every):
+    """A command and its options, each document drawn from ``every`` path
+    or its kind's valid ones; and whether every document drawn is valid."""
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
-    argv = ["--json"] if data.draw(st.booleans()) else []
-    argv.append(command)
+    argv = [command]
     all_docs_valid = True
     for option, kind in COMMANDS[command].items():
         if data.draw(st.integers(0, 5)) == 0:  # mostly present, sometimes left out
@@ -566,8 +564,34 @@ def test_cli_fuzz(documents, data):
         else:
             value = data.draw(st.one_of(kind, kind, junk))
         argv += [f"{option}={value}"] if data.draw(st.booleans()) else [option, value]
+    return argv, all_docs_valid
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz(documents, data):
+    valid, every = documents
+    options, all_docs_valid = draw_command(data, valid, every)
+    argv = (["--json"] if data.draw(st.booleans()) else []) + options
     code, _, err = invoke(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
     if code == 1:
-        assert command in VERDICTS and all_docs_valid, argv
+        assert options[0] in VERDICTS and all_docs_valid, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_json_mode_exits_as_text_mode_and_writes_one_json_line(documents, data):
+    # run writes the result once: the text, or under --json the object as
+    # one line, whichever way the command ends
+    valid, _ = documents
+    argv, _ = draw_command(data, valid, [p for paths in valid.values() for p in paths])
+    code, text, _ = invoke(argv)
+    json_code, out, _ = invoke(["--json"] + argv)
+    assert json_code == code, argv
+    if code in (0, 1):
+        assert out.endswith("\n") and "\n" not in out[:-1], argv
+        json.loads(out)
+    else:
+        assert out == text == "", argv

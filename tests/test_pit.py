@@ -189,6 +189,14 @@ def test_sz_pit_reads_trials_and_seed_as_natural_numbers(trials, seed):
     assert oracle.calls == 0
 
 
+def test_sz_pit_refuses_more_trials_than_its_guard():
+    # on a zero polynomial every trial runs, so a 40-digit count never ended
+    oracle = Oracle(x_plus_one())
+    with pytest.raises(TooLarge, match=f"^{pit.TRIALS_GUARD + 1} trials exceed the guard {pit.TRIALS_GUARD}$"):
+        sz_pit(oracle, pit.TRIALS_GUARD + 1, 1)
+    assert oracle.calls == 0
+
+
 def test_sz_pit_reads_numpy_integers_as_the_ints_they_equal():
     assert sz_pit(Oracle(x_plus_one()), np.int64(3), np.uint8(5)) == sz_pit(Oracle(x_plus_one()), 3, 5)
 
