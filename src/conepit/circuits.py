@@ -30,8 +30,10 @@ There is one vector evaluator: every circuit kind compiles itself, once,
 on first use, into a :class:`Program` of array steps (``lincomb``, ``mul``
 and ``pow`` kernel calls on blocks of rows, one point per column), which
 batches and grids run; a batch's input block is a ``fastmod.PointBatch``.
-``Circuit.evaluate`` walks the gates one scalar at a time and is the
-program's brute-force twin.
+The other readers of gates by kind share one walk, ``Circuit._fold``: the
+scalar ``evaluate``, the program's brute-force twin, ``syntactic_degree``,
+and ``substitute`` and ``with_field``, which replay the gates through a
+:class:`CircuitBuilder`.
 
 :class:`Oracle` is the evaluation-only view of a polynomial: a circuit and a
 degree bound, which testers may only evaluate, pointwise, in batches or on
@@ -46,20 +48,22 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .documents import json_list, load_document, natural, scalar, scalar_list
+from .documents import json_list, load_document, scalar, scalar_list
 from .errors import (
     ArityMismatch,
     FieldMismatch,
     ParseError,
     TooLarge,
     ValidationError,
+    natural,
 )
 from .extraction import interpolation_rows
 from .fastmod import PointBatch, SparseRows, kernel_for
@@ -87,6 +91,8 @@ class Gate:
     exp: int | None = None
 
     def __post_init__(self) -> None:
+        if self.var is not None and type(self.var) is not int:  # an int is range-checked by the circuit
+            object.__setattr__(self, "var", natural(self.var, f"gate {self.id}: var", ValidationError))
         if self.exp is not None:
             object.__setattr__(self, "exp", natural(self.exp, f"gate {self.id}: exp", ValidationError))
 
@@ -137,34 +143,45 @@ class Circuit:
         """Gate count plus edge count."""
         return len(self.gates) + sum(len(g.children) for g in self.gates)
 
+    def _fold(self, on_input, on_const, on_add, on_mul, on_pow):
+        """The output's value, each gate's made in gate order by the callback
+        of its kind: ``on_input(var)``, ``on_const(value)``, ``on_add`` of the
+        (weight, child value) pairs, weight 1 where ``weights`` is unset,
+        ``on_mul`` of the child values and ``on_pow(child value, exp)``."""
+        vals: dict[int, object] = {}
+        for g in self.gates:
+            kids = [vals[c] for c in g.children]
+            if g.kind == "input":
+                v = on_input(g.var)
+            elif g.kind == "const":
+                v = on_const(g.value)
+            elif g.kind == "add":
+                v = on_add(list(zip(g.weights or itertools.repeat(1), kids)))
+            elif g.kind == "mul":
+                v = on_mul(kids)
+            else:  # pow
+                v = on_pow(kids[0], g.exp)
+            vals[g.id] = v
+        return vals[self.output]
+
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """The value at a point by field arithmetic, gate by gate: the
+        brute-force twin of the program, which it never runs."""
         if len(point) != self.arity:
             raise ArityMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         F = self.field
         # canonical field scalars, equal to what the vector path's kernel
         # entry makes of the coordinates
         point = [F.of(x) for x in point]
-        vals: dict[int, Scalar] = {}
-        for g in self.gates:
-            if g.kind == "input":
-                v = point[g.var]
-            elif g.kind == "const":
-                v = g.value
-            elif g.kind == "add":
-                ws = g.weights or (F.one(),) * len(g.children)
-                v = F.zero()
-                for w, c in zip(ws, g.children):
-                    v = F.add(v, F.mul(w, vals[c]))
-            elif g.kind == "mul":
-                v = F.one()
-                for c in g.children:
-                    v = F.mul(v, vals[c])
-            else:  # pow
-                v = F.pow(vals[g.children[0]], g.exp)
-            vals[g.id] = v
-        return vals[self.output]
+        return self._fold(
+            point.__getitem__,
+            lambda value: value,
+            lambda terms: reduce(F.add, (F.mul(w, v) for w, v in terms), F.zero()),
+            lambda vals: reduce(F.mul, vals, F.one()),
+            F.pow,
+        )
 
     def evaluate_many(self, points: Sequence[Sequence[Scalar]] | PointBatch, scalars: bool = True) -> list[Scalar]:
         return self.program.evaluate_many(points, scalars)
@@ -179,19 +196,7 @@ class Circuit:
 
     def syntactic_degree(self) -> int:
         """Bottom-up degree: input 1, const 0, add max, mul sum, pow child*exp."""
-        deg: dict[int, int] = {}
-        for g in self.gates:
-            if g.kind == "input":
-                deg[g.id] = 1
-            elif g.kind == "const":
-                deg[g.id] = 0
-            elif g.kind == "add":
-                deg[g.id] = max(deg[c] for c in g.children)
-            elif g.kind == "mul":
-                deg[g.id] = sum(deg[c] for c in g.children)
-            else:
-                deg[g.id] = deg[g.children[0]] * g.exp
-        return deg[self.output]
+        return self._fold(lambda var: 1, lambda value: 0, lambda terms: max(d for _, d in terms), sum, operator.mul)
 
     def substitute(self, sigma: Mapping[int, MultiPoly]) -> "Circuit":
         """Replace variable i by sigma[i]; variables not in sigma map to
@@ -201,48 +206,32 @@ class Circuit:
         the result is an arity-m circuit built by splicing one sub-DAG per
         substituted variable.
         """
-        images = list(sigma.values())
-        for img in images:
+        for img in sigma.values():
             if img.field != self.field:
                 raise FieldMismatch(f"image over {img.field.spec}, circuit over {self.field.spec}")
-        arities = {img.arity for img in images}
+        arities = {img.arity for img in sigma.values()}
         if len(arities) > 1:
             raise ArityMismatch(f"images have mixed arities {sorted(arities)}")
         m = arities.pop() if arities else self.arity
         for i in range(self.arity):
             if i not in sigma and i >= m:
                 raise ArityMismatch(f"variable {i} is not substituted and does not exist in arity {m}")
-
         builder = CircuitBuilder(self.field, m)
-        var_entry: dict[int, int] = {}
-        for i in sorted(sigma):
-            var_entry[i] = builder.poly(sigma[i])
-
-        remap: dict[int, int] = {}
-        for g in self.gates:
-            if g.kind == "input":
-                remap[g.id] = var_entry[g.var] if g.var in var_entry else builder.input(g.var)
-            elif g.kind == "const":
-                remap[g.id] = builder.const(g.value)
-            elif g.kind == "add":
-                ws = g.weights or (self.field.one(),) * len(g.children)
-                remap[g.id] = builder.add([(w, remap[c]) for w, c in zip(ws, g.children)])
-            elif g.kind == "mul":
-                remap[g.id] = builder.mul([remap[c] for c in g.children])
-            else:
-                remap[g.id] = builder.pow(remap[g.children[0]], g.exp)
-        return builder.build(remap[self.output])
+        var_entry = {i: builder.poly(sigma[i]) for i in sorted(sigma)}
+        return self._rebuild(builder, lambda i: var_entry[i] if i in var_entry else builder.input(i))
 
     def with_field(self, field: Field) -> "Circuit":
-        """Reinterpret the circuit over another field (constants are coerced)."""
+        """The same polynomial over another field (constants and weights are
+        coerced), replayed through a builder: consecutive ids, one input gate
+        per variable, explicit ``add`` weights.  Over its own field, itself."""
         if field == self.field:
             return self
-        gates = []
-        for g in self.gates:
-            value = field.of(g.value) if g.value is not None else None
-            weights = tuple(field.of(w) for w in g.weights) if g.weights is not None else None
-            gates.append(Gate(g.id, g.kind, g.var, value, g.children, weights, g.exp))
-        return Circuit(field, self.arity, tuple(gates), self.output)
+        builder = CircuitBuilder(field, self.arity)
+        return self._rebuild(builder, builder.input)
+
+    def _rebuild(self, builder: "CircuitBuilder", on_input: Callable[[int], int]) -> "Circuit":
+        """The gates replayed through ``builder``, variable i as the gate ``on_input(i)``."""
+        return builder.build(self._fold(on_input, builder.const, builder.add, builder.mul, builder.pow))
 
 
 class CircuitBuilder:
@@ -259,9 +248,10 @@ class CircuitBuilder:
         return gate.id
 
     def input(self, var: int) -> int:
-        if var not in self._inputs:
-            self._inputs[var] = self._push(Gate(len(self.gates), "input", var=var))
-        return self._inputs[var]
+        gate = Gate(len(self.gates), "input", var=var)  # reads var before the lookup: True == 1 as a key
+        if gate.var not in self._inputs:
+            self._inputs[gate.var] = self._push(gate)
+        return self._inputs[gate.var]
 
     def const(self, value: int | Fraction | str) -> int:
         return self._push(Gate(len(self.gates), "const", value=self.field.of(value)))
@@ -411,7 +401,8 @@ def compile_gates(circuit: Circuit) -> Program:
     ``pow`` with an exponent per row, and its ``mul`` gates of one fan-in
     one ``mul``.  An input is a row of block 0, a ``const`` child of an
     ``add`` a weight on the row of ones, and equal gates of a step share a
-    row.  The output is the one gate of the greatest depth."""
+    row.  The output is the one gate of the greatest depth.  Grouping live
+    gates by depth is no fold in gate order, so this walk is not ``Circuit._fold``."""
     F = circuit.field
     gates = {g.id: g for g in circuit.gates}
     folded = lambda g, c: g.kind == "add" and gates[c].kind == "const"
@@ -505,7 +496,7 @@ class Oracle:
         the circuit's program, in chunks that keep every block within
         ``GRID_CHUNK`` entries.  The result is the kernel array: over Q it
         holds an ``int`` for every integral value.  ``nodes_per_var`` is read
-        by ``documents.natural``, else ValidationError."""
+        by ``errors.natural``, else ValidationError."""
         n = self.arity
         nodes_per_var = natural(nodes_per_var, "nodes per variable", ValidationError)
         count = nodes_per_var ** n

@@ -26,8 +26,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import polys
-from .documents import natural
-from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, TooLarge, VerificationFailed, ZeroPolynomial
+from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, TooLarge, VerificationFailed, ZeroPolynomial, natural
 from .fields import DensePoly, Field, Scalar, rank_over_ft
 from .linalg import RowReducer
 from .polys import ExpVec, VectorPoly, cone_size, deglex_key, submonomials
@@ -43,7 +42,7 @@ def weight_of(w: Sequence[int], e: ExpVec) -> int:
 
 
 def _weights(w: Sequence[int]) -> Weights:
-    """Each weight read by ``documents.natural``, else BadParameters; the
+    """Each weight read by ``errors.natural``, else BadParameters; the
     entry points read them once, so :func:`weight_of` need not."""
     return tuple(natural(x, "weight", BadParameters) for x in w)
 
@@ -51,7 +50,7 @@ def _weights(w: Sequence[int]) -> Weights:
 def kronecker_weights(n: int, d: int) -> Weights:
     """w_i = (d+1)^(i-1): injective on exponent vectors of degree <= d,
     hence basis isolating for every polynomial of degree <= d.  Both are
-    read by ``documents.natural``, else BadParameters."""
+    read by ``errors.natural``, else BadParameters."""
     n, d = natural(n, "arity", BadParameters), natural(d, "degree", BadParameters)
     return tuple((d + 1) ** i for i in range(n))
 
@@ -162,7 +161,7 @@ def transfer_submatrix(A: Iterable[ExpVec], B: Iterable[ExpVec]) -> list[list[in
     """Integer matrix with rows indexed by A and columns by B (both in
     ascending deg-lex order); entry = prod_i C(b_i, a_i), which vanishes
     unless a is a submonomial of b.  Exponents are read by
-    ``documents.natural``, else BadParameters."""
+    ``errors.natural``, else BadParameters."""
     def read(vectors):
         return sorted({tuple(natural(x, "exponent", BadParameters) for x in e) for e in vectors}, key=deglex_key)
 

@@ -27,8 +27,8 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .circuits import Circuit, CircuitBuilder, Oracle, Program, weight_matrix
-from .documents import json_list, load_document, natural, scalar, scalar_list
-from .errors import RankZero, ValidationError
+from .documents import json_list, load_document, scalar, scalar_list
+from .errors import RankZero, ValidationError, natural
 from .fields import Field, Scalar
 from .pit import NONZERO, ZERO, PitVerdict, low_cone_pit
 from .polys import ExpVec, VectorPoly, exponents_of_degree

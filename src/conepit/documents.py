@@ -17,9 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, TypeVar
 
-import numpy as np
-
-from .errors import ConepitError, ParseError
+from .errors import ParseError, natural
 from .fields import Field
 from .polys import ExpVec, MultiPoly, VectorPoly
 
@@ -39,14 +37,6 @@ def load_document(text: str, build: Callable[[Any], T]) -> T:
         raise ParseError(f"missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
-
-
-def natural(value: Any, what: str, error: type[ConepitError] = ParseError) -> int:
-    """An integer >= 0, a numpy one too, as the int it equals, else ``error``
-    (a JSON value's :class:`ParseError`): no float, bool or string is one."""
-    if type(value) is not int and not isinstance(value, np.integer) or value < 0:
-        raise error(f"{what} must be a natural number, got {json.dumps(value, default=repr)}")
-    return int(value)
 
 
 def scalar(value: Any, what: str) -> int | str:

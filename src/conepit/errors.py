@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all conepit modules."""
+"""Exception hierarchy shared by all conepit modules, and ``natural``, which reads into it."""
+
+import json
+from typing import Any
+
+import numpy as np
 
 
 class ConepitError(Exception):
@@ -83,3 +88,11 @@ class NotIsolating(PreconditionError):
 
 class VerificationFailed(ConepitError):
     """A guaranteed verification step failed; indicates a bug or a violated caller promise."""
+
+
+def natural(value: Any, what: str, error: type[ConepitError] = ParseError) -> int:
+    """An integer >= 0, a numpy one too, as the int it equals, else ``error``
+    (a JSON value's :class:`ParseError`): no float, bool or string is one."""
+    if type(value) is not int and not isinstance(value, np.integer) or value < 0:
+        raise error(f"{what} must be a natural number, got {json.dumps(value, default=repr)}")
+    return int(value)

@@ -55,8 +55,7 @@ from typing import TYPE_CHECKING, Container, Iterator, Sequence
 
 import numpy as np
 
-from .documents import natural
-from .errors import ArityMismatch, BadParameters, DuplicateNodes, TooLarge, ValidationError
+from .errors import ArityMismatch, BadParameters, DuplicateNodes, TooLarge, ValidationError, natural
 from .fastmod import PointBatch
 from .fields import Field, Scalar
 from .linalg import RowReducer

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .documents import json_list, load_document, natural, scalar_list
+from .documents import json_list, load_document, scalar_list
 from .errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -41,6 +41,7 @@ from .errors import (
     TooLarge,
     ValidationError,
     VerificationFailed,
+    natural,
 )
 from .fields import DensePoly, Field, Scalar, clear_denominators
 from .linalg import first_dependency, first_integer_dependency
@@ -272,7 +273,7 @@ def greedy_design(base_size: int, subset_size: int, intersection_bound: int) -> 
     its (d+1)-subsets occurs inside any admitted set, so admission testing
     hashes (d+1)-subsets instead of scanning all admitted sets.  Whenever
     base_size > 10 * n^2 / d the admitted count reaches at least 2^(d/10).
-    A size that is not an int is read by ``documents.natural``, else
+    A size that is not an int is read by ``errors.natural``, else
     BadParameters.
     """
     sizes = {"base size": base_size, "subset size": subset_size, "intersection bound": intersection_bound}
@@ -374,7 +375,7 @@ def local_kronecker(circuit: Circuit, block: int) -> Circuit:
     into one.  A trailing partial block is padded implicitly.  Distinct
     multilinear monomials keep distinct images because the exponents
     2, 4, ..., 2^block have distinct subset sums within each block.  A
-    block that is not an int is read by ``documents.natural``, else
+    block that is not an int is read by ``errors.natural``, else
     BadParameters."""
     if type(block) is not int:
         block = natural(block, "block size", BadParameters)

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
-from .documents import natural
-from .errors import BadParameters, TooLarge, VerificationFailed
+from .errors import BadParameters, TooLarge, VerificationFailed, natural
 from .extraction import FilteredOracle, layer_points, require_within_guard
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound

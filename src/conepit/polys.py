@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, TooLarge, ZeroPolynomial
+from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, TooLarge, ValidationError, ZeroPolynomial, natural
 from .fields import Field, Scalar
 from .linalg import matrix_rank
 
@@ -100,7 +100,11 @@ def enumerate_low_cone(n: int, k: int, dcap: int | None = None, *, degree: int |
     lex.  A layer is walked over its nonzero entries, at most log2 k deep for
     any n, at a cost of about its output times that depth.  Whatever the
     layer, raises TooLarge before building a vector when the whole list
-    would hold more than ``LOW_CONE_GUARD`` entries (n times its count)."""
+    would hold more than ``LOW_CONE_GUARD`` entries (n times its count).
+    An argument that is not an int is read by ``errors.natural``, else
+    BadParameters; a negative ``dcap`` or ``degree`` bounds an empty list."""
+    n, k = (x if type(x) is int else natural(x, what, BadParameters) for what, x in (("n", n), ("k", k)))
+    dcap, degree = (x if x is None or type(x) is int else natural(x, what, BadParameters) for what, x in (("dcap", dcap), ("degree", degree)))
     if n < 0 or k < 1:
         raise BadParameters("need n >= 0 and k >= 1")
     # a cone of size <= k bounds the degree by k - 1
@@ -214,6 +218,17 @@ def _accumulate(field: Field, out: dict[ExpVec, Scalar], pairs: Iterable[tuple[E
     return out
 
 
+def _exponent(e: Iterable[int], arity: int) -> ExpVec:
+    """An exponent vector of the given arity, else ArityMismatch, its entries
+    read by ``errors.natural`` (else ValidationError) unless all are ints >= 0."""
+    v = tuple(e)
+    if len(v) != arity:
+        raise ArityMismatch(f"exponent {v} has arity {len(v)}, expected {arity}")
+    if not all(type(x) is int and x >= 0 for x in v):
+        v = tuple(natural(x, f"exponent {v} entry", ValidationError) for x in v)
+    return v
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Sparse polynomial: exponent vector -> nonzero scalar."""
@@ -225,14 +240,7 @@ class MultiPoly:
     @staticmethod
     def make(field: Field, arity: int, items: Mapping[ExpVec, int | Fraction | str] | Iterable[tuple[ExpVec, int | Fraction | str]]) -> "MultiPoly":
         pairs = items.items() if isinstance(items, Mapping) else items
-
-        def checked(e) -> ExpVec:
-            e = tuple(e)
-            if len(e) != arity:
-                raise ArityMismatch(f"exponent {e} has arity {len(e)}, expected {arity}")
-            return e
-
-        return MultiPoly(field, arity, _accumulate(field, {}, ((checked(e), field.of(c)) for e, c in pairs)))
+        return MultiPoly(field, arity, _accumulate(field, {}, ((_exponent(e, arity), field.of(c)) for e, c in pairs)))
 
     @staticmethod
     def zero(field: Field, arity: int) -> "MultiPoly":
@@ -433,9 +441,7 @@ class VectorPoly:
     def make(field: Field, arity: int, dim: int, items: Iterable[tuple[ExpVec, Sequence[int | Fraction | str]]]) -> "VectorPoly":
         terms: dict[ExpVec, tuple[Scalar, ...]] = {}
         for e, vec in items:
-            e = tuple(e)
-            if len(e) != arity:
-                raise ArityMismatch(f"exponent {e} has arity {len(e)}, expected {arity}")
+            e = _exponent(e, arity)
             if len(vec) != dim:
                 raise ArityMismatch(f"coefficient vector of length {len(vec)}, expected {dim}")
             cur = terms.get(e, (field.zero(),) * dim)

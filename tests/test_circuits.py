@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepit import circuits
 from conepit.circuits import (
@@ -14,13 +16,13 @@ from conepit.circuits import (
     serialize,
 )
 from conepit.diagonal import DiagonalCircuit, diagonal_from_json, diagonal_to_json
-from conepit.errors import ArityMismatch, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
+from conepit.errors import ArityMismatch, BadParameters, CharTooSmall, FieldMismatch, ParseError, TooLarge, ValidationError
 from conepit.fastmod import kernel_for
 from conepit.fields import DensePoly, Field
 from conepit.generators import random_circuit, random_diagonal, random_multipoly
 from conepit.hsg import HsgTuple
 from conepit.pit import NONZERO, ZERO, brute_force_pit
-from conepit.polys import MultiPoly, VectorPoly
+from conepit.polys import MultiPoly, VectorPoly, enumerate_low_cone
 from reference import circuit_from_multipoly
 
 Q = Field.rationals()
@@ -107,6 +109,21 @@ def test_substitute_homomorphism_random():
         pt = [FP.random(rng) for _ in range(m)]
         images = [sigma[i].evaluate(pt) for i in range(n)]
         assert sub.evaluate(pt) == C.evaluate(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), point=st.lists(st.integers(-30, 30), min_size=3, max_size=3))
+def test_with_field_is_the_circuit_read_mod_p(seed, n, point):
+    # random_circuit over Q draws integral constants and weights, so every
+    # value at an integer point is an integer, and F_13 reads it mod 13
+    F13 = Field.prime(13)
+    C = random_circuit(random.Random(seed), Q, n, 10, 5)
+    D = C.with_field(F13)
+    x = point[:n]
+    assert D.field == F13 and D.evaluate(x) == F13.of(C.evaluate(x))
+    assert D.syntactic_degree() == C.syntactic_degree()
+    assert [g.id for g in D.gates] == list(range(len(D.gates)))
+    assert C.with_field(C.field) is C
 
 
 def test_dense_expand_examples():
@@ -314,6 +331,16 @@ X0 = Gate(0, "input", var=0)
         (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp="2")), 1), ValidationError, 'gate 1: exp must be a natural number, got "2"'),
         (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp=True)), 1), ValidationError, "gate 1: exp must be a natural number, got true"),
         (lambda: Circuit(Q, 1, (X0, Gate(1, "pow", children=(0,), exp=-1)), 1), ValidationError, "gate 1: exp must be a natural number, got -1"),
+        (lambda: Circuit(Q, 3, (Gate(0, "input", var=1.5),), 0), ValidationError, "gate 0: var must be a natural number, got 1.5"),
+        (lambda: Circuit(Q, 3, (Gate(0, "input", var=True),), 0), ValidationError, "gate 0: var must be a natural number, got true"),
+        (lambda: Circuit(Q, 3, (Gate(0, "input", var=-1),), 0), ValidationError, "gate 0: variable index -1 out of range"),
+        (lambda: CircuitBuilder(Q, 3).input(True), ValidationError, "var must be a natural number, got true"),
+        (lambda: MultiPoly.make(Q, 2, [((-1, 0), 1)]), ValidationError, r"exponent \(-1, 0\) entry must be a natural number, got -1"),
+        (lambda: MultiPoly.make(Q, 2, [((1.5, 0), 1)]), ValidationError, r"exponent \(1.5, 0\) entry must be a natural number, got 1.5"),
+        (lambda: VectorPoly.make(Q, 2, 1, [((0, -1), [1])]), ValidationError, r"exponent \(0, -1\) entry must be a natural number, got -1"),
+        (lambda: enumerate_low_cone(2, 1.5), BadParameters, "k must be a natural number, got 1.5"),
+        (lambda: enumerate_low_cone(2.0, 3), BadParameters, "n must be a natural number, got 2.0"),
+        (lambda: enumerate_low_cone(2, 3, 1.5), BadParameters, "dcap must be a natural number, got 1.5"),
         (lambda: HsgTuple.make(Q, [DensePoly.make(Q, [0, 1]), DensePoly.zero(Q)]), ValidationError, "univariate 2 is the zero"),
         (lambda: HsgTuple.make(Q, [DensePoly.make(FP, [0, 1])]), ValidationError, "univariate 1 is over p:"),
         (lambda: HsgTuple.make(Q, [DensePoly.make(Q, [0, 0, 1])], degree=1), ValidationError, "declared degree 1 below actual degree 2"),
@@ -334,6 +361,15 @@ def test_numpy_integer_exponents_are_read_as_the_ints_they_equal():
     D = DiagonalCircuit.make(FP, 2, [(1, 0, (1, 2), np.uint8(2)), (3, 1, (0, 1), np.int32(0))])
     assert [type(t.d) for t in D.terms] == [int, int]
     assert diagonal_from_json(diagonal_to_json(D)) == D
+    P = MultiPoly.make(Q, 2, [((np.int64(1), np.uint8(2)), 1)])
+    assert P == MultiPoly.make(Q, 2, [((1, 2), 1)]) and [type(x) for e in P.terms for x in e] == [int, int]
+    assert VectorPoly.make(Q, 2, 1, [((np.int32(1), 0), [1])]).support() == [(1, 0)]
+
+
+def test_numpy_integer_indices_and_bounds_are_read_as_the_ints_they_equal():
+    b = CircuitBuilder(Q, 3)
+    assert b.input(np.int64(1)) == b.input(1) == 0 and type(b.gates[0].var) is int
+    assert enumerate_low_cone(np.int64(2), np.int64(4), np.int64(2), degree=np.int64(1)) == enumerate_low_cone(2, 4, 2, degree=1)
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,14 @@ cache key equals a kept int's is refused all the same.
 import pytest
 
 from conepit import (
+    Circuit,
     DiagonalCircuit,
     Gate,
+    MultiPoly,
     Oracle,
+    VectorPoly,
     cone_closed_basis_after_shift,
+    enumerate_low_cone,
     greedy_design,
     is_basis_isolating,
     kronecker_weights,
@@ -34,6 +38,13 @@ from test_conebasis import example_f
 
 Q = Field.rationals()
 FP = Field.default_prime()
+
+
+def input_after_x2(var):
+    """A builder's input gate for ``var`` once it holds x2, so a ``True``
+    that the memo would take for 1 is read first."""
+    b = CircuitBuilder(Q, 3)
+    return b.build(b.add([(1, b.input(1)), (1, b.input(var))]))
 
 
 def x1_plus_x2():
@@ -63,6 +74,14 @@ CASES = {
     "interpolation_row target": (lambda v: interpolation_row(FP, 3, v), 1, BadParameters),
     "FilteredOracle exponent": (lambda v: FilteredOracle(Oracle(X), (v, 0)), 1, ValidationError),
     "Gate exp": (lambda v: Gate(1, "pow", children=(0,), exp=v), 2, ValidationError),
+    "Gate var": (lambda v: Circuit(Q, 3, (Gate(0, "input", var=v),), 0), 1, ValidationError),
+    "CircuitBuilder.input": (input_after_x2, 1, ValidationError),
+    "enumerate_low_cone n": (lambda v: enumerate_low_cone(v, 4), 2, BadParameters),
+    "enumerate_low_cone k": (lambda v: enumerate_low_cone(2, v), 4, BadParameters),
+    "enumerate_low_cone dcap": (lambda v: enumerate_low_cone(2, 4, v), 1, BadParameters),
+    "enumerate_low_cone degree": (lambda v: enumerate_low_cone(2, 4, degree=v), 1, BadParameters),
+    "MultiPoly.make exponent": (lambda v: MultiPoly.make(Q, 2, [((v, 0), 1)]), 1, ValidationError),
+    "VectorPoly.make exponent": (lambda v: VectorPoly.make(Q, 2, 1, [((v, 0), [1])]), 1, ValidationError),
     "DiagonalCircuit power": (lambda v: DiagonalCircuit.make(Q, 1, [(1, 0, (1,), v)]), 2, ValidationError),
     "is_basis_isolating weight": (lambda v: is_basis_isolating(F, (v, 2)), 1, BadParameters),
     "least_basis weight": (lambda v: least_basis(F, (v, 2)), 1, BadParameters),
@@ -70,13 +89,16 @@ CASES = {
     "cone_closed_basis_after_shift weight": (lambda v: cone_closed_basis_after_shift(F, (v, 2)), 1, BadParameters),
 }
 MALFORMED = [-1, 1.5, 1.0, True, "2", None]
-# where None is the argument's default: no exponent, the syntactic degree
-OPTIONAL = {"Gate exp", "Oracle degree"}
+# where None is the argument's default: no exponent, the syntactic degree, no cap
+OPTIONAL = {"Gate exp", "Oracle degree", "enumerate_low_cone dcap", "enumerate_low_cone degree"}
+# where an int below 0 is a bound no vector meets, so the list is empty
+NEGATIVE_BOUND = {"enumerate_low_cone dcap", "enumerate_low_cone degree"}
 
 
 @pytest.mark.parametrize(
     "name, value",
-    [(name, v) for name in sorted(CASES) for v in MALFORMED if v is not None or name not in OPTIONAL],
+    [(name, v) for name in sorted(CASES) for v in MALFORMED
+     if not (v is None and name in OPTIONAL or v == -1 and name in NEGATIVE_BOUND)],
     ids=lambda x: x if isinstance(x, str) and x in CASES else repr(x),
 )
 def test_a_malformed_integer_raises_its_conepit_error(fresh_cache, name, value):
@@ -88,3 +110,8 @@ def test_a_malformed_integer_raises_its_conepit_error(fresh_cache, name, value):
     call(valid)
     with pytest.raises(error):
         call(value)
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_BOUND))
+def test_a_negative_bound_lists_nothing(name):
+    assert CASES[name][0](-1) == []
