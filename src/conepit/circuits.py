@@ -612,8 +612,3 @@ def circuit_from_document(doc) -> Circuit:
         exp = natural(row["exp"], "exp") if "exp" in row else None
         gates.append(Gate(gid, kind, var, value, children, weights, exp))
     return Circuit(field, arity, tuple(gates), output)
-
-
-def load_circuit(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())

@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import documents
-from .circuits import Oracle, circuit_to_document, load_circuit
+from .circuits import Oracle, circuit_to_document, parse
 from .conebasis import cone_closed_basis_after_shift, find_cone_closed, transfer_submatrix
 from .diagonal import diag_pit, diagonal_from_json
 from .errors import ConepitError, UsageError
@@ -48,7 +48,7 @@ def _read(path: str) -> str:
 
 
 def _circuit_oracle(args) -> Oracle:
-    circuit = load_circuit(args.circuit)
+    circuit = parse(_read(args.circuit))
     if args.field:
         circuit = circuit.with_field(Field.from_spec(args.field))
     return Oracle(circuit)
@@ -147,7 +147,7 @@ def cmd_fischer(args) -> Result:
 
 
 def cmd_kron(args) -> Result:
-    circuit = load_circuit(args.circuit)
+    circuit = parse(_read(args.circuit))
     doc = circuit_to_document(local_kronecker(circuit, args.block))
     return doc, json.dumps(doc), 0
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all conepit modules, and ``natural``, which reads into it."""
+"""Exception hierarchy shared by all conepit modules, and the integer readers
+``integer`` and ``natural``, which read into it."""
 
 import json
 from typing import Any
@@ -90,9 +91,16 @@ class VerificationFailed(ConepitError):
     """A guaranteed verification step failed; indicates a bug or a violated caller promise."""
 
 
+def integer(value: Any) -> int | None:
+    """The int that an int or a numpy integer equals, else None: no float,
+    bool or string is one."""
+    return int(value) if type(value) is int or isinstance(value, np.integer) else None
+
+
 def natural(value: Any, what: str, error: type[ConepitError] = ParseError) -> int:
-    """An integer >= 0, a numpy one too, as the int it equals, else ``error``
-    (a JSON value's :class:`ParseError`): no float, bool or string is one."""
-    if type(value) is not int and not isinstance(value, np.integer) or value < 0:
+    """An :func:`integer` >= 0, as the int it equals, else ``error`` (a JSON
+    value's :class:`ParseError`)."""
+    v = integer(value)
+    if v is None or v < 0:
         raise error(f"{what} must be a natural number, got {json.dumps(value, default=repr)}")
-    return int(value)
+    return v

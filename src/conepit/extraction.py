@@ -55,11 +55,11 @@ from typing import TYPE_CHECKING, Container, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, BadParameters, DuplicateNodes, TooLarge, ValidationError, natural
+from .errors import BadParameters, DuplicateNodes, TooLarge, natural
 from .fastmod import PointBatch
 from .fields import Field, Scalar
 from .linalg import RowReducer
-from .polys import ExpVec, cone_size
+from .polys import ExpVec, _exponent, cone_size
 
 if TYPE_CHECKING:
     from .circuits import Oracle
@@ -289,14 +289,8 @@ class FilteredOracle:
     exponent: the query set of (field, e, d) and its combination."""
 
     def __init__(self, base: Oracle, e: ExpVec):
-        if len(e) != base.arity:
-            raise ArityMismatch(f"exponent arity {len(e)}, oracle arity {base.arity}")
-        for x in e:
-            if type(x) is not int or x < 0:  # a numpy integer is read as its int; anything else is refused
-                e = [natural(v, f"exponent {tuple(e)} entry", ValidationError) for v in e]
-                break
         self.base = base
-        self.e = tuple(e)
+        self.e = _exponent(e, base.arity)
         self.field = base.field
         self._queries, self._den = query_set(base.field, self.e, base.degree)
         self._num = self._queries[1]
@@ -315,11 +309,9 @@ class FilteredOracle:
         """The coefficient of x^e from the base values at the points of
         :meth:`queries`, in the same order: one dot product, over Q with the
         weights' integer numerators, then one division by their denominator."""
-        F = self.field
-        if not len(self._num):
-            return F.zero()
+        p = self.field.p
         acc = np.dot(self._num, np.array(values, dtype=object))
-        return Fraction(acc, self._den) if F.p is None else acc % F.p
+        return Fraction(acc, self._den) if p is None else acc % p
 
     def coefficient(self) -> Scalar:
         """The coefficient of x^e in the base oracle's polynomial."""

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,26 +82,10 @@ class HsgTuple:
         return len(self.polys)
 
     def monomial_images(self, exps: Iterable[ExpVec]) -> list[DensePoly]:
-        """prod f_i^(e_i) as a univariate in y, for each exponent vector.
-
-        The images share a prefix memo: each power vector needed costs one
-        univariate multiplication by some f_i.
-        """
-        memo = {(0,) * self.arity: DensePoly.const(self.field, 1)}
-        return [self._image(e, memo) for e in exps]
-
-    def _image(self, e: ExpVec, memo: dict[ExpVec, DensePoly]) -> DensePoly:
-        """The image of e from its nearest memoized predecessor, where the
-        predecessor of e is e minus one in its last nonzero entry."""
-        chain = []
-        while e not in memo:
-            i = max(j for j, x in enumerate(e) if x > 0)
-            chain.append((e, i))
-            e = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        out = memo[e]
-        for e, i in reversed(chain):
-            out = memo[e] = out.mul(self.polys[i])
-        return out
+        """prod f_i^(e_i) as a univariate in y, for each exponent vector, by
+        :func:`_images`: each power vector needed costs one univariate
+        multiplication by some f_i."""
+        return list(_images(exps, self.polys, DensePoly.mul, DensePoly.const(self.field, 1)))
 
     def compose(self, g: MultiPoly) -> DensePoly:
         """g(f_1(y), ..., f_n(y)), expanded exactly."""
@@ -111,6 +95,26 @@ class HsgTuple:
         for c, img in zip(g.terms.values(), self.monomial_images(g.terms)):
             acc = acc.add(img.scale(c))
         return acc
+
+
+def _images(exps: Iterable[ExpVec], factors: Sequence, times: Callable, one) -> Iterator:
+    """Lazily, prod factors[i]^(e_i) under ``times`` for each e in ``exps``.
+
+    The images share a prefix memo: the image of e is its predecessor's
+    times one factor, where the predecessor of e is e minus one in its last
+    nonzero entry, so each power vector needed costs one ``times``.
+    """
+    memo = {(0,) * len(factors): one}
+    for e in exps:
+        chain = []
+        while e not in memo:
+            i = max(j for j, x in enumerate(e) if x > 0)
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1 :]
+        out = memo[e]
+        for e, i in reversed(chain):
+            out = memo[e] = times(out, factors[i])
+        yield out
 
 
 def hsg_to_json(t: HsgTuple) -> str:
@@ -182,7 +186,8 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     at j0, zero after j0, and unique on the independent columns before j0.
     So every column prefix containing j0 has the same canonical vector,
     and every shorter prefix has a trivial kernel.  The columns are
-    therefore solved in one pass: each image is built and reduced against
+    therefore solved in one pass: each image is built by the walk of
+    :meth:`HsgTuple.monomial_images`, :func:`_images`, and reduced against
     the columns before it once, and the pass stops at j0, so the support
     is read lazily and no further.  Over F_p the reduction is
     :func:`first_dependency`.  Over Q the columns are integers, the images
@@ -201,24 +206,13 @@ def build_annihilator(t: HsgTuple) -> MultiPoly:
     delta0 = d * n * delta + 1
 
     vectors, reread = itertools.tee(_smallest_vectors(n, delta, delta0))
-    # The column of e is its predecessor's (e minus one in its last nonzero
-    # entry i, earlier in deg-lex) times one factor: over F_p, images times
-    # f_i; over Q, where a column is its image times prod D_i^(e_i) for f_i
-    # integer numerators over D_i, convolved with the numerators of f_i.
+    # Over Q, where a column is its image times prod D_i^(e_i) for f_i
+    # integer numerators over D_i, the factors are those numerators.
     if F.is_rational:
         cleared = [clear_denominators(p.coeffs) for p in t.polys]
-        factors, times, one = [np.array(c, dtype=object) for c, _ in cleared], np.convolve, np.array([1], dtype=object)
+        cols = _images(vectors, [np.array(c, dtype=object) for c, _ in cleared], np.convolve, np.array([1], dtype=object))
     else:
-        factors, times, one = t.polys, DensePoly.mul, DensePoly.const(F, 1)
-    columns = {(0,) * n: one}
-
-    def column(e: ExpVec):
-        if any(e):
-            i = max(j for j, x in enumerate(e) if x > 0)
-            columns[e] = times(columns[e[:i] + (e[i] - 1,) + e[i + 1 :]], factors[i])
-        return columns[e]
-
-    cols = map(column, vectors)
+        cols = _images(vectors, t.polys, DensePoly.mul, DensePoly.const(F, 1))
     vec = first_integer_dependency(c.tolist() for c in cols) if F.is_rational else first_dependency((c.coeffs for c in cols), F)
     support = list(itertools.islice(reread, None if vec is None else len(vec)))
     if vec is None:

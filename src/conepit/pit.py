@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
-from .errors import BadParameters, TooLarge, VerificationFailed, natural
+from .errors import BadParameters, TooLarge, VerificationFailed, integer, natural
 from .extraction import FilteredOracle, layer_points, require_within_guard
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
@@ -81,13 +81,14 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     by the distinct points of the layers walked; ``oracle_calls`` counts the
     points the tested extractions requested, cone_size(e) * (d + 1) each.
 
-    Refusals, in order: a ``k`` that is not an ``int`` of at least 1, the
-    constant monomial's extraction past its guard (before any monomial is
-    enumerated), the low cone past ``LOW_CONE_GUARD``, then a field too
-    small for the first extraction.
+    Refusals, in order: a ``k`` that is not an ``errors.integer`` of at
+    least 1, the constant monomial's extraction past its guard (before any
+    monomial is enumerated), the low cone past ``LOW_CONE_GUARD``, then a
+    field too small for the first extraction.
     """
-    if type(k) is not int or k < 1:
+    if integer(k) is None or k < 1:
         raise BadParameters(f"cone-size budget k must be an int >= 1, got {k!r}")
+    k = int(k)
     require_within_guard(1, 0, oracle.degree)
     F, n, d = oracle.field, oracle.arity, oracle.degree
     table = _Table(oracle)

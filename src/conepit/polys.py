@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, TooLarge, ValidationError, ZeroPolynomial, natural
+from .errors import ArityMismatch, BadParameters, FieldMismatch, ParseError, TooLarge, ValidationError, ZeroPolynomial, integer, natural
 from .fields import Field, Scalar
 from .linalg import matrix_rank
 
@@ -42,9 +42,12 @@ def deglex_key(e: ExpVec) -> tuple[int, ExpVec]:
 
 
 def cone_size(e: Sequence[int]) -> int:
-    """Number of submonomials of x^e, i.e. prod(e_i + 1)."""
+    """Number of submonomials of x^e, i.e. prod(e_i + 1).  Unless every
+    entry is an int >= 0, e is read by :func:`_exponent` (else ValidationError)."""
     out = 1
     for x in e:
+        if type(x) is not int or x < 0:
+            return cone_size(_exponent(e, len(e)))
         out *= x + 1
     return out
 
@@ -102,9 +105,10 @@ def enumerate_low_cone(n: int, k: int, dcap: int | None = None, *, degree: int |
     layer, raises TooLarge before building a vector when the whole list
     would hold more than ``LOW_CONE_GUARD`` entries (n times its count).
     An argument that is not an int is read by ``errors.natural``, else
-    BadParameters; a negative ``dcap`` or ``degree`` bounds an empty list."""
+    BadParameters; ``dcap`` and ``degree`` by ``errors.integer``, since a
+    negative one bounds an empty list."""
     n, k = (x if type(x) is int else natural(x, what, BadParameters) for what, x in (("n", n), ("k", k)))
-    dcap, degree = (x if x is None or type(x) is int else natural(x, what, BadParameters) for what, x in (("dcap", dcap), ("degree", degree)))
+    dcap, degree = (x if x is None or type(x) is int else integer(x) if integer(x) is not None else natural(x, what, BadParameters) for what, x in (("dcap", dcap), ("degree", degree)))
     if n < 0 or k < 1:
         raise BadParameters("need n >= 0 and k >= 1")
     # a cone of size <= k bounds the degree by k - 1
@@ -224,8 +228,9 @@ def _exponent(e: Iterable[int], arity: int) -> ExpVec:
     v = tuple(e)
     if len(v) != arity:
         raise ArityMismatch(f"exponent {v} has arity {len(v)}, expected {arity}")
-    if not all(type(x) is int and x >= 0 for x in v):
-        v = tuple(natural(x, f"exponent {v} entry", ValidationError) for x in v)
+    for x in v:
+        if type(x) is not int or x < 0:
+            return tuple(natural(x, f"exponent {v} entry", ValidationError) for x in v)
     return v
 
 

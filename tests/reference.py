@@ -8,6 +8,7 @@ the few circuit helpers the tests share and the library does not need.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -367,7 +368,8 @@ def bareiss_det(rows):
 def reference_annihilator(t: hsg.HsgTuple) -> MultiPoly:
     """:func:`conepit.hsg.build_annihilator` by one solve of the whole
     system: the support cut from the sorted grid of vectors with entries
-    below delta, the images of every support vector, every power of y as a
+    below delta, the images of every support vector (each a product of its
+    factors by :func:`schoolbook_mul`), every power of y as a
     row, one canonical kernel vector, then the same integer scaling, sign
     and degree-deficit monomial."""
     n = t.arity
@@ -375,7 +377,8 @@ def reference_annihilator(t: hsg.HsgTuple) -> MultiPoly:
     F = t.field
     delta = hsg.annihilator_delta(n, d)
     support = sorted(itertools.product(range(delta), repeat=n), key=deglex_key)[: d * n * delta + 1]
-    images = t.monomial_images(support)
+    one = DensePoly.const(F, 1)
+    images = [functools.reduce(schoolbook_mul, [f for f, x in zip(t.polys, e) for _ in range(x)], one) for e in support]
     top = max(p.degree() for p in images)
     rows = [[p.coefficient(k) for p in images] for k in range(top + 1)]
     if F.is_rational:

@@ -5,9 +5,11 @@ for it, and the :class:`ConepitError` subclass it raises when that integer
 is malformed.  Every malformed value must raise that subclass, never a
 bare builtin exception and never a result, with the extraction cache cold
 and again once the valid call has warmed it: a float or a bool whose
-cache key equals a kept int's is refused all the same.
+cache key equals a kept int's is refused all the same.  A numpy integer
+is read as the int it equals, a negative bound included.
 """
 
+import numpy as np
 import pytest
 
 from conepit import (
@@ -18,6 +20,7 @@ from conepit import (
     Oracle,
     VectorPoly,
     cone_closed_basis_after_shift,
+    cone_size,
     enumerate_low_cone,
     greedy_design,
     is_basis_isolating,
@@ -87,6 +90,7 @@ CASES = {
     "least_basis weight": (lambda v: least_basis(F, (v, 2)), 1, BadParameters),
     "shift_by_weight weight": (lambda v: shift_by_weight(F, (v, 2)), 1, BadParameters),
     "cone_closed_basis_after_shift weight": (lambda v: cone_closed_basis_after_shift(F, (v, 2)), 1, BadParameters),
+    "cone_size entry": (lambda v: cone_size((v, 1)), 1, ValidationError),
 }
 MALFORMED = [-1, 1.5, 1.0, True, "2", None]
 # where None is the argument's default: no exponent, the syntactic degree, no cap
@@ -112,6 +116,18 @@ def test_a_malformed_integer_raises_its_conepit_error(fresh_cache, name, value):
         call(value)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_numpy_integer_is_read_as_the_int_it_equals(fresh_cache, name):
+    call, valid, _ = CASES[name]
+    fresh_cache()
+    got, want = call(np.int64(valid)), call(valid)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    elif type(want).__eq__ is not object.__eq__:  # the result compares by value
+        assert got == want
+
+
+@pytest.mark.parametrize("bound", [-1, np.int64(-1)], ids=repr)
 @pytest.mark.parametrize("name", sorted(NEGATIVE_BOUND))
-def test_a_negative_bound_lists_nothing(name):
-    assert CASES[name][0](-1) == []
+def test_a_negative_bound_lists_nothing(name, bound):
+    assert CASES[name][0](bound) == []
