@@ -26,6 +26,15 @@ The JSON document format (UTF-8 text) is::
 Scalars travel as decimal strings so rationals stay exact.  ``parse`` and
 ``serialize`` are mutually inverse on valid documents.
 
+Each argument is read once, at the boundary, by the constructor it belongs
+to: :class:`Gate` reads its id, var, children and exp by ``errors.natural``
+(else ValidationError), and :class:`Circuit` its arity and output, and makes
+each ``const`` value and ``add`` weight the canonical field scalar by
+``Field.of``.  The document reader checks the JSON shape only and hands the
+raw values on; :class:`CircuitBuilder`, :func:`compile_gates` and every
+walk of the gates take the values as the circuit holds them, so the scalar
+``evaluate`` and the program agree on every circuit that can be built.
+
 There is one vector evaluator: every circuit kind compiles itself, once,
 on first use, into a :class:`Program` of array steps (``lincomb``, ``mul``
 and ``pow`` kernel calls on blocks of rows, one point per column), which
@@ -56,7 +65,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .documents import json_list, load_document, scalar, scalar_list
+from .documents import json_list, load_document, optional, scalar, scalar_list
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -91,8 +100,13 @@ class Gate:
     exp: int | None = None
 
     def __post_init__(self) -> None:
-        if self.var is not None and type(self.var) is not int:  # an int is range-checked by the circuit
+        # an int var or child is range-checked by the circuit
+        if type(self.id) is not int or self.id < 0:
+            object.__setattr__(self, "id", natural(self.id, "gate id", ValidationError))
+        if self.var is not None and type(self.var) is not int:
             object.__setattr__(self, "var", natural(self.var, f"gate {self.id}: var", ValidationError))
+        if not all(type(c) is int for c in self.children):
+            object.__setattr__(self, "children", tuple(natural(c, f"gate {self.id}: child id", ValidationError) for c in self.children))
         if self.exp is not None:
             object.__setattr__(self, "exp", natural(self.exp, f"gate {self.id}: exp", ValidationError))
 
@@ -105,13 +119,16 @@ class Circuit:
     output: int
 
     def __post_init__(self) -> None:
+        for f in ("arity", "output"):
+            if type(getattr(self, f)) is not int or getattr(self, f) < 0:
+                object.__setattr__(self, f, natural(getattr(self, f), f, ValidationError))
         seen: set[int] = set()
         last = -1
         for g in self.gates:
             if g.kind not in GATE_KINDS:
                 raise ValidationError(f"gate {g.id}: unknown kind {g.kind!r}")
             stray = [f for f in ("var", "value", "children", "weights", "exp")
-                     if getattr(g, f) not in (None, ()) and f not in GATE_KINDS[g.kind]]
+                     if f not in GATE_KINDS[g.kind] and (g.children if f == "children" else getattr(g, f) is not None)]
             if stray:
                 raise ValidationError(f"gate {g.id}: {g.kind} takes no {', '.join(stray)}")
             if g.id <= last:
@@ -129,7 +146,7 @@ class Circuit:
             elif g.kind in ("add", "mul"):
                 if not g.children:
                     raise ValidationError(f"gate {g.id}: {g.kind} needs at least one child")
-                if g.kind == "add" and g.weights is not None and len(g.weights) != len(g.children):
+                if g.weights is not None and len(g.weights) != len(g.children):  # an add's: a mul takes none
                     raise ValidationError(f"gate {g.id}: {len(g.weights)} weights for {len(g.children)} children")
             elif g.kind == "pow":
                 if len(g.children) != 1 or g.exp is None:
@@ -137,6 +154,11 @@ class Circuit:
             seen.add(g.id)
         if self.output not in seen:
             raise ValidationError(f"output gate {self.output} does not exist")
+        # each scalar made canonical once, here
+        object.__setattr__(self, "gates", tuple(
+            Gate(g.id, "const", value=self.field.of(g.value)) if g.kind == "const"
+            else Gate(g.id, "add", children=g.children, weights=tuple(map(self.field.of, g.weights))) if g.weights is not None
+            else g for g in self.gates))
 
     @property
     def size(self) -> int:
@@ -235,7 +257,8 @@ class Circuit:
 
 
 class CircuitBuilder:
-    """Append-only gate list with memoized input gates."""
+    """Append-only gate list with memoized input gates.  Values and weights
+    are kept as given, for :meth:`build`'s circuit to read."""
 
     def __init__(self, field: Field, arity: int):
         self.field = field
@@ -254,10 +277,10 @@ class CircuitBuilder:
         return self._inputs[gate.var]
 
     def const(self, value: int | Fraction | str) -> int:
-        return self._push(Gate(len(self.gates), "const", value=self.field.of(value)))
+        return self._push(Gate(len(self.gates), "const", value=value))
 
     def add(self, weighted_children: Sequence[tuple[Scalar, int]]) -> int:
-        ws = tuple(self.field.of(w) for w, _ in weighted_children)
+        ws = tuple(w for w, _ in weighted_children)
         cs = tuple(c for _, c in weighted_children)
         return self._push(Gate(len(self.gates), "add", children=cs, weights=ws))
 
@@ -429,7 +452,7 @@ def compile_gates(circuit: Circuit) -> Program:
             else:
                 entries: dict[tuple[int, int], Scalar] = {}
                 for w, c in [(1, g.id)] if g.kind == "const" else zip(g.weights or itertools.repeat(1), g.children):
-                    w, r = (F.mul(F.of(w), F.of(gates[c].value)), _ONES) if gates[c].kind == "const" else (F.of(w), ref[c])
+                    w, r = (F.mul(w, gates[c].value), _ONES) if gates[c].kind == "const" else (w, ref[c])
                     entries[r] = F.add(entries.get(r, F.zero()), w)
                 key = tuple((r, w) for r, w in entries.items() if w) or ((_ONES, F.zero()),)
             rows.setdefault(key, []).append(g.id)
@@ -594,21 +617,13 @@ def circuit_from_document(doc) -> Circuit:
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a JSON object")
     field = Field.from_spec(doc["field"])
-    arity = natural(doc["arity"], "arity")
-    output = natural(doc["output"], "output")
     gates = []
     for row in json_list(doc["gates"], "gates"):
-        try:
-            kind = row["kind"]
-            gid = natural(row["id"], "gate id")
-        except KeyError as exc:
-            raise ParseError(f"gate missing key {exc.args[0]!r}") from exc
+        kind, gid = row["kind"], row["id"]
         if kind not in GATE_KINDS:
             raise ParseError(f"gate {gid}: unknown kind {kind!r}")
-        var = natural(row["var"], "var") if "var" in row else None
-        value = field.of(scalar(row["value"], "value")) if "value" in row else None
-        children = tuple(natural(c, "child id") for c in json_list(row.get("children", []), "children"))
-        weights = tuple(map(field.of, scalar_list(row["weights"], "weights"))) if "weights" in row else None
-        exp = natural(row["exp"], "exp") if "exp" in row else None
-        gates.append(Gate(gid, kind, var, value, children, weights, exp))
-    return Circuit(field, arity, tuple(gates), output)
+        value = scalar(row["value"], "value") if "value" in row else None
+        children = tuple(json_list(row.get("children", []), "children"))
+        weights = tuple(scalar_list(row["weights"], "weights")) if "weights" in row else None
+        gates.append(Gate(gid, kind, optional(row, "var"), value, children, weights, optional(row, "exp")))
+    return Circuit(field, doc["arity"], tuple(gates), doc["output"])

@@ -29,7 +29,7 @@ from . import polys
 from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, TooLarge, VerificationFailed, ZeroPolynomial, natural
 from .fields import DensePoly, Field, Scalar, rank_over_ft
 from .linalg import RowReducer
-from .polys import ExpVec, VectorPoly, cone_size, deglex_key, submonomials
+from .polys import ExpVec, VectorPoly, _cone_size, deglex_key, submonomials
 
 Weights = tuple[int, ...]
 
@@ -205,7 +205,7 @@ def shift_by_weight(f: VectorPoly, w: Sequence[int]) -> ShiftedVectorPoly:
     w = _weights(w)
     # each support monomial b adds at most dim coefficients of length
     # w(b) + 1 to each of its cone_size(b) submonomials: count before building
-    if f.dim * sum(cone_size(b) * (weight_of(w, b) + 1) for b in f.terms) > polys.LOW_CONE_GUARD:
+    if f.dim * sum(_cone_size(b) * (weight_of(w, b) + 1) for b in f.terms) > polys.LOW_CONE_GUARD:
         raise TooLarge(f"shifting by t^w builds more than {polys.LOW_CONE_GUARD} coefficients")
     F = f.field
     acc: dict[ExpVec, list[list[Scalar]]] = {}
@@ -236,9 +236,10 @@ def cone_closed_basis_after_shift(f: VectorPoly, w: Sequence[int]) -> list[ExpVe
     find_cone_closed on the least basis, and its validity is verified by
     comparing the rank of the corresponding shifted coefficient rows over
     F(t) against the coefficient rank of f.  Verification failure signals a
-    bug or a violated precondition, never an expected outcome.
+    bug or a violated precondition, never an expected outcome.  The
+    weights are read by :func:`is_basis_isolating` and
+    :func:`shift_by_weight`, the entry points it calls.
     """
-    w = _weights(w)
     report = is_basis_isolating(f, w)
     if not report.isolating:
         raise NotIsolating("weight assignment is not basis isolating for this polynomial")

@@ -51,6 +51,10 @@ class DiagonalCircuit:
 
     @staticmethod
     def make(field: Field, arity: int, terms: Sequence[tuple]) -> "DiagonalCircuit":
+        """The circuit of the terms (c, const, coeffs, d): the arity and each
+        d read by ``errors.natural`` (else ValidationError), each scalar by
+        ``Field.of``."""
+        arity = natural(arity, "arity", ValidationError)
         rows = []
         for c, const, coeffs, d in terms:
             coeffs = tuple(field.of(x) for x in coeffs)
@@ -255,11 +259,10 @@ def diagonal_to_json(circuit: DiagonalCircuit) -> str:
 def diagonal_from_json(text: str) -> DiagonalCircuit:
     def build(doc) -> DiagonalCircuit:
         field = Field.from_spec(doc["field"])
-        arity = natural(doc["arity"], "arity")
         terms = []
         for row in json_list(doc["terms"], "terms"):
             c, const = scalar(row["c"], "c"), scalar(row["const"], "const")
-            terms.append((c, const, scalar_list(row["coeffs"], "coeffs"), natural(row["d"], "d")))
-        return DiagonalCircuit.make(field, arity, terms)
+            terms.append((c, const, scalar_list(row["coeffs"], "coeffs"), row["d"]))
+        return DiagonalCircuit.make(field, doc["arity"], terms)
 
     return load_document(text, build)

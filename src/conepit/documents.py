@@ -10,6 +10,18 @@ so rational values stay exact; a float or a bool is refused.  Formats:
 * product terms (for the power rewriter): ``{"field", "arity",
   "terms": [[poly-terms, poly-terms, ..], ..]}`` where each inner entry is
   the term array of one factor.
+
+A reader checks the JSON shape only: an object's keys, a list where the
+format has one (:func:`json_list`), a scalar's form (:func:`scalar`), no
+null where a natural number may be absent (:func:`optional`).  It hands the
+raw values on to the constructor that follows, which reads each argument
+once, at the boundary: ``MultiPoly.make`` and ``VectorPoly.make`` their
+arity, dim and exponents, ``Circuit`` and ``Gate`` theirs, and so on, by
+``errors.natural`` (a ValidationError, exit code 2 like a ParseError).  The
+readers with no constructor that must follow read their own naturals:
+:func:`monomial_set_from_json` its arity and vectors, and
+:func:`product_terms_from_json` its arity, which an empty term list would
+otherwise leave unread.
 """
 
 from __future__ import annotations
@@ -58,8 +70,12 @@ def json_list(value: Any, what: str) -> list:
     return value
 
 
-def exponent_vector(value: Any) -> ExpVec:
-    return tuple(natural(x, "exponent") for x in json_list(value, "exponent vector"))
+def optional(row: dict, key: str) -> Any:
+    """``row[key]``, or None where the key is absent; a JSON null is refused
+    (:class:`ParseError`), since it would read as absent."""
+    if row.get(key, 0) is None:
+        raise ParseError(f"{key} must be a natural number, got null")
+    return row.get(key)
 
 
 def multipoly_to_obj(p: MultiPoly) -> dict:
@@ -71,18 +87,13 @@ def multipoly_to_obj(p: MultiPoly) -> dict:
 
 
 def _poly_from_parts(field: Field, arity: int, rows) -> MultiPoly:
-    items = []
-    for row in json_list(rows, "terms"):
-        try:
-            items.append((exponent_vector(row["exp"]), scalar(row["coef"], "coef")))
-        except KeyError as exc:
-            raise ParseError(f"term missing key {exc.args[0]!r}") from exc
+    items = [(json_list(row["exp"], "exponent vector"), scalar(row["coef"], "coef")) for row in json_list(rows, "terms")]
     return MultiPoly.make(field, arity, items)
 
 
 def multipoly_from_json(text: str) -> MultiPoly:
     return load_document(
-        text, lambda doc: _poly_from_parts(Field.from_spec(doc["field"]), natural(doc["arity"], "arity"), doc["terms"])
+        text, lambda doc: _poly_from_parts(Field.from_spec(doc["field"]), doc["arity"], doc["terms"])
     )
 
 
@@ -101,11 +112,9 @@ def vectorpoly_to_json(f: VectorPoly) -> str:
 def vectorpoly_from_json(text: str) -> VectorPoly:
     def build(doc) -> VectorPoly:
         field = Field.from_spec(doc["field"])
-        arity = natural(doc["arity"], "arity")
-        dim = natural(doc["dim"], "dim")
         rows = json_list(doc["terms"], "terms")
-        items = [(exponent_vector(row["exp"]), scalar_list(row["coef"], "coef")) for row in rows]
-        return VectorPoly.make(field, arity, dim, items)
+        items = [(json_list(row["exp"], "exponent vector"), scalar_list(row["coef"], "coef")) for row in rows]
+        return VectorPoly.make(field, doc["arity"], doc["dim"], items)
 
     return load_document(text, build)
 
@@ -113,7 +122,7 @@ def vectorpoly_from_json(text: str) -> VectorPoly:
 def monomial_set_from_json(text: str) -> tuple[int, list[ExpVec]]:
     def build(doc) -> tuple[int, list[ExpVec]]:
         arity = natural(doc["arity"], "arity")
-        vectors = [exponent_vector(row) for row in json_list(doc["vectors"], "vectors")]
+        vectors = [tuple(natural(x, "exponent") for x in json_list(row, "exponent vector")) for row in json_list(doc["vectors"], "vectors")]
         for v in vectors:
             if len(v) != arity:
                 raise ParseError(f"vector {v} does not have arity {arity}")

@@ -59,7 +59,7 @@ from .errors import BadParameters, DuplicateNodes, TooLarge, natural
 from .fastmod import PointBatch
 from .fields import Field, Scalar
 from .linalg import RowReducer
-from .polys import ExpVec, _exponent, cone_size
+from .polys import ExpVec, _cone_size, _exponent
 
 if TYPE_CHECKING:
     from .circuits import Oracle
@@ -244,10 +244,11 @@ def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple,
 
 def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], int]:
     """:func:`_build_query_set` of x^e at degree bound d, cached as one entry
-    per point and read only through :class:`FilteredOracle`; raises
-    CharTooSmall for a field of at most d elements, then TooLarge past the guard."""
+    per point and read only through :class:`FilteredOracle`, which has read
+    e; raises CharTooSmall for a field of at most d elements, then TooLarge
+    past the guard."""
     field.require_size_over(degree, "coefficient extraction")
-    require_within_guard(cone_size(e), sum(e), degree)
+    require_within_guard(_cone_size(e), sum(e), degree)
     key = ("query", field, e, degree)
     entry = _cache.get(key)
     if entry is None:
@@ -271,15 +272,15 @@ def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence
     field.require_size_over(degree, "coefficient extraction")
     key = ("layer", field, *shape)
     entry = _cache.get(key)
-    guarded = entry[2] if entry is not None else max((cone_size(e) for e in layer if sum(e) <= degree), default=0)
+    guarded = entry[2] if entry is not None else max((_cone_size(e) for e in layer if sum(e) <= degree), default=0)
     if guarded and max(guarded, degree + 1) * (degree + 1) > EXTRACTION_GUARD:
         # the first monomial past the guard raises, with its own message
         for e in layer:
-            require_within_guard(cone_size(e), sum(e), degree)
+            require_within_guard(_cone_size(e), sum(e), degree)
     if entry is None:
         requested = itertools.chain.from_iterable(_base_points(field, e, degree) for e in layer)
         fresh = [pt for pt in dict.fromkeys(requested) if pt not in seen]
-        requests = sum(cone_size(e) for e in layer if sum(e) <= degree) * (degree + 1)
+        requests = sum(_cone_size(e) for e in layer if sum(e) <= degree) * (degree + 1)
         entry = _cache.put(key, (PointBatch(field, shape[0], fresh), requests, guarded), len(fresh))
     return entry[0], entry[1]
 

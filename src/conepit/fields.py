@@ -34,7 +34,7 @@ from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .errors import CharTooSmall, MixedFields, ParseError, ValidationError, ZeroInverse
+from .errors import CharTooSmall, MixedFields, ParseError, ValidationError, ZeroInverse, natural
 
 Scalar = Union[int, Fraction]
 T = TypeVar("T")
@@ -92,7 +92,9 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
-        return Field(p)
+        """F_p, p read by ``errors.natural`` (else ValidationError): a numpy
+        integer as the int it equals."""
+        return Field(natural(p, "prime", ValidationError))
 
     @staticmethod
     def default_prime() -> "Field":
@@ -299,7 +301,8 @@ class DensePoly:
         return DensePoly(F, tuple(Fraction(v, da * db) for v in prod))
 
     def pow(self, e: int) -> "DensePoly":
-        return square_and_multiply(self, e, lambda: DensePoly.const(self.field, 1), DensePoly.mul)
+        """self^e, e read by ``errors.natural``, else ValidationError."""
+        return square_and_multiply(self, natural(e, "exponent", ValidationError), lambda: DensePoly.const(self.field, 1), DensePoly.mul)
 
     def eval(self, x: Scalar) -> Scalar:
         F = self.field

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .documents import json_list, load_document, scalar_list
+from .documents import json_list, load_document, optional, scalar_list
 from .errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -72,7 +72,7 @@ class HsgTuple:
             if p.field != field:
                 raise ValidationError(f"univariate {i + 1} is over {p.field.spec}, expected {field.spec}")
         actual = max((p.degree() for p in polys), default=0)
-        d = actual if degree is None else degree
+        d = actual if degree is None else natural(degree, "degree", ValidationError)
         if d < actual:
             raise ValidationError(f"declared degree {d} below actual degree {actual}")
         return HsgTuple(field, d, tuple(polys))
@@ -130,8 +130,7 @@ def hsg_from_json(text: str) -> HsgTuple:
     def build(doc) -> HsgTuple:
         field = Field.from_spec(doc["field"])
         polys = [DensePoly.make(field, scalar_list(coeffs, "coefficients")) for coeffs in json_list(doc["polys"], "polys")]
-        degree = natural(doc["degree"], "degree") if "degree" in doc else None
-        return HsgTuple.make(field, polys, degree)
+        return HsgTuple.make(field, polys, optional(doc, "degree"))
 
     return load_document(text, build)
 

@@ -42,12 +42,21 @@ def deglex_key(e: ExpVec) -> tuple[int, ExpVec]:
 
 
 def cone_size(e: Sequence[int]) -> int:
-    """Number of submonomials of x^e, i.e. prod(e_i + 1).  Unless every
-    entry is an int >= 0, e is read by :func:`_exponent` (else ValidationError)."""
+    """Number of submonomials of x^e, i.e. prod(e_i + 1): e read by
+    :func:`_exponent` (else ValidationError), then :func:`_cone_size`.
+
+    The library checks once, at the boundary: a vector is read where it
+    enters, by a public constructor or entry point, and every internal path
+    that gets it after that (``extraction.query_set`` and ``layer_points``,
+    ``conebasis.shift_by_weight``, :func:`pd_space_dim`) calls the unchecked
+    :func:`_cone_size`, never this."""
+    return _cone_size(_exponent(e, len(e)))
+
+
+def _cone_size(e: ExpVec) -> int:
+    """prod(e_i + 1) of a vector that has been read: no entry is checked."""
     out = 1
     for x in e:
-        if type(x) is not int or x < 0:
-            return cone_size(_exponent(e, len(e)))
         out *= x + 1
     return out
 
@@ -244,6 +253,10 @@ class MultiPoly:
 
     @staticmethod
     def make(field: Field, arity: int, items: Mapping[ExpVec, int | Fraction | str] | Iterable[tuple[ExpVec, int | Fraction | str]]) -> "MultiPoly":
+        """The sum of the terms c x^e: the arity read by ``errors.natural``,
+        each e by :func:`_exponent` (else ValidationError or ArityMismatch)
+        and each c by ``Field.of``, like terms added, zeros dropped."""
+        arity = natural(arity, "arity", ValidationError)
         pairs = items.items() if isinstance(items, Mapping) else items
         return MultiPoly(field, arity, _accumulate(field, {}, ((_exponent(e, arity), field.of(c)) for e, c in pairs)))
 
@@ -258,7 +271,7 @@ class MultiPoly:
     @staticmethod
     def variable(field: Field, arity: int, index: int) -> "MultiPoly":
         e = [0] * arity
-        e[index] = 1
+        e[natural(index, "variable index", ValidationError)] = 1
         return MultiPoly.make(field, arity, {tuple(e): 1})
 
     @property
@@ -408,7 +421,7 @@ def pd_space_dim(p: MultiPoly) -> int:
     if p.is_zero:
         return 0
     # every derivative lies in the span of the support's cones
-    if sum(cone_size(e) for e in p.terms) > LOW_CONE_GUARD:
+    if sum(map(_cone_size, p.terms)) > LOW_CONE_GUARD:
         raise TooLarge(f"the cones of the support hold more than {LOW_CONE_GUARD} monomials")
     span = PolySpan(p.field)
     work = [p]
@@ -444,6 +457,9 @@ class VectorPoly:
 
     @staticmethod
     def make(field: Field, arity: int, dim: int, items: Iterable[tuple[ExpVec, Sequence[int | Fraction | str]]]) -> "VectorPoly":
+        """As :meth:`MultiPoly.make`, each c a vector of ``dim`` scalars; dim
+        is read by ``errors.natural`` too."""
+        arity, dim = natural(arity, "arity", ValidationError), natural(dim, "dim", ValidationError)
         terms: dict[ExpVec, tuple[Scalar, ...]] = {}
         for e, vec in items:
             e = _exponent(e, arity)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -390,3 +391,67 @@ def test_fields_of_another_gate_kind_are_rejected(gate):
     # would not be C
     with pytest.raises(ValidationError, match="takes no"):
         parse('{"field": "q", "arity": 1, "gates": [{"id": 0, "kind": "input", "var": 0}, ' + gate + '], "output": 1}')
+
+
+def exact_scalars():
+    """Every exact form ``Field.of`` reads: ints, bools, numpy integers and
+    bools, Fractions and decimal strings, most of them outside [0, p)."""
+    n, den = st.integers(-40, 40), st.integers(1, 12)
+    return st.one_of(
+        n, st.booleans(), n.map(np.int64), st.integers(0, 255).map(np.uint8), st.booleans().map(np.bool_),
+        st.builds(Fraction, n, den), n.map(str), st.builds("{}/{}".format, n, den),
+    )
+
+
+@st.composite
+def raw_circuits(draw):
+    """A circuit of raw ``Gate``s, its scalars as :func:`exact_scalars`
+    draws them, and a point of such scalars."""
+    field = draw(st.sampled_from([Field.prime(13), FP, Q]))
+    n = draw(st.integers(1, 3))
+    gates = [Gate(i, "input", var=i) for i in range(n)]
+    for gid in range(n, n + draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["const", "add", "mul", "pow"]))
+        kids = tuple(draw(st.lists(st.integers(0, gid - 1), min_size=1, max_size=3)))
+        if kind == "const":
+            gates.append(Gate(gid, "const", value=draw(exact_scalars())))
+        elif kind == "add":
+            weights = draw(st.none() | st.lists(exact_scalars(), min_size=len(kids), max_size=len(kids)).map(tuple))
+            gates.append(Gate(gid, "add", children=kids, weights=weights))
+        elif kind == "mul":
+            gates.append(Gate(gid, "mul", children=kids))
+        else:
+            gates.append(Gate(gid, "pow", children=kids[:1], exp=draw(st.integers(0, 2))))
+    point = draw(st.lists(exact_scalars(), min_size=n, max_size=n))
+    return Circuit(field, n, tuple(gates), gates[-1].id), point
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=raw_circuits())
+def test_both_evaluators_agree_on_raw_gates(case):
+    # the circuit makes each const value and add weight canonical, once, so
+    # the scalar twin, the program and the parsed document read the same scalars
+    C, point = case
+    again = parse(serialize(C))
+    assert again == C
+    want = C.evaluate(point)
+    assert want == C.evaluate_many([point])[0] == again.evaluate(point) == again.evaluate_many([point])[0]
+
+
+@pytest.mark.parametrize(
+    "gate, field, want",
+    [(Gate(1, "const", value=9), Field.prime(7), 2), (Gate(1, "add", children=(0,), weights=("2",)), Field.prime(7), 6),
+     (Gate(1, "add", children=(0,), weights=("1/2",)), Q, Fraction(3, 2))],
+    ids=["const 9 over F_7", "weight '2' over F_7", "weight '1/2' over Q"],
+)
+def test_a_raw_scalar_is_the_canonical_one(gate, field, want):
+    C = Circuit(field, 1, (X0, gate), 1)
+    assert C.evaluate([3]) == C.evaluate_many([[3]])[0] == want
+    assert type(C.gates[1].value if gate.kind == "const" else C.gates[1].weights[0]) is type(field.one())
+
+
+def test_a_builder_keeps_its_scalars_for_the_circuit_to_read():
+    b = CircuitBuilder(Q, 1)
+    b.const("x")
+    with pytest.raises(ParseError, match="bad scalar literal 'x'"):
+        b.build(0)

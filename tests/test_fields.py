@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,3 +177,9 @@ def test_mul_matches_schoolbook(field, data):
     assert not got.coeffs or got.coeffs[-1] != 0
     assert all(type(c) is (Fraction if field.is_rational else int) for c in got.coeffs)
     assert got.is_zero == (a.is_zero or b.is_zero)
+
+
+def test_a_numpy_prime_is_read_as_the_int_it_equals():
+    F = Field.prime(np.int64(7))
+    assert type(F.p) is int and type(F.of(10)) is int and F.of(10) == 3
+    assert Field.prime(np.int64(101)) == Field.prime(101)

@@ -14,8 +14,10 @@ import pytest
 
 from conepit import (
     Circuit,
+    DensePoly,
     DiagonalCircuit,
     Gate,
+    HsgTuple,
     MultiPoly,
     Oracle,
     VectorPoly,
@@ -57,6 +59,7 @@ def x1_plus_x2():
 
 X = x1_plus_x2()
 F = example_f()
+X0, X1 = Gate(0, "input", var=0), Gate(1, "input", var=1)
 
 # name -> (call of the integer under test, a valid value, the error)
 CASES = {
@@ -91,10 +94,22 @@ CASES = {
     "shift_by_weight weight": (lambda v: shift_by_weight(F, (v, 2)), 1, BadParameters),
     "cone_closed_basis_after_shift weight": (lambda v: cone_closed_basis_after_shift(F, (v, 2)), 1, BadParameters),
     "cone_size entry": (lambda v: cone_size((v, 1)), 1, ValidationError),
+    "Circuit arity": (lambda v: Circuit(Q, v, (X0,), 0), 1, ValidationError),
+    "Circuit output": (lambda v: Circuit(Q, 2, (X0, X1), v), 1, ValidationError),
+    "Gate id": (lambda v: Circuit(Q, 2, (X0, Gate(v, "input", var=1)), 0), 1, ValidationError),
+    "Gate children": (lambda v: Circuit(Q, 2, (X0, X1, Gate(2, "mul", children=(0, v))), 2), 1, ValidationError),
+    "MultiPoly.make arity": (lambda v: MultiPoly.make(Q, v, [((1,), 1)]), 1, ValidationError),
+    "VectorPoly.make arity": (lambda v: VectorPoly.make(Q, v, 1, [((1,), [1])]), 1, ValidationError),
+    "VectorPoly.make dim": (lambda v: VectorPoly.make(Q, 1, v, [((1,), [1])]), 1, ValidationError),
+    "DiagonalCircuit arity": (lambda v: DiagonalCircuit.make(Q, v, [(1, 0, (1,), 2)]), 1, ValidationError),
+    "HsgTuple degree": (lambda v: HsgTuple.make(Q, [DensePoly.make(Q, [0, 1])], v), 1, ValidationError),
+    "DensePoly.pow": (lambda v: DensePoly.make(Q, [1, 1]).pow(v), 2, ValidationError),
+    "MultiPoly.variable index": (lambda v: MultiPoly.variable(Q, 2, v), 1, ValidationError),
+    "Field.prime": (Field.prime, 101, ValidationError),
 }
 MALFORMED = [-1, 1.5, 1.0, True, "2", None]
 # where None is the argument's default: no exponent, the syntactic degree, no cap
-OPTIONAL = {"Gate exp", "Oracle degree", "enumerate_low_cone dcap", "enumerate_low_cone degree"}
+OPTIONAL = {"Gate exp", "Oracle degree", "enumerate_low_cone dcap", "enumerate_low_cone degree", "HsgTuple degree"}
 # where an int below 0 is a bound no vector meets, so the list is empty
 NEGATIVE_BOUND = {"enumerate_low_cone dcap", "enumerate_low_cone degree"}
 
