@@ -8,7 +8,7 @@ gate view keeps every term and serves only the scalar twin ``evaluate``.
 Its rank r is the linear rank of the non-constant parts.  ``diag_pit``
 selects the pivot columns of an inverse-free elimination, which keeps
 nonzeroness, and runs the low-cone test on the r-variate image under that
-selection, ``PsiMap.apply``, whose program collects like terms once:
+selection, ``PsiMap.apply``, whose like terms are collected as it is built:
 effective here since the partial-derivative space of a k-term diagonal
 circuit has dimension at most sum (d_i + 1).
 
@@ -49,19 +49,25 @@ class DiagonalCircuit:
     arity: int
     terms: tuple[DiagonalTerm, ...]
 
-    @staticmethod
-    def make(field: Field, arity: int, terms: Sequence[tuple]) -> "DiagonalCircuit":
-        """The circuit of the terms (c, const, coeffs, d): the arity and each
-        d read by ``errors.natural`` (else ValidationError), each scalar by
-        ``Field.of``."""
-        arity = natural(arity, "arity", ValidationError)
+    def __post_init__(self) -> None:
+        """Reads the arity and each term (c, const, coeffs, d), here only:
+        the arity and each d by ``errors.natural`` (else ValidationError),
+        each scalar by ``Field.of`` and the coefficient count against the
+        arity (else ValidationError)."""
+        F, arity = self.field, natural(self.arity, "arity", ValidationError)
         rows = []
-        for c, const, coeffs, d in terms:
-            coeffs = tuple(field.of(x) for x in coeffs)
+        for c, const, coeffs, d in self.terms:
+            coeffs = tuple([F.of(x) for x in coeffs])
             if len(coeffs) != arity:
                 raise ValidationError(f"affine form has {len(coeffs)} coefficients, arity is {arity}")
-            rows.append(DiagonalTerm(field.of(c), field.of(const), coeffs, natural(d, "exponent", ValidationError)))
-        return DiagonalCircuit(field, arity, tuple(rows))
+            rows.append(DiagonalTerm(F.of(c), F.of(const), coeffs, natural(d, "exponent", ValidationError)))
+        self.__dict__.update(arity=arity, terms=tuple(rows))
+
+    @staticmethod
+    def make(field: Field, arity: int, terms: Sequence[tuple]) -> "DiagonalCircuit":
+        """The circuit of the terms (c, const, coeffs, d), read as the
+        constructor reads them."""
+        return DiagonalCircuit(field, arity, tuple(terms))
 
     def degree(self) -> int:
         return max((t.d for t in self.terms), default=0)
@@ -160,9 +166,19 @@ class PsiMap:
     columns: tuple[int, ...]  # 0-based pivot columns, ascending
 
     def apply(self, circuit: DiagonalCircuit) -> DiagonalCircuit:
-        """The r-variate circuit C(Psi(x)); constants are untouched."""
-        terms = tuple([DiagonalTerm(t.c, t.const, tuple([t.coeffs[j] for j in self.columns]), t.d) for t in circuit.terms])
-        return DiagonalCircuit(circuit.field, len(self.columns), terms)
+        """The r-variate circuit C(Psi(x)), its like terms collected as its
+        program collects them: one term per (const, coeffs at the columns,
+        d) in order of first use, c the field sum of its terms', those that
+        sum to 0 dropped; constants are untouched.  The terms were read by
+        ``circuit``'s constructor, so the image is built without reading
+        them again."""
+        F, like = circuit.field, {}
+        for c, const, coeffs, d in circuit.terms:
+            key = (const, tuple([coeffs[j] for j in self.columns]), d)
+            like[key] = F.add(like[key], c) if key in like else c
+        image = object.__new__(DiagonalCircuit)
+        image.__dict__.update(field=F, arity=len(self.columns), terms=tuple([DiagonalTerm(c, *key) for key, c in like.items() if c != 0]))
+        return image
 
 
 def build_psi(circuit: DiagonalCircuit) -> PsiMap:
@@ -186,8 +202,8 @@ def diag_pit(circuit: DiagonalCircuit) -> PitVerdict:
 
     Compresses the circuit to its rank by the coordinate selection of
     :func:`build_psi` (which preserves nonzeroness): the reduced circuit is
-    its :meth:`PsiMap.apply` image, whose program collects the like terms,
-    one (const, coeffs at the pivots, d), the first time it is run.  The
+    its :meth:`PsiMap.apply` image, one term per (const, coeffs at the
+    pivots, d), built with no term read again.  The
     low-cone test with the sum-of-(d_i + 1) promise runs on it under the
     input's degree bound, which stays when top terms cancel.  A Nonzero
     witness is a monomial of the reduced circuit.  A circuit of rank 0 is
@@ -212,7 +228,9 @@ def diag_power_vectorpoly(field: Field, rows: Sequence[Sequence[Scalar]], d: int
     """The vector-valued polynomial (1 + a_t1 x_1 + ... + a_tn x_n)^d, one
     coordinate per row of ``rows``, with F^k multiplied componentwise: the
     coefficient of x^e has t-th entry multinomial(d; e) * prod_j a_tj^e_j.
-    Requires characteristic 0 or > d."""
+    Requires characteristic 0 or > d; d is read by ``errors.natural`` (else
+    ValidationError)."""
+    d = natural(d, "power", ValidationError)
     field.require_size_over(d, "componentwise affine power")
     mat = [[field.of(x) for x in row] for row in rows]
     k = len(mat)

@@ -26,9 +26,14 @@ low-cone test's layers hold points only: :func:`layer_points` gives a
 total-degree layer's points that no lower layer requests, as a read-only
 ``fastmod.PointBatch`` for the evaluator, and its request count, per test
 shape (field, n, k, d, t), and builds no weight, so query sets exist only
-for coefficients a test combines.  One least recently used cache keeps
-them all, at most ``CACHE_ITEMS`` items of ``CACHE_ENTRIES`` entries in
-all: a row of width m counts m, a query set or a layer one per point.  An
+for coefficients a test combines.  :func:`layer_part_vanishes` tests
+whether a layer has any such coefficient to combine: it keeps, per shape,
+a scalings item, the points tau * a of the union of the layer's boxes for
+tau = 0 .. d and the one interpolation row that turns their values into
+the degree-t part f_t(a), and it reads those values from the test's own
+table.  One least recently used cache keeps them all, at most
+``CACHE_ITEMS`` items of ``CACHE_ENTRIES`` entries in all: a row of width
+m counts m, a query set, a layer or a scalings item one per point.  An
 item of more than ``CACHE_ENTRIES // 64`` is built per call and not kept,
 nor is any row but the one asked for of a division whose rows come to
 more, and none holds an oracle's values.  ``EXTRACTION_GUARD`` refuses an
@@ -51,7 +56,7 @@ import itertools
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from typing import TYPE_CHECKING, Container, Iterator, Sequence
+from typing import TYPE_CHECKING, Container, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -212,14 +217,19 @@ def interpolation_row(field: Field, m: int, target: int) -> tuple[Scalar, ...]:
     return row
 
 
+def _stage_nodes(e: ExpVec) -> list[Sequence[int]]:
+    """The nodes of each variable's stage of the extraction of x^e, 0 .. e_i;
+    their product is the box of x^e."""
+    # a zero exponent's stage is the single node 1, with weight 1: the identity
+    return [(1,) if ei == 0 else range(ei + 1) for ei in e]
+
+
 def _base_points(field: Field, e: ExpVec, degree: int) -> Iterator[tuple[Scalar, ...]]:
     """The base points of the extraction of x^e at degree bound d: tau * a
-    for tau in 0 .. d, tau-major, and a in the product of the stages' nodes
-    in itertools.product order, x1's node slowest; none when |e| > d."""
-    # a zero exponent's stage is the single node 1, with weight 1: the identity
-    stage_nodes = [(1,) if ei == 0 else range(ei + 1) for ei in e]
-    taus = range(degree + 1) if sum(e) <= degree else ()
-    return itertools.chain.from_iterable(itertools.product(*([field.mul(a, tau) for a in ns] for ns in stage_nodes)) for tau in taus)
+    for tau in 0 .. d, tau-major, and a in the box of x^e in
+    itertools.product order, x1's node slowest; none when |e| > d."""
+    stages, taus = _stage_nodes(e), range(degree + 1) if sum(e) <= degree else ()
+    return itertools.chain.from_iterable(itertools.product(*([field.mul(a, tau) for a in ns] for ns in stages)) for tau in taus)
 
 
 def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], int]:
@@ -283,6 +293,30 @@ def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence
         requests = sum(_cone_size(e) for e in layer if sum(e) <= degree) * (degree + 1)
         entry = _cache.put(key, (PointBatch(field, shape[0], fresh), requests, guarded), len(fresh))
     return entry[0], entry[1]
+
+
+def layer_part_vanishes(field: Field, shape: tuple[int, int, int, int], layer: Sequence[ExpVec], values: Mapping[tuple, Scalar]) -> bool:
+    """Is the degree-t part f_t of the polynomial behind ``values`` zero at
+    every base point a of layer t, so that every coefficient the layer's
+    extractions combine is zero?  f(tau * a) = sum_j tau^j f_j(a), so row t
+    of ``interpolation_row(field, d + 1, t)`` dotted with the values at
+    tau * a for tau = 0 .. d is f_t(a), over Q times d!.  The points a are
+    the union of the boxes of the layer's monomials, so every tau * a is a
+    point the layer requests, built as :func:`_base_points` builds it and
+    read from ``values``.  ``shape`` and ``layer`` are as in
+    :func:`layer_points`, which has made the checks.  The points, tau-major,
+    and the row are cached per (field, shape) as one entry per point."""
+    n, _, degree, t = shape
+    entry = _cache.get(("scalings", field, *shape))
+    if entry is None:
+        union = list(dict.fromkeys(itertools.chain.from_iterable(itertools.product(*_stage_nodes(e)) for e in layer)))
+        points = np.arange(degree + 1, dtype=np.int64)[:, None, None] * np.array(union, dtype=np.int64).reshape(len(union), n)
+        if field.p is not None and field.p <= degree * degree:  # tau * a <= d^2 wraps only then
+            points %= field.p
+        keys = list(map(tuple, points.reshape((degree + 1) * len(union), n).tolist()))
+        entry = _cache.put(("scalings", field, *shape), (keys, np.array(interpolation_row(field, degree + 1, t), dtype=object)), len(keys))
+    parts = np.dot(entry[1], np.array([values[x] for x in entry[0]], dtype=object).reshape(degree + 1, -1))
+    return not any(parts.tolist() if field.p is None else (parts % field.p).tolist())
 
 
 class FilteredOracle:

@@ -14,7 +14,12 @@ Three testers over the same oracle interface:
   alone and kept per test shape in extraction's one bounded cache
   (``extraction.layer_points``).  A Zero verdict needs only their values,
   so coefficients, and with them query sets and weight rows, are built
-  only from the first layer where a value read is nonzero.
+  only from the first layer where a value read is nonzero, and from there
+  only in a layer whose degree-t part f_t is nonzero somewhere on its
+  boxes: f(tau * a) = sum_j tau^j f_j(a), so f_t at a layer's base points
+  is one interpolation row dotted with values the layer has read already
+  (``extraction.layer_part_vanishes``), and where it is zero at all of
+  them, so is every coefficient of the layer.
 * :func:`brute_force_pit` -- ground truth by dense grid expansion.
 * :func:`sz_pit` -- seeded random evaluations, one-sided error.
 """
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 from .circuits import Oracle, dense_expand
 from .errors import BadParameters, TooLarge, VerificationFailed, integer, natural
-from .extraction import FilteredOracle, layer_points, require_within_guard
+from .extraction import FilteredOracle, layer_part_vanishes, layer_points, require_within_guard
 from .fields import MERSENNE61, Scalar
 from .polys import ExpVec, deglex_key, enumerate_low_cone, format_monomial, low_cone_count_bound
 
@@ -74,12 +79,17 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
     that no lower layer requested, a kept ``PointBatch``, and its request
     count, from ``extraction.layer_points``, need no weight and are cached
     per shape; the batch goes to ``oracle.eval_many`` whole, into a table.
-    Until a value read is nonzero every coefficient combines zeros, so a
-    layer counts its monomials as tested and its requests as read and builds
-    no extraction; from there on one per monomial, in turn, combines values
-    from the table, up to the first nonzero coefficient.  ``oracle.calls`` grows
-    by the distinct points of the layers walked; ``oracle_calls`` counts the
-    points the tested extractions requested, cone_size(e) * (d + 1) each.
+    Until a value read is nonzero every coefficient combines zeros, and so
+    does every coefficient of a layer whose degree-t part f_t vanishes at
+    each base point a of its monomials' boxes: row t of the width-(d + 1)
+    interpolation rows, dotted with the table's values at tau * a for
+    tau = 0 .. d, gives f_t(a), exactly, with no point evaluated.  Such a
+    layer counts its monomials as tested and its requests as read and
+    builds no extraction; in any other layer one extraction per monomial,
+    in turn, combines values from the table, up to the first nonzero
+    coefficient.  ``oracle.calls`` grows by the distinct points of the
+    layers walked; ``oracle_calls`` counts the points the tested extractions
+    requested, cone_size(e) * (d + 1) each, whether combined or skipped.
 
     Refusals, in order: a ``k`` that is not an ``errors.integer`` of at
     least 1, the constant monomial's extraction past its guard (before any
@@ -102,7 +112,7 @@ def low_cone_pit(oracle: Oracle, k: int) -> PitVerdict:
             read = oracle.eval_many(fresh)
             values.update(zip(fresh, read))
             seen_nonzero = seen_nonzero or any(read)
-        if not seen_nonzero:
+        if not seen_nonzero or layer_part_vanishes(F, (n, k, d, t), layer, values):
             tested += len(layer)
             table.calls += requests
             continue

@@ -266,13 +266,16 @@ class MultiPoly:
 
     @staticmethod
     def const(field: Field, arity: int, c: int | Fraction | str) -> "MultiPoly":
-        return MultiPoly.make(field, arity, {(0,) * arity: c})
+        return MultiPoly.make(field, arity, {(0,) * natural(arity, "arity", ValidationError): c})
 
     @staticmethod
     def variable(field: Field, arity: int, index: int) -> "MultiPoly":
-        e = [0] * arity
-        e[natural(index, "variable index", ValidationError)] = 1
-        return MultiPoly.make(field, arity, {tuple(e): 1})
+        """x_index, the arity read first, then the index, which must be below
+        it (else ValidationError)."""
+        arity, index = natural(arity, "arity", ValidationError), natural(index, "variable index", ValidationError)
+        if index >= arity:
+            raise ValidationError(f"variable index {index} outside 0..{arity - 1}")
+        return MultiPoly.make(field, arity, {tuple([int(i == index) for i in range(arity)]): 1})
 
     @property
     def is_zero(self) -> bool:

@@ -117,16 +117,19 @@ def reference_psi(circuit: DiagonalCircuit) -> PsiMap | None:
 
 def reference_diag_pit(circuit: DiagonalCircuit) -> tuple[PitVerdict, Oracle | None]:
     """``diag_pit`` by separate steps, none fused: :func:`reference_psi`,
-    ``PsiMap.apply`` term by term, the image's own program (which collects
-    like terms) and ``low_cone_pit`` under the input's degree bound.  A
-    rank-0 circuit is its constant, read once at the origin by the scalar
-    twin.  Returns the verdict and the oracle the test ran on, if any."""
+    each term's form restricted to its columns one term at a time (no
+    ``PsiMap.apply``, which collects like terms), the image's own program
+    (which collects them) and ``low_cone_pit`` under the input's degree
+    bound.  A rank-0 circuit is its constant, read once at the origin by
+    the scalar twin.  Returns the verdict and the oracle the test ran on,
+    if any."""
     circuit.field.require_size_over(circuit.degree(), "diagonal identity test")
     psi = reference_psi(circuit)
     if psi is None:
         v = circuit.evaluate([circuit.field.zero()] * circuit.arity)
         return (PitVerdict(ZERO, None, None, 1, 1) if v == 0 else PitVerdict(NONZERO, (), v, 1, 1)), None
-    oracle = Oracle(psi.apply(circuit), circuit.degree())
+    image = [(t.c, t.const, [t.coeffs[j] for j in psi.columns], t.d) for t in circuit.terms]
+    oracle = Oracle(DiagonalCircuit.make(circuit.field, len(psi.columns), image), circuit.degree())
     return low_cone_pit(oracle, pd_dim_bound(circuit)), oracle
 
 

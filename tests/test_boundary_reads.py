@@ -2,27 +2,33 @@
 
 The constructors read their own arguments: ``Gate`` and ``Circuit`` their
 integers, ``Circuit`` each ``const`` value and ``add`` weight by
-``Field.of``, and ``MultiPoly.make``, ``VectorPoly.make``,
-``DiagonalCircuit.make`` and ``HsgTuple.make`` theirs by ``errors.natural``.
+``Field.of``, ``DiagonalCircuit`` its terms, and ``MultiPoly.make``,
+``VectorPoly.make`` and ``HsgTuple.make`` theirs by ``errors.natural``.
 So the document readers that a constructor follows check the JSON shape
 only, the builder and the compiler take the scalars as the circuit holds
 them, and the engines call the unchecked ``polys._cone_size`` on vectors
 that have been read, never the public ``cone_size``.  These tests parse the
 modules with ``ast`` and name any function that reads again, and count the
-calls of ``cone_size`` that the engines make.
+calls of ``cone_size``, ``errors.integer`` and ``errors.natural`` that the
+engines make and the reads of ``PsiMap.apply``, which builds its image
+from terms already read.
 """
 
 import ast
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conepit
-from conepit import DiagonalCircuit, Oracle, cone_closed_basis_after_shift, diag_pit, low_cone_pit, polys
+from conepit import DiagonalCircuit, Oracle, cone_closed_basis_after_shift, diag_pit, diagonal, errors, low_cone_pit, polys
 from conepit.circuits import CircuitBuilder
+from conepit.errors import ValidationError
 from conepit.fields import Field
-from conepit.pit import NONZERO
+from conepit.pit import NONZERO, ZERO
 from test_conebasis import example_f
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conepit"
@@ -78,20 +84,28 @@ def test_a_reader_with_no_constructor_after_it_reads_its_own_naturals():
     assert calls_natural(definitions("documents")["monomial_set_from_json"])
 
 
-def test_the_engines_call_no_checked_cone_size(monkeypatch, fresh_cache):
-    calls = []
-    original = polys.cone_size
+def count_bindings(monkeypatch, originals, calls: Counter) -> None:
+    """Count the calls of each function in ``originals`` by name, through
+    every name it is bound to in the package, as a caller sees it."""
 
-    def counted(e):
-        calls.append(e)
-        return original(e)
+    def counting(f):
+        def counted(*args, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
 
-    # every name the function is bound to in the package, as a caller sees it
+        return counted
+
+    wrappers = {id(f): counting(f) for f in originals}
     for name, module in list(sys.modules.items()):
         if name == "conepit" or name.startswith("conepit."):
             for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, key, wrappers[id(value)])
+
+
+def test_the_engines_call_no_checked_cone_size(monkeypatch, fresh_cache):
+    calls = Counter()
+    count_bindings(monkeypatch, [polys.cone_size], calls)
     fresh_cache()
     F = Field.default_prime()
     b = CircuitBuilder(F, 2)
@@ -99,6 +113,51 @@ def test_the_engines_call_no_checked_cone_size(monkeypatch, fresh_cache):
     assert low_cone_pit(Oracle(x1x2_plus_1), 4).outcome == NONZERO
     assert diag_pit(DiagonalCircuit.make(F, 3, [(1, 1, (1, 2, 0), 3), (2, 0, (0, 1, 1), 2)])).outcome == NONZERO
     assert cone_closed_basis_after_shift(example_f(), (1, 2))
-    assert calls == []
+    assert calls == Counter()
     conepit.cone_size((1, 2))  # the count sees the public callers
-    assert calls == [(1, 2)]
+    assert calls == Counter(cone_size=1)
+
+
+def test_a_diagonal_circuit_built_directly_reads_its_terms():
+    direct = DiagonalCircuit(Field.rationals(), np.int64(1), [("1/2", 1, [1], np.int64(2))])
+    assert direct == DiagonalCircuit.make(Field.rationals(), 1, [(Fraction(1, 2), 1, (1,), 2)])
+    assert direct.evaluate([2]) == direct.evaluate_many([[2]])[0] == Fraction(9, 2)
+    for arity, term in ((2, (1, 0, (1,), 2)), (1, (1, 0, (1,), 1.5)), (1, (1, 0, (1,), -1)), (1.0, (1, 0, (1,), 2))):
+        with pytest.raises(ValidationError):
+            DiagonalCircuit(Field.rationals(), arity, [term])
+
+
+def test_the_psi_image_reads_no_term_again(monkeypatch):
+    F = Field.default_prime()
+    D = DiagonalCircuit.make(F, 3, [(2, 1, (1, 0, 4), 2), (5, 0, (0, 1, 3), 1), (4, 1, (1, 0, 4), 2), (F.neg(5), 0, (0, 1, 3), 1)])
+    psi = diagonal.build_psi(D)
+    calls = Counter()
+    count_bindings(monkeypatch, [errors.natural, errors.integer], calls)
+    monkeypatch.setattr(Field, "of", lambda self, x, _of=Field.of: calls.update(["of"]) or _of(self, x))
+    built = []
+    monkeypatch.setattr(diagonal, "DiagonalTerm", lambda *row, _term=diagonal.DiagonalTerm: built.append(row) or _term(*row))
+    image = psi.apply(D)
+    assert image.terms == ((6, 1, (1, 0), 2),)
+    # one term built per collected term, not per input term, and nothing read
+    assert (len(built), calls) == (1, Counter())
+
+
+def test_the_low_cone_walk_reads_no_integer_per_monomial(monkeypatch, fresh_cache):
+    # one circuit at k = 4 and k = 32: degree 3 keeps the layers walked the
+    # same, while k = 32 tests more monomials in each
+    F = Field.default_prime()
+    pairs = [(c, 1, form, 3) for form in ((1, 2, 3), (0, 1, 5), (4, 0, 1)) for c in (2, F.neg(2))]
+    zero = DiagonalCircuit.make(F, 3, pairs)
+    deep = DiagonalCircuit.make(F, 3, pairs + [(3, 0, (1, 5, 0), 3)])
+    counts = {}
+    for k in (4, 32):
+        calls = Counter()
+        with monkeypatch.context() as m:
+            count_bindings(m, [errors.natural, errors.integer], calls)
+            m.setattr(diagonal, "pd_dim_bound", lambda circuit: k)
+            fresh_cache()
+            verdicts = [low_cone_pit(zero.as_oracle(), k), diag_pit(zero), low_cone_pit(deep.as_oracle(), k), diag_pit(deep)]
+        assert [v.outcome for v in verdicts] == [ZERO, ZERO, NONZERO, NONZERO]
+        counts[k] = calls, [v.monomials_tested for v in verdicts]
+    assert counts[4][0] == counts[32][0]
+    assert all(a < b for a, b in zip(counts[4][1], counts[32][1]))

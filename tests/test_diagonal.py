@@ -26,7 +26,7 @@ from conepit.generators import random_diagonal
 from conepit.linalg import RowReducer, matrix_rank
 from conepit.pit import NONZERO, ZERO, brute_force_pit
 from conepit.polys import MultiPoly, is_cone_closed, pd_space_dim
-from reference import poly_pow, reference_diag_pit, reference_psi
+from reference import poly_pow, reference_diag_pit
 
 Q = Field.rationals()
 FP = Field.default_prime()
@@ -61,6 +61,14 @@ def test_build_psi_examples():
         build_psi(consts)
 
 
+def test_psi_image_collects_like_terms_in_order_of_first_use():
+    D = DiagonalCircuit.make(FP, 3, [(2, 1, (1, 0, 4), 2), (5, 0, (0, 1, 3), 1), (4, 1, (1, 0, 4), 2), (3, 0, (0, 1, 3), 1), (FP.neg(8), 0, (0, 1, 3), 1)])
+    psi = build_psi(D)
+    assert psi.columns == (0, 1)
+    assert psi.apply(D).terms == ((6, 1, (1, 0), 2),)
+    assert psi.apply(DiagonalCircuit.make(FP, 3, [(1, 0, (1, 0, 4), 1), (FP.neg(1), 0, (1, 0, 4), 1)])).terms == ()
+
+
 def test_build_psi_keeps_basis_independent():
     rng = random.Random(13)
     for _ in range(30):
@@ -70,9 +78,9 @@ def test_build_psi_keeps_basis_independent():
         if r == 0:
             continue
         psi = build_psi(D)
-        reduced = psi.apply(D)
-        rows = [list(reduced.terms[i - 1].coeffs) for i in basis_rows]
+        rows = [[D.terms[i - 1].coeffs[j] for j in psi.columns] for i in basis_rows]
         assert matrix_rank(rows, FP) == r
+        assert psi.apply(D).arity == r
 
 
 def _forms_dependent_only_mod_2(rng):
@@ -135,8 +143,8 @@ def test_diag_pit_constant_instances():
 def _assert_diag_pit_matches_twin(D):
     """``diag_pit`` against ``reference_diag_pit``: one verdict, rendering
     and call count, an oracle under the input's degree, and a reduced
-    program equal at random points to the image under ``reference_psi``,
-    whose pivots come from ``RowReducer``."""
+    program equal at random points to the twin's term-by-term image under
+    ``reference_psi``, whose pivots come from ``RowReducer``."""
     with mock.patch.object(diagonal, "low_cone_pit", wraps=diagonal.low_cone_pit) as spy:
         verdict = diag_pit(D)
     twin, twin_oracle = reference_diag_pit(D)
@@ -149,7 +157,7 @@ def _assert_diag_pit_matches_twin(D):
     reduced, F, rng = oracle.circuit, D.field, random.Random(len(D.terms))
     assert isinstance(reduced, DiagonalCircuit)
     pts = [[F.random(rng) if F.p else Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(reduced.arity)] for _ in range(8)]
-    assert reduced.program.evaluate_many(pts) == reference_psi(D).apply(D).program.evaluate_many(pts)
+    assert reduced.program.evaluate_many(pts) == twin_oracle.circuit.program.evaluate_many(pts)
     assert [reduced.evaluate(pt) for pt in pts] == reduced.program.evaluate_many(pts)
 
 

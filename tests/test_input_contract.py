@@ -23,6 +23,7 @@ from conepit import (
     VectorPoly,
     cone_closed_basis_after_shift,
     cone_size,
+    diag_power_vectorpoly,
     enumerate_low_cone,
     greedy_design,
     is_basis_isolating,
@@ -106,6 +107,11 @@ CASES = {
     "DensePoly.pow": (lambda v: DensePoly.make(Q, [1, 1]).pow(v), 2, ValidationError),
     "MultiPoly.variable index": (lambda v: MultiPoly.variable(Q, 2, v), 1, ValidationError),
     "Field.prime": (Field.prime, 101, ValidationError),
+    "MultiPoly.variable arity": (lambda v: MultiPoly.variable(Q, v, 0), 1, ValidationError),
+    "MultiPoly.const arity": (lambda v: MultiPoly.const(Q, v, 1), 1, ValidationError),
+    "diag_power_vectorpoly d": (lambda v: diag_power_vectorpoly(Q, [[1]], v), 1, ValidationError),
+    "DiagonalCircuit direct power": (lambda v: DiagonalCircuit(Q, 1, [(1, 0, (1,), v)]), 2, ValidationError),
+    "DiagonalCircuit direct arity": (lambda v: DiagonalCircuit(Q, v, [(1, 0, (1,), 2)]), 1, ValidationError),
 }
 MALFORMED = [-1, 1.5, 1.0, True, "2", None]
 # where None is the argument's default: no exponent, the syntactic degree, no cap
@@ -146,3 +152,9 @@ def test_a_numpy_integer_is_read_as_the_int_it_equals(fresh_cache, name):
 @pytest.mark.parametrize("name", sorted(NEGATIVE_BOUND))
 def test_a_negative_bound_lists_nothing(name, bound):
     assert CASES[name][0](bound) == []
+
+
+@pytest.mark.parametrize("index", [2, 3, np.int64(2)], ids=repr)
+def test_a_variable_index_at_or_past_the_arity_is_refused(index):
+    with pytest.raises(ValidationError, match="variable index"):
+        MultiPoly.variable(Q, 2, index)

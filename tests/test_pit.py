@@ -487,6 +487,82 @@ def test_low_cone_pit_matches_the_twin_with_the_layer_table_cold_and_warm(fresh_
     check_layer_table([(field, n, k, d, t) for t in range(last + 1)])
 
 
+def check_scalings(keys):
+    """Each scalings entry of ``keys`` (field, n, k, d >= 1, t) that the
+    extraction cache keeps, against the twin: the points tau * a, tau-major,
+    are the points layer t requests, (d + 1) per base point a, counted as
+    that many entries, with row t of the width-(d + 1) interpolation rows."""
+    items = extraction._cache.items
+    for key in [("scalings", *key) for key in keys if ("scalings", *key) in items]:
+        field, n, k, d, t = key[1:]
+        (points, row), entries = items[key]
+        layer = enumerate_low_cone(n, k, d, degree=t)
+        assert set(points) == {pt for e in layer for pt in reference_queries(field, e, d)[0]}
+        # tau = 1 scales nothing: those are the base points, each box's once
+        union = {pt for e in layer for pt in reference_queries(field, e, d)[0][cone_size(e) : 2 * cone_size(e)]}
+        assert len(points) == entries == (d + 1) * len(union) and set(points[len(union) : 2 * len(union)]) == union
+        assert row.tolist() == list(extraction.interpolation_row(field, d + 1, t))
+    check_cache(extraction._cache)
+
+
+@st.composite
+def diagonal_sums(draw, field):
+    """A diagonal circuit at arity 2-4 and degree d up to 12, and a budget
+    k that reaches layer d or stops below it.  The families: a homogeneous
+    deep part sum c_i <a_i, x>^d; powers of affine forms of several degrees,
+    with no homogeneous part; and 4c x1 x2 written as c (x1 + x2)^2 -
+    c (x1 - x2)^2 plus c' <a, x>^d, whose layer 2 is nonzero on its boxes
+    while x1^2 and x2^2 are not in f.  Each gets up to two forced-zero pairs."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(("homogeneous", "affine", "cross")))
+    n, d = draw(st.integers(2, 4)), draw(st.sampled_from((2, 4, 8, 12)))
+    form = lambda: [field.random(rng) for _ in range(n)]
+    nonzero = lambda: rng.choice((1, -1)) * rng.randint(1, 6)
+    if family == "homogeneous":
+        rows = [(nonzero(), 0, form(), d) for _ in range(rng.randint(1, 2))]
+    elif family == "affine":
+        rows = [(nonzero(), field.random(rng), form(), rng.randint(1, d)) for _ in range(rng.randint(1, 3))]
+    else:
+        c, rest = nonzero(), [0] * (n - 2)
+        rows = [(c, 0, [1, 1] + rest, 2), (-c, 0, [1, -1] + rest, 2), (nonzero(), 0, form(), d)]
+    for _ in range(rng.randint(0, 2)):
+        c, const, a, p = nonzero(), field.random(rng), form(), rng.randint(1, d)
+        rows += [(c, const, a, p), (-c, const, list(a), p)]
+    past = draw(st.booleans())
+    return DiagonalCircuit.make(field, n, rows), draw(st.integers(d + 1, d + 3) if past else st.integers(1, d))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), field=st.sampled_from((FP, Field.prime(13), Q)))
+def test_a_layer_whose_part_vanishes_is_skipped_as_the_twin_counts_it(fresh_cache, data, field):
+    # over F_13 tau * a wraps past p, and a deep part's lower layers vanish
+    D, k = data.draw(diagonal_sums(field))
+    want = reference_low_cone_pit(D.as_oracle(), k)
+    d = D.degree()
+    last = sum(want.witness) if want.outcome == NONZERO else min(d, k - 1)
+    walked = [e for e in reference_enumerate_low_cone(D.arity, k, dcap=d) if sum(e) <= last]
+    fresh_cache()
+    for _ in ("cold", "warm"):
+        oracle = D.as_oracle()
+        got = low_cone_pit(oracle, k)
+        assert got == want and type(got.coefficient) is type(want.coefficient)
+        assert oracle.calls == len(distinct_reference_points(field, walked, d))
+    check_scalings([(field, D.arity, k, d, t) for t in range(last + 1)])
+
+
+def test_a_homogeneous_deep_part_combines_only_its_own_layer(monkeypatch):
+    # sum c_i <a_i, x>^8 plus a forced-zero pair of lower degree: every
+    # value is nonzero from layer 0 on, but f_t vanishes below t = 8
+    rng = random.Random(83)
+    pair = (5, 1, [FP.random(rng) for _ in range(3)], 3)
+    D = DiagonalCircuit.make(FP, 3, [(c, 0, [FP.random(rng) for _ in range(3)], 8) for c in (2, 7)] + [pair, (FP.neg(5), *pair[1:])])
+    want = reference_low_cone_pit(D.as_oracle(), 12)
+    combined = count_coefficients(monkeypatch)
+    got = low_cone_pit(D.as_oracle(), 12)
+    assert got == want and sum(got.witness) == 8
+    assert combined and all(sum(e) == 8 for e in combined)
+
+
 @pytest.mark.parametrize("ks", [(5, 6), (6, 5)], ids=["5 then 6", "6 then 5"])
 def test_layer_table_keys_on_k(fresh_cache, ks):
     # at n = 2 and d = 4, layer 4 is {x1^4, x2^4} at k = 5 and at k = 6, but
