@@ -29,22 +29,31 @@ from . import polys
 from .errors import ArityMismatch, BadParameters, EmptyInput, NotIsolating, TooLarge, VerificationFailed, ZeroPolynomial, natural
 from .fields import DensePoly, Field, Scalar, rank_over_ft
 from .linalg import RowReducer
-from .polys import ExpVec, VectorPoly, _cone_size, deglex_key, submonomials
+from .polys import ExpVec, VectorPoly, _cone_size, _exponent, deglex_key, submonomials
 
 Weights = tuple[int, ...]
 
 
 def weight_of(w: Sequence[int], e: ExpVec) -> int:
-    """Monomial weight <e, w>."""
-    if len(w) != len(e):
-        raise ArityMismatch(f"weight vector length {len(w)}, exponent arity {len(e)}")
+    """Monomial weight <e, w>: w read by :func:`_weights` at e's length,
+    then e by ``polys._exponent`` (else ValidationError)."""
+    w = _weights(w, len(e))
+    return _weight_of(w, _exponent(e, len(w)))
+
+
+def _weight_of(w: Weights, e: ExpVec) -> int:
+    """<e, w> of vectors that have been read: no entry is checked."""
     return sum(a * b for a, b in zip(e, w))
 
 
-def _weights(w: Sequence[int]) -> Weights:
-    """Each weight read by ``errors.natural``, else BadParameters; the
-    entry points read them once, so :func:`weight_of` need not."""
-    return tuple(natural(x, "weight", BadParameters) for x in w)
+def _weights(w: Sequence[int], arity: int) -> Weights:
+    """Each weight read by ``errors.natural``, else BadParameters, one per
+    variable, else ArityMismatch; the entry points read them once, so
+    :func:`_weight_of` need not."""
+    w = tuple(natural(x, "weight", BadParameters) for x in w)
+    if len(w) != arity:
+        raise ArityMismatch(f"weight vector length {len(w)}, exponent arity {arity}")
+    return w
 
 
 def kronecker_weights(n: int, d: int) -> Weights:
@@ -91,22 +100,22 @@ def is_basis_isolating(f: VectorPoly, w: Sequence[int]) -> BasisReport:
     are pairwise distinct and every combination uses strictly lighter rows
     only, and the combinations are then the certificate.
     """
-    w = _weights(w)
+    w = _weights(w, f.arity)
     if f.is_zero:
         raise ZeroPolynomial("least_basis of the zero polynomial")
     reducer = RowReducer(f.field)
     basis: list[ExpVec] = []
     combos: dict[ExpVec, tuple[tuple[ExpVec, Scalar], ...]] = {}
     isolating = True
-    for e in sorted(f.terms, key=lambda e: (weight_of(w, e), deglex_key(e))):
-        we = weight_of(w, e)
+    for e in sorted(f.terms, key=lambda e: (_weight_of(w, e), deglex_key(e))):
+        we = _weight_of(w, e)
         combo = reducer.add(f.terms[e])
         if combo is None:
-            isolating = isolating and not (basis and weight_of(w, basis[-1]) == we)
+            isolating = isolating and not (basis and _weight_of(w, basis[-1]) == we)
             basis.append(e)
         else:
             combos[e] = tuple((b, c) for b, c in zip(basis, combo) if c != 0)
-            isolating = isolating and all(weight_of(w, b) < we for b, _ in combos[e])
+            isolating = isolating and all(_weight_of(w, b) < we for b, _ in combos[e])
     certificate = {e: combos[e] for e in f.support() if e in combos} if isolating else None
     return BasisReport(tuple(basis), isolating, certificate)
 
@@ -202,20 +211,20 @@ def shift_by_weight(f: VectorPoly, w: Sequence[int]) -> ShiftedVectorPoly:
     The weights must be natural numbers: the coefficients are polynomials
     in t.
     """
-    w = _weights(w)
+    w = _weights(w, f.arity)
     # each support monomial b adds at most dim coefficients of length
     # w(b) + 1 to each of its cone_size(b) submonomials: count before building
-    if f.dim * sum(_cone_size(b) * (weight_of(w, b) + 1) for b in f.terms) > polys.LOW_CONE_GUARD:
+    if f.dim * sum(_cone_size(b) * (_weight_of(w, b) + 1) for b in f.terms) > polys.LOW_CONE_GUARD:
         raise TooLarge(f"shifting by t^w builds more than {polys.LOW_CONE_GUARD} coefficients")
     F = f.field
     acc: dict[ExpVec, list[list[Scalar]]] = {}
     for b, vec in f.terms.items():
-        wb = weight_of(w, b)
+        wb = _weight_of(w, b)
         for a in submonomials(b):
             c = F.of(_transfer_entry(a, b))
             if c == 0:
                 continue
-            power = wb - weight_of(w, a)
+            power = wb - _weight_of(w, a)
             for coeffs, v in zip(acc.setdefault(a, [[] for _ in vec]), vec):
                 if v != 0:
                     coeffs.extend([F.zero()] * (power + 1 - len(coeffs)))

@@ -21,22 +21,26 @@ The base oracle is queried exactly cone_size(e) * (d + 1) times per
 extraction.
 
 The points and weights depend only on (field, e, d), never on the oracle,
-so they are built once per key and shared, as are the weight rows.  The
-low-cone test's layers hold points only: :func:`layer_points` gives a
-total-degree layer's points that no lower layer requests, as a read-only
-``fastmod.PointBatch`` for the evaluator, and its request count, per test
-shape (field, n, k, d, t), and builds no weight, so query sets exist only
-for coefficients a test combines.  :func:`layer_part_vanishes` tests
-whether a layer has any such coefficient to combine: it keeps, per shape,
-a scalings item, the points tau * a of the union of the layer's boxes for
-tau = 0 .. d and the one interpolation row that turns their values into
-the degree-t part f_t(a), and it reads those values from the test's own
-table.  One least recently used cache keeps them all, at most
-``CACHE_ITEMS`` items of ``CACHE_ENTRIES`` entries in all: a row of width
-m counts m, a query set, a layer or a scalings item one per point.  An
-item of more than ``CACHE_ENTRIES // 64`` is built per call and not kept,
-nor is any row but the one asked for of a division whose rows come to
-more, and none holds an oracle's values.  ``EXTRACTION_GUARD`` refuses an
+so they are built once per key and shared, as are the weight rows.  Every
+point is tau * a for tau = 0 .. d and a base point a of a box, and one
+function, :func:`_scalings`, builds them all, in numpy, from a list of
+base points: the box of x^e for a query set, the union of a layer's boxes
+for the two layer items.  The low-cone test's layers hold points only:
+:func:`layer_points` gives a total-degree layer's points that no lower
+layer requests, as a read-only ``fastmod.PointBatch`` for the evaluator,
+and its request count, per test shape (field, n, k, d, t), and builds no
+weight, so query sets exist only for coefficients a test combines.
+:func:`layer_part_vanishes` tests whether a layer has any such
+coefficient to combine: it keeps, per shape, a scalings item, the same
+points tau * a of the union of the layer's boxes and the one
+interpolation row that turns their values into the degree-t part f_t(a),
+and it reads those values from the test's own table.  One least recently
+used cache keeps them all, at most ``CACHE_ITEMS`` items of
+``CACHE_ENTRIES`` entries in all: a row of width m counts m, a query set,
+a layer or a scalings item one per point.  An item of more than
+``CACHE_ENTRIES // 64`` is built per call and not kept, nor is any row
+but the one asked for of a division whose rows come to more, and none
+holds an oracle's values.  ``EXTRACTION_GUARD`` refuses an
 extraction whose points or weight rows would not fit in memory.
 
 Interpolation nodes are always the ints 0 .. m-1 (query points over Q are
@@ -56,7 +60,7 @@ import itertools
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from typing import TYPE_CHECKING, Container, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Container, Mapping, Sequence
 
 import numpy as np
 
@@ -224,12 +228,21 @@ def _stage_nodes(e: ExpVec) -> list[Sequence[int]]:
     return [(1,) if ei == 0 else range(ei + 1) for ei in e]
 
 
-def _base_points(field: Field, e: ExpVec, degree: int) -> Iterator[tuple[Scalar, ...]]:
-    """The base points of the extraction of x^e at degree bound d: tau * a
-    for tau in 0 .. d, tau-major, and a in the box of x^e in
-    itertools.product order, x1's node slowest; none when |e| > d."""
-    stages, taus = _stage_nodes(e), range(degree + 1) if sum(e) <= degree else ()
-    return itertools.chain.from_iterable(itertools.product(*([field.mul(a, tau) for a in ns] for ns in stages)) for tau in taus)
+def _box_union(layer: Sequence[ExpVec], degree: int) -> list[tuple[int, ...]]:
+    """The base points a of the boxes of the monomials of ``layer`` of total
+    degree at most d, each once, in the order they first appear."""
+    return list(dict.fromkeys(itertools.chain.from_iterable(itertools.product(*_stage_nodes(e)) for e in layer if sum(e) <= degree)))
+
+
+def _scalings(field: Field, n: int, degree: int, bases: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The points tau * a as int tuples, for tau in 0 .. d, tau-major, and a
+    in ``bases`` in their order: the one construction of every extraction
+    point.  Each a_i <= d, so tau * a_i <= d^2, which is reduced mod p only
+    when p <= d^2."""
+    points = np.arange(degree + 1, dtype=np.int64)[:, None, None] * np.array(bases, dtype=np.int64).reshape(len(bases), n)
+    if field.p is not None and field.p <= degree * degree:
+        points %= field.p
+    return list(map(tuple, points.reshape((degree + 1) * len(bases), n).tolist()))
 
 
 def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], int]:
@@ -249,7 +262,8 @@ def _build_query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple,
         if F.p is None:
             den = math.factorial(degree) * math.prod(map(math.factorial, e))
     num.flags.writeable = False
-    return (tuple(_base_points(F, e, degree)), num), den
+    # the box of x^e in itertools.product order, x1's node slowest; none when |e| > d
+    return (tuple(_scalings(F, len(e), degree, _box_union([e], degree))), num), den
 
 
 def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.ndarray], int]:
@@ -270,7 +284,10 @@ def query_set(field: Field, e: ExpVec, degree: int) -> tuple[tuple[tuple, np.nda
 def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence[ExpVec], seen: Container[tuple]) -> tuple[PointBatch, int]:
     """Layer t's extraction points that no layer below t requests, as a
     read-only batch, and the layer's request count, the sum of
-    cone_size(e) * (d + 1) over x^e in ``layer``; no weight is built.
+    cone_size(e) * (d + 1) over x^e in ``layer``; no weight is built.  The
+    points requested are the :func:`_scalings` of the union of the layer's
+    boxes, tau-major, so each is built once however many extractions share
+    it, and the batch holds those not in ``seen``, each once, in that order.
 
     ``shape`` is (n, k, d, t): ``layer`` is ``enumerate_low_cone(n, k, d,
     degree=t)`` and ``seen`` holds the points of layers 0 .. t-1, read only
@@ -288,8 +305,8 @@ def layer_points(field: Field, shape: tuple[int, int, int, int], layer: Sequence
         for e in layer:
             require_within_guard(_cone_size(e), sum(e), degree)
     if entry is None:
-        requested = itertools.chain.from_iterable(_base_points(field, e, degree) for e in layer)
-        fresh = [pt for pt in dict.fromkeys(requested) if pt not in seen]
+        scaled = _scalings(field, shape[0], degree, _box_union(layer, degree))
+        fresh = [pt for pt in dict.fromkeys(scaled) if pt not in seen]
         requests = sum(_cone_size(e) for e in layer if sum(e) <= degree) * (degree + 1)
         entry = _cache.put(key, (PointBatch(field, shape[0], fresh), requests, guarded), len(fresh))
     return entry[0], entry[1]
@@ -302,18 +319,14 @@ def layer_part_vanishes(field: Field, shape: tuple[int, int, int, int], layer: S
     of ``interpolation_row(field, d + 1, t)`` dotted with the values at
     tau * a for tau = 0 .. d is f_t(a), over Q times d!.  The points a are
     the union of the boxes of the layer's monomials, so every tau * a is a
-    point the layer requests, built as :func:`_base_points` builds it and
-    read from ``values``.  ``shape`` and ``layer`` are as in
-    :func:`layer_points`, which has made the checks.  The points, tau-major,
+    point the layer requests, built by :func:`_scalings` as
+    :func:`layer_points` builds it and read from ``values``.  ``shape``
+    and ``layer`` are as in :func:`layer_points`, which has made the checks.  The points, tau-major,
     and the row are cached per (field, shape) as one entry per point."""
     n, _, degree, t = shape
     entry = _cache.get(("scalings", field, *shape))
     if entry is None:
-        union = list(dict.fromkeys(itertools.chain.from_iterable(itertools.product(*_stage_nodes(e)) for e in layer)))
-        points = np.arange(degree + 1, dtype=np.int64)[:, None, None] * np.array(union, dtype=np.int64).reshape(len(union), n)
-        if field.p is not None and field.p <= degree * degree:  # tau * a <= d^2 wraps only then
-            points %= field.p
-        keys = list(map(tuple, points.reshape((degree + 1) * len(union), n).tolist()))
+        keys = _scalings(field, n, degree, _box_union(layer, degree))
         entry = _cache.put(("scalings", field, *shape), (keys, np.array(interpolation_row(field, degree + 1, t), dtype=object)), len(keys))
     parts = np.dot(entry[1], np.array([values[x] for x in entry[0]], dtype=object).reshape(degree + 1, -1))
     return not any(parts.tolist() if field.p is None else (parts % field.p).tolist())

@@ -62,15 +62,15 @@ def _cone_size(e: ExpVec) -> int:
 
 
 def is_submonomial(e: ExpVec, f: ExpVec) -> bool:
-    """True iff x^e divides x^f (coordinatewise e <= f)."""
-    if len(e) != len(f):
-        raise ArityMismatch(f"arity {len(e)} vs {len(f)}")
-    return all(a <= b for a, b in zip(e, f))
+    """True iff x^e divides x^f (coordinatewise e <= f): e and then f read
+    by :func:`_exponent` at e's arity (else ValidationError or ArityMismatch)."""
+    e = _exponent(e, len(e))
+    return all(a <= b for a, b in zip(e, _exponent(f, len(e))))
 
 
 def submonomials(f: ExpVec) -> Iterator[ExpVec]:
-    """All exponent vectors e <= f, in grid order."""
-    return itertools.product(*(range(x + 1) for x in f))
+    """All exponent vectors e <= f, in grid order; f read by :func:`_exponent`."""
+    return itertools.product(*(range(x + 1) for x in _exponent(f, len(f))))
 
 
 def exponents_of_degree(caps: Sequence[int], total: int) -> Iterator[ExpVec]:
@@ -92,14 +92,14 @@ def is_cone_closed(monomials: Iterable[ExpVec]) -> bool:
 
     Checking one-step predecessors (decrement a single positive coordinate)
     suffices: closure under those implies closure under all submonomials.
+    Each monomial is read by :func:`_exponent` at the first one's arity, so
+    mixed arities raise ArityMismatch.
     """
-    s = set(monomials)
+    s = list(monomials)
     if not s:
         return True
-    arity = len(next(iter(s)))
+    s = {_exponent(f, len(s[0])) for f in s}
     for f in s:
-        if len(f) != arity:
-            raise ArityMismatch("mixed arities in monomial set")
         for i, x in enumerate(f):
             if x > 0 and f[:i] + (x - 1,) + f[i + 1 :] not in s:
                 return False
@@ -286,7 +286,8 @@ class MultiPoly:
         return sorted(self.terms, key=deglex_key)
 
     def coefficient(self, e: ExpVec) -> Scalar:
-        return self.terms.get(tuple(e), self.field.zero())
+        """The coefficient of x^e, e read by :func:`_exponent`."""
+        return self.terms.get(_exponent(e, self.arity), self.field.zero())
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -326,12 +327,17 @@ class MultiPoly:
         return MultiPoly(F, self.arity, _accumulate(F, {}, products))
 
     def mul_monomial(self, e: ExpVec) -> "MultiPoly":
+        """This polynomial times x^e, e read by :func:`_exponent`."""
+        e = _exponent(e, self.arity)
         return MultiPoly(self.field, self.arity, {tuple(a + b for a, b in zip(m, e)): v for m, v in self.terms.items()})
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """The value at a point, its coordinates read by ``Field.of`` as
+        ``Circuit.evaluate`` reads them."""
         if len(point) != self.arity:
             raise ArityMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         F = self.field
+        point = [F.of(x) for x in point]
         acc = F.zero()
         for e, c in self.terms.items():
             term = c
@@ -484,7 +490,7 @@ class VectorPoly:
         return sorted(self.terms, key=deglex_key)
 
     def coefficient(self, e: ExpVec) -> tuple[Scalar, ...]:
-        return self.terms.get(tuple(e), (self.field.zero(),) * self.dim)
+        return self.terms.get(_exponent(e, self.arity), (self.field.zero(),) * self.dim)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

@@ -25,7 +25,7 @@ from conepit.fields import Field
 from conepit.generators import random_circuit
 from conepit.pit import low_cone_pit
 from conepit.polys import cone_size, enumerate_low_cone
-from reference import circuit_from_multipoly, reference_low_cone_pit, reference_queries
+from reference import circuit_from_multipoly, reference_layer_points, reference_low_cone_pit, reference_queries, reference_query_points
 from test_pit import PLAN_FIELDS, check_cache, check_layer_table
 
 Q = Field.rationals()
@@ -430,6 +430,54 @@ def test_a_layer_refused_at_a_later_monomial_builds_nothing(fresh_cache, monkeyp
     with pytest.raises(TooLarge, match="^extraction of a cone of size 9 at degree bound 4 exceeds the guard 40$"):
         layer_points(FP, (3, 9, 4, 4), layer, set())
     assert not cache.items
+
+
+F13 = Field.prime(13)
+
+
+@settings(max_examples=180, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    field=st.sampled_from((FP, F13, Q)),
+    n=st.integers(1, 5),
+    k=st.sampled_from((1, 2, 3, 4, 6, 8, 12, 16, 24, 32)),
+    degree=st.integers(0, 16),
+)
+def test_the_layer_walk_builds_the_reference_points(fresh_cache, field, n, k, degree):
+    # every point is tau * a from one builder: over F_13 past d = 3, tau * a
+    # wraps mod 13, and a query set keeps the reference order
+    degree = min(degree, 12) if field is F13 else degree
+    fresh_cache()
+    seen = set()
+    for t in range(degree + 1):
+        layer = enumerate_low_cone(n, k, degree, degree=t)
+        points, requests = layer_points(field, (n, k, degree, t), layer, seen)
+        assert (set(points), requests) == reference_layer_points(field, n, k, degree, t)
+        assert len(set(points)) == len(points)
+        seen.update(points)
+        for e in layer:
+            assert list(query_set(field, e, degree)[0][0]) == reference_query_points(field, e, degree)
+
+
+@pytest.mark.parametrize("field", [FP, F13, Q], ids=["Fp", "F13", "Q"])
+def test_the_points_are_built_with_no_field_multiplication(fresh_cache, monkeypatch, field):
+    # with the weight rows warm, a cold layer walk and the query set of each
+    # of its monomials build every point tau * a without Field.mul
+    n, k, degree = 3, 12, 8
+    layers = [enumerate_low_cone(n, k, degree, degree=t) for t in range(degree + 1)]
+    fresh_cache()
+    for e in (e for layer in layers for e in layer):
+        interpolation_row(field, degree + 1, sum(e))
+        for ei in e:
+            interpolation_row(field, ei + 1, ei)
+    calls = []
+    monkeypatch.setattr(Field, "mul", lambda self, a, b, _mul=Field.mul: calls.append((a, b)) or _mul(self, a, b))
+    seen = set()
+    for t, layer in enumerate(layers):
+        points, _ = layer_points(field, (n, k, degree, t), layer, seen)
+        seen.update(points)
+        for e in layer:
+            query_set(field, e, degree)
+    assert seen and calls == []
 
 
 def test_extraction_guard(monkeypatch):

@@ -27,6 +27,8 @@ from conepit import (
     enumerate_low_cone,
     greedy_design,
     is_basis_isolating,
+    is_cone_closed,
+    is_submonomial,
     kronecker_weights,
     least_basis,
     local_kronecker,
@@ -35,11 +37,13 @@ from conepit import (
     sz_pit,
     transfer_submatrix,
     vandermonde_row,
+    weight_of,
 )
 from conepit.circuits import CircuitBuilder
 from conepit.errors import BadParameters, ConepitError, ValidationError
 from conepit.extraction import FilteredOracle, interpolation_row
 from conepit.fields import Field
+from conepit.polys import submonomials
 from test_conebasis import example_f
 
 Q = Field.rationals()
@@ -61,6 +65,8 @@ def x1_plus_x2():
 X = x1_plus_x2()
 F = example_f()
 X0, X1 = Gate(0, "input", var=0), Gate(1, "input", var=1)
+P = MultiPoly.make(Q, 2, {(1, 0): 3, (0, 1): 5})
+V = VectorPoly.make(Q, 2, 1, [((1, 0), [3])])
 
 # name -> (call of the integer under test, a valid value, the error)
 CASES = {
@@ -112,6 +118,15 @@ CASES = {
     "diag_power_vectorpoly d": (lambda v: diag_power_vectorpoly(Q, [[1]], v), 1, ValidationError),
     "DiagonalCircuit direct power": (lambda v: DiagonalCircuit(Q, 1, [(1, 0, (1,), v)]), 2, ValidationError),
     "DiagonalCircuit direct arity": (lambda v: DiagonalCircuit(Q, v, [(1, 0, (1,), 2)]), 1, ValidationError),
+    "is_submonomial e": (lambda v: is_submonomial((v, 0), (2, 0)), 1, ValidationError),
+    "is_submonomial f": (lambda v: is_submonomial((1, 0), (v, 0)), 2, ValidationError),
+    "is_cone_closed monomial": (lambda v: is_cone_closed([(v, 0)]), 0, ValidationError),
+    "MultiPoly.coefficient exponent": (lambda v: P.coefficient((v, 0)), 1, ValidationError),
+    "VectorPoly.coefficient exponent": (lambda v: V.coefficient((v, 0)), 1, ValidationError),
+    "MultiPoly.mul_monomial exponent": (lambda v: P.mul_monomial((v, 0)), 1, ValidationError),
+    "submonomials entry": (lambda v: list(submonomials((v, 1))), 1, ValidationError),
+    "weight_of weight": (lambda v: weight_of((v, 2), (1, 1)), 1, BadParameters),
+    "weight_of exponent": (lambda v: weight_of((1, 2), (v, 1)), 1, ValidationError),
 }
 MALFORMED = [-1, 1.5, 1.0, True, "2", None]
 # where None is the argument's default: no exponent, the syntactic degree, no cap

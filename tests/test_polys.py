@@ -4,12 +4,13 @@ import random
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conepit import polys
-from conepit.errors import ArityMismatch, BadParameters, TooLarge, ZeroPolynomial
+from conepit.errors import ArityMismatch, BadParameters, TooLarge, ValidationError, ZeroPolynomial
 from conepit.fields import Field
 from conepit.generators import random_multipoly
 from conepit.polys import (
@@ -59,6 +60,30 @@ def test_is_cone_closed_examples():
     assert is_cone_closed({(0, 0), (1, 0), (0, 1)})
     assert not is_cone_closed({(1, 1)})
     assert is_cone_closed(set())
+
+
+def test_an_exponent_of_another_arity_is_refused():
+    p = MultiPoly.make(Q, 2, {(1, 0): 3})
+    for call in (
+        lambda: p.coefficient((1, 0, 0)),
+        lambda: p.mul_monomial((1, 0, 0)),
+        lambda: VectorPoly.make(Q, 2, 1, [((1, 0), [3])]).coefficient((1,)),
+        lambda: is_submonomial((1, 0), (1, 0, 0)),
+        lambda: is_cone_closed([(0, 0), (0,)]),
+    ):
+        with pytest.raises(ArityMismatch):
+            call()
+    # a list is read as the vector it holds
+    assert p.coefficient([1, 0]) == 3 and is_cone_closed([[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("field", [Q, FP], ids=["Q", "Fp"])
+def test_multipoly_evaluate_reads_its_point_as_circuit_evaluate_does(field):
+    p = MultiPoly.make(field, 2, {(1, 0): 3, (0, 2): 1})
+    assert p.evaluate(["1/2", np.int64(2)]) == field.add(field.of(Fraction(3, 2)), field.of(4))
+    for point in ([1.5, 2], [np.float64(1), 2], [None, 2]):
+        with pytest.raises(ValidationError):
+            p.evaluate(point)
 
 
 def test_is_cone_closed_matches_naive():
